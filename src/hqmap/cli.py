@@ -4,6 +4,10 @@ Commands: eval, radial, check, john, poisson, report.  Outputs are plain
 CSV / JSON-lines / JSON documents a human reads after the fact; identical
 manifests (corpus, config, seed) produce byte-identical files.  Exit codes:
 0 all checks pass, 1 a check failed, 2 usage or input error.
+
+Each output file has one builder, shared by ``report`` and the command for
+that quantity, so ``hqmap --out D poisson koebe`` writes the same bytes as
+``report`` does for ``koebe``.
 """
 
 from __future__ import annotations
@@ -127,12 +131,40 @@ def _cmd_eval(args, corpus, config) -> int:
     return 0
 
 
+def _write(out_dir, name: str, text: str) -> None:
+    """Write one output file under --out, creating the directory, with
+    newline-terminated lines on every platform."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text, newline="\n")
+
+
 def _radial_csv(m, theta, radii, config) -> str:
     profile = radial.radial_profile(m, theta, radii,
                                     rel_tol=config.quad_rel_tol / 4)
     buf = io.StringIO()
     profile.to_csv(buf)
     return buf.getvalue()
+
+
+def _suite_jsonl(name, corpus, config):
+    """JSON lines of one suite, and whether it counts as passed (advisory
+    suites always do)."""
+    reports, advisory = suites.run_suite(name, corpus, config)
+    lines = "".join(r.to_json() + "\n" for r in reports)
+    return lines, advisory or all(r.passed for r in reports)
+
+
+def _john_json(m, config) -> str:
+    return johndisk.john_estimate(m, config=config).to_json() + "\n"
+
+
+def _poisson_files(m, config):
+    """The sup-trace JSON and the per-point CSV, from one scan per ring level."""
+    trace = poisson.poisson_sup(m, eps_levels=_eps_levels(config))
+    buf = io.StringIO()
+    poisson.poisson_csv(trace, buf)
+    return poisson.poisson_trace_json(m, trace) + "\n", buf.getvalue()
 
 
 def _cmd_radial(args, corpus, config) -> int:
@@ -144,9 +176,7 @@ def _cmd_radial(args, corpus, config) -> int:
     text = _radial_csv(m, args.theta, radii, config)
     sys.stdout.write(text)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"radial_{m.label}.csv").write_text(text, newline="\n")
+        _write(args.out, f"radial_{m.label}.csv", text)
     return 0
 
 
@@ -154,49 +184,35 @@ def _cmd_check(args, corpus, config) -> int:
     if args.suite not in suites.SUITES:
         raise HqmapError(f"unknown suite {args.suite!r}; have: "
                          + ", ".join(sorted(suites.SUITES)))
-    reports, advisory = suites.run_suite(args.suite, corpus, config)
-    lines = "".join(r.to_json() + "\n" for r in reports)
+    lines, ok = _suite_jsonl(args.suite, corpus, config)
     sys.stdout.write(lines)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"checks_{args.suite}.jsonl").write_text(lines, newline="\n")
-    if advisory:
-        return 0
-    return 0 if all(r.passed for r in reports) else 1
+        _write(args.out, f"checks_{args.suite}.jsonl", lines)
+    return 0 if ok else 1
 
 
 def _cmd_john(args, corpus, config) -> int:
     m = _get_map(corpus, args.label)
-    est = johndisk.john_estimate(m, config=config)
-    text = est.to_json()
-    print(text)
+    text = _john_json(m, config)
+    sys.stdout.write(text)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"john_{m.label}.json").write_text(text + "\n", newline="\n")
+        _write(args.out, f"john_{m.label}.json", text)
     return 0
 
 
 def _cmd_poisson(args, corpus, config) -> int:
     m = _get_map(corpus, args.label)
-    trace = poisson.poisson_sup(m, eps_levels=_eps_levels(config))
-    text = poisson.poisson_trace_json(m, trace)
-    print(text)
+    text, csv_text = _poisson_files(m, config)
+    sys.stdout.write(text)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"poisson_{m.label}.json").write_text(text + "\n", newline="\n")
-        with open(out / f"poisson_{m.label}.csv", "w", newline="\n") as fh:
-            poisson.poisson_csv(m, fh, eps_levels=_eps_levels(config))
+        _write(args.out, f"poisson_{m.label}.json", text)
+        _write(args.out, f"poisson_{m.label}.csv", csv_text)
     return 0
 
 
 def _cmd_report(args, corpus, config) -> int:
     if not args.out:
         raise HqmapError("report needs --out DIR")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "corpus": args.corpus or "builtin",
         "alpha": config.alpha,
@@ -207,30 +223,23 @@ def _cmd_report(args, corpus, config) -> int:
         "seed": config.seed,
         "suites": list(_REPORT_SUITES),
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n")
-    (out / "corpus.json").write_text(dump_corpus(corpus), newline="\n")
+    _write(args.out, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(args.out, "corpus.json", dump_corpus(corpus))
 
     ok = True
     for name in _REPORT_SUITES:
-        reports, advisory = suites.run_suite(name, corpus, config)
-        lines = "".join(r.to_json() + "\n" for r in reports)
-        (out / f"checks_{name}.jsonl").write_text(lines, newline="\n")
-        if not advisory:
-            ok = ok and all(r.passed for r in reports)
+        lines, suite_ok = _suite_jsonl(name, corpus, config)
+        _write(args.out, f"checks_{name}.jsonl", lines)
+        ok = ok and suite_ok
 
     radii = 1.0 - np.geomspace(0.9, 1.0 - config.r_cap, 24)
     for label in sorted(corpus):
         m = corpus[label]
-        (out / f"radial_{label}.csv").write_text(
-            _radial_csv(m, 0.0, radii, config), newline="\n")
-        est = johndisk.john_estimate(m, config=config)
-        (out / f"john_{label}.json").write_text(est.to_json() + "\n", newline="\n")
-        trace = poisson.poisson_sup(m, eps_levels=_eps_levels(config))
-        (out / f"poisson_{label}.json").write_text(
-            poisson.poisson_trace_json(m, trace) + "\n", newline="\n")
-        with open(out / f"poisson_{label}.csv", "w", newline="\n") as fh:
-            poisson.poisson_csv(m, fh, eps_levels=_eps_levels(config))
+        _write(args.out, f"radial_{label}.csv", _radial_csv(m, 0.0, radii, config))
+        _write(args.out, f"john_{label}.json", _john_json(m, config))
+        text, csv_text = _poisson_files(m, config)
+        _write(args.out, f"poisson_{label}.json", text)
+        _write(args.out, f"poisson_{label}.csv", csv_text)
     return 0 if ok else 1
 
 

@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .geometry import disk_grid
 from .maps import (
     AnalyticPart,
     CatalogPart,
     HarmonicMap,
     ParameterError,
-    SenseReversalError,
     SeriesPart,
+    check_sense_preserving,
 )
 
 
@@ -50,22 +48,6 @@ def default_corpus() -> dict:
                     frozenset({"SH", "SH0", "analytic", "convex", "bounded"})),
     ]
     return {m.label: m for m in maps}
-
-
-# declared quasiconformality constants of the built-ins (the shear has
-# constant dilatation modulus, everything else is conformal)
-DEFAULT_QC = {"shear-k3": 3.0}
-
-
-def map_qc(m: HarmonicMap, points=None) -> float:
-    """Quasiconformality constant of a corpus map, from the declared table
-    or a grid supremum."""
-    from .maps import qc_constant
-
-    if m.label in DEFAULT_QC:
-        return DEFAULT_QC[m.label]
-    pts = points if points is not None else disk_grid(24, 32).points
-    return qc_constant(m, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +122,4 @@ def validate_corpus(maps: dict, points=None) -> None:
     a non-positive Jacobian is an input error with a witness point."""
     pts = points if points is not None else disk_grid(12, 16).points
     for label in sorted(maps):
-        m = maps[label]
-        jac = m.wirtinger(pts).jacobian
-        if np.any(jac <= 0.0):
-            idx = int(np.argmin(jac))
-            raise SenseReversalError(
-                f"corpus map {label!r} is sense-reversing",
-                complex(np.asarray(pts).ravel()[idx]),
-            )
+        check_sense_preserving(maps[label], pts)

@@ -84,9 +84,6 @@ class RegionSample:
             return stolz_contains(r, z) & (np.abs(z) > r / 4.0)
         if self.kind in ("circle", "boundary-ring"):
             return np.abs(np.abs(z) - self.params["radius"]) <= 1e-12
-        if self.kind == "radius":
-            ang_ok = np.abs(wrap_angle(np.angle(z) - self.params["theta"])) <= 1e-12
-            return (np.abs(z) <= self.params["r"] + 1e-12) & (ang_ok | (np.abs(z) == 0))
         if self.kind == "disk-grid":
             return np.abs(z) < 1.0
         raise ParameterError(f"unknown region kind {self.kind!r}")
@@ -203,17 +200,6 @@ def boundary_ring(eps: float, n: int) -> RegionSample:
     if not 0.0 < eps < 1.0:
         raise ParameterError("ring offset must lie in (0, 1)")
     return circle_points(1.0 - eps, n, kind="boundary-ring")
-
-
-def radius_points(theta: float, r: float, n: int = 256) -> RegionSample:
-    rho = np.linspace(0.0, r, n)
-    return RegionSample(
-        kind="radius",
-        anchor=r * np.exp(1j * theta),
-        params={"theta": theta, "r": r},
-        points=rho * np.exp(1j * theta),
-        density=(n,),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,10 @@ class SafeRadiusWarning(UserWarning):
 
 
 def _check_in_disk(z) -> None:
-    if np.any(np.abs(z) >= 1.0):
+    # written as "not all inside" so that NaN points are rejected too
+    if not np.all(np.abs(z) < 1.0):
         bad = np.asarray(z, dtype=complex).ravel()
-        bad = bad[np.abs(bad) >= 1.0][0] if np.ndim(z) else complex(z)
+        bad = bad[~(np.abs(bad) < 1.0)][0] if np.ndim(z) else complex(z)
         raise DiskDomainError(f"point {bad} is not in the open unit disk")
 
 
@@ -130,20 +131,25 @@ class CatalogPart(AnalyticPart):
         if abs(abs(complex(self.rotation)) - 1.0) > 1e-12:
             raise ParameterError("rotation factor must have modulus one")
 
-    def value(self, z):
-        v, _, _ = _CATALOG[self.name]
+    def _rotated(self, order: int, z):
+        """Derivative ``order`` of conj(s) base(s z), i.e. s^(order-1) base^(order)(s z).
+        The d1 path applies no factor: multiplying by 1 can flip the sign of
+        a zero imaginary part."""
+        base = _CATALOG[self.name][order]
         s = complex(self.rotation)
-        return np.conjugate(s) * v(s * np.asarray(z, dtype=complex)) if s != 1.0 else v(z)
+        if s == 1.0:
+            return base(z)
+        w = base(s * np.asarray(z, dtype=complex))
+        return w if order == 1 else (np.conjugate(s) if order == 0 else s) * w
+
+    def value(self, z):
+        return self._rotated(0, z)
 
     def d1(self, z):
-        _, d, _ = _CATALOG[self.name]
-        s = complex(self.rotation)
-        return d(s * np.asarray(z, dtype=complex)) if s != 1.0 else d(z)
+        return self._rotated(1, z)
 
     def d2(self, z):
-        _, _, d = _CATALOG[self.name]
-        s = complex(self.rotation)
-        return s * d(s * np.asarray(z, dtype=complex)) if s != 1.0 else d(z)
+        return self._rotated(2, z)
 
 
 @dataclass(frozen=True)
@@ -371,11 +377,25 @@ class HarmonicMap:
         _check_in_disk(z)
         return WirtingerPair(self.h.d1(z), np.conjugate(self.g.d1(z)))
 
-    def dnorm(self, z):
-        return self.wirtinger(z).dnorm
-
     def is_analytic(self) -> bool:
         return "analytic" in self.flags
+
+
+def check_sense_preserving(m: HarmonicMap, points) -> WirtingerPair:
+    """Wirtinger data of ``m`` on the flattened point set, after checking
+    that the Jacobian is positive there.
+
+    Raises ``SenseReversalError`` with the point of smallest Jacobian as
+    witness otherwise.
+    """
+    pts = np.asarray(points, dtype=complex).ravel()
+    w = m.wirtinger(pts)
+    jac = w.jacobian
+    if np.any(jac <= 0.0):
+        idx = int(np.argmin(jac))
+        raise SenseReversalError(f"{m.label}: sense-reversing, non-positive Jacobian",
+                                 complex(pts[idx]))
+    return w
 
 
 def qc_constant(m: HarmonicMap, points) -> float:
@@ -385,12 +405,7 @@ def qc_constant(m: HarmonicMap, points) -> float:
     Raises ``SenseReversalError`` with a witness point if the Jacobian is
     not positive somewhere on the sample.
     """
-    pts = np.asarray(points, dtype=complex).ravel()
-    w = m.wirtinger(pts)
-    jac = w.jacobian
-    if np.any(jac <= 0.0):
-        idx = int(np.argmin(jac))
-        raise SenseReversalError(f"{m.label}: non-positive Jacobian", complex(pts[idx]))
+    w = check_sense_preserving(m, points)
     return float(np.max(w.dnorm / w.dmin))
 
 

@@ -7,7 +7,8 @@ chain being probed), while the Poisson kernel itself is evaluated at the
 unit-circle nodes e^{i t_k}, so the functional of the identity map is the
 plain Poisson integral and equals one at every interior point.  Circle
 averages use the trapezoidal rule, which is spectrally accurate for these
-periodic integrands.
+periodic integrands.  A map's sup trace and its per-point CSV come from one
+scan per ring level.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ class BoundaryProfile:
     values: np.ndarray
     drift: float          # relative change when resampled at eps/2
     converged: bool
-
-    def to_csv_rows(self):
-        for t, v in zip(self.angles, self.values):
-            yield [repr(float(t)), repr(float(v))]
 
 
 def boundary_profile(m: HarmonicMap, eps: float = 1e-3, n: int = 2048) -> BoundaryProfile:
@@ -81,6 +78,7 @@ class PoissonTrace:
     trace: tuple          # sup per ring level
     eps_levels: tuple
     stable: bool
+    scans: tuple          # poisson_scan records per ring level
 
 
 def _profile_size(eps: float) -> int:
@@ -110,24 +108,24 @@ def poisson_sup(m: HarmonicMap, n_rad: int = 5, n_ang: int = 8,
     """Supremum of the functional over an interior grid, traced across a
     ladder of ring offsets; the grid extends to |zeta| = 1 - 2 eps as the
     ring approaches the circle.  Trace stability is the boundedness proxy.
+    Each level is scanned once, and the trace keeps the scan records that
+    ``poisson_csv`` writes out.
     """
-    trace = []
-    for eps in eps_levels:
-        vals = poisson_scan(m, eps, n_rad, n_ang)
-        trace.append(max(v for _, v, _, _ in vals))
+    scans = tuple(tuple(poisson_scan(m, eps, n_rad, n_ang)) for eps in eps_levels)
+    trace = [max(v for _, v, _, _ in vals) for vals in scans]
     drift = abs(trace[-1] - trace[-2]) / trace[-2] if len(trace) > 1 else 0.0
-    return PoissonTrace(trace[-1], tuple(trace), tuple(eps_levels), drift < 0.05)
+    return PoissonTrace(trace[-1], tuple(trace), tuple(eps_levels), drift < 0.05, scans)
 
 
-def poisson_csv(m: HarmonicMap, fileobj, n_rad: int = 5, n_ang: int = 8,
-                eps_levels=(1e-2, 1e-3, 1e-4)) -> None:
-    """Per-point CSV of the functional across the ring ladder."""
+def poisson_csv(pt: PoissonTrace, fileobj) -> None:
+    """Per-point CSV of the functional across the ring ladder, written from
+    the scans the trace was computed from."""
     import csv
 
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["zeta_re", "zeta_im", "functional", "eps", "n"])
-    for eps in eps_levels:
-        for zeta, val, e, n in poisson_scan(m, eps, n_rad, n_ang):
+    for vals in pt.scans:
+        for zeta, val, e, n in vals:
             writer.writerow([repr(float(zeta.real)), repr(float(zeta.imag)),
                              repr(float(val)), repr(float(e)), int(n)])
 

@@ -59,16 +59,9 @@ def radial_length(m: HarmonicMap, theta: float, r: float,
                          presplit=presplit)
 
 
-def ray_max(m: HarmonicMap, r: float, theta: float, n: int = 256) -> float:
-    """Running maximum of |f| along the ray, max over rho in [0, r].
-
-    |f| along a ray need not be monotone for harmonic maps, so every local
-    grid maximum is polished by golden-section search.
-    """
-    if not 0.0 < r < 1.0:
-        raise DiskDomainError("ray maximum needs r in (0, 1)")
-    e = np.exp(1j * theta)
-    rho = np.linspace(0.0, r, n)
+def _polished_max(m: HarmonicMap, e: complex, rho) -> float:
+    """Maximum of |f(rho e)| over the grid rho, with every interior local
+    grid maximum polished by golden-section search."""
     vals = np.abs(m.value(rho * e))
     best = float(vals.max())
 
@@ -82,6 +75,17 @@ def ray_max(m: HarmonicMap, r: float, theta: float, n: int = 256) -> float:
         _, v = golden_max(f, rho[i - 1], rho[i + 1])
         best = max(best, v)
     return best
+
+
+def ray_max(m: HarmonicMap, r: float, theta: float, n: int = 256) -> float:
+    """Running maximum of |f| along the ray, max over rho in [0, r].
+
+    |f| along a ray need not be monotone for harmonic maps, so every local
+    grid maximum is polished by golden-section search.
+    """
+    if not 0.0 < r < 1.0:
+        raise DiskDomainError("ray maximum needs r in (0, 1)")
+    return _polished_max(m, np.exp(1j * theta), np.linspace(0.0, r, n))
 
 
 @dataclass(eq=False)
@@ -122,10 +126,6 @@ def radial_profile(m: HarmonicMap, theta: float, r_grid,
         raise ParameterError("radial profile needs a strictly increasing grid in (0, 1)")
     speed = _ray_speed(m, theta)
     e = np.exp(1j * theta)
-
-    def f(x):
-        return float(np.abs(m.value(x * e)))
-
     ell = np.empty_like(r_grid)
     err = np.empty_like(r_grid)
     m_f = np.empty_like(r_grid)
@@ -143,15 +143,7 @@ def radial_profile(m: HarmonicMap, theta: float, r_grid,
         total_err += q.error
         ell[k] = total
         err[k] = total_err
-        rho = np.linspace(lo, hi, n_seg)
-        vals = np.abs(m.value(rho * e))
-        running = max(running, float(vals.max()))
-        interior = np.nonzero(
-            (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-        )[0] + 1
-        for i in interior:
-            _, v = golden_max(f, rho[i - 1], rho[i + 1])
-            running = max(running, v)
+        running = max(running, _polished_max(m, e, np.linspace(lo, hi, n_seg)))
         m_f[k] = running
         lo = hi
     abs_f = np.abs(m.value(r_grid * e))

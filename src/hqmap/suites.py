@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from . import bounds, geometry, johndisk, radial
-from .corpus import map_qc
-from .maps import Config, HarmonicMap
+from .corpus import default_corpus
+from .maps import CatalogPart, Config, HarmonicMap, qc_constant
 from .transforms import shear_qc
 
 
@@ -78,23 +78,23 @@ def suite_harmonic_advisory(corpus: dict, config: Config) -> list:
     configured order parameter; margins are advisory because the sharp
     order of the family is unknown.
 
-    The grid-computed quasiconformality constant is only a lower bound for
-    the true one, so an explicitly configured K overrides it upward.
+    Each map's quasiconformality constant is its supremum of dnorm/dmin on
+    a fixed grid, never a value looked up by label.  The grid value is only
+    a lower bound for the true one, so an explicitly configured K overrides
+    it upward.
     """
     reports = []
     for label in sorted(corpus):
         m = corpus[label]
         if not m.is_analytic():
-            qc_k = max(map_qc(m), config.qc_k)
+            qc_k = max(qc_constant(m, geometry.disk_grid(24, 32).points), config.qc_k)
             reports.extend(_inequality_family(m, config.alpha, qc_k, config, label))
     return _sorted_reports(reports)
 
 
-def suite_geometry(config: Config) -> list:
+def suite_geometry(corpus: dict, config: Config) -> list:
     """Stolz-domain angle bound, hyperbolic-metric properties, and
-    boundary-distance convergence on the identity."""
-    from .corpus import default_corpus
-
+    boundary-distance convergence on the identity; the corpus is unused."""
     reports = []
     n = max(60, round(160 * _scale(config)))
     for r in (0.5, 0.8, 0.95):
@@ -122,13 +122,8 @@ def suite_geometry(config: Config) -> list:
     lam12 = geometry.hyp_dist(zs[:, 0], zs[:, 1])
     lam23 = geometry.hyp_dist(zs[:, 1], zs[:, 2])
     lam13 = geometry.hyp_dist(zs[:, 0], zs[:, 2])
-    tri = lam12 + lam23 - lam13
-    idx = int(np.argmin(tri))
-    reports.append(bounds.CheckReport(
-        predicate="hyp_triangle", alpha=0.0, qc_k=1.0, samples=len(zs),
-        worst_margin=float(tri[idx]), witness=complex(zs[idx, 1]),
-        passed=bool(tri[idx] >= -1e-12), slack=1e-12,
-    ))
+    reports.append(bounds._report("hyp_triangle", 0.0, 1.0, lam12 + lam23 - lam13,
+                                  zs[:, 1], slack=1e-12))
 
     a = 0.3 - 0.4j
     moved = geometry.mobius_shift(zs[:, :2], a)
@@ -147,12 +142,8 @@ def suite_geometry(config: Config) -> list:
             - (1.0 - abs(w)))
         for w in ws
     ])
-    idx = int(np.argmax(errs))
-    reports.append(bounds.CheckReport(
-        predicate="boundary_distance_identity", alpha=0.0, qc_k=1.0,
-        samples=len(ws), worst_margin=float(1e-3 - errs[idx]),
-        witness=complex(ws[idx]), passed=bool(errs[idx] <= 1e-3), slack=0.0,
-    ))
+    reports.append(bounds._report("boundary_distance_identity", 0.0, 1.0,
+                                  1e-3 - errs, ws, slack=0.0))
     return _sorted_reports(reports)
 
 
@@ -182,13 +173,12 @@ def suite_radial_growth(corpus: dict, config: Config) -> list:
                     samples=1, worst_margin=float(bound - chk.ratio),
                     witness=complex(r), passed=bool(ok), slack=1e-9,
                 ))
-    from .maps import CatalogPart
-
+    koebe = default_corpus()["koebe"]
     for big_k in (2.0, 3.0):
         sheared = shear_qc(CatalogPart("koebe"), big_k)
         for r in (0.5, 0.9):
             ell_s = radial.radial_length(sheared, 0.0, r).value
-            ell_h = radial.radial_length(corpus["koebe"], 0.0, r).value
+            ell_h = radial.radial_length(koebe, 0.0, r).value
             margin = ell_s - 2.0 / (big_k + 1.0) * ell_h
             reports.append(bounds.CheckReport(
                 predicate=f"shear_sharpness:K={big_k:g}", alpha=0.0, qc_k=big_k,
@@ -205,10 +195,10 @@ def suite_none(corpus: dict, config: Config) -> list:
 
 # name -> (builder, advisory)
 SUITES = {
-    "analytic-classical": (lambda c, cfg: suite_analytic_classical(c, cfg), False),
-    "harmonic-advisory": (lambda c, cfg: suite_harmonic_advisory(c, cfg), True),
-    "geometry": (lambda c, cfg: suite_geometry(cfg), False),
-    "radial-growth": (lambda c, cfg: suite_radial_growth(c, cfg), False),
+    "analytic-classical": (suite_analytic_classical, False),
+    "harmonic-advisory": (suite_harmonic_advisory, True),
+    "geometry": (suite_geometry, False),
+    "radial-growth": (suite_radial_growth, False),
     "none": (suite_none, False),
 }
 

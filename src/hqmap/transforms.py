@@ -26,6 +26,7 @@ from .maps import (
     ParameterError,
     SenseReversalError,
     SeriesPart,
+    check_sense_preserving,
 )
 
 _TOL = 1e-12
@@ -100,13 +101,8 @@ def affine(m: HarmonicMap, mu: complex, check_points=None) -> HarmonicMap:
         flags.add("analytic")
     out = HarmonicMap(h_new, g_new, label=f"affine[{mu:g}]({m.label})",
                       flags=frozenset(flags))
-    pts = check_points if check_points is not None else disk_grid(16, 24).points
-    w = out.wirtinger(pts)
-    jac = w.jacobian
-    if np.any(jac <= 0.0):
-        idx = int(np.argmin(jac))
-        raise SenseReversalError(f"{out.label}: affine image is sense-reversing",
-                                 complex(np.asarray(pts).ravel()[idx]))
+    check_sense_preserving(
+        out, check_points if check_points is not None else disk_grid(16, 24).points)
     return out
 
 

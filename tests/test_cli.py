@@ -1,9 +1,11 @@
+import csv
 import json
 
 import pytest
 
 from hqmap.cli import main
 from hqmap.corpus import default_corpus, save_corpus
+from hqmap.maps import CatalogPart, HarmonicMap, SeriesPart
 
 
 def run(capsys, *argv):
@@ -49,6 +51,14 @@ def test_eval_unknown_label(capsys):
 def test_eval_bad_point(capsys):
     code, _, err = run(capsys, "eval", "identity", "half")
     assert code == 2
+
+
+def test_eval_nan_point(capsys):
+    code, out, err = run(capsys, "eval", "koebe", "nan+0i")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "not in the open unit disk" in err
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +127,36 @@ def test_check_sense_reversing_corpus(tmp_path, capsys):
     code, _, err = run(capsys, "--corpus", str(path), "check", "none")
     assert code == 2
     assert "sense-reversing" in err
+
+
+def test_radial_growth_without_koebe(tmp_path, capsys):
+    # the shear-sharpness base map comes from the catalog, not the corpus
+    path = tmp_path / "corpus.json"
+    save_corpus({"identity": default_corpus()["identity"]}, path)
+    code, out, _ = run(capsys, "--grid-level", "0", "--corpus", str(path),
+                       "check", "radial-growth")
+    assert code == 0
+    _, builtin, _ = run(capsys, "--grid-level", "0", "check", "radial-growth")
+
+    def shear_rows(text):
+        return [line for line in text.splitlines() if "shear_sharpness" in line]
+
+    assert len(shear_rows(out)) == 4
+    assert shear_rows(out) == shear_rows(builtin)
+
+
+def test_user_map_qc_comes_from_grid(tmp_path, capsys):
+    # f = z + conj(0.8 z) has K = (1 + 0.8)/(1 - 0.8) = 9 whatever its label
+    m = HarmonicMap(CatalogPart("identity"), SeriesPart((0j, 0.8 + 0j)), "shear-k3",
+                    frozenset({"SH"}))
+    path = tmp_path / "corpus.json"
+    save_corpus({"shear-k3": m}, path)
+    code, out, _ = run(capsys, "--grid-level", "0", "--corpus", str(path),
+                       "check", "harmonic-advisory")
+    assert code == 0
+    # predicates that take no K report 1
+    ks = {round(json.loads(line)["K"], 9) for line in out.splitlines()}
+    assert ks == {1.0, 9.0}
 
 
 def test_custom_corpus_roundtrip(tmp_path, capsys):
@@ -193,14 +233,38 @@ def test_report_needs_out(capsys):
     assert code == 2
 
 
-def test_report_writes_files(tmp_path, capsys):
-    out_dir = tmp_path / "report"
-    code, _, _ = run(capsys, "--grid-level", "0", "--out", str(out_dir), "report")
-    assert code == 0
-    names = {p.name for p in out_dir.iterdir()}
+@pytest.fixture(scope="module")
+def report_dir(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("report")
+    assert main(["--grid-level", "0", "--out", str(out_dir), "report"]) == 0
+    return out_dir
+
+
+def test_report_writes_files(report_dir):
+    names = {p.name for p in report_dir.iterdir()}
     assert "manifest.json" in names
     assert "corpus.json" in names
     assert "checks_analytic-classical.jsonl" in names
     assert "john_koebe.json" in names
     assert "poisson_identity.json" in names
     assert "radial_halfplane.csv" in names
+
+
+def test_commands_write_report_files(report_dir, tmp_path, capsys):
+    # the poisson and john commands share report's builders, and the
+    # Poisson JSON trace and CSV come from the same scans
+    for command in ("poisson", "john"):
+        code, _, _ = run(capsys, "--grid-level", "0", "--out", str(tmp_path),
+                         command, "koebe")
+        assert code == 0
+    for name in ("poisson_koebe.json", "poisson_koebe.csv", "john_koebe.json"):
+        assert (tmp_path / name).read_bytes() == (report_dir / name).read_bytes()
+
+    doc = json.loads((tmp_path / "poisson_koebe.json").read_text())
+    with open(tmp_path / "poisson_koebe.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(doc["trace"]) == len(doc["eps"]) == 3
+    for eps, sup in zip(doc["eps"], doc["trace"]):
+        level = [float(r["functional"]) for r in rows if float(r["eps"]) == eps]
+        assert level
+        assert sup == max(level)

@@ -18,7 +18,7 @@ from hqmap import (
 )
 from hqmap.corpus import dump_corpus, load_corpus, save_corpus
 from hqmap.maps import HarmonicMap, MobiusPart, SeriesPart
-from hqmap.poisson import poisson_csv
+from hqmap.poisson import poisson_csv, poisson_sup
 from hqmap.transforms import preschwarzian
 
 
@@ -124,7 +124,7 @@ def test_two_sided_decay(corpus):
 
 def test_poisson_csv_schema(corpus):
     buf = io.StringIO()
-    poisson_csv(corpus["identity"], buf, eps_levels=(1e-2, 3e-3))
+    poisson_csv(poisson_sup(corpus["identity"], eps_levels=(1e-2, 3e-3)), buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "zeta_re,zeta_im,functional,eps,n"
     # per level: one origin record plus 4 radii x 8 angles

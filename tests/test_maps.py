@@ -57,6 +57,8 @@ def test_eval_outside_disk_raises(corpus):
         corpus["identity"].value(1.0 + 0j)
     with pytest.raises(DiskDomainError):
         corpus["koebe"].value(np.array([0.5, 1.2j]))
+    with pytest.raises(DiskDomainError):
+        corpus["koebe"].wirtinger(np.array([0.5, complex("nan+0j")]))
 
 
 def test_series_safe_radius_warning():
