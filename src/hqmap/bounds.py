@@ -34,7 +34,7 @@ class CheckReport:
 
     predicate: str
     alpha: float
-    qc_k: float
+    qc_k: float | None    # None for predicates that take no K
     samples: int
     worst_margin: float
     witness: complex
@@ -47,7 +47,7 @@ class CheckReport:
             {
                 "predicate": self.predicate,
                 "alpha": float(self.alpha),
-                "K": float(self.qc_k),
+                "K": None if self.qc_k is None else float(self.qc_k),
                 "samples": int(self.samples),
                 "worst_margin": float(self.worst_margin),
                 "witness": [float(self.witness.real), float(self.witness.imag)],
@@ -105,7 +105,7 @@ def check_distortion(m: HarmonicMap, alpha: float, points=None,
     lower = (1.0 - t) ** (alpha - 1.0) / (1.0 + t) ** (alpha + 1.0)
     upper = (1.0 + t) ** (alpha - 1.0) / (1.0 - t) ** (alpha + 1.0)
     margins = np.minimum(rel_margin(hp, upper), rel_margin(lower, hp))
-    return _report("deriv_distortion", alpha, 1.0, margins, pts, slack)
+    return _report("deriv_distortion", alpha, None, margins, pts, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def check_weighted_deriv_growth(m: HarmonicMap, alpha: float, triples=None,
     t = (r - rho) / (1.0 - rho * r)
     rhs = _exp2alpha(t, alpha) * (1.0 - r ** 2) * m.wirtinger(r * xi).dnorm
     margins = rel_margin(lhs, rhs)
-    return _report("weighted_deriv_growth", alpha, 1.0, margins, rho * xi, slack)
+    return _report("weighted_deriv_growth", alpha, None, margins, rho * xi, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ def check_harnack(m: HarmonicMap, z0: complex, alpha: float,
     pts = _harnack_box(z0, a, n_r, n_ang)
     ratio = m.wirtinger(pts).dnorm / float(m.wirtinger(z0).dnorm)
     margins = np.minimum(rel_margin(ratio, big_m), rel_margin(1.0 / big_m, ratio))
-    return _report("harnack_comparison", alpha, 1.0, margins, pts, slack,
+    return _report("harnack_comparison", alpha, None, margins, pts, slack,
                    notes=f"z0={z0!r} M={big_m!r}")
 
 

@@ -84,14 +84,26 @@ _CONFIG_KEYS = {
 }
 
 
+def _config_value(key: str, value):
+    """A value from the config file, type-checked as the matching flag's
+    argparse type would be, so that a wrong type is an input error."""
+    kind = int if key in ("grid_level", "seed") else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        need = "an integer" if kind is int else "a number"
+        raise HqmapError(f"config key {key!r} needs {need}, got {value!r}")
+    return value
+
+
 def _load_config(args) -> Config:
     values = {}
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise HqmapError("config file must hold a JSON object")
         for key, field in _CONFIG_KEYS.items():
             if key in doc:
-                values[field] = doc[key]
+                values[field] = _config_value(key, doc[key])
     for key, field in _CONFIG_KEYS.items():
         flag = getattr(args, key)
         if flag is not None:

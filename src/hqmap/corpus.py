@@ -15,6 +15,7 @@ disks; the Koebe map (slit plane) and the half-plane map do not.
 
 from __future__ import annotations
 
+import cmath
 import json
 
 from .geometry import disk_grid
@@ -71,14 +72,31 @@ def part_to_json(p: AnalyticPart) -> dict:
     )
 
 
+def _pair2c(pair, what: str) -> complex:
+    """A finite complex number from its [re, im] pair."""
+    if (not isinstance(pair, list) or len(pair) != 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for x in pair)):
+        raise ParameterError(f"{what} must be a [re, im] pair of numbers, got {pair!r}")
+    c = complex(pair[0], pair[1])
+    if not cmath.isfinite(c):
+        raise ParameterError(f"{what} must be finite, got {pair!r}")
+    return c
+
+
 def part_from_json(d: dict) -> AnalyticPart:
+    if not isinstance(d, dict):
+        raise ParameterError(f"a map part must be a JSON object, got {d!r}")
     kind = d.get("kind")
     if kind == "catalog":
         rot = d.get("rotation")
-        rotation = complex(rot[0], rot[1]) if rot else 1.0 + 0.0j
+        rotation = _pair2c(rot, "catalog rotation") if rot else 1.0 + 0.0j
         return CatalogPart(d["name"], rotation=rotation)
     if kind == "series":
-        return SeriesPart(tuple(complex(re, im) for re, im in d["coeffs"]))
+        coeffs = d["coeffs"]
+        if not isinstance(coeffs, list):
+            raise ParameterError(f"series coeffs must be a list of [re, im] pairs, got {coeffs!r}")
+        return SeriesPart(tuple(_pair2c(c, "series coefficient") for c in coeffs))
     raise ParameterError(f"unknown part kind {kind!r}")
 
 

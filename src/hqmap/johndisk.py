@@ -116,9 +116,11 @@ def criterion_iii(m: HarmonicMap, levels: int = 3, n_box: int = 20,
             zs = r * rots
             dens = (1.0 - r * r) * np.asarray(m.wirtinger(zs).dnorm, dtype=float)
             fzs = m.value(zs)
-            for k, rot in enumerate(rots):
-                num = float(np.max(np.abs(m.value(rot * box_r) - fzs[k])))
-                sup = max(sup, num / float(dens[k]))
+            # all rotated boxes in one evaluation, row k being the box of zs[k]
+            nums = np.max(np.abs(m.value(rots[:, None] * box_r[None, :])
+                                 - fzs[:, None]), axis=1)
+            for num, den in zip(nums, dens):
+                sup = max(sup, float(num) / float(den))
         trace.append(sup)
         reaches.append(reach)
     drift = abs(trace[-1] - trace[-2]) / trace[-2] if len(trace) > 1 else 0.0

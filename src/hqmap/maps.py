@@ -126,9 +126,9 @@ class CatalogPart(AnalyticPart):
     kind = "catalog"
 
     def __post_init__(self):
-        if self.name not in _CATALOG:
+        if not isinstance(self.name, str) or self.name not in _CATALOG:
             raise ParameterError(f"unknown catalog entry {self.name!r}")
-        if abs(abs(complex(self.rotation)) - 1.0) > 1e-12:
+        if not abs(abs(complex(self.rotation)) - 1.0) <= 1e-12:
             raise ParameterError("rotation factor must have modulus one")
 
     def _rotated(self, order: int, z):
@@ -466,12 +466,19 @@ class Config:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha < 2.0:
-            raise ParameterError("alpha must be >= 2")
-        if self.qc_k < 1.0:
-            raise ParameterError("K must be >= 1")
+        # each test reads "not (value in range)", so NaN fails it too
+        if not 2.0 <= self.alpha < math.inf:
+            raise ParameterError("alpha must be finite and >= 2")
+        if not 1.0 <= self.qc_k < math.inf:
+            raise ParameterError("K must be finite and >= 1")
         if not 0.0 < self.boundary_eps <= 0.5:
             raise ParameterError("boundary offset must lie in (0, 0.5]")
+        if not 0.0 < self.quad_rel_tol < math.inf:
+            raise ParameterError("quadrature tolerance must be finite and > 0")
+        if not self.grid_level >= 0:
+            raise ParameterError("grid level must be >= 0")
+        if not self.seed >= 0:
+            raise ParameterError("seed must be >= 0")
 
 
 def alpha_for(m: HarmonicMap, config: Config) -> float:

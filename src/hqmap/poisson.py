@@ -30,6 +30,7 @@ class BoundaryProfile:
     eps: float
     n: int
     angles: np.ndarray
+    nodes: np.ndarray     # unit-circle nodes e^{i t_k}, shared by both rings and the kernel
     values: np.ndarray
     drift: float          # relative change when resampled at eps/2
     converged: bool
@@ -46,14 +47,13 @@ def boundary_profile(m: HarmonicMap, eps: float = 1e-3, n: int = 2048) -> Bounda
     if not 0.0 < eps < 0.5:
         raise ParameterError("ring offset must lie in (0, 0.5)")
     angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    ring = (1.0 - eps) * np.exp(1j * angles)
-    values = np.asarray(m.wirtinger(ring).dnorm, dtype=float)
+    nodes = np.exp(1j * angles)
+    values = np.asarray(m.wirtinger((1.0 - eps) * nodes).dnorm, dtype=float)
     if np.any(values <= 0.0):
         raise ParameterError(f"{m.label}: derivative norm vanishes on the ring")
-    half = np.asarray(m.wirtinger((1.0 - eps / 2.0) * np.exp(1j * angles)).dnorm,
-                      dtype=float)
+    half = np.asarray(m.wirtinger((1.0 - eps / 2.0) * nodes).dnorm, dtype=float)
     drift = float(np.max(np.abs(half - values) / np.maximum(values, 1e-300)))
-    return BoundaryProfile(eps, n, angles, values, drift, drift <= 0.1)
+    return BoundaryProfile(eps, n, angles, nodes, values, drift, drift <= 0.1)
 
 
 def poisson_functional(m: HarmonicMap, zeta: complex, profile: BoundaryProfile) -> float:
@@ -66,8 +66,7 @@ def poisson_functional(m: HarmonicMap, zeta: complex, profile: BoundaryProfile) 
     zeta = complex(zeta)
     if abs(zeta) > 1.0 - 2.0 * profile.eps:
         raise ParameterError("kernel point too close to the sampling ring")
-    xi = np.exp(1j * profile.angles)
-    kernel = (1.0 - abs(zeta) ** 2) / np.abs(xi - zeta) ** 2
+    kernel = (1.0 - abs(zeta) ** 2) / np.abs(profile.nodes - zeta) ** 2
     dz = float(m.wirtinger(zeta).dnorm)
     return float(np.mean(profile.values * kernel) / dz)
 

@@ -154,9 +154,34 @@ def test_user_map_qc_comes_from_grid(tmp_path, capsys):
     code, out, _ = run(capsys, "--grid-level", "0", "--corpus", str(path),
                        "check", "harmonic-advisory")
     assert code == 0
-    # predicates that take no K report 1
-    ks = {round(json.loads(line)["K"], 9) for line in out.splitlines()}
-    assert ks == {1.0, 9.0}
+    # predicates that take no K report null
+    ks = {k if k is None else round(k, 9)
+          for k in (json.loads(line)["K"] for line in out.splitlines())}
+    assert ks == {None, 9.0}
+
+
+_IDENTITY_H = {"kind": "catalog", "name": "identity"}
+
+
+@pytest.mark.parametrize("h,g", [
+    (_IDENTITY_H, {"kind": "series", "coeffs": [[0.0, 0.0], [1]]}),
+    (_IDENTITY_H, {"kind": "series", "coeffs": "abc"}),
+    (_IDENTITY_H, {"kind": "series", "coeffs": [[0.0, 0.0], [float("nan"), 0.0]]}),
+    (_IDENTITY_H, {"kind": "series", "coeffs": [[0.0, 0.0], ["0.1", 0.0]]}),
+    ({"kind": "catalog", "name": "koebe", "rotation": [1]}, {"kind": "series", "coeffs": [[0, 0]]}),
+    ({"kind": "catalog", "name": "koebe", "rotation": [float("nan"), 0.0]},
+     {"kind": "series", "coeffs": [[0, 0]]}),
+    (_IDENTITY_H, "series"),
+    ({"kind": "catalog", "name": ["koebe"]}, {"kind": "series", "coeffs": [[0, 0]]}),
+], ids=["short-pair", "coeffs-string", "nan-coeff", "string-coeff", "short-rotation",
+        "nan-rotation", "part-not-object", "name-not-string"])
+def test_malformed_corpus_part(h, g, tmp_path, capsys):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([{"label": "bad", "h": h, "g": g, "flags": []}]))
+    code, out, err = run(capsys, "--corpus", str(path), "eval", "bad", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
 
 
 def test_custom_corpus_roundtrip(tmp_path, capsys):
@@ -190,6 +215,31 @@ def test_check_failure_exit_code(tmp_path, capsys):
 def test_bad_config_value(capsys):
     code, _, err = run(capsys, "--alpha", "1.0", "check", "none")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--alpha", "nan"),
+    ("--bigk", "inf"),
+    ("--eps", "nan"),
+    ("--tol", "0"),
+    ("--tol", "nan"),
+    ("--grid-level", "-5"),
+    ("--seed", "-1"),
+])
+def test_bad_config_flag(flag, value, capsys):
+    code, _, err = run(capsys, flag, value, "eval", "identity", "0")
+    assert code == 2
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [{"alpha": "x"}, {"grid_level": 1.5}, {"seed": True}, [3.0]],
+                         ids=["alpha-string", "grid-level-float", "seed-bool", "not-object"])
+def test_bad_config_file(doc, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "--config", str(cfg), "eval", "identity", "0")
+    assert code == 2
+    assert err.count("\n") == 1
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

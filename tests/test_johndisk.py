@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from hqmap import (
+    CatalogPart,
+    HarmonicMap,
     ParameterError,
+    SeriesPart,
     criterion_ii,
     criterion_iii,
     decay_fit,
@@ -116,6 +119,77 @@ def test_criterion_iii_koebe_diverges(corpus):
 def test_criterion_iii_halfplane_diverges(corpus):
     tr = criterion_iii(corpus["halfplane"])
     assert tr.increasing and not tr.stable
+
+
+def _criterion_iii_per_rotation(m, levels=3, n_box=20, n_ang=32, r_cap=0.999):
+    """Reference trace: one evaluation per rotated box, the sup folded in
+    rotation order."""
+    from hqmap.geometry import boundary_box
+    from hqmap.johndisk import _level_density, _reach, _z_radii
+
+    trace = []
+    rots = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False))
+    for level in range(levels):
+        reach = _reach(level)
+        nb = _level_density(n_box, level)
+        f0 = complex(m.value(0.0 + 0.0j))
+        box0 = boundary_box(0.0 + 0.0j, nb, nb | 1, reach=reach).points
+        sup = float(np.max(np.abs(m.value(box0) - f0))
+                    / float(m.wirtinger(0.0 + 0.0j).dnorm))
+        for r in _z_radii(level, r_cap):
+            box_r = boundary_box(complex(r), nb, nb | 1, reach=reach).points
+            zs = r * rots
+            dens = (1.0 - r * r) * np.asarray(m.wirtinger(zs).dnorm, dtype=float)
+            fzs = m.value(zs)
+            for k, rot in enumerate(rots):
+                num = float(np.max(np.abs(m.value(rot * box_r) - fzs[k])))
+                sup = max(sup, num / float(dens[k]))
+        trace.append(sup)
+    return tuple(trace)
+
+
+def _series12():
+    k = np.arange(2, 13)
+    h = [0j, 1 + 0j] + list(0.05 / k * np.exp(1j * k))
+    g = [0j, 0j] + list(0.03 / k * np.exp(-2j * k))
+    return HarmonicMap(SeriesPart(tuple(h)), SeriesPart(tuple(g)), "series12")
+
+
+def test_criterion_iii_batched_boxes_match_per_rotation():
+    # the batched evaluation must not move a single bit of the trace
+    maps = (_series12(),
+            HarmonicMap(CatalogPart("halfplane", rotation=np.exp(0.7j)),
+                        SeriesPart((0j, 0j, 0.1 + 0.05j)), "halfplane-rot"))
+    for m in maps:
+        assert criterion_iii(m).trace == _criterion_iii_per_rotation(m), m.label
+
+
+class _CountingMap:
+    """Forwards to a map and counts its ``value`` calls."""
+
+    def __init__(self, m):
+        self.m = m
+        self.label = m.label
+        self.value_calls = 0
+
+    def value(self, z):
+        self.value_calls += 1
+        return self.m.value(z)
+
+    def wirtinger(self, z):
+        return self.m.wirtinger(z)
+
+
+def test_criterion_iii_value_calls_per_radius(corpus):
+    # two origin calls per level, then one call at the z points and one for
+    # the batched boxes per z-radius
+    from hqmap.johndisk import _z_radii
+
+    levels = 3
+    m = _CountingMap(corpus["convex-poly2"])
+    criterion_iii(m, levels=levels)
+    radii = sum(len(_z_radii(level, 0.999)) for level in range(levels))
+    assert m.value_calls <= 2 * levels + 2 * radii
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,21 @@ def test_config_validation():
         Config(boundary_eps=0.7)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"alpha": math.nan}, {"alpha": math.inf}, {"qc_k": math.nan}, {"qc_k": math.inf},
+    {"boundary_eps": math.nan}, {"quad_rel_tol": math.nan}, {"quad_rel_tol": math.inf},
+    {"quad_rel_tol": 0.0}, {"quad_rel_tol": -1e-9}, {"grid_level": -1}, {"seed": -1},
+])
+def test_config_rejects_out_of_range(kwargs):
+    with pytest.raises(ParameterError):
+        Config(**kwargs)
+
+
+def test_catalog_rotation_rejects_nan():
+    with pytest.raises(ParameterError):
+        CatalogPart("koebe", rotation=complex(math.nan, 0.0))
+
+
 @settings(max_examples=100, derandomize=True)
 @given(disk_points())
 def test_shear_pointwise_ratio(z):

@@ -75,6 +75,24 @@ def test_functional_scale_invariance(corpus):
             assert abs(a - b) < 1e-12
 
 
+def test_profile_nodes_are_the_unit_circle_nodes(corpus):
+    prof = boundary_profile(corpus["koebe"], eps=1e-3, n=1024)
+    assert np.array_equal(prof.nodes, np.exp(1j * prof.angles))
+
+
+def test_functional_matches_fresh_nodes_bitwise(corpus):
+    # the kernel on the profile's stored nodes equals the kernel on freshly
+    # exponentiated angles, bit for bit
+    for label in ("koebe", "shear-k3", "convex-poly3"):
+        m = corpus[label]
+        prof = boundary_profile(m, eps=1e-3, n=2048)
+        for zeta in (0.0, 0.5, 0.3 + 0.4j, -0.85, 0.9j):
+            xi = np.exp(1j * prof.angles)
+            kernel = (1.0 - abs(zeta) ** 2) / np.abs(xi - zeta) ** 2
+            fresh = float(np.mean(prof.values * kernel) / float(m.wirtinger(zeta).dnorm))
+            assert poisson_functional(m, zeta, prof) == fresh, (label, zeta)
+
+
 def test_functional_separation_guard(corpus):
     prof = boundary_profile(corpus["identity"], eps=1e-2, n=512)
     with pytest.raises(ParameterError):
