@@ -29,6 +29,10 @@ from .maps import (
 )
 
 
+# the flags HarmonicMap recognizes
+_FLAGS = frozenset({"SH", "SH0", "analytic", "starlike", "convex", "bounded"})
+
+
 def default_corpus() -> dict:
     """Label -> map for the shipped test family."""
     identity = CatalogPart("identity")
@@ -109,12 +113,22 @@ def map_to_json(m: HarmonicMap) -> dict:
     }
 
 
+def _flags_from_json(flags) -> frozenset:
+    """The flag set of a descriptor: a list of recognized flag names.  A
+    bare string would otherwise split into one-letter flags."""
+    if (not isinstance(flags, list)
+            or not all(isinstance(f, str) and f in _FLAGS for f in flags)):
+        raise ParameterError(
+            f"flags must be a list drawn from {sorted(_FLAGS)}, got {flags!r}")
+    return frozenset(flags)
+
+
 def map_from_json(d: dict) -> HarmonicMap:
     return HarmonicMap(
         part_from_json(d["h"]),
         part_from_json(d["g"]),
         d["label"],
-        frozenset(d.get("flags", ())),
+        _flags_from_json(d.get("flags", [])),
     )
 
 

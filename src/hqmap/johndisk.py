@@ -309,7 +309,7 @@ def diam_ratio_check(m: HarmonicMap, a1: complex, a2: complex, alpha: float,
     return CheckReport(
         predicate="diam_ratio",
         alpha=alpha,
-        qc_k=1.0,
+        qc_k=None,
         samples=2 * n_box * (n_box + 1),
         worst_margin=float(margin),
         witness=a1,

@@ -179,12 +179,27 @@ class SeriesPart(AnalyticPart):
     def _d2_coeffs(self):
         return tuple(k * (k - 1) * c for k, c in enumerate(self.coeffs))[2:] or (0.0j,)
 
+    @cached_property
+    def _is_zero(self) -> bool:
+        """All coefficients are +0.0 + 0.0j (no sign bit set), so ``value``,
+        ``d1`` and ``d2`` are exactly +0.0 + 0.0j at every finite point.  A
+        -0.0 coefficient can carry its sign into the result, so it does not
+        count as zero here."""
+        return not np.asarray(self.coeffs).view(np.uint64).any()
+
     @staticmethod
     def _horner(coeffs, z):
         z = np.asarray(z, dtype=complex)
         acc = np.zeros_like(z)
+        if z.ndim == 0:
+            # numpy's scalar arithmetic rounds differently from its array
+            # loops, so 0-d inputs keep the plain expression
+            for c in reversed(coeffs):
+                acc = acc * z + c
+            return acc
         for c in reversed(coeffs):
-            acc = acc * z + c
+            np.multiply(acc, z, out=acc)
+            np.add(acc, c, out=acc)
         return acc
 
     def _warn_radius(self, z):
@@ -293,6 +308,9 @@ class MobiusPart(AnalyticPart):
 
 ZERO_PART = SeriesPart((0.0j,))
 
+# conj(+0.0 + 0.0j): what a zero anti-analytic part contributes to f and f_zb
+_CONJ_ZERO = np.complex128(complex(0.0, -0.0))
+
 
 # ---------------------------------------------------------------------------
 # Wirtinger data
@@ -367,14 +385,26 @@ class HarmonicMap:
 
     # -- evaluation ---------------------------------------------------------
 
+    # A zero g (see ``SeriesPart._is_zero``) is never evaluated: adding or
+    # filling in the constant conj(+0.0 + 0.0j) gives the same bits, signed
+    # zeros and scalar/array type included, without the Horner passes.
+
+    @cached_property
+    def _g_is_zero(self) -> bool:
+        return isinstance(self.g, SeriesPart) and self.g._is_zero
+
     def value(self, z):
         """f(z) = h(z) + conj(g(z)), for |z| < 1."""
         _check_in_disk(z)
+        if self._g_is_zero:
+            return self.h.value(z) + _CONJ_ZERO
         return self.h.value(z) + np.conjugate(self.g.value(z))
 
     def wirtinger(self, z) -> WirtingerPair:
         """Exact Wirtinger pair (h'(z), conj(g'(z)))."""
         _check_in_disk(z)
+        if self._g_is_zero:
+            return WirtingerPair(self.h.d1(z), np.full(np.shape(z), _CONJ_ZERO)[()])
         return WirtingerPair(self.h.d1(z), np.conjugate(self.g.d1(z)))
 
     def is_analytic(self) -> bool:

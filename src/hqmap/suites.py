@@ -107,7 +107,7 @@ def suite_geometry(corpus: dict, config: Config) -> list:
         idx = int(np.argmin(margins))
         reports.append(bounds.CheckReport(
             predicate=f"stolz_angle_bound:r={r:g}",
-            alpha=0.0, qc_k=1.0,
+            alpha=0.0, qc_k=None,
             samples=int(pts.size),
             worst_margin=float(min(margins[idx], hard.min())),
             witness=complex(pts[idx]),
@@ -122,7 +122,7 @@ def suite_geometry(corpus: dict, config: Config) -> list:
     lam12 = geometry.hyp_dist(zs[:, 0], zs[:, 1])
     lam23 = geometry.hyp_dist(zs[:, 1], zs[:, 2])
     lam13 = geometry.hyp_dist(zs[:, 0], zs[:, 2])
-    reports.append(bounds._report("hyp_triangle", 0.0, 1.0, lam12 + lam23 - lam13,
+    reports.append(bounds._report("hyp_triangle", 0.0, None, lam12 + lam23 - lam13,
                                   zs[:, 1], slack=1e-12))
 
     a = 0.3 - 0.4j
@@ -130,7 +130,7 @@ def suite_geometry(corpus: dict, config: Config) -> list:
     drift = np.abs(geometry.hyp_dist(moved[:, 0], moved[:, 1]) - lam12)
     idx = int(np.argmax(drift))
     reports.append(bounds.CheckReport(
-        predicate="hyp_mobius_invariance", alpha=0.0, qc_k=1.0, samples=len(zs),
+        predicate="hyp_mobius_invariance", alpha=0.0, qc_k=None, samples=len(zs),
         worst_margin=float(1e-10 - drift[idx]), witness=complex(zs[idx, 0]),
         passed=bool(drift[idx] < 1e-10), slack=0.0,
     ))
@@ -142,7 +142,7 @@ def suite_geometry(corpus: dict, config: Config) -> list:
             - (1.0 - abs(w)))
         for w in ws
     ])
-    reports.append(bounds._report("boundary_distance_identity", 0.0, 1.0,
+    reports.append(bounds._report("boundary_distance_identity", 0.0, None,
                                   1e-3 - errs, ws, slack=0.0))
     return _sorted_reports(reports)
 
@@ -156,7 +156,7 @@ def suite_radial_growth(corpus: dict, config: Config) -> list:
         res = radial.growth_ratio(m, 0.0, config=config)
         margin = (10.0 * res.median_ratio - res.max_ratio) / (10.0 * res.median_ratio)
         reports.append(bounds.CheckReport(
-            predicate=f"growth_bounded:{label}", alpha=0.0, qc_k=1.0,
+            predicate=f"growth_bounded:{label}", alpha=0.0, qc_k=None,
             samples=len(res.profile.r), worst_margin=float(margin),
             witness=complex(res.profile.r[int(np.argmax(res.profile.ratio))]),
             passed=res.bounded, slack=0.0,
@@ -169,7 +169,7 @@ def suite_radial_growth(corpus: dict, config: Config) -> list:
                 if ok is None:
                     continue
                 reports.append(bounds.CheckReport(
-                    predicate=f"classical_{kind}:{label}", alpha=0.0, qc_k=1.0,
+                    predicate=f"classical_{kind}:{label}", alpha=0.0, qc_k=None,
                     samples=1, worst_margin=float(bound - chk.ratio),
                     witness=complex(r), passed=bool(ok), slack=1e-9,
                 ))

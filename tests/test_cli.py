@@ -184,6 +184,40 @@ def test_malformed_corpus_part(h, g, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", ["SH", ["SH", 1], ["analytc"]],
+                         ids=["string", "non-string-entry", "unknown-flag"])
+def test_malformed_corpus_flags(flags, tmp_path, capsys):
+    # a bare string used to load as its letters, dropping the SH check
+    path = tmp_path / "corpus.json"
+    doc = {"label": "bad", "h": _IDENTITY_H, "g": {"kind": "series", "coeffs": [[0, 0]]},
+           "flags": flags}
+    path.write_text(json.dumps([doc]))
+    code, out, err = run(capsys, "--corpus", str(path), "eval", "bad", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "flags" in err
+
+
+def test_k_free_suite_reports_write_null_k(tmp_path, capsys):
+    # only shear_sharpness takes a K in the geometry and radial-growth suites
+    path = tmp_path / "corpus.json"
+    save_corpus({"identity": default_corpus()["identity"]}, path)
+    ks = {}
+    for suite in ("geometry", "radial-growth"):
+        code, out, _ = run(capsys, "--grid-level", "0", "--corpus", str(path),
+                           "check", suite)
+        assert code == 0
+        for line in out.splitlines():
+            doc = json.loads(line)
+            ks.setdefault(doc["predicate"].split(":")[0], set()).add(doc["K"])
+    assert ks.pop("shear_sharpness") == {2.0, 3.0}
+    assert set(ks) == {"stolz_angle_bound", "hyp_triangle", "hyp_mobius_invariance",
+                       "boundary_distance_identity", "growth_bounded",
+                       "classical_starlike", "classical_convex"}
+    assert all(k == {None} for k in ks.values())
+
+
 def test_custom_corpus_roundtrip(tmp_path, capsys):
     path = tmp_path / "corpus.json"
     save_corpus(default_corpus(), path)

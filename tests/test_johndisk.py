@@ -282,6 +282,11 @@ def test_diam_ratio_convex(corpus):
     assert rep.passed
 
 
+def test_diam_ratio_takes_no_k(corpus):
+    rep = diam_ratio_check(corpus["identity"], 0.9, 0.8, 2.0)
+    assert json.loads(rep.to_json())["K"] is None
+
+
 def test_diam_ratio_nesting_guard(corpus):
     with pytest.raises(ParameterError):
         diam_ratio_check(corpus["identity"], 0.8, 0.9, 2.0)

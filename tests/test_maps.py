@@ -17,6 +17,7 @@ from hqmap import (
     SenseReversalError,
     SeriesPart,
     WirtingerPair,
+    default_corpus,
     disk_grid,
     normalize,
     qc_constant,
@@ -68,6 +69,137 @@ def test_series_safe_radius_warning():
         part.value(0.99)  # inside the safe radius: no warning
     with pytest.warns(SafeRadiusWarning):
         part.value(0.9995)
+
+
+# ---------------------------------------------------------------------------
+# exact evaluation: in-place Horner on arrays, no evaluation of a zero g
+
+_SIGNED_ZEROS = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+_AXIS_POINTS = [complex(a, b) for a, b in ((0.0, 0.6), (-0.0, 0.6), (0.0, -0.6),
+                                            (-0.0, -0.6), (0.6, 0.0), (0.6, -0.0),
+                                            (-0.6, 0.0), (-0.6, -0.0))]
+_COEFFS = tuple(complex(*c) for c in np.random.default_rng(11).normal(0.0, 0.3, (13, 2)))
+_SIGNED_ZERO_COEFFS = (complex(-0.0, 0.0), 0.5 + 0.25j, complex(0.0, -0.0), complex(-0.0, -0.0))
+
+
+def _grid_points(shape):
+    """Seeded points of |z| < 1 whose first twelve are on the axes, with
+    signed zero coordinates."""
+    rng = np.random.default_rng(5)
+    z = (rng.uniform(-0.7, 0.7, shape) + 1j * rng.uniform(-0.7, 0.7, shape)).ravel()
+    z[:12] = _SIGNED_ZEROS + _AXIS_POINTS
+    return z.reshape(shape)
+
+
+def _scalar_inputs():
+    for z in _SIGNED_ZEROS + _AXIS_POINTS + [0.3 - 0.2j]:
+        yield z
+        yield np.complex128(z)
+        yield np.asarray(z)
+    yield -0.0
+    yield 0.5
+
+
+def _reference_horner(coeffs, z):
+    z = np.asarray(z, dtype=complex)
+    acc = np.zeros_like(z)
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def _assert_same_bits(a, b):
+    assert type(a) is type(b)
+    assert np.shape(a) == np.shape(b)
+    assert np.asarray(a).dtype == np.asarray(b).dtype
+    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(97,), (9, 11)])
+@pytest.mark.parametrize("coeffs", [_COEFFS, (0j,), _SIGNED_ZERO_COEFFS],
+                         ids=["degree-12", "zero", "signed-zero-coeffs"])
+def test_horner_arrays_match_reference_loop(shape, coeffs):
+    z = _grid_points(shape)
+    _assert_same_bits(SeriesPart._horner(coeffs, z), _reference_horner(coeffs, z))
+
+
+@pytest.mark.parametrize("coeffs", [_COEFFS, (0j,), _SIGNED_ZERO_COEFFS],
+                         ids=["degree-12", "zero", "signed-zero-coeffs"])
+def test_horner_scalars_match_reference_expression(coeffs):
+    for z in _scalar_inputs():
+        _assert_same_bits(SeriesPart._horner(coeffs, z), _reference_horner(coeffs, z))
+
+
+def _zero_g_maps():
+    corpus = {label: m for label, m in default_corpus().items()
+              if m.g == SeriesPart((0j,))}
+    corpus["rotated-halfplane"] = HarmonicMap(CatalogPart("halfplane", rotation=1j), ZERO,
+                                              "rotated-halfplane")
+    corpus["long-zero-g"] = HarmonicMap(SeriesPart(_COEFFS), SeriesPart((0j,) * 5),
+                                        "long-zero-g")
+    return corpus
+
+
+@pytest.mark.parametrize("label", sorted(_zero_g_maps()))
+def test_zero_g_evaluation_matches_formula(label):
+    m = _zero_g_maps()[label]
+    assert m.g._is_zero
+    for z in [_grid_points((97,)), _grid_points((9, 11)), *_scalar_inputs()]:
+        _assert_same_bits(m.value(z), m.h.value(z) + np.conjugate(m.g.value(z)))
+        w = m.wirtinger(z)
+        _assert_same_bits(w.fz, m.h.d1(z))
+        _assert_same_bits(w.fzb, np.conjugate(m.g.d1(z)))
+
+
+def test_signed_zero_series_is_not_skipped():
+    # a -0.0 coefficient can reach the result's sign bits, so it is evaluated
+    for coeffs in ((complex(-0.0, 0.0),), (0j, complex(0.0, -0.0))):
+        assert not SeriesPart(coeffs)._is_zero
+    assert SeriesPart((0j, 0j, 0j))._is_zero
+
+
+def test_zero_g_is_never_evaluated(monkeypatch):
+    calls = []
+
+    def counting(name):
+        method = getattr(SeriesPart, name)
+
+        def wrapper(self, z):
+            calls.append((name, self))
+            return method(self, z)
+        return wrapper
+
+    for name in ("value", "d1", "d2"):
+        monkeypatch.setattr(SeriesPart, name, counting(name))
+    z = _grid_points((97,))
+    zero_g = HarmonicMap(SeriesPart(_COEFFS), SeriesPart((0j,)), "zero-g")
+    zero_g.value(z)
+    zero_g.wirtinger(z)
+    zero_g.value(0.25j)
+    zero_g.wirtinger(0.25j)
+    # h goes through its public methods; the zero g is never called
+    assert [name for name, part in calls if part is zero_g.h] == ["value", "d1"] * 2
+    assert not [name for name, part in calls if part is zero_g.g]
+
+    calls.clear()
+    signed = HarmonicMap(SeriesPart(_COEFFS), SeriesPart((complex(-0.0, 0.0),)), "signed")
+    signed.value(z)
+    signed.wirtinger(z)
+    assert [name for name, part in calls if part is signed.g] == ["value", "d1"]
+
+
+def test_safe_radius_warning_through_map():
+    m = HarmonicMap(SeriesPart((0j, 1.0, 0.25)), ZERO, "poly")
+    with pytest.warns(SafeRadiusWarning):
+        m.value(0.9995)
+    with pytest.warns(SafeRadiusWarning):
+        m.wirtinger(np.array([0.5, 0.9995j]))
+    # a zero series has no truncation error, so it never warns
+    k = HarmonicMap(CatalogPart("koebe"), ZERO, "koebe")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k.value(0.9995)
+        k.wirtinger(np.array([0.5, 0.9995j]))
 
 
 # ---------------------------------------------------------------------------
