@@ -1,6 +1,6 @@
 """The built-in map corpus and its JSON serialization.
 
-Corpus files hold a list of map descriptors:
+Corpus files hold a list of map descriptors, one per label:
 
     {"label": str,
      "h": {"kind": "catalog" | "series", "name"?: str, "coeffs"?: [[re, im], ...]},
@@ -124,10 +124,15 @@ def _flags_from_json(flags) -> frozenset:
 
 
 def map_from_json(d: dict) -> HarmonicMap:
+    if not isinstance(d, dict):
+        raise ParameterError(f"a map descriptor must be a JSON object, got {d!r}")
+    label = d["label"]
+    if not isinstance(label, str):
+        raise ParameterError(f"a map label must be a string, got {label!r}")
     return HarmonicMap(
         part_from_json(d["h"]),
         part_from_json(d["g"]),
-        d["label"],
+        label,
         _flags_from_json(d.get("flags", [])),
     )
 
@@ -145,8 +150,15 @@ def save_corpus(maps: dict, path) -> None:
 def load_corpus(path) -> dict:
     with open(path) as fh:
         docs = json.load(fh)
-    maps = [map_from_json(d) for d in docs]
-    return {m.label: m for m in maps}
+    if not isinstance(docs, list):
+        raise ParameterError("a corpus file must hold a JSON list of map descriptors")
+    maps = {}
+    for d in docs:
+        m = map_from_json(d)
+        if m.label in maps:
+            raise ParameterError(f"map label {m.label!r} appears more than once in the corpus")
+        maps[m.label] = m
+    return maps
 
 
 def validate_corpus(maps: dict, points=None) -> None:

@@ -301,7 +301,9 @@ def boundary_distances(m: HarmonicMap, ws, eps: float = 1e-4, n: int = 4096) -> 
     img = ring_image(m, eps, n)
     ws = np.atleast_1d(np.asarray(ws, dtype=complex))
     out = np.empty(ws.shape, dtype=float)
-    chunk = max(1, (1 << 22) // max(n, 1))  # keep the distance matrix small
+    # rows per block: a 4 MB complex block stays in cache, and each row's
+    # minimum is taken over the same contiguous row whatever the block size
+    chunk = max(1, (1 << 18) // max(n, 1))
     for i in range(0, len(ws), chunk):
         block = ws[i:i + chunk]
         out[i:i + chunk] = np.min(np.abs(block[:, None] - img[None, :]), axis=1)

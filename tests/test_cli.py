@@ -1,11 +1,13 @@
 import csv
 import json
+import threading
 
 import pytest
 
+from hqmap import cli, johndisk
 from hqmap.cli import main
 from hqmap.corpus import default_corpus, save_corpus
-from hqmap.maps import CatalogPart, HarmonicMap, SeriesPart
+from hqmap.maps import CatalogPart, HarmonicMap, HqmapError, SeriesPart
 
 
 def run(capsys, *argv):
@@ -199,6 +201,28 @@ def test_malformed_corpus_flags(flags, tmp_path, capsys):
     assert "flags" in err
 
 
+_ZERO_G = {"kind": "series", "coeffs": [[0, 0]]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": 1},
+    ["x"],
+    [{"label": 5, "h": _IDENTITY_H, "g": _ZERO_G}],
+    [{"label": "a", "h": _IDENTITY_H, "g": _ZERO_G},
+     {"label": "a", "h": {"kind": "catalog", "name": "koebe"}, "g": _ZERO_G}],
+], ids=["not-a-list", "entry-not-object", "label-not-string", "repeated-label"])
+def test_malformed_corpus_shape(doc, tmp_path, capsys):
+    # the first three used to end in a TypeError traceback with exit code 1,
+    # and a repeated label used to keep only the last entry and exit 0
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--corpus", str(path), "eval", "a", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("hqmap: error:")
+
+
 def test_k_free_suite_reports_write_null_k(tmp_path, capsys):
     # only shear_sharpness takes a K in the geometry and radial-growth suites
     path = tmp_path / "corpus.json"
@@ -352,3 +376,51 @@ def test_commands_write_report_files(report_dir, tmp_path, capsys):
         level = [float(r["functional"]) for r in rows if float(r["eps"]) == eps]
         assert level
         assert sup == max(level)
+
+
+def test_report_single_worker_same_bytes(report_dir, tmp_path, monkeypatch):
+    # the per-map stage writes the same bytes whatever the worker count
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert main(["--grid-level", "0", "--out", str(tmp_path), "report"]) == 0
+    names = sorted(p.name for p in report_dir.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (report_dir / name).read_bytes(), name
+
+
+def test_report_map_error_exits_2(tmp_path, capsys, monkeypatch):
+    # an input error raised inside one map's task ends the run with one line
+    john_estimate = johndisk.john_estimate
+
+    def failing(m, **kwargs):
+        if m.label == "koebe":
+            raise HqmapError("koebe: injected failure")
+        return john_estimate(m, **kwargs)
+
+    monkeypatch.setattr(johndisk, "john_estimate", failing)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    corpus = default_corpus()
+    path = tmp_path / "corpus.json"
+    save_corpus({k: corpus[k] for k in ("identity", "koebe", "shear-k3")}, path)
+    codes = []
+    argv = ["--grid-level", "0", "--corpus", str(path), "--out", str(tmp_path / "out"),
+            "report"]
+    worker = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert codes == [2]
+    err = capsys.readouterr().err
+    assert err == "hqmap: error: koebe: injected failure\n"
+
+
+def test_report_empty_corpus(tmp_path, capsys):
+    path = tmp_path / "corpus.json"
+    path.write_text("[]")
+    out_dir = tmp_path / "out"
+    code, _, _ = run(capsys, "--corpus", str(path), "--out", str(out_dir), "report")
+    assert code == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "checks_analytic-classical.jsonl", "checks_geometry.jsonl",
+        "checks_harmonic-advisory.jsonl", "checks_radial-growth.jsonl",
+        "corpus.json", "manifest.json"]

@@ -19,10 +19,12 @@ from hqmap import (
     stolz_sample,
 )
 from hqmap.geometry import (
+    boundary_distances,
     boundary_ring,
     circle_points,
     convex_hull,
     mobius_shift,
+    ring_image,
     set_diameter,
 )
 from hqmap.maps import HarmonicMap, SeriesPart
@@ -195,6 +197,18 @@ def test_boundary_distance_identity_profile(corpus):
     for w in np.linspace(0.0, 0.9, 7) * np.exp(0.4j):
         est = boundary_distance(ident, complex(w), eps=1e-4, n=4096)
         assert est.value == pytest.approx(1.0 - abs(w), abs=1e-3)
+
+
+@pytest.mark.parametrize("n,count", [(4096, 1000), (64, 5000)])
+def test_boundary_distances_blocks_match_full_matrix(corpus, n, count):
+    # neither target count is a multiple of the rows per block
+    m = corpus["shear-k3"]
+    rng = np.random.default_rng(7)
+    zs = np.sqrt(rng.uniform(0.0, 0.98, count)) * np.exp(2j * np.pi * rng.uniform(size=count))
+    ws = m.value(zs)
+    img = ring_image(m, 1e-4, n)
+    reference = np.min(np.abs(ws[:, None] - img[None, :]), axis=1)
+    assert boundary_distances(m, ws, eps=1e-4, n=n).tobytes() == reference.tobytes()
 
 
 def test_boundary_distance_needs_samples(corpus):
