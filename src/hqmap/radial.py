@@ -194,15 +194,16 @@ class ClassicalBoundCheck:
     convex_bound: float         # arcsin(r) / r
     starlike_ok: bool | None    # None when the flag is absent (unchecked)
     convex_ok: bool | None
+    converged: bool             # the radial-length quadrature converged
 
 
 def classical_bounds(m: HarmonicMap, theta: float, r: float,
                      rel_tol: float = 1e-10) -> ClassicalBoundCheck:
     """Check ell <= |f| (1 + r) for starlike maps and
     ell <= |f| arcsin(r)/r for convex maps, per the corpus flags."""
-    ell = radial_length(m, theta, r, rel_tol=rel_tol).value
+    q = radial_length(m, theta, r, rel_tol=rel_tol)
     fval = abs(complex(m.value(r * np.exp(1j * theta))))
-    ratio = ell / fval
+    ratio = q.value / fval
     star = 1.0 + r
     conv = math.asin(r) / r
     tol = 1e-9
@@ -212,4 +213,5 @@ def classical_bounds(m: HarmonicMap, theta: float, r: float,
         convex_bound=conv,
         starlike_ok=(ratio <= star + tol) if "starlike" in m.flags else None,
         convex_ok=(ratio <= conv + tol) if "convex" in m.flags else None,
+        converged=q.converged,
     )

@@ -147,9 +147,17 @@ def suite_geometry(corpus: dict, config: Config) -> list:
     return _sorted_reports(reports)
 
 
+def _converged_note(notes: str, converged: bool) -> str:
+    """The notes of a line, naming an unconverged radial-length input."""
+    if converged:
+        return notes
+    return " ".join(filter(None, (notes, "radial-length quadrature did not converge")))
+
+
 def suite_radial_growth(corpus: dict, config: Config) -> list:
     """Growth-ratio boundedness for every corpus map, the classical
-    starlike/convex radial bounds, and the shear sharpness identity."""
+    starlike/convex radial bounds, and the shear sharpness identity.  A line
+    whose radial-length quadrature did not converge fails."""
     reports = []
     for label in sorted(corpus):
         m = corpus[label]
@@ -159,8 +167,9 @@ def suite_radial_growth(corpus: dict, config: Config) -> list:
             predicate=f"growth_bounded:{label}", alpha=0.0, qc_k=None,
             samples=len(res.profile.r), worst_margin=float(margin),
             witness=complex(res.profile.r[int(np.argmax(res.profile.ratio))]),
-            passed=res.bounded, slack=0.0,
-            notes=f"max={res.max_ratio!r} median={res.median_ratio!r}",
+            passed=res.bounded and res.profile.converged, slack=0.0,
+            notes=_converged_note(f"max={res.max_ratio!r} median={res.median_ratio!r}",
+                                  res.profile.converged),
         ))
         for r in (0.3, 0.6, 0.9):
             chk = radial.classical_bounds(m, 0.0, r)
@@ -171,20 +180,25 @@ def suite_radial_growth(corpus: dict, config: Config) -> list:
                 reports.append(bounds.CheckReport(
                     predicate=f"classical_{kind}:{label}", alpha=0.0, qc_k=None,
                     samples=1, worst_margin=float(bound - chk.ratio),
-                    witness=complex(r), passed=bool(ok), slack=1e-9,
+                    witness=complex(r), passed=bool(ok) and chk.converged, slack=1e-9,
+                    notes=_converged_note("", chk.converged),
                 ))
     koebe = default_corpus()["koebe"]
     for big_k in (2.0, 3.0):
         sheared = shear_qc(CatalogPart("koebe"), big_k)
         for r in (0.5, 0.9):
-            ell_s = radial.radial_length(sheared, 0.0, r).value
-            ell_h = radial.radial_length(koebe, 0.0, r).value
+            q_s = radial.radial_length(sheared, 0.0, r)
+            q_h = radial.radial_length(koebe, 0.0, r)
+            ell_s, ell_h = q_s.value, q_h.value
+            converged = q_s.converged and q_h.converged
             margin = ell_s - 2.0 / (big_k + 1.0) * ell_h
             reports.append(bounds.CheckReport(
                 predicate=f"shear_sharpness:K={big_k:g}", alpha=0.0, qc_k=big_k,
                 samples=1, worst_margin=float(margin / max(1.0, ell_s)),
-                witness=complex(r), passed=bool(margin >= -1e-9), slack=1e-9,
-                notes=f"ell_shear={ell_s!r} ell_base={ell_h!r}",
+                witness=complex(r), passed=bool(margin >= -1e-9) and converged,
+                slack=1e-9,
+                notes=_converged_note(f"ell_shear={ell_s!r} ell_base={ell_h!r}",
+                                      converged),
             ))
     return _sorted_reports(reports)
 
