@@ -270,6 +270,36 @@ def test_check_failure_exit_code(tmp_path, capsys):
     assert any(not d["pass"] for d in docs)
 
 
+def test_check_radial_growth_unconverged_quadrature_fails(monkeypatch, capsys):
+    # every radial-growth line rests on radial-length quadrature: when it
+    # reports converged=False the line fails and its notes say why
+    from hqmap import radial
+
+    code, out, _ = run(capsys, "--grid-level", "0", "check", "radial-growth")
+    assert code == 0
+    before = [json.loads(line) for line in out.splitlines()]
+    assert all("did not converge" not in d["notes"] for d in before)
+
+    real = radial.adaptive_quad
+
+    def unconverged(*args, **kwargs):
+        return real(*args, **kwargs)._replace(converged=False)
+
+    monkeypatch.setattr(radial, "adaptive_quad", unconverged)
+    code, out, _ = run(capsys, "--grid-level", "0", "check", "radial-growth")
+    assert code == 1
+    after = [json.loads(line) for line in out.splitlines()]
+    assert [d["predicate"] for d in after] == [d["predicate"] for d in before]
+    kinds = {d["predicate"].split(":")[0] for d in after}
+    assert {"growth_bounded", "classical_starlike", "classical_convex",
+            "shear_sharpness"} <= kinds
+    for old, new in zip(before, after):
+        assert not new["pass"], new["predicate"]
+        assert new["notes"].startswith(old["notes"])
+        assert new["notes"].endswith("radial-length quadrature did not converge")
+        assert new["worst_margin"] == old["worst_margin"]
+
+
 def test_bad_config_value(capsys):
     code, _, err = run(capsys, "--alpha", "1.0", "check", "none")
     assert code == 2

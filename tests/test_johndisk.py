@@ -155,11 +155,27 @@ def _series12():
     return HarmonicMap(SeriesPart(tuple(h)), SeriesPart(tuple(g)), "series12")
 
 
-def test_criterion_iii_batched_boxes_match_per_rotation():
-    # the batched evaluation must not move a single bit of the trace
+def _seeded_harmonic12(seed):
+    """Degree-12 map h = z + sum a_k z^k, g = sum b_k z^k with random phases
+    and sum_k k (|a_k| + |b_k|) < 1, so sense-preserving on the closed disk."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(2, 13)
+    w = rng.uniform(0.0, 1.0, (2, k.size))
+    w *= rng.uniform(0.3, 0.95) / w.sum()
+    coef = w / k * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, w.shape))
+    h = (0j, 1 + 0j) + tuple(coef[0])
+    g = (0j, 0j) + tuple(coef[1])
+    return HarmonicMap(SeriesPart(h), SeriesPart(g), f"series12-seed{seed}")
+
+
+def test_criterion_iii_batched_boxes_match_per_rotation(corpus):
+    # evaluating the box edges of all rotations at once must not move a
+    # single bit of the trace the full grids give one rotation at a time
     maps = (_series12(),
             HarmonicMap(CatalogPart("halfplane", rotation=np.exp(0.7j)),
-                        SeriesPart((0j, 0j, 0.1 + 0.05j)), "halfplane-rot"))
+                        SeriesPart((0j, 0j, 0.1 + 0.05j)), "halfplane-rot"),
+            *(corpus[label] for label in sorted(corpus)),
+            _seeded_harmonic12(3), _seeded_harmonic12(11))
     for m in maps:
         assert criterion_iii(m).trace == _criterion_iii_per_rotation(m), m.label
 
@@ -326,3 +342,69 @@ def test_holder_convex(corpus):
 def test_holder_scope(corpus):
     with pytest.raises(ParameterError):
         holder_check(corpus["identity"], 0.3)
+
+
+# ---------------------------------------------------------------------------
+# criterion (iii) on box edges: w -> |f(w) - f(z)| is subharmonic, so the
+# box maximum sits on the box boundary
+
+
+def _grid_edges(vals, shape):
+    """The four edges of the (n_radial, n_angular) grids flattened in the
+    last axis of vals: first and last radius, first and last angle."""
+    grid = vals.reshape(vals.shape[:-1] + shape)
+    return np.concatenate([grid[..., 0, :], grid[..., -1, :],
+                           grid[..., 1:-1, 0], grid[..., 1:-1, -1]], axis=-1)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_criterion_iii_edge_maximum_is_grid_maximum(level, corpus):
+    # every rotated-box row: the edge maximum is the full-grid maximum, bit
+    # for bit, at radii from the core to the cap
+    from hqmap.geometry import boundary_box
+    from hqmap.johndisk import _level_density, _reach
+
+    reach = _reach(level)
+    nb = _level_density(20, level)
+    shape = (nb, nb | 1)
+    rots = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False))
+    for m in (corpus["shear-k3"], corpus["koebe"], _seeded_harmonic12(5)):
+        box0 = boundary_box(0.0 + 0.0j, *shape, reach=reach).points
+        d0 = np.abs(m.value(box0) - complex(m.value(0.0 + 0.0j)))
+        assert np.max(_grid_edges(d0, shape)).tobytes() == np.max(d0).tobytes()
+        for r in (0.15, 0.6, 0.9, 0.99, 0.999):
+            box = boundary_box(complex(r), *shape, reach=reach).points
+            d = np.abs(m.value(rots[:, None] * box[None, :])
+                       - m.value(r * rots)[:, None])
+            full = np.max(d, axis=1)
+            edge = np.max(_grid_edges(d, shape), axis=1)
+            assert edge.tobytes() == full.tobytes(), (m.label, r)
+
+
+class _SizeRecordingMap(_CountingMap):
+    """Also records the point count of every ``value`` call."""
+
+    def __init__(self, m):
+        super().__init__(m)
+        self.sizes = []
+
+    def value(self, z):
+        self.sizes.append(int(np.size(z)))
+        return super().value(z)
+
+
+def test_criterion_iii_box_calls_get_exactly_the_edge_points(corpus):
+    # per level: f(0), the origin box, then per z-radius the 32 z points and
+    # the 32 rotated boxes; a box is 2 (nb|1) + 2 (nb - 2) edge points
+    from hqmap.johndisk import _level_density, _z_radii
+
+    levels = 3
+    m = _SizeRecordingMap(corpus["convex-poly3"])
+    criterion_iii(m, levels=levels)
+    expected = []
+    for level in range(levels):
+        nb = _level_density(20, level)
+        edge = 2 * (nb | 1) + 2 * (nb - 2)
+        expected += [1, edge] + [32, 32 * edge] * len(_z_radii(level, 0.999))
+    assert m.sizes == expected
+    assert expected[1:3] == [78, 32] and 176 in expected

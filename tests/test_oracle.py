@@ -60,3 +60,76 @@ def test_series_matches_mpmath(seed, order):
             for got in (from_array, method(complex(z))):
                 err = float(abs(mpmath.mpc(got.real, got.imag) - exact))
                 assert err <= bound, (z, err, bound)
+
+
+# ---------------------------------------------------------------------------
+# closed-form constants
+
+
+def _mp_derivative_bound(alpha, qc_k):
+    """2 a K sup_{0<t<=1} t (1+t)^(a-1) / ((1+t)^a - (1-t)^a): a grid scan at
+    30 digits, polished at a stationary point when the grid peak is interior."""
+    a = mpmath.mpf(alpha)
+
+    def phi(t):
+        return t * (1 + t) ** (a - 1) / ((1 + t) ** a - (1 - t) ** a)
+
+    ts = [mpmath.mpf(k) / 400 for k in range(1, 401)]
+    vals = [phi(t) for t in ts]
+    i = max(range(len(ts)), key=vals.__getitem__)
+    best = vals[i]
+    if i < len(ts) - 1:
+        best = max(best, phi(mpmath.findroot(lambda t: mpmath.diff(phi, t), ts[i])))
+    return 2 * a * mpmath.mpf(qc_k) * best
+
+
+@pytest.mark.parametrize("alpha, qc_k", [(2.0, 1.0), (2.0, 3.0), (2.5, 1.5),
+                                         (3.0, 2.0), (4.5, 1.25)])
+def test_derivative_bound_constant_matches_mpmath(alpha, qc_k):
+    from hqmap.bounds import derivative_bound_constant
+
+    with mpmath.workdps(30):
+        exact = _mp_derivative_bound(alpha, qc_k)
+        got = derivative_bound_constant(alpha, qc_k)
+        assert float(abs(got / exact - 1)) <= 1e-12, (got, exact)
+
+
+@pytest.mark.parametrize("a1, a2, a3, alpha", [(1.0, 2.0, math.pi, 2.0),
+                                               (0.5, 1.5, 1.0, 3.0),
+                                               (1.0, 1.0, 0.0, 2.0),
+                                               (0.25, 3.0, 2.0, 2.5)])
+def test_harnack_constant_matches_mpmath(a1, a2, a3, alpha):
+    from hqmap.bounds import harnack_constant
+
+    with mpmath.workdps(30):
+        b1, b2, b3, al = (mpmath.mpf(x) for x in (a1, a2, a3, alpha))
+        exact = 2 * mpmath.exp((1 + al) * (b3 + mpmath.log((2 * b2 - b1) / b1) / 2))
+        got = harnack_constant(a1, a2, a3, alpha)
+        assert float(abs(got / exact - 1)) <= 1e-12, (got, exact)
+
+
+# ---------------------------------------------------------------------------
+# radial lengths of the real, increasing catalog maps at theta = 0
+
+
+@pytest.mark.parametrize("label, exact", [
+    ("koebe", lambda r: r / (1 - r) ** 2),
+    ("halfplane", lambda r: r / (1 - r)),
+], ids=["koebe", "halfplane"])
+def test_radial_length_matches_closed_form(label, exact):
+    # on [0, 1) the map is real and increasing, so the image length of
+    # [0, r] is f(r); checked on report's 24-radius grid up to r_cap
+    from hqmap import Config, default_corpus, radial_length, radial_profile
+
+    m = default_corpus()[label]
+    config = Config()
+    radii = 1.0 - np.geomspace(0.9, 1.0 - config.r_cap, 24)
+    profile = radial_profile(m, 0.0, radii, rel_tol=config.quad_rel_tol / 4)
+    assert profile.converged
+    with mpmath.workdps(30):
+        for r, ell in zip(radii, profile.ell):
+            want = exact(mpmath.mpf(float(r)))
+            q = radial_length(m, 0.0, float(r))
+            assert q.converged
+            for got in (float(ell), q.value):
+                assert float(abs(got / want - 1)) <= 1e-12, (r, got)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hqmap import (
     pommerenke_bracket,
     small_preschwarzian,
 )
-from hqmap.maps import ComboPart, HarmonicMap
+from hqmap.maps import ComboPart, HarmonicMap, SeriesPart
 from hqmap.poisson import poisson_trace_json
 
 
@@ -42,6 +43,49 @@ def test_profile_values_positive_and_converged(corpus):
     assert np.all(prof.values > 0)
     assert prof.values == pytest.approx(np.full(512, 1.5), abs=1e-12)
     assert prof.converged
+
+
+def _unblocked_profile(m, eps, n):
+    """Both rings evaluated whole: (values, drift)."""
+    nodes = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+    values = np.asarray(m.wirtinger((1.0 - eps) * nodes).dnorm, dtype=float)
+    half = np.asarray(m.wirtinger((1.0 - eps / 2.0) * nodes).dnorm, dtype=float)
+    return values, float(np.max(np.abs(half - values) / np.maximum(values, 1e-300)))
+
+
+@pytest.mark.parametrize("eps, n", [(1e-2, 1 << 11), (1e-4, 1 << 18)])
+def test_profile_blocks_match_whole_rings_bitwise(eps, n, corpus):
+    k = np.arange(2, 13)
+    series = HarmonicMap(SeriesPart((0j, 1 + 0j) + tuple(0.05 / k * np.exp(1j * k))),
+                         SeriesPart((0j, 0j) + tuple(0.03 / k * np.exp(-2j * k))),
+                         "series12")
+    for m in (corpus["koebe"], corpus["convex-poly3"], series):
+        prof = boundary_profile(m, eps=eps, n=n)
+        values, drift = _unblocked_profile(m, eps, n)
+        assert prof.values.tobytes() == values.tobytes(), m.label
+        assert prof.drift == drift and prof.converged == (drift <= 0.1), m.label
+
+
+class _RingMap:
+    """Unit derivative norm, except zero on the arc -pi/4 < arg z < 0, which
+    a 2^18-node profile reaches only in its last 2^15-node block."""
+
+    label = "ring-zero"
+
+    def __init__(self):
+        self.calls = 0
+
+    def wirtinger(self, z):
+        self.calls += 1
+        arg = np.angle(z)
+        return SimpleNamespace(dnorm=np.where((arg > -math.pi / 4) & (arg < 0.0), 0.0, 1.0))
+
+
+def test_profile_zero_norm_in_last_block_raises():
+    m = _RingMap()
+    with pytest.raises(ParameterError, match="derivative norm vanishes on the ring"):
+        boundary_profile(m, eps=1e-4, n=1 << 18)
+    assert m.calls == 2 * 7 + 1  # seven full blocks of both rings, then the last
 
 
 # ---------------------------------------------------------------------------
