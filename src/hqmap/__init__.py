@@ -21,7 +21,6 @@ from .maps import (
     SenseReversalError,
     SeriesPart,
     WirtingerPair,
-    alpha_for,
     normalize,
     qc_constant,
 )

@@ -256,30 +256,34 @@ def _cmd_report(args, corpus, config) -> int:
     _write(args.out, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     _write(args.out, "corpus.json", dump_corpus(corpus))
 
-    ok = True
-    for name in _REPORT_SUITES:
-        lines, suite_ok = _suite_jsonl(name, corpus, config)
-        _write(args.out, f"checks_{name}.jsonl", lines)
-        ok = ok and suite_ok
-
-    # No map's files depend on another's, and the work is large numpy calls
-    # that release the GIL, so the maps run on a thread pool.  Files are
-    # written in sorted-label order as each map's results arrive.  The import
-    # is here because concurrent.futures imports logging, which would add
-    # about 7 ms to the start-up of every other command.
+    # The check suites and the maps depend on none of each other's results,
+    # so all of them run as tasks of one thread pool.  Numpy releases the GIL
+    # only inside its loops, so threads overlap where the calls are large
+    # (criterion (iii) blocks, Poisson rings, boundary distances) and
+    # serialize on the Python between them.  Files are written in a fixed
+    # order, suites first and then maps by sorted label, as each task's
+    # results arrive.  The import is here because concurrent.futures imports
+    # logging, which would add about 7 ms to the start-up of every other
+    # command.
     from concurrent.futures import ThreadPoolExecutor
 
     radii = 1.0 - np.geomspace(0.9, 1.0 - config.r_cap, 24)
-    labels = sorted(corpus)
-    pool = ThreadPoolExecutor(max_workers=max(1, min(len(labels), _usable_cpus())))
+    pool = ThreadPoolExecutor(max_workers=_usable_cpus())
     try:
-        futures = [pool.submit(_map_files, label, corpus[label], radii, config)
-                   for label in labels]
-        for future in futures:
+        suite_futures = [(name, pool.submit(_suite_jsonl, name, corpus, config))
+                         for name in _REPORT_SUITES]
+        map_futures = [pool.submit(_map_files, label, corpus[label], radii, config)
+                       for label in sorted(corpus)]
+        ok = True
+        for name, future in suite_futures:
+            lines, suite_ok = future.result()
+            _write(args.out, f"checks_{name}.jsonl", lines)
+            ok = ok and suite_ok
+        for future in map_futures:
             for name, text in future.result():
                 _write(args.out, name, text)
     finally:
-        # after a failure, maps not yet started are dropped
+        # after a failure, tasks not yet started are dropped
         pool.shutdown(cancel_futures=True)
     return 0 if ok else 1
 

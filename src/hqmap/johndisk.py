@@ -87,6 +87,29 @@ def _z_radii(level: int, r_cap: float) -> np.ndarray:
     return np.concatenate([core, band])
 
 
+# rotated-box points evaluated per call: as many consecutive z-radii of a
+# level as fit in 2^15 points (512 KB of complex128, poisson._RING_BLOCK)
+_BOX_BLOCK = 1 << 15
+
+
+def _ratio_sup(m: HarmonicMap, nums, dens, zs) -> float:
+    """Largest of nums / dens, where dens[i] is the weighted derivative norm
+    at zs[i]: a vanishing denominator is a sense reversal at that z, and a
+    non-finite ratio (a NaN or infinite map value) is an input error rather
+    than a ratio the supremum could silently skip."""
+    nums, dens, zs = (np.asarray(a).ravel() for a in (nums, dens, zs))
+    zero = dens == 0.0
+    if np.any(zero):
+        raise SenseReversalError(f"{m.label}: derivative norm vanishes",
+                                 complex(zs[np.argmax(zero)]))
+    ratios = nums / dens
+    bad = ~np.isfinite(ratios)
+    if np.any(bad):
+        raise ParameterError(f"{m.label}: criterion (iii) ratio is not finite at "
+                             f"z = {complex(zs[np.argmax(bad)])}")
+    return float(np.max(ratios))
+
+
 def criterion_iii(m: HarmonicMap, levels: int = 3, n_box: int = 20,
                   n_ang: int = 32, r_cap: float = 0.999) -> CriterionTrace:
     """Grid supremum of |f(z) - f(w)| / ((1-|z|^2) dnorm(z)) over w in B(z),
@@ -106,6 +129,18 @@ def criterion_iii(m: HarmonicMap, levels: int = 3, n_box: int = 20,
     last radius, first and last angle).  An nb x (nb|1) box therefore costs
     2 (nb|1) + 2 (nb - 2) points instead of nb (nb|1): 176 instead of 2,025
     at level 2, for each of the n_ang rotated boxes of a radius.
+
+    The rotated boxes of consecutive z-radii are evaluated together, in
+    blocks of at most ``_BOX_BLOCK`` = 2^15 points (with the defaults, 13, 8
+    and 5 radii at levels 0, 1 and 2).  One radius alone is a call of
+    2,500-5,600 points, too small for ``report``'s threads to run in
+    parallel: the Python work around each call holds the GIL for longer
+    than numpy's loops release it.  A fixed block keeps memory flat at
+    every level.  Each point and its arithmetic are those of a per-radius
+    evaluation, so the trace does not move by a bit.
+
+    A vanishing derivative norm raises ``SenseReversalError`` with the z
+    witness; a non-finite ratio raises ``ParameterError``.
     """
     trace = []
     reaches = []
@@ -121,19 +156,22 @@ def criterion_iii(m: HarmonicMap, levels: int = 3, n_box: int = 20,
         edges = edges.ravel()
         f0 = complex(m.value(0.0 + 0.0j))
         box0 = geometry.boundary_box(0.0 + 0.0j, *box_shape, reach=reach).points[edges]
-        sup = float(np.max(np.abs(m.value(box0) - f0))
-                    / float(m.wirtinger(0.0 + 0.0j).dnorm))
-        for r in _z_radii(level, r_cap):
-            box_r = geometry.boundary_box(complex(r), *box_shape,
-                                          reach=reach).points[edges]
-            zs = r * rots
-            dens = (1.0 - r * r) * np.asarray(m.wirtinger(zs).dnorm, dtype=float)
+        sup = _ratio_sup(m, np.max(np.abs(m.value(box0) - f0)),
+                         m.wirtinger(0.0 + 0.0j).dnorm, 0.0 + 0.0j)
+        radii = _z_radii(level, r_cap)
+        per_block = max(1, _BOX_BLOCK // (n_ang * int(edges.sum())))
+        for lo in range(0, len(radii), per_block):
+            r = radii[lo:lo + per_block]
+            boxes = np.stack([geometry.boundary_box(complex(x), *box_shape,
+                                                    reach=reach).points[edges]
+                              for x in r])
+            zs = r[:, None] * rots[None, :]
+            dens = (1.0 - r * r)[:, None] * np.asarray(m.wirtinger(zs).dnorm, dtype=float)
             fzs = m.value(zs)
-            # all rotated boxes in one evaluation, row k being the box of zs[k]
-            nums = np.max(np.abs(m.value(rots[:, None] * box_r[None, :])
-                                 - fzs[:, None]), axis=1)
-            for num, den in zip(nums, dens):
-                sup = max(sup, float(num) / float(den))
+            # boxes[i] rotated to zs[i, k] is row (i, k)
+            nums = np.max(np.abs(m.value(rots[None, :, None] * boxes[:, None, :])
+                                 - fzs[:, :, None]), axis=2)
+            sup = max(sup, _ratio_sup(m, nums, dens, zs))
         trace.append(sup)
         reaches.append(reach)
     drift = abs(trace[-1] - trace[-2]) / trace[-2] if len(trace) > 1 else 0.0

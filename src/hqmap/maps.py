@@ -510,8 +510,3 @@ class Config:
         if not self.seed >= 0:
             raise ParameterError("seed must be >= 0")
 
-
-def alpha_for(m: HarmonicMap, config: Config) -> float:
-    """Order parameter: classical 2 for the analytic subfamily, configured
-    value otherwise."""
-    return 2.0 if m.is_analytic() else config.alpha

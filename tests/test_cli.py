@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from hqmap import cli, johndisk
+from hqmap import cli, johndisk, suites
 from hqmap.cli import main
 from hqmap.corpus import default_corpus, save_corpus
 from hqmap.maps import CatalogPart, HarmonicMap, HqmapError, SeriesPart
@@ -442,6 +442,48 @@ def test_report_map_error_exits_2(tmp_path, capsys, monkeypatch):
     assert codes == [2]
     err = capsys.readouterr().err
     assert err == "hqmap: error: koebe: injected failure\n"
+
+
+def test_report_suite_error_exits_2(tmp_path, capsys, monkeypatch):
+    # an input error raised inside one suite's task, which shares the pool
+    # with the maps' tasks, ends the run with one line
+    run_suite = suites.run_suite
+
+    def failing(name, corpus, config):
+        if name == "geometry":
+            raise HqmapError("geometry: injected failure")
+        return run_suite(name, corpus, config)
+
+    monkeypatch.setattr(suites, "run_suite", failing)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    corpus = default_corpus()
+    path = tmp_path / "corpus.json"
+    save_corpus({k: corpus[k] for k in ("identity", "koebe", "shear-k3")}, path)
+    codes = []
+    argv = ["--grid-level", "0", "--corpus", str(path), "--out", str(tmp_path / "out"),
+            "report"]
+    worker = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert codes == [2]
+    err = capsys.readouterr().err
+    assert err == "hqmap: error: geometry: injected failure\n"
+
+
+def test_john_zero_denominator_exits_2(tmp_path, capsys):
+    # h = z - (10/3) z^2 has h'(0.15) = 0 at a core z-radius of criterion (iii)
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([{
+        "label": "crit-zero",
+        "h": {"kind": "series", "coeffs": [[0.0, 0.0], [1.0, 0.0], [-10.0 / 3.0, 0.0]]},
+        "g": {"kind": "series", "coeffs": [[0.0, 0.0]]},
+        "flags": []}]))
+    code, out, err = run(capsys, "--corpus", str(path), "john", "crit-zero")
+    assert code == 2
+    assert out == ""
+    assert err == ("hqmap: error: crit-zero: derivative norm vanishes "
+                   "(witness z = (0.15+0j))\n")
 
 
 def test_report_empty_corpus(tmp_path, capsys):

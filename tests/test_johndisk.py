@@ -8,6 +8,7 @@ from hqmap import (
     CatalogPart,
     HarmonicMap,
     ParameterError,
+    SenseReversalError,
     SeriesPart,
     criterion_ii,
     criterion_iii,
@@ -394,17 +395,69 @@ class _SizeRecordingMap(_CountingMap):
 
 
 def test_criterion_iii_box_calls_get_exactly_the_edge_points(corpus):
-    # per level: f(0), the origin box, then per z-radius the 32 z points and
-    # the 32 rotated boxes; a box is 2 (nb|1) + 2 (nb - 2) edge points
-    from hqmap.johndisk import _level_density, _z_radii
+    # per level: f(0), the origin box, then per block of k consecutive
+    # z-radii the 32 k z points and the 32 k rotated boxes; a box is
+    # 2 (nb|1) + 2 (nb - 2) edge points, and a block holds as many radii as
+    # fit in _BOX_BLOCK points (13, 8 and 5 at levels 0, 1 and 2)
+    from hqmap.johndisk import _BOX_BLOCK, _level_density, _z_radii
 
     levels = 3
     m = _SizeRecordingMap(corpus["convex-poly3"])
     criterion_iii(m, levels=levels)
     expected = []
-    for level in range(levels):
+    blocks = 0
+    for level, per_block in zip(range(levels), (13, 8, 5)):
         nb = _level_density(20, level)
         edge = 2 * (nb | 1) + 2 * (nb - 2)
-        expected += [1, edge] + [32, 32 * edge] * len(_z_radii(level, 0.999))
+        assert per_block == _BOX_BLOCK // (32 * edge)
+        n_radii = len(_z_radii(level, 0.999))
+        expected += [1, edge]
+        for lo in range(0, n_radii, per_block):
+            k = min(per_block, n_radii - lo)
+            expected += [32 * k, 32 * k * edge]
+            blocks += 1
     assert m.sizes == expected
-    assert expected[1:3] == [78, 32] and 176 in expected
+    assert blocks == 21 and len(expected) == 48
+    assert expected[1:4] == [78, 32 * 13, 32 * 13 * 78] and 32 * 5 * 176 in expected
+
+
+@pytest.mark.parametrize("block", [1, 1 << 22])
+def test_criterion_iii_block_split_does_not_move_the_trace(block, corpus, monkeypatch):
+    # one radius per block, and one block per level, give the default trace
+    # bit for bit
+    from hqmap import johndisk
+
+    maps = (corpus["koebe"], corpus["convex-poly3"], _seeded_harmonic12(7))
+    default = [np.array(criterion_iii(m).trace).tobytes() for m in maps]
+    monkeypatch.setattr(johndisk, "_BOX_BLOCK", block)
+    assert [np.array(criterion_iii(m).trace).tobytes() for m in maps] == default
+
+
+def _crit_zero():
+    # h'(z) = 1 - (20/3) z vanishes at z = 0.15, a core z-radius
+    return HarmonicMap(SeriesPart((0j, 1 + 0j, -10.0 / 3.0 + 0j)), SeriesPart((0j,)),
+                       "crit-zero")
+
+
+def test_criterion_iii_zero_denominator_names_the_witness():
+    with pytest.raises(SenseReversalError) as info:
+        criterion_iii(_crit_zero())
+    assert info.value.witness == 0.15 + 0j
+    assert "derivative norm vanishes" in str(info.value)
+
+
+class _NanBoxMap(_CountingMap):
+    """Returns NaN at one point of every rotated-box call."""
+
+    def value(self, z):
+        out = super().value(z)
+        if np.ndim(z) == 3:
+            out = np.array(out)
+            out[0, 3, 5] = np.nan
+        return out
+
+
+def test_criterion_iii_nan_value_is_an_error(corpus):
+    # a NaN box value must not be skipped by the supremum
+    with pytest.raises(ParameterError, match="not finite"):
+        criterion_iii(_NanBoxMap(corpus["convex-poly2"]))
