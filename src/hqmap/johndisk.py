@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry
 from .bounds import CheckReport
-from .maps import Config, HarmonicMap, ParameterError, SenseReversalError
+from .maps import Config, HarmonicMap, ParameterError, SenseReversalError, finite_dnorm
 
 # refinement ladder for the box reach: the z quantities stay capped at
 # 0.999, while the sampled boxes extend their radial reach toward the
@@ -53,8 +53,8 @@ def criterion_ii(m: HarmonicMap, x: float, n_zeta: int = 48, n_r: int = 48,
     zeta = np.exp(1j * angles)
     zr = zeta[:, None] * r[None, :]
     zrho = zeta[:, None] * rho[None, :]
-    den = (1.0 - r[None, :] ** 2) * m.wirtinger(zr).dnorm
-    num = (1.0 - rho[None, :] ** 2) * m.wirtinger(zrho).dnorm
+    den = (1.0 - r[None, :] ** 2) * finite_dnorm(m, zr)
+    num = (1.0 - rho[None, :] ** 2) * finite_dnorm(m, zrho)
     if np.any(den == 0.0):
         bad = zr.ravel()[int(np.argmin(den.ravel()))]
         raise SenseReversalError(f"{m.label}: derivative norm vanishes", complex(bad))
@@ -240,7 +240,7 @@ def decay_fit(m: HarmonicMap, n_rays: int = 16, window=(0.6, 0.99),
     norms = []
     for a in angles:
         zeta = complex(np.exp(1j * a))
-        vals = m.wirtinger(rho * zeta).dnorm
+        vals = finite_dnorm(m, rho * zeta)
         y = np.log(vals)
         slope, intercept = np.polyfit(big_l, y, 1)
         slopes.append(float(slope))

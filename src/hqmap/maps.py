@@ -428,6 +428,21 @@ def check_sense_preserving(m: HarmonicMap, points) -> WirtingerPair:
     return w
 
 
+def finite_dnorm(m: HarmonicMap, z) -> np.ndarray:
+    """Derivative norms of ``m`` at z, as floats of z's shape.
+
+    A NaN or infinite norm raises ``ParameterError`` naming the map and the
+    first such z, so that no supremum, fit or trace downstream can skip it
+    or carry it as a number.
+    """
+    vals = np.asarray(m.wirtinger(z).dnorm, dtype=float)
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        where = np.broadcast_to(z, vals.shape)[np.unravel_index(np.argmax(bad), vals.shape)]
+        raise ParameterError(f"{m.label}: derivative norm is not finite at z = {complex(where)}")
+    return vals
+
+
 def qc_constant(m: HarmonicMap, points) -> float:
     """Supremum over the sample of dnorm/dmin, i.e. the quasiconformality
     constant witnessed by the grid.  Nondecreasing under grid refinement.

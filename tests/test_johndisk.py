@@ -77,6 +77,12 @@ def test_criterion_ii_rotation_invariant(corpus):
         assert abs(base - rotated) < 1e-9
 
 
+def test_criterion_ii_nan_norm_is_an_error(nan_norm_map):
+    # np.max returned the NaN, which the John JSON wrote as a bare NaN token
+    with pytest.raises(ParameterError, match="nan-norm: derivative norm is not finite at z = "):
+        criterion_ii(nan_norm_map, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # criterion (iii)
 
@@ -220,6 +226,12 @@ def test_decay_identity(corpus):
     assert fit.c == pytest.approx(1.0, abs=1e-12)
     assert fit.residual < 1e-12
     assert fit.hypothesis_holds()
+
+
+def test_decay_nan_norm_is_an_error(nan_norm_map):
+    # the fit once came out as C = 0, residual = 0, delta = NaN
+    with pytest.raises(ParameterError, match="nan-norm: derivative norm is not finite at z = "):
+        decay_fit(nan_norm_map)
 
 
 def test_decay_koebe_slope(corpus):

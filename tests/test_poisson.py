@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,8 +16,9 @@ from hqmap import (
     pommerenke_bracket,
     small_preschwarzian,
 )
-from hqmap.maps import ComboPart, HarmonicMap, SeriesPart
-from hqmap.poisson import poisson_trace_json
+from hqmap import poisson
+from hqmap.maps import CatalogPart, ComboPart, HarmonicMap, SeriesPart
+from hqmap.poisson import poisson_scan, poisson_trace_json
 
 
 def scaled(m, c):
@@ -79,6 +81,15 @@ class _RingMap:
         self.calls += 1
         arg = np.angle(z)
         return SimpleNamespace(dnorm=np.where((arg > -math.pi / 4) & (arg < 0.0), 0.0, 1.0))
+
+
+def test_profile_nan_norm_raises(nan_norm_map):
+    # a NaN norm is neither <= 0 nor a drift the profile may carry
+    angles = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+    where = complex((1.0 - 1e-3) * np.exp(1j * angles[256]))
+    with pytest.raises(ParameterError, match=re.escape(f"nan-norm: derivative norm is "
+                                                       f"not finite at z = {where}")):
+        boundary_profile(nan_norm_map, eps=1e-3, n=512)
 
 
 def test_profile_zero_norm_in_last_block_raises():
@@ -144,6 +155,96 @@ def test_functional_separation_guard(corpus):
 
 
 # ---------------------------------------------------------------------------
+# scans: one kernel per radius, every angle from one block-circulant product
+
+
+def _seeded_series12(seed, harmonic):
+    """Degree-12 map h = z + sum a_k z^k (and g = sum b_k z^k if harmonic)
+    with random phases and sum_k k (|a_k| + |b_k|) < 1."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(2, 13)
+    w = rng.uniform(0.0, 1.0, (2, k.size))
+    w[1] *= harmonic
+    w *= rng.uniform(0.3, 0.95) / w.sum()
+    coef = w / k * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, w.shape))
+    return HarmonicMap(SeriesPart((0j, 1 + 0j) + tuple(coef[0])),
+                       SeriesPart((0j, 0j) + tuple(coef[1])), f"series12-seed{seed}")
+
+
+def _scan_maps(corpus):
+    # the rotated and seeded maps have no mirror symmetry, so a scan that
+    # rotates the wrong way cannot agree with them by accident
+    return (*(corpus[label] for label in sorted(corpus)),
+            HarmonicMap(CatalogPart("halfplane", rotation=np.exp(0.7j)),
+                        SeriesPart((0j, 0j, 0.1 + 0.05j)), "halfplane-rot"),
+            _seeded_series12(5, harmonic=False), _seeded_series12(6, harmonic=True))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4])
+def test_scan_matches_functional(eps, corpus):
+    n = 4096 if eps == 1e-2 else 1 << 18
+    for m in _scan_maps(corpus):
+        scan = poisson_scan(m, eps)
+        prof = boundary_profile(m, eps=eps, n=n)
+        assert len(scan.records) == 1 + 4 * 8, m.label
+        for zeta, val, e, size in scan.records:
+            assert (e, size) == (eps, n)
+            ref = poisson_functional(m, zeta, prof)
+            assert abs(val - ref) <= 1e-11 * abs(ref), (m.label, zeta)
+        assert (scan.drift, scan.converged) == (prof.drift, prof.converged)
+
+
+def _rel_close(a, b, tol):
+    return all(abs(x - y) <= tol * abs(y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("block, eps_levels", [(8, (1e-2,)), (1 << 22, (1e-2, 1e-4))])
+def test_scan_blocks_do_not_matter(block, eps_levels, corpus, monkeypatch):
+    maps = (corpus["koebe"], corpus["convex-poly3"], _seeded_series12(6, harmonic=True))
+    default = [[v for _, v, _, _ in poisson_scan(m, eps).records]
+               for m in maps for eps in eps_levels]
+    monkeypatch.setattr(poisson, "_RING_BLOCK", block)
+    patched = [[v for _, v, _, _ in poisson_scan(m, eps).records]
+               for m in maps for eps in eps_levels]
+    for a, b in zip(patched, default):
+        assert _rel_close(a, b, 1e-13)
+
+
+def test_scan_builds_one_kernel_per_radius(corpus, monkeypatch):
+    counted = []
+    kernel = poisson._kernel
+
+    def counting(nodes, zeta):
+        counted.append(np.size(nodes))
+        return kernel(nodes, zeta)
+
+    monkeypatch.setattr(poisson, "_kernel", counting)
+    for eps, n in ((1e-2, 4096), (1e-3, 1 << 15)):
+        counted.clear()
+        poisson_scan(corpus["convex-poly3"], eps)
+        assert sum(counted) == 5 * n
+    counted.clear()
+    prof = boundary_profile(corpus["koebe"], eps=1e-3, n=2048)
+    poisson_functional(corpus["koebe"], 0.5, prof)
+    assert counted == [2048]  # the single-point functional shares the formula
+
+
+@pytest.mark.parametrize("n_ang", [0, 3, 12, 1 << 13])
+def test_scan_angle_count_must_divide_the_profile(n_ang, corpus):
+    with pytest.raises(ParameterError, match="power of two"):
+        poisson_scan(corpus["identity"], 1e-2, n_ang=n_ang)
+
+
+def test_scan_angle_counts_agree(corpus):
+    # 1, 2 and 8 angles scan nested grids of the same circles
+    m = _seeded_series12(6, harmonic=True)
+    full = {z: v for z, v, _, _ in poisson_scan(m, 1e-2, n_ang=8).records}
+    for n_ang in (1, 2):
+        for z, v, _, _ in poisson_scan(m, 1e-2, n_ang=n_ang).records:
+            assert abs(v - full[z]) <= 1e-13 * abs(full[z]), (n_ang, z)
+
+
+# ---------------------------------------------------------------------------
 # sup traces
 
 
@@ -190,7 +291,35 @@ def test_trace_json(corpus):
 
     tr = poisson_sup(corpus["identity"])
     doc = json.loads(poisson_trace_json(corpus["identity"], tr))
-    assert set(doc) == {"label", "sup", "trace", "eps", "stable"}
+    assert set(doc) == {"label", "sup", "trace", "eps", "stable",
+                        "profile_drift", "profile_converged"}
+
+
+def test_trace_carries_profile_convergence(corpus):
+    import json
+
+    tr = poisson_sup(corpus["koebe"])
+    doc = json.loads(poisson_trace_json(corpus["koebe"], tr))
+    for eps, sc, drift, conv in zip(tr.eps_levels, tr.scans, doc["profile_drift"],
+                                    doc["profile_converged"]):
+        prof = boundary_profile(corpus["koebe"], eps=eps, n=poisson._profile_size(eps))
+        assert (sc.drift, sc.converged) == (drift, conv) == (prof.drift, prof.converged)
+    assert doc["profile_converged"] == [False] * 3  # drift 7: the ring surrogate fails
+
+
+def test_unconverged_profile_makes_the_trace_unstable(corpus, monkeypatch):
+    import dataclasses
+
+    profile = poisson.boundary_profile
+
+    def unconverged(m, eps, n):
+        return dataclasses.replace(profile(m, eps=eps, n=n), converged=False)
+
+    assert poisson_sup(corpus["identity"]).stable
+    monkeypatch.setattr(poisson, "boundary_profile", unconverged)
+    tr = poisson_sup(corpus["identity"])
+    assert all(t == pytest.approx(1.0, abs=1e-6) for t in tr.trace)
+    assert not tr.stable
 
 
 # ---------------------------------------------------------------------------
