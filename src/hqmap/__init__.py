@@ -26,14 +26,12 @@ from .maps import (
 )
 from .corpus import default_corpus, load_corpus, map_from_json, map_to_json, save_corpus
 from .geometry import (
-    RegionSample,
     boundary_arc,
     boundary_box,
     boundary_distance,
     box_contains,
     disk_grid,
     hyp_dist,
-    stolz_angle_check,
     stolz_contains,
     stolz_sample,
 )
@@ -49,7 +47,6 @@ from .radial import (
     ray_max,
 )
 from .transforms import (
-    TransformRecord,
     affine,
     koebe_transform,
     preschwarzian_margin,
@@ -85,7 +82,6 @@ from .johndisk import (
 from .poisson import (
     BoundaryProfile,
     boundary_profile,
-    hardy_mean,
     poisson_csv,
     poisson_functional,
     poisson_scan,

@@ -98,7 +98,7 @@ def check_distortion(m: HarmonicMap, alpha: float, points=None,
     """Two-sided distortion of the analytic part:
     (1-|z|)^{a-1}/(1+|z|)^{a+1} <= |h'(z)| <= (1+|z|)^{a-1}/(1-|z|)^{a+1}.
     """
-    pts = np.asarray(points if points is not None else geometry.disk_grid().points,
+    pts = np.asarray(points if points is not None else geometry.disk_grid(),
                      dtype=complex).ravel()
     t = np.abs(pts)
     hp = np.abs(m.h.d1(pts))
@@ -175,7 +175,7 @@ def derivative_bound_constant(alpha: float, qc_k: float) -> float:
 def check_derivative_value_bound(m: HarmonicMap, alpha: float, qc_k: float,
                                  points=None, slack: float = 1e-9) -> CheckReport:
     """|z| * dnorm(z) <= C |f(z)| / (1 - |z|) with the closed-form constant."""
-    pts = np.asarray(points if points is not None else geometry.disk_grid().points,
+    pts = np.asarray(points if points is not None else geometry.disk_grid(),
                      dtype=complex).ravel()
     c = derivative_bound_constant(alpha, qc_k)
     w = m.wirtinger(pts)
@@ -226,7 +226,7 @@ def check_boundary_dist_lower(m: HarmonicMap, qc_k: float, points=None,
                               slack: float = 1e-9) -> CheckReport:
     """d(f(z), image boundary) >= dnorm(z) (1 - |z|^2) / (16 K), with the
     distance estimated from the image of the circle of radius 1 - eps."""
-    pts = np.asarray(points if points is not None else geometry.disk_grid(24, 32).points,
+    pts = np.asarray(points if points is not None else geometry.disk_grid(24, 32),
                      dtype=complex).ravel()
     d = geometry.boundary_distances(m, m.value(pts), eps=eps, n=n)
     rhs = d
@@ -357,8 +357,7 @@ def check_arc_image_diameter(m: HarmonicMap, qc_k: float, alpha: float,
     c36 = 2.0 * math.pi * boost + (2.0 * c35 * boost + c35) / delta
     margins = []
     for a in np.atleast_1d(np.asarray(a_points, dtype=complex)):
-        arc = geometry.boundary_arc(a, n_arc)
-        img = m.value((1.0 - eps) * arc.points)
+        img = m.value((1.0 - eps) * geometry.boundary_arc(a, n_arc))
         diam = geometry.set_diameter(img)
         d = geometry.boundary_distance(m, complex(m.value(a)), eps=eps).value
         rhs = 32.0 * qc_k * c36 * d

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import johndisk, poisson, radial, suites
 from .corpus import default_corpus, dump_corpus, load_corpus, validate_corpus
-from .maps import Config, HqmapError
+from .maps import R_CAP, Config, HqmapError
 
 _REPORT_SUITES = ("analytic-classical", "geometry", "radial-growth", "harmonic-advisory")
 
@@ -102,6 +102,10 @@ def _load_config(args) -> Config:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise HqmapError("config file must hold a JSON object")
+        unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+        if unknown:
+            raise HqmapError(f"unknown config key {unknown[0]!r}; have: "
+                             + ", ".join(sorted(_CONFIG_KEYS)))
         for key, field in _CONFIG_KEYS.items():
             if key in doc:
                 values[field] = _config_value(key, doc[key])
@@ -168,8 +172,8 @@ def _suite_jsonl(name, corpus, config):
     return lines, advisory or all(r.passed for r in reports)
 
 
-def _john_json(m, config) -> str:
-    return johndisk.john_estimate(m, config=config).to_json() + "\n"
+def _john_json(m) -> str:
+    return johndisk.john_estimate(m).to_json() + "\n"
 
 
 def _poisson_files(m, config):
@@ -183,7 +187,7 @@ def _poisson_files(m, config):
 def _map_files(label, m, radii, config):
     """(file name, text) of the four files ``report`` writes for one map."""
     radial_csv = _radial_csv(m, 0.0, radii, config)
-    john_json = _john_json(m, config)
+    john_json = _john_json(m)
     poisson_json, poisson_csv = _poisson_files(m, config)
     return [(f"radial_{label}.csv", radial_csv), (f"john_{label}.json", john_json),
             (f"poisson_{label}.json", poisson_json), (f"poisson_{label}.csv", poisson_csv)]
@@ -223,7 +227,7 @@ def _cmd_check(args, corpus, config) -> int:
 
 def _cmd_john(args, corpus, config) -> int:
     m = _get_map(corpus, args.label)
-    text = _john_json(m, config)
+    text = _john_json(m)
     sys.stdout.write(text)
     if args.out:
         _write(args.out, f"john_{m.label}.json", text)
@@ -262,18 +266,19 @@ def _cmd_report(args, corpus, config) -> int:
     # (criterion (iii) blocks, Poisson rings, boundary distances) and
     # serialize on the Python between them.  Files are written in a fixed
     # order, suites first and then maps by sorted label, as each task's
-    # results arrive.  The import is here because concurrent.futures imports
-    # logging, which would add about 7 ms to the start-up of every other
-    # command.
+    # results arrive, whatever order the tasks were submitted in.  The
+    # import is here because concurrent.futures imports logging, which would
+    # add about 7 ms to the start-up of every other command.
     from concurrent.futures import ThreadPoolExecutor
 
-    radii = 1.0 - np.geomspace(0.9, 1.0 - config.r_cap, 24)
+    radii = 1.0 - np.geomspace(0.9, 1.0 - R_CAP, 24)
     pool = ThreadPoolExecutor(max_workers=_usable_cpus())
     try:
-        suite_futures = [(name, pool.submit(_suite_jsonl, name, corpus, config))
-                         for name in _REPORT_SUITES]
+        # maps go first: submitted after the suites, they raise peak RSS by ~9 MB
         map_futures = [pool.submit(_map_files, label, corpus[label], radii, config)
                        for label in sorted(corpus)]
+        suite_futures = [(name, pool.submit(_suite_jsonl, name, corpus, config))
+                         for name in _REPORT_SUITES]
         ok = True
         for name, future in suite_futures:
             lines, suite_ok = future.result()

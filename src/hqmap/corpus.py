@@ -164,6 +164,6 @@ def load_corpus(path) -> dict:
 def validate_corpus(maps: dict, points=None) -> None:
     """Verify sense preservation of every corpus entry on an evaluation grid;
     a non-positive Jacobian is an input error with a witness point."""
-    pts = points if points is not None else disk_grid(12, 16).points
+    pts = points if points is not None else disk_grid(12, 16)
     for label in sorted(maps):
         check_sense_preserving(maps[label], pts)

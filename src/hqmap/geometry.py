@@ -2,21 +2,20 @@
 
 The inequality checks all run over deterministic discretizations of a few
 disk regions: the boundary-anchored box B(z), the boundary arc I(a), a
-Stolz-type convex hull, radii, circles and near-boundary rings.  Region
-samples are immutable value objects; membership predicates use closed
-regions so that corner extremes (where suprema tend to live) are included.
+Stolz-type convex hull and near-boundary rings.  A region sample is the
+complex array of its points; membership predicates use closed regions so
+that corner extremes (where suprema tend to live) are included.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .maps import DiskDomainError, HarmonicMap, ParameterError
+from .maps import R_CAP, DiskDomainError, HarmonicMap, ParameterError
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,47 +57,6 @@ def wrap_angle(t):
 # region samples
 
 
-@dataclass(eq=False)
-class RegionSample:
-    """A deterministic discretization of one of the toolkit's regions."""
-
-    kind: str
-    anchor: complex
-    params: dict
-    points: np.ndarray
-    density: tuple
-    note: str = ""
-
-    def contains(self, z) -> np.ndarray:
-        """Re-verify membership of z in the (closed) region being sampled."""
-        z = np.asarray(z, dtype=complex)
-        if self.kind == "box-B":
-            return box_contains(self.anchor, z)
-        if self.kind == "arc-I":
-            a = self.anchor
-            on_circle = np.abs(np.abs(z) - 1.0) <= 1e-12
-            ang = np.abs(wrap_angle(np.angle(z) - np.angle(a)))
-            return on_circle & (ang <= math.pi * (1.0 - abs(a)) + 1e-12)
-        if self.kind == "stolz":
-            r = self.params["r"]
-            return stolz_contains(r, z) & (np.abs(z) > r / 4.0)
-        if self.kind in ("circle", "boundary-ring"):
-            return np.abs(np.abs(z) - self.params["radius"]) <= 1e-12
-        if self.kind == "disk-grid":
-            return np.abs(z) < 1.0
-        raise ParameterError(f"unknown region kind {self.kind!r}")
-
-    def to_csv(self, fileobj) -> None:
-        writer = csv.writer(fileobj, lineterminator="\n")
-        writer.writerow(["kind", "anchor_re", "anchor_im", "point_re", "point_im"])
-        for p in self.points:
-            writer.writerow([
-                self.kind,
-                repr(float(self.anchor.real)), repr(float(self.anchor.imag)),
-                repr(float(p.real)), repr(float(p.imag)),
-            ])
-
-
 def _geom_radii(r_lo: float, r_hi: float, n: int) -> np.ndarray:
     """Radii from r_lo to r_hi with 1 - r geometrically clustered toward 1."""
     if n == 1 or r_hi == r_lo:
@@ -117,40 +75,30 @@ def box_contains(z: complex, zeta) -> np.ndarray:
 
 
 def boundary_box(z: complex, n_radial: int = 24, n_angular: int = 25,
-                 reach: float = 0.999) -> RegionSample:
-    """Tensor sample of the boundary-anchored box B(z).
+                 reach: float = 0.999) -> np.ndarray:
+    """Tensor sample of the boundary-anchored box B(z), flattened radius by
+    radius.
 
     The radial coordinate is geometrically clustered toward the circle and
     stops at ``reach``; corner extremes are included exactly.  For z = 0 the
-    angular condition is vacuous and a full annulus grid is returned with a
-    note.
+    angular condition is vacuous and a full annulus grid is returned.
     """
     z = complex(z)
     r0 = abs(z)
     if r0 >= reach:
         raise ParameterError("box anchor must satisfy |z| < reach")
-    note = ""
     if z == 0:
         half_width = math.pi
         base_angle = 0.0
-        note = "anchor at origin: angular condition is the full circle"
     else:
         half_width = math.pi * (1.0 - r0)
         base_angle = float(np.angle(z))
     radii = _geom_radii(r0, reach, n_radial)
     angles = base_angle + np.linspace(-half_width, half_width, n_angular)
-    pts = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
-    return RegionSample(
-        kind="box-B",
-        anchor=z,
-        params={"reach": reach, "half_width": float(half_width)},
-        points=pts,
-        density=(n_radial, n_angular),
-        note=note,
-    )
+    return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
 
 
-def boundary_arc(a: complex, n: int = 512) -> RegionSample:
+def boundary_arc(a: complex, n: int = 512) -> np.ndarray:
     """Unit-circle arc I(a) = {|arg z - arg a| <= pi (1 - |a|)}."""
     a = complex(a)
     if not 0.0 <= abs(a) < 1.0:
@@ -158,17 +106,11 @@ def boundary_arc(a: complex, n: int = 512) -> RegionSample:
     half_width = math.pi * (1.0 - abs(a))
     base = float(np.angle(a)) if a != 0 else 0.0
     angles = base + np.linspace(-half_width, half_width, n)
-    return RegionSample(
-        kind="arc-I",
-        anchor=a,
-        params={"half_width": half_width},
-        points=np.exp(1j * angles),
-        density=(n,),
-    )
+    return np.exp(1j * angles)
 
 
-def disk_grid(n_radial: int = 48, n_angular: int = 64, r_cap: float = 0.999,
-              include_zero: bool = True) -> RegionSample:
+def disk_grid(n_radial: int = 48, n_angular: int = 64, r_cap: float = R_CAP,
+              include_zero: bool = True) -> np.ndarray:
     """Polar grid over the disk, radially clustered toward the cap."""
     radii = np.minimum(1.0 - np.geomspace(1.0, 1.0 - r_cap, n_radial), r_cap)
     angles = np.linspace(0.0, TWO_PI, n_angular, endpoint=False)
@@ -176,30 +118,7 @@ def disk_grid(n_radial: int = 48, n_angular: int = 64, r_cap: float = 0.999,
     pts = pts[np.abs(pts) > 0]
     if include_zero:
         pts = np.concatenate(([0.0 + 0.0j], pts))
-    return RegionSample(
-        kind="disk-grid",
-        anchor=0.0 + 0.0j,
-        params={"r_cap": r_cap},
-        points=pts,
-        density=(n_radial, n_angular),
-    )
-
-
-def circle_points(radius: float, n: int = 256, kind: str = "circle") -> RegionSample:
-    angles = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    return RegionSample(
-        kind=kind,
-        anchor=0.0 + 0.0j,
-        params={"radius": radius},
-        points=radius * np.exp(1j * angles),
-        density=(n,),
-    )
-
-
-def boundary_ring(eps: float, n: int) -> RegionSample:
-    if not 0.0 < eps < 1.0:
-        raise ParameterError("ring offset must lie in (0, 1)")
-    return circle_points(1.0 - eps, n, kind="boundary-ring")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -231,30 +150,7 @@ def stolz_contains(r: float, z) -> np.ndarray:
     return bool(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class StolzCheck:
-    in_hull: bool
-    in_wedge: bool  # in the hull but outside the closed core disk
-    bound_ok: bool
-    bound_value: float
-
-
-def stolz_angle_check(r: float, z: complex) -> StolzCheck:
-    """Report membership in the Stolz hull minus its core disk, and whether
-    the angle of z = rho e^{i eta} obeys |eta| <= 4 pi (r - rho) / (r sqrt 15).
-    """
-    if not 0.0 < r < 1.0:
-        raise ParameterError("Stolz parameter r must lie in (0, 1)")
-    z = complex(z)
-    rho = abs(z)
-    in_hull = bool(stolz_contains(r, z))
-    in_wedge = in_hull and rho > r / 4.0
-    eta = abs(float(np.angle(z))) if z != 0 else 0.0
-    bound = 4.0 * math.pi * (r - rho) / (r * math.sqrt(15.0))
-    return StolzCheck(in_hull, in_wedge, eta <= bound, bound)
-
-
-def stolz_sample(r: float, n_rho: int = 160, n_eta: int = 160) -> RegionSample:
+def stolz_sample(r: float, n_rho: int = 160, n_eta: int = 160) -> np.ndarray:
     """Deterministic lattice over the hull minus the core disk."""
     if not 0.0 < r < 1.0:
         raise ParameterError("Stolz parameter r must lie in (0, 1)")
@@ -262,14 +158,7 @@ def stolz_sample(r: float, n_rho: int = 160, n_eta: int = 160) -> RegionSample:
     rho = np.linspace(r / 4.0 * (1.0 + 1e-9), r, n_rho)
     eta = np.linspace(-eta_max, eta_max, n_eta)
     pts = (rho[:, None] * np.exp(1j * eta[None, :])).ravel()
-    keep = stolz_contains(r, pts) & (np.abs(pts) > r / 4.0)
-    return RegionSample(
-        kind="stolz",
-        anchor=complex(r),
-        params={"r": r},
-        points=pts[keep],
-        density=(n_rho, n_eta),
-    )
+    return pts[stolz_contains(r, pts) & (np.abs(pts) > r / 4.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +174,10 @@ class DistanceEstimate:
 
 @lru_cache(maxsize=128)
 def _ring_image(m: HarmonicMap, eps: float, n: int) -> np.ndarray:
-    ring = boundary_ring(eps, n)
-    vals = m.value(ring.points)
+    if not 0.0 < eps < 1.0:
+        raise ParameterError("ring offset must lie in (0, 1)")
+    angles = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    vals = m.value((1.0 - eps) * np.exp(1j * angles))
     vals.setflags(write=False)
     return vals
 

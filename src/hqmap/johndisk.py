@@ -19,10 +19,10 @@ import numpy as np
 
 from . import geometry
 from .bounds import CheckReport
-from .maps import Config, HarmonicMap, ParameterError, SenseReversalError, finite_dnorm
+from .maps import R_CAP, HarmonicMap, ParameterError, SenseReversalError, finite_dnorm
 
 # refinement ladder for the box reach: the z quantities stay capped at
-# 0.999, while the sampled boxes extend their radial reach toward the
+# R_CAP, while the sampled boxes extend their radial reach toward the
 # circle by a factor 1.6 in (1 - reach) per level.  That realizes the
 # divergence of slit-type maps (growth factor >= 1.5 per level) while
 # perturbing reach-sensitive stable suprema by well under 0.1 percent.
@@ -40,15 +40,14 @@ def _reach(level: int) -> float:
 # criterion (ii): contraction of the weighted derivative norm along rays
 
 
-def criterion_ii(m: HarmonicMap, x: float, n_zeta: int = 48, n_r: int = 48,
-                 r_cap: float = 0.999) -> float:
+def criterion_ii(m: HarmonicMap, x: float, n_zeta: int = 48, n_r: int = 48) -> float:
     """Supremum over boundary directions zeta and radii r of
     (1-rho^2) dnorm(rho zeta) / ((1-r^2) dnorm(r zeta)) at
     rho = (x + r)/(1 + x r)."""
     if not 0.0 < x < 1.0:
         raise ParameterError("criterion parameter x must lie in (0, 1)")
     angles = np.linspace(0.0, 2.0 * math.pi, n_zeta, endpoint=False)
-    r = 1.0 - np.geomspace(1.0, 1.0 - r_cap, n_r)
+    r = 1.0 - np.geomspace(1.0, 1.0 - R_CAP, n_r)
     rho = (x + r) / (1.0 + x * r)
     zeta = np.exp(1j * angles)
     zr = zeta[:, None] * r[None, :]
@@ -78,12 +77,12 @@ def _level_density(base: int, level: int) -> int:
     return round(base * 1.5 ** level)
 
 
-def _z_radii(level: int, r_cap: float) -> np.ndarray:
+def _z_radii(level: int) -> np.ndarray:
     """Radius sample for the outer supremum: a coarse core and a
     boundary-clustered band where the stable suprema peak."""
     n_band = _level_density(24, level)
     core = np.array([0.15, 0.3, 0.45, 0.6, 0.7, 0.8])
-    band = 1.0 - np.geomspace(0.15, 1.0 - r_cap, n_band)
+    band = 1.0 - np.geomspace(0.15, 1.0 - R_CAP, n_band)
     return np.concatenate([core, band])
 
 
@@ -111,7 +110,7 @@ def _ratio_sup(m: HarmonicMap, nums, dens, zs) -> float:
 
 
 def criterion_iii(m: HarmonicMap, levels: int = 3, n_box: int = 20,
-                  n_ang: int = 32, r_cap: float = 0.999) -> CriterionTrace:
+                  n_ang: int = 32) -> CriterionTrace:
     """Grid supremum of |f(z) - f(w)| / ((1-|z|^2) dnorm(z)) over w in B(z),
     traced across refinement levels (denser radial grid and box sample,
     deeper box reach).
@@ -155,15 +154,14 @@ def criterion_iii(m: HarmonicMap, levels: int = 3, n_box: int = 20,
         edges[:, [0, -1]] = True
         edges = edges.ravel()
         f0 = complex(m.value(0.0 + 0.0j))
-        box0 = geometry.boundary_box(0.0 + 0.0j, *box_shape, reach=reach).points[edges]
+        box0 = geometry.boundary_box(0.0 + 0.0j, *box_shape, reach=reach)[edges]
         sup = _ratio_sup(m, np.max(np.abs(m.value(box0) - f0)),
                          m.wirtinger(0.0 + 0.0j).dnorm, 0.0 + 0.0j)
-        radii = _z_radii(level, r_cap)
+        radii = _z_radii(level)
         per_block = max(1, _BOX_BLOCK // (n_ang * int(edges.sum())))
         for lo in range(0, len(radii), per_block):
             r = radii[lo:lo + per_block]
-            boxes = np.stack([geometry.boundary_box(complex(x), *box_shape,
-                                                    reach=reach).points[edges]
+            boxes = np.stack([geometry.boundary_box(complex(x), *box_shape, reach=reach)[edges]
                               for x in r])
             zs = r[:, None] * rots[None, :]
             dens = (1.0 - r * r)[:, None] * np.asarray(m.wirtinger(zs).dnorm, dtype=float)
@@ -291,8 +289,7 @@ class JohnEstimate:
         )
 
 
-def john_estimate(m: HarmonicMap, xs=(0.3, 0.5, 0.7, 0.9),
-                  config: Config = None) -> JohnEstimate:
+def john_estimate(m: HarmonicMap, xs=(0.3, 0.5, 0.7, 0.9)) -> JohnEstimate:
     """Run all three criteria and combine them into a three-valued verdict.
 
     john-positive: some tested x has criterion (ii) supremum below one AND
@@ -300,9 +297,8 @@ def john_estimate(m: HarmonicMap, xs=(0.3, 0.5, 0.7, 0.9),
     criterion (iii) trace keeps growing by a factor of at least 1.5 per
     level.  Anything else is inconclusive.
     """
-    config = config or Config()
-    sups = tuple((float(x), criterion_ii(m, x, r_cap=config.r_cap)) for x in xs)
-    trace = criterion_iii(m, r_cap=config.r_cap)
+    sups = tuple((float(x), criterion_ii(m, x)) for x in xs)
+    trace = criterion_iii(m)
     fit = decay_fit(m)
     pos_ii = any(s < 1.0 for _, s in sups)
     if pos_ii and trace.stable:
@@ -348,8 +344,8 @@ def diam_ratio_check(m: HarmonicMap, a1: complex, a2: complex, alpha: float,
     arc_ratio = (1.0 - abs(a1)) / (1.0 - abs(a2))
 
     def ratio_at(n):
-        d1 = geometry.set_diameter(m.value(geometry.boundary_box(a1, n, n + 1).points))
-        d2 = geometry.set_diameter(m.value(geometry.boundary_box(a2, n, n + 1).points))
+        d1 = geometry.set_diameter(m.value(geometry.boundary_box(a1, n, n + 1)))
+        d2 = geometry.set_diameter(m.value(geometry.boundary_box(a2, n, n + 1)))
         return d1 / d2
 
     r_coarse = ratio_at(n_box)
@@ -379,23 +375,20 @@ class HolderFit:
     c4: float
     delta1: float
     pairs: int
-    envelope_ok: bool
 
 
 def holder_check(m: HarmonicMap, z: complex, n_side: int = 8,
                  eps: float = 1e-4, reach: float = 0.999) -> HolderFit:
     """Fit |f(w1) - f(w2)| / d(f(z)) ~ C (|w1 - w2|/(1-|z|))^{delta} over
-    pair samples from B(z), then verify every sampled pair sits under the
-    fitted envelope (the constant is inflated to the worst residual, so the
-    envelope holds by construction and the flag records it)."""
+    pair samples from B(z); the constant is inflated to the worst residual,
+    so every sampled pair sits under the fitted envelope."""
     z = complex(z)
     if abs(z) < 0.5:
         raise ParameterError("Hoelder check applies for |z| >= 1/2")
     d = geometry.boundary_distance(m, complex(m.value(z)), eps=eps).value
     if d <= 0:
         raise ParameterError("boundary distance estimate vanished")
-    box = geometry.boundary_box(z, n_side, n_side + 1, reach=reach)
-    pts = box.points
+    pts = geometry.boundary_box(z, n_side, n_side + 1, reach=reach)
     w1 = pts[:, None].repeat(len(pts), axis=1).ravel()
     w2 = pts[None, :].repeat(len(pts), axis=0).ravel()
     keep = np.abs(w1 - w2) > 1e-12
@@ -406,6 +399,4 @@ def holder_check(m: HarmonicMap, z: complex, n_side: int = 8,
     ly = np.log(np.maximum(y, 1e-300))
     delta1 = np.polyfit(lt, ly, 1)[0]
     c4 = float(np.exp(np.max(ly - delta1 * lt)))
-    envelope_ok = bool(np.all(y <= c4 * t ** delta1 * (1.0 + 1e-9)))
-    return HolderFit(c4=c4, delta1=float(delta1), pairs=int(len(w1)),
-                     envelope_ok=envelope_ok)
+    return HolderFit(c4=c4, delta1=float(delta1), pairs=int(len(w1)))

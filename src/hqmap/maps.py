@@ -23,6 +23,9 @@ import numpy as np
 
 SAFE_SERIES_RADIUS = 0.999
 
+# outermost radius of the interior grids and radius ladders
+R_CAP = 0.999
+
 # tolerance used when validating normalization flags at construction
 _FLAG_TOL = 1e-9
 
@@ -74,8 +77,6 @@ class AnalyticPart:
     complex scalar or a numpy array and broadcast elementwise.
     """
 
-    kind = "abstract"
-
     def value(self, z):
         raise NotImplementedError
 
@@ -123,8 +124,6 @@ class CatalogPart(AnalyticPart):
     name: str
     rotation: complex = 1.0 + 0.0j
 
-    kind = "catalog"
-
     def __post_init__(self):
         if not isinstance(self.name, str) or self.name not in _CATALOG:
             raise ParameterError(f"unknown catalog entry {self.name!r}")
@@ -163,8 +162,6 @@ class SeriesPart(AnalyticPart):
     """
 
     coeffs: tuple
-
-    kind = "series"
 
     def __post_init__(self):
         if len(self.coeffs) < 1:
@@ -230,8 +227,6 @@ class ComboPart(AnalyticPart):
     terms: tuple  # tuple of (complex weight, AnalyticPart)
     shift: complex = 0.0 + 0.0j
 
-    kind = "combo"
-
     def __post_init__(self):
         object.__setattr__(
             self, "terms", tuple((complex(w), p) for w, p in self.terms)
@@ -269,8 +264,6 @@ class MobiusPart(AnalyticPart):
     base: AnalyticPart
     zeta: complex
     scale: complex
-
-    kind = "composed"
 
     def __post_init__(self):
         object.__setattr__(self, "zeta", complex(self.zeta))
@@ -490,7 +483,8 @@ def normalize(m: HarmonicMap) -> HarmonicMap:
 
 @dataclass(frozen=True)
 class Config:
-    """Run parameters shared by the check suites.
+    """Run parameters a user can set, each by a command-line flag or a
+    config-file key.
 
     ``alpha`` is the order parameter used for genuinely harmonic maps (the
     sharp order of the normalized family is unknown, so harmonic reports are
@@ -499,14 +493,8 @@ class Config:
 
     alpha: float = 3.0
     qc_k: float = 1.0
-    n_radial: int = 48
-    n_angular: int = 64
-    quad_abs_tol: float = 1e-12
     quad_rel_tol: float = 1e-9
     boundary_eps: float = 1e-4
-    boundary_n: int = 4096
-    slack: float = 1e-9
-    r_cap: float = 0.999
     grid_level: int = 1
     seed: int = 0
 

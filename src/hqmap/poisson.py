@@ -1,5 +1,5 @@
-"""Boundary sampling of the derivative norm, the Poisson-kernel functional,
-Hardy means, and the circle-image arc/diameter ratio bracket.
+"""Boundary sampling of the derivative norm, the Poisson-kernel functional
+and the circle-image arc/diameter ratio bracket.
 
 Boundary values of the derivative norm are approximated on the ring of
 radius 1 - eps (their existence at the circle is part of the hypothesis
@@ -110,23 +110,27 @@ def _profile_size(eps: float) -> int:
     return 1 << math.ceil(math.log2(need))
 
 
-def poisson_scan(m: HarmonicMap, eps: float, n_rad: int = 5,
-                 n_ang: int = 8) -> PoissonScan:
-    """Functional values over the interior grid of n_rad radii reaching
-    |zeta| = 1 - 2 eps and n_ang angles (the origin once); the records are
-    (zeta, value, eps, n) for reporting.
+# scan grid: radii reaching |zeta| = 1 - 2 eps, and angles per nonzero radius
+_N_RAD = 5
+_N_ANG = 8
 
-    The kernel is built once per radius r, at zeta = r.  n_ang must be a
-    power of two, so that it divides the profile size n (a power of two,
-    at least 2048) and rotating zeta by 2 pi k / n_ang is a shift of the
-    nodes by k s, s = n / n_ang: the kernel at angle k is
-    K_k[i] = K_0[i - k s].  With V = values and K = K_0 both reshaped to
-    (n_ang, s), the n_ang x n_ang product M = V K^T gives every numerator
-    at once, S_k = sum_b M[b, (b - k) mod n_ang], and the functional is
-    S_k / n / dnorm(zeta_k), with dnorm(zeta_k) evaluated at zeta_k itself.
-    K_0 and M are built in column blocks of at most 2^15 kernel points, so
-    scratch memory does not grow with n.  A scan evaluates n_rad n kernel
-    points, not one n-point kernel per grid point (1 + (n_rad - 1) n_ang).
+
+def poisson_scan(m: HarmonicMap, eps: float) -> PoissonScan:
+    """Functional values over the interior grid of _N_RAD radii reaching
+    |zeta| = 1 - 2 eps and n_ang = _N_ANG angles (the origin once); the
+    records are (zeta, value, eps, n) for reporting.
+
+    The kernel is built once per radius r, at zeta = r.  n_ang = 8 divides
+    the profile size n (a power of two, at least 2048), so rotating zeta by
+    2 pi k / n_ang is a shift of the nodes by k s, s = n / n_ang: the kernel
+    at angle k is K_k[i] = K_0[i - k s].  With V = values and K = K_0 both
+    reshaped to (n_ang, s), the n_ang x n_ang product M = V K^T gives every
+    numerator at once, S_k = sum_b M[b, (b - k) mod n_ang], and the
+    functional is S_k / n / dnorm(zeta_k), with dnorm(zeta_k) evaluated at
+    zeta_k itself.  K_0 and M are built in column blocks of at most 2^15
+    kernel points, so scratch memory does not grow with n.  A scan
+    evaluates 5 n kernel points, not one n-point kernel for each of its 33
+    grid points.
 
     Values agree with ``poisson_functional`` at the same zeta to about
     1e-12 relative, not bit for bit: zeta_k = r e^{i a_k} is rounded, while
@@ -135,21 +139,18 @@ def poisson_scan(m: HarmonicMap, eps: float, n_rad: int = 5,
     which is ~1e-12 at eps = 1e-4.  Neither value is the more accurate.
     """
     n = _profile_size(eps)
-    if n_ang < 1 or n_ang & (n_ang - 1) or n_ang > n:
-        raise ParameterError("scan angle count must be a power of two dividing "
-                             f"the profile size {n}")
     profile = boundary_profile(m, eps=eps, n=n)
-    s = n // n_ang
-    nodes = profile.nodes.reshape(n_ang, s)
-    values = profile.values.reshape(n_ang, s)
-    step = max(1, _RING_BLOCK // n_ang)
-    b = np.arange(n_ang)
-    shift = (b[None, :] - b[:, None]) % n_ang      # row k: (b - k) mod n_ang
-    radii = np.linspace(0.0, (1.0 - 2.0 * eps) * (1.0 - 1e-9), n_rad)
-    angles = np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)
+    s = n // _N_ANG
+    nodes = profile.nodes.reshape(_N_ANG, s)
+    values = profile.values.reshape(_N_ANG, s)
+    step = _RING_BLOCK // _N_ANG
+    b = np.arange(_N_ANG)
+    shift = (b[None, :] - b[:, None]) % _N_ANG      # row k: (b - k) mod n_ang
+    radii = np.linspace(0.0, (1.0 - 2.0 * eps) * (1.0 - 1e-9), _N_RAD)
+    angles = np.linspace(0.0, 2.0 * math.pi, _N_ANG, endpoint=False)
     out = []
     for r in radii:
-        prod = np.zeros((n_ang, n_ang))
+        prod = np.zeros((_N_ANG, _N_ANG))
         for lo in range(0, s, step):
             prod += values[:, lo:lo + step] @ _kernel(nodes[:, lo:lo + step], complex(r)).T
         sums = prod[b, shift].sum(axis=1)
@@ -160,8 +161,7 @@ def poisson_scan(m: HarmonicMap, eps: float, n_rad: int = 5,
     return PoissonScan(tuple(out), profile.drift, profile.converged)
 
 
-def poisson_sup(m: HarmonicMap, n_rad: int = 5, n_ang: int = 8,
-                eps_levels=(1e-2, 1e-3, 1e-4)) -> PoissonTrace:
+def poisson_sup(m: HarmonicMap, eps_levels=(1e-2, 1e-3, 1e-4)) -> PoissonTrace:
     """Supremum of the functional over an interior grid, traced across a
     ladder of ring offsets; the grid extends to |zeta| = 1 - 2 eps as the
     ring approaches the circle.  Trace stability is the boundedness proxy,
@@ -169,7 +169,7 @@ def poisson_sup(m: HarmonicMap, n_rad: int = 5, n_ang: int = 8,
     Each level is scanned once, and the trace keeps the scans: the records
     that ``poisson_csv`` writes out and each profile's drift and flag.
     """
-    scans = tuple(poisson_scan(m, eps, n_rad, n_ang) for eps in eps_levels)
+    scans = tuple(poisson_scan(m, eps) for eps in eps_levels)
     trace = [max(v for _, v, _, _ in sc.records) for sc in scans]
     drift = abs(trace[-1] - trace[-2]) / trace[-2] if len(trace) > 1 else 0.0
     stable = drift < 0.05 and all(sc.converged for sc in scans)
@@ -202,26 +202,6 @@ def poisson_trace_json(m: HarmonicMap, pt: PoissonTrace) -> str:
         },
         sort_keys=True,
     )
-
-
-def hardy_mean(obj, p: float, r: float, n: int = 2048) -> float:
-    """p-th circle mean at radius r.
-
-    For a harmonic map the integrand is the derivative norm (the quantity
-    whose Hardy-space membership the boundedness results hinge on); any
-    callable z -> value is averaged as |value|.
-    """
-    if p <= 0.0:
-        raise ParameterError("Hardy mean needs p > 0")
-    if not 0.0 < r < 1.0:
-        raise ParameterError("Hardy mean needs r in (0, 1)")
-    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    z = r * np.exp(1j * angles)
-    if isinstance(obj, HarmonicMap):
-        vals = np.asarray(obj.wirtinger(z).dnorm, dtype=float)
-    else:
-        vals = np.abs(np.asarray(obj(z)))
-    return float(np.mean(vals ** p) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import Config, DiskDomainError, HarmonicMap, ParameterError
+from .maps import R_CAP, Config, DiskDomainError, HarmonicMap, ParameterError
 from .quadrature import QuadResult, adaptive_quad, endpoint_cluster, golden_max
 
 
@@ -122,8 +122,11 @@ def radial_profile(m: HarmonicMap, theta: float, r_grid,
     maxima inside each new segment, so both are consistent across the grid.
     """
     r_grid = np.asarray(r_grid, dtype=float)
-    if np.any(np.diff(r_grid) <= 0) or r_grid[0] <= 0 or r_grid[-1] >= 1:
-        raise ParameterError("radial profile needs a strictly increasing grid in (0, 1)")
+    # written as "not (good)" so that an empty, NaN or infinite grid fails too
+    if not (r_grid.ndim == 1 and r_grid.size and np.all(np.isfinite(r_grid))
+            and np.all(np.diff(r_grid) > 0) and r_grid[0] > 0 and r_grid[-1] < 1):
+        raise ParameterError("radial profile needs a non-empty, finite, strictly "
+                             "increasing grid in (0, 1)")
     speed = _ray_speed(m, theta)
     e = np.exp(1j * theta)
     ell = np.empty_like(r_grid)
@@ -162,24 +165,17 @@ class GrowthResult:
 
 
 def growth_ratio(m: HarmonicMap, theta: float, r_grid=None,
-                 config: Config = None, bounded_gauge: bool = False) -> GrowthResult:
+                 config: Config = None) -> GrowthResult:
     """Series of ell / (m_f * psi) over an r grid in (0.5, 1).
 
-    With ``bounded_gauge`` the running maximum is replaced by its constant
-    endpoint value, turning the harness into the bounded-map form where the
-    length alone is measured against the gauge.  The boundedness verdict is
-    operational: the maximum ratio must stay below ten times the median as
-    the grid extends toward the 0.999 cap (no monotone blow-up).
+    The boundedness verdict is operational: the maximum ratio must stay
+    below ten times the median as the grid extends toward the R_CAP cap (no
+    monotone blow-up).
     """
     config = config or Config()
     if r_grid is None:
-        r_grid = 1.0 - np.geomspace(0.49, 1.0 - config.r_cap, 40)
+        r_grid = 1.0 - np.geomspace(0.49, 1.0 - R_CAP, 40)
     profile = radial_profile(m, theta, r_grid, rel_tol=config.quad_rel_tol / 4)
-    if bounded_gauge:
-        if "bounded" not in m.flags:
-            raise ParameterError(f"{m.label}: constant-gauge form needs a bounded image")
-        sup = float(profile.m_f[-1])
-        profile.ratio = profile.ell / (sup * profile.psi)
     med = float(np.median(profile.ratio))
     mx = float(np.max(profile.ratio))
     return GrowthResult(profile, mx < 10.0 * med, mx, med)

@@ -23,9 +23,9 @@ def _scale(config: Config) -> float:
 
 
 def suite_grid(config: Config) -> np.ndarray:
-    n_r = max(8, round(config.n_radial * _scale(config)))
-    n_a = max(8, round(config.n_angular * _scale(config)))
-    return geometry.disk_grid(n_r, n_a, r_cap=config.r_cap).points
+    n_r = max(8, round(48 * _scale(config)))
+    n_a = max(8, round(64 * _scale(config)))
+    return geometry.disk_grid(n_r, n_a)
 
 
 def _sorted_reports(reports) -> list:
@@ -40,23 +40,20 @@ def _inequality_family(m: HarmonicMap, alpha: float, qc_k: float,
     pts = suite_grid(config)
     eps = config.boundary_eps
     out = [
-        bounds.check_distortion(m, alpha, pts, slack=config.slack),
-        bounds.check_two_point_growth(m, alpha, qc_k, slack=config.slack),
-        bounds.check_derivative_value_bound(m, alpha, qc_k, pts, slack=config.slack),
-        bounds.check_weighted_deriv_growth(m, alpha, slack=config.slack),
-        bounds.check_boundary_dist_lower(m, qc_k, eps=eps, n=config.boundary_n,
-                                         slack=config.slack),
-        bounds.check_harnack(m, 0.9 + 0.0j, alpha, slack=config.slack),
-        bounds.check_displacement(m, qc_k, alpha, 0.9 + 0.0j, slack=config.slack),
-        bounds.check_ray_quotient(m, qc_k, alpha, rho0=0.25, r=0.9,
-                                  slack=config.slack),
+        bounds.check_distortion(m, alpha, pts),
+        bounds.check_two_point_growth(m, alpha, qc_k),
+        bounds.check_derivative_value_bound(m, alpha, qc_k, pts),
+        bounds.check_weighted_deriv_growth(m, alpha),
+        bounds.check_boundary_dist_lower(m, qc_k, eps=eps),
+        bounds.check_harnack(m, 0.9 + 0.0j, alpha),
+        bounds.check_displacement(m, qc_k, alpha, 0.9 + 0.0j),
+        bounds.check_ray_quotient(m, qc_k, alpha, rho0=0.25, r=0.9),
     ]
     if "bounded" in m.flags:
         fit = johndisk.decay_fit(m)
         if fit.hypothesis_holds():
             out.append(bounds.check_arc_image_diameter(
-                m, qc_k, alpha, [0.9 + 0.0j, 0.7j], (fit.c, fit.delta),
-                eps=eps, slack=config.slack))
+                m, qc_k, alpha, [0.9 + 0.0j, 0.7j], (fit.c, fit.delta), eps=eps))
     for r in out:
         r.predicate = f"{r.predicate}:{tag}"
     return out
@@ -87,7 +84,7 @@ def suite_harmonic_advisory(corpus: dict, config: Config) -> list:
     for label in sorted(corpus):
         m = corpus[label]
         if not m.is_analytic():
-            qc_k = max(qc_constant(m, geometry.disk_grid(24, 32).points), config.qc_k)
+            qc_k = max(qc_constant(m, geometry.disk_grid(24, 32)), config.qc_k)
             reports.extend(_inequality_family(m, config.alpha, qc_k, config, label))
     return _sorted_reports(reports)
 
@@ -98,8 +95,7 @@ def suite_geometry(corpus: dict, config: Config) -> list:
     reports = []
     n = max(60, round(160 * _scale(config)))
     for r in (0.5, 0.8, 0.95):
-        sample = geometry.stolz_sample(r, n, n)
-        pts = sample.points
+        pts = geometry.stolz_sample(r, n, n)
         eta = np.abs(np.angle(pts))
         bound = 4.0 * math.pi * (r - np.abs(pts)) / (r * math.sqrt(15.0))
         margins = bound - eta

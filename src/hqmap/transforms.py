@@ -9,7 +9,6 @@ evaluation and both derivatives go through the exact chain rule instead.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,23 +29,6 @@ from .maps import (
 )
 
 _TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TransformRecord:
-    """Provenance entry attached to JSON reports of transformed maps."""
-
-    source: str
-    transform: str
-    param: complex
-
-    def to_json(self) -> str:
-        p = complex(self.param)
-        param = float(p.real) if p.imag == 0 else [float(p.real), float(p.imag)]
-        return json.dumps(
-            {"transform": self.transform, "param": param, "source": self.source},
-            sort_keys=True,
-        )
 
 
 def koebe_transform(m: HarmonicMap, zeta: complex) -> HarmonicMap:
@@ -102,7 +84,7 @@ def affine(m: HarmonicMap, mu: complex, check_points=None) -> HarmonicMap:
     out = HarmonicMap(h_new, g_new, label=f"affine[{mu:g}]({m.label})",
                       flags=frozenset(flags))
     check_sense_preserving(
-        out, check_points if check_points is not None else disk_grid(16, 24).points)
+        out, check_points if check_points is not None else disk_grid(16, 24))
     return out
 
 

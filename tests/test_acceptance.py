@@ -190,8 +190,7 @@ def test_c11_hyperbolic_metric():
 def test_c12_stolz_angle_bound():
     total = 0
     for r in (0.5, 0.8, 0.95):
-        sample = stolz_sample(r, 260, 260)
-        pts = sample.points[:10_000]
+        pts = stolz_sample(r, 260, 260)[:10_000]
         assert len(pts) == 10_000
         eta = np.abs(np.angle(pts))
         bound = 4.0 * math.pi * (r - np.abs(pts)) / (r * math.sqrt(15.0))

@@ -268,9 +268,9 @@ def test_monotone_stability_under_refinement(corpus):
     # doubling grid density never flips a pass beyond the declared slack
     for label in ("koebe", "halfplane"):
         m = corpus[label]
-        coarse = check_distortion(m, 2.0, disk_grid(16, 16).points)
-        fine = check_distortion(m, 2.0, disk_grid(32, 32).points)
+        coarse = check_distortion(m, 2.0, disk_grid(16, 16))
+        fine = check_distortion(m, 2.0, disk_grid(32, 32))
         assert coarse.passed and fine.passed
-        dvb_c = check_derivative_value_bound(m, 2.0, 1.0, disk_grid(16, 16).points)
-        dvb_f = check_derivative_value_bound(m, 2.0, 1.0, disk_grid(32, 32).points)
+        dvb_c = check_derivative_value_bound(m, 2.0, 1.0, disk_grid(16, 16))
+        dvb_f = check_derivative_value_bound(m, 2.0, 1.0, disk_grid(32, 32))
         assert dvb_c.passed and dvb_f.passed

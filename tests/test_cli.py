@@ -1,13 +1,14 @@
 import csv
 import json
 import threading
+from dataclasses import fields
 
 import pytest
 
 from hqmap import cli, johndisk, suites
 from hqmap.cli import main
 from hqmap.corpus import default_corpus, save_corpus
-from hqmap.maps import CatalogPart, HarmonicMap, HqmapError, SeriesPart
+from hqmap.maps import CatalogPart, Config, HarmonicMap, HqmapError, SeriesPart
 
 
 def run(capsys, *argv):
@@ -80,6 +81,13 @@ def test_radial_csv(capsys):
 def test_radial_bad_grid(capsys):
     code, _, err = run(capsys, "radial", "koebe", "0.0", "0.5,0.3")
     assert code == 2
+
+
+@pytest.mark.parametrize("radii", [",", "0.3,nan,0.7"], ids=["empty", "nan"])
+def test_radial_bad_radius_list(radii, capsys):
+    code, out, err = run(capsys, "radial", "koebe", "0", radii)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "radial profile" in err
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +336,21 @@ def test_bad_config_file(doc, tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "eval", "identity", "0")
     assert code == 2
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc,key", [({"r_cap": 0.99}, "r_cap"), ({"alpah": 3}, "alpah")],
+                         ids=["removed-field", "typo"])
+def test_unknown_config_key(doc, key, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "--config", str(cfg), "check", "none")
+    assert code == 2
+    assert err.count("\n") == 1 and repr(key) in err
+
+
+def test_config_fields_are_the_config_keys():
+    # every Config field can be set from the command line, and nothing else
+    assert {f.name for f in fields(Config)} == set(cli._CONFIG_KEYS.values())
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

@@ -11,7 +11,6 @@ from hqmap import (
     CatalogPart,
     ParameterError,
     decay_fit,
-    growth_ratio,
     koebe_transform,
     map_from_json,
     map_to_json,
@@ -91,23 +90,7 @@ def test_transform_second_derivative_identity(corpus):
 
 
 # ---------------------------------------------------------------------------
-# bounded-map growth harness and two-sided decay
-
-
-def test_growth_bounded_gauge(corpus):
-    res = growth_ratio(corpus["identity"], 0.0, bounded_gauge=True)
-    # constant gauge: ratio = r / (m_f(r_max) psi(r)), still bounded
-    assert res.bounded
-    sup = res.profile.m_f[-1]
-    expected = res.profile.r / (sup * res.profile.psi)
-    assert np.max(np.abs(res.profile.ratio - expected)) < 1e-12
-    res3 = growth_ratio(corpus["shear-k3"], 0.7, bounded_gauge=True)
-    assert res3.bounded
-
-
-def test_growth_bounded_gauge_needs_flag(corpus):
-    with pytest.raises(ParameterError):
-        growth_ratio(corpus["koebe"], 0.0, bounded_gauge=True)
+# two-sided decay
 
 
 def test_two_sided_decay(corpus):

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -14,14 +13,11 @@ from hqmap import (
     box_contains,
     disk_grid,
     hyp_dist,
-    stolz_angle_check,
     stolz_contains,
     stolz_sample,
 )
 from hqmap.geometry import (
     boundary_distances,
-    boundary_ring,
-    circle_points,
     convex_hull,
     mobius_shift,
     ring_image,
@@ -84,14 +80,14 @@ def test_hyp_mobius_invariance(z1, z2, a):
 
 def test_box_geometry():
     box = boundary_box(0.9, 12, 13)
-    assert box.params["half_width"] == pytest.approx(math.pi * 0.1)
-    assert np.all(box.contains(box.points))
-    radii = np.abs(box.points)
+    assert np.ptp(np.angle(box)) == pytest.approx(2 * math.pi * 0.1, abs=1e-12)
+    assert np.all(box_contains(0.9, box))
+    radii = np.abs(box)
     assert radii.min() == pytest.approx(0.9)
     assert radii.max() == pytest.approx(0.999)
     # corner extremes present
     corner = 0.999 * np.exp(1j * math.pi * 0.1)
-    assert np.min(np.abs(box.points - corner)) < 1e-12
+    assert np.min(np.abs(box - corner)) < 1e-12
 
 
 def test_box_membership_example():
@@ -102,14 +98,13 @@ def test_box_membership_example():
 
 
 def test_box_half_width_midrange():
-    assert boundary_box(0.5, 8, 9).params["half_width"] == pytest.approx(math.pi / 2)
+    assert np.ptp(np.angle(boundary_box(0.5, 8, 9))) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_box_origin_full_circle():
     box = boundary_box(0.0, 10, 11)
-    assert "full circle" in box.note
-    assert box.params["half_width"] == pytest.approx(math.pi)
-    assert np.all(box.contains(box.points))
+    assert np.ptp(np.angle(box)) == pytest.approx(2 * math.pi, abs=1e-12)
+    assert np.all(box_contains(0.0, box))
 
 
 def test_box_refinement_keeps_suprema():
@@ -119,26 +114,16 @@ def test_box_refinement_keeps_suprema():
     koebe = default_corpus()["koebe"]
     box1 = boundary_box(0.8, 10, 11)
     box2 = boundary_box(0.8, 20, 21)
-    s1 = float(np.max(np.abs(koebe.value(box1.points))))
-    s2 = float(np.max(np.abs(koebe.value(box2.points))))
+    s1 = float(np.max(np.abs(koebe.value(box1))))
+    s2 = float(np.max(np.abs(koebe.value(box2))))
     assert s2 >= s1 - 1e-12
 
 
 def test_boundary_arc():
     arc = boundary_arc(0.9, 64)
-    assert np.all(np.abs(np.abs(arc.points) - 1.0) < 1e-14)
-    assert np.all(arc.contains(arc.points))
-    width = np.ptp(np.angle(arc.points))
+    assert np.all(np.abs(np.abs(arc) - 1.0) < 1e-14)
+    width = np.ptp(np.angle(arc))
     assert width == pytest.approx(2 * math.pi * 0.1, abs=1e-12)
-
-
-def test_region_csv():
-    box = boundary_box(0.9, 4, 5)
-    buf = io.StringIO()
-    box.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "kind,anchor_re,anchor_im,point_re,point_im"
-    assert len(lines) == 1 + len(box.points)
 
 
 # ---------------------------------------------------------------------------
@@ -153,24 +138,16 @@ def test_stolz_apex_and_core():
 
 
 def test_stolz_on_axis_point():
-    chk = stolz_angle_check(0.8, 0.2)
-    assert chk.in_hull and not chk.in_wedge  # sits on the closed core disk
-
-
-def test_stolz_bound_example():
-    # 4 pi (0.8 - 0.6) / (0.8 sqrt 15) is about 0.8112, well above 0.1
-    chk = stolz_angle_check(0.8, polar(0.6, 0.1))
-    assert chk.bound_value == pytest.approx(0.81116, abs=1e-4)
-    assert chk.bound_ok
+    assert stolz_contains(0.8, 0.2)  # sits on the closed core disk
 
 
 @pytest.mark.parametrize("r", [0.5, 0.8, 0.95])
 def test_stolz_angle_bound_sweep(r):
-    sample = stolz_sample(r, 120, 120)
-    assert len(sample.points) > 2000
-    assert np.all(sample.contains(sample.points))
-    eta = np.abs(np.angle(sample.points))
-    bound = 4 * math.pi * (r - np.abs(sample.points)) / (r * math.sqrt(15.0))
+    pts = stolz_sample(r, 120, 120)
+    assert len(pts) > 2000
+    assert np.all(stolz_contains(r, pts) & (np.abs(pts) > r / 4.0))
+    eta = np.abs(np.angle(pts))
+    bound = 4 * math.pi * (r - np.abs(pts)) / (r * math.sqrt(15.0))
     assert np.all(eta <= bound)
     assert np.all(eta < 3 * math.pi / math.sqrt(15.0))
 
@@ -222,17 +199,21 @@ def test_boundary_distance_needs_samples(corpus):
 # small helpers
 
 
-def test_ring_and_circle():
-    ring = boundary_ring(1e-3, 256)
-    assert np.all(np.abs(np.abs(ring.points) - 0.999) < 1e-14)
-    circ = circle_points(0.5, 128)
-    assert np.all(circ.contains(circ.points))
+def test_ring_and_circle(corpus):
+    from hqmap.maps import ParameterError
+
+    # the identity's ring image is the ring: the circle of radius 1 - eps
+    ring = ring_image(corpus["identity"], 1e-3, 256)
+    assert np.all(np.abs(np.abs(ring) - 0.999) < 1e-14)
+    for eps in (0.0, 1.0):
+        with pytest.raises(ParameterError):
+            ring_image(corpus["identity"], eps, 256)
 
 
 def test_disk_grid_contains_origin_and_cap():
     grid = disk_grid(10, 12)
-    assert 0.0 + 0.0j in set(grid.points.tolist())
-    assert np.abs(grid.points).max() == pytest.approx(0.999, abs=1e-15)
+    assert 0.0 + 0.0j in set(grid.tolist())
+    assert np.abs(grid).max() == pytest.approx(0.999, abs=1e-15)
 
 
 def test_diameter_square():

@@ -289,11 +289,11 @@ def test_wirtinger_matches_finite_differences():
 
 
 def test_qc_identity(corpus):
-    assert qc_constant(corpus["identity"], disk_grid(12, 16).points) == 1.0
+    assert qc_constant(corpus["identity"], disk_grid(12, 16)) == 1.0
 
 
 def test_qc_shear_exact_everywhere(corpus):
-    pts = disk_grid(12, 16).points
+    pts = disk_grid(12, 16)
     w = corpus["shear-k3"].wirtinger(pts)
     assert np.max(np.abs(w.dnorm / w.dmin - 3.0)) < 1e-12
     assert qc_constant(corpus["shear-k3"], pts) == pytest.approx(3.0, abs=1e-12)
@@ -303,16 +303,16 @@ def test_qc_half_dilatation_map():
     # g'(z) = z h'(z)/2 with h = id: sup |omega| on the grid is 0.999/2,
     # so the constant is (1 + 0.4995) / (1 - 0.4995)
     m = HarmonicMap(CatalogPart("identity"), SeriesPart((0j, 0j, 0.25)), "gz2")
-    got = qc_constant(m, disk_grid(48, 16, r_cap=0.999).points)
+    got = qc_constant(m, disk_grid(48, 16, r_cap=0.999))
     assert got == pytest.approx(1.4995 / 0.5005, rel=1e-12)
-    coarse = qc_constant(m, disk_grid(12, 16, r_cap=0.99).points)
+    coarse = qc_constant(m, disk_grid(12, 16, r_cap=0.99))
     assert coarse <= got  # monotone under refinement toward the boundary
 
 
 def test_qc_sense_reversing_witness():
     m = HarmonicMap(SeriesPart((0j, 0.5)), SeriesPart((0j, 1.0)), "reversed")
     with pytest.raises(SenseReversalError) as err:
-        qc_constant(m, disk_grid(8, 8).points)
+        qc_constant(m, disk_grid(8, 8))
     assert abs(err.value.witness) < 1.0
 
 

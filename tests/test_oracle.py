@@ -120,10 +120,11 @@ def test_radial_length_matches_closed_form(label, exact):
     # on [0, 1) the map is real and increasing, so the image length of
     # [0, r] is f(r); checked on report's 24-radius grid up to r_cap
     from hqmap import Config, default_corpus, radial_length, radial_profile
+    from hqmap.maps import R_CAP
 
     m = default_corpus()[label]
     config = Config()
-    radii = 1.0 - np.geomspace(0.9, 1.0 - config.r_cap, 24)
+    radii = 1.0 - np.geomspace(0.9, 1.0 - R_CAP, 24)
     profile = radial_profile(m, 0.0, radii, rel_tol=config.quad_rel_tol / 4)
     assert profile.converged
     with mpmath.workdps(30):

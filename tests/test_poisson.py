@@ -9,7 +9,6 @@ from hqmap import (
     ParameterError,
     boundary_profile,
     decay_fit,
-    hardy_mean,
     john_estimate,
     poisson_functional,
     poisson_sup,
@@ -229,21 +228,6 @@ def test_scan_builds_one_kernel_per_radius(corpus, monkeypatch):
     assert counted == [2048]  # the single-point functional shares the formula
 
 
-@pytest.mark.parametrize("n_ang", [0, 3, 12, 1 << 13])
-def test_scan_angle_count_must_divide_the_profile(n_ang, corpus):
-    with pytest.raises(ParameterError, match="power of two"):
-        poisson_scan(corpus["identity"], 1e-2, n_ang=n_ang)
-
-
-def test_scan_angle_counts_agree(corpus):
-    # 1, 2 and 8 angles scan nested grids of the same circles
-    m = _seeded_series12(6, harmonic=True)
-    full = {z: v for z, v, _, _ in poisson_scan(m, 1e-2, n_ang=8).records}
-    for n_ang in (1, 2):
-        for z, v, _, _ in poisson_scan(m, 1e-2, n_ang=n_ang).records:
-            assert abs(v - full[z]) <= 1e-13 * abs(full[z]), (n_ang, z)
-
-
 # ---------------------------------------------------------------------------
 # sup traces
 
@@ -320,41 +304,6 @@ def test_unconverged_profile_makes_the_trace_unstable(corpus, monkeypatch):
     tr = poisson_sup(corpus["identity"])
     assert all(t == pytest.approx(1.0, abs=1e-6) for t in tr.trace)
     assert not tr.stable
-
-
-# ---------------------------------------------------------------------------
-# Hardy means
-
-
-def test_hardy_identity(corpus):
-    for p in (0.5, 1.0, 2.0):
-        for r in (0.2, 0.7):
-            assert hardy_mean(corpus["identity"], p, r) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_hardy_constant_functional():
-    c = 3.0 - 4.0j
-    assert hardy_mean(lambda z: np.full_like(z, c), 1.0, 0.5) == pytest.approx(5.0)
-
-
-def test_hardy_koebe_increasing(corpus):
-    # circle means of |k'| grow with the radius (subharmonicity)
-    vals = [hardy_mean(corpus["koebe"], 1.0, r) for r in (0.3, 0.5, 0.7, 0.9)]
-    assert all(b > a for a, b in zip(vals[:-1], vals[1:]))
-
-
-def test_hardy_monotone_analytic_subfamily(corpus):
-    for label in ("halfplane", "convex-poly2"):
-        for p in (1.0, 2.0):
-            vals = [hardy_mean(corpus[label], p, r) for r in (0.2, 0.5, 0.8)]
-            assert all(b >= a - 1e-12 for a, b in zip(vals[:-1], vals[1:]))
-
-
-def test_hardy_validation(corpus):
-    with pytest.raises(ParameterError):
-        hardy_mean(corpus["identity"], 0.0, 0.5)
-    with pytest.raises(ParameterError):
-        hardy_mean(corpus["identity"], 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

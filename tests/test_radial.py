@@ -15,7 +15,7 @@ from hqmap import (
     ray_max,
     shear_qc,
 )
-from hqmap.maps import HarmonicMap, SeriesPart
+from hqmap.maps import HarmonicMap, ParameterError, SeriesPart
 
 ZERO = SeriesPart((0j,))
 
@@ -125,6 +125,14 @@ def test_profile_monotonicity(corpus):
     assert np.all(np.diff(prof.ell) > 0)
     assert np.all(np.diff(prof.m_f) >= 0)
     assert np.all(prof.ell >= prof.abs_f - 1e-12)  # curve length >= chord
+
+
+@pytest.mark.parametrize("r_grid", [[], [0.3, np.nan, 0.7], [0.3, np.inf], [0.5, 0.3],
+                                    [0.3, 0.3], [0.0, 0.5], [0.5, 1.0]],
+                         ids=["empty", "nan", "inf", "decreasing", "repeated", "zero", "one"])
+def test_profile_rejects_bad_grid(r_grid, corpus):
+    with pytest.raises(ParameterError, match="radial profile"):
+        radial_profile(corpus["identity"], 0.0, np.array(r_grid, dtype=float))
 
 
 def test_profile_csv(corpus):

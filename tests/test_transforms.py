@@ -17,7 +17,7 @@ from hqmap import (
     small_preschwarzian,
 )
 from hqmap.maps import HarmonicMap, SeriesPart
-from hqmap.transforms import TransformRecord, preschwarzian
+from hqmap.transforms import preschwarzian
 
 ZS = np.array([0.1, -0.35, 0.3 + 0.4j, -0.2 - 0.55j, 0.7j, 0.85])
 
@@ -40,7 +40,7 @@ def test_koebe_transform_of_identity_closed_form(corpus):
 
 
 def test_koebe_transform_preserves_qc_constant(corpus):
-    pts = disk_grid(16, 24).points
+    pts = disk_grid(16, 24)
     sheared = shear_qc(CatalogPart("identity"), 3.0)
     moved = koebe_transform(sheared, 0.4)
     assert qc_constant(moved, pts) == pytest.approx(3.0, abs=1e-12)
@@ -87,7 +87,7 @@ def test_affine_dilatation_formula(corpus):
     mu = 0.3 - 0.2j
     m = corpus["convex-poly3"]
     t = affine(m, mu)
-    pts = disk_grid(10, 12).points
+    pts = disk_grid(10, 12)
     hp = m.h.d1(pts)
     gp = m.g.d1(pts)
     expected = np.abs(gp + mu * hp) / np.abs(hp + mu * gp)
@@ -184,7 +184,7 @@ def test_preschwarzian_sup_koebe(corpus):
 
 
 def test_preschwarzian_halfplane_grid(corpus):
-    pts = disk_grid(24, 32).points
+    pts = disk_grid(24, 32)
     sup = preschwarzian_margin(corpus["halfplane"], pts)
     oracle = float(np.max(preschwarzian(corpus["halfplane"], pts)))  # same scan
     assert sup == oracle
@@ -195,8 +195,3 @@ def test_preschwarzian_halfplane_grid(corpus):
 def test_small_preschwarzian_gate(corpus):
     assert small_preschwarzian(corpus["identity"])
     assert not small_preschwarzian(corpus["koebe"])  # supremum is exactly 4
-
-
-def test_transform_record_json():
-    rec = TransformRecord("koebe", "shear", 3.0)
-    assert rec.to_json() == '{"param": 3.0, "source": "koebe", "transform": "shear"}'
