@@ -6,8 +6,9 @@ Every predicate evaluates its inequality on a deterministic sample and
 reports the worst margin (RHS - LHS) / max(1, |RHS|) together with the
 witness point attaining it.  Margins are relative wherever the two sides
 blow up like (1 - |z|)^{-3} near the circle, so the reports stay readable.
-A check passes when the worst margin is above minus the declared numerical
-slack.
+Every check line, in every module, is built by ``_report`` under one pass
+rule: the line passes when its worst margin is at least minus its declared
+numerical slack and no input estimate it rests on failed to converge.
 
 For the analytic subfamily (g identically zero) with order 2 and K = 1 all
 predicates reduce to classical sharp distortion and growth theorems and
@@ -26,6 +27,7 @@ import numpy as np
 from . import geometry
 from .maps import DegenerateMapError, HarmonicMap, ParameterError
 from .quadrature import golden_max
+from .radial import ray_max
 
 
 @dataclass(eq=False)
@@ -39,8 +41,8 @@ class CheckReport:
     worst_margin: float
     witness: complex
     passed: bool
-    slack: float = 1e-9
-    notes: str = ""
+    slack: float
+    notes: str
 
     def to_json(self) -> str:
         return json.dumps(
@@ -66,18 +68,32 @@ def rel_margin(lhs, rhs):
     return (rhs - lhs) / np.maximum(1.0, np.abs(rhs))
 
 
-def _report(predicate, alpha, qc_k, margins, witnesses, slack, notes="") -> CheckReport:
+# numerical slack of the predicates below, the ring-image samples the
+# boundary distances are measured to, and the box parameters (a1, a2, a3)
+# of the Harnack comparison and the displacement bound
+_SLACK = 1e-9
+_RING_N = 4096
+_HARNACK_A = (1.0, 2.0, math.pi)
+
+
+def _report(predicate, alpha, qc_k, margins, witnesses, slack, notes="",
+            unconverged=None, samples=None) -> CheckReport:
+    """One check line: the worst margin and its witness.  ``unconverged``
+    names an input estimate that did not converge, which fails the line and
+    is noted; ``samples`` overrides the margin count."""
     margins = np.asarray(margins, dtype=float)
     idx = int(np.argmin(margins))
     worst = float(margins[idx])
+    if unconverged:
+        notes = " ".join(filter(None, (notes, f"{unconverged} did not converge")))
     return CheckReport(
         predicate=predicate,
         alpha=alpha,
         qc_k=qc_k,
-        samples=int(margins.size),
+        samples=int(margins.size if samples is None else samples),
         worst_margin=worst,
         witness=complex(np.asarray(witnesses, dtype=complex).ravel()[idx]),
-        passed=worst >= -slack,
+        passed=worst >= -slack and not unconverged,
         slack=slack,
         notes=notes,
     )
@@ -93,8 +109,7 @@ def _exp2alpha(t, alpha):
 # derivative distortion
 
 
-def check_distortion(m: HarmonicMap, alpha: float, points=None,
-                     slack: float = 1e-9) -> CheckReport:
+def check_distortion(m: HarmonicMap, alpha: float, points=None) -> CheckReport:
     """Two-sided distortion of the analytic part:
     (1-|z|)^{a-1}/(1+|z|)^{a+1} <= |h'(z)| <= (1+|z|)^{a-1}/(1-|z|)^{a+1}.
     """
@@ -105,7 +120,7 @@ def check_distortion(m: HarmonicMap, alpha: float, points=None,
     lower = (1.0 - t) ** (alpha - 1.0) / (1.0 + t) ** (alpha + 1.0)
     upper = (1.0 + t) ** (alpha - 1.0) / (1.0 - t) ** (alpha + 1.0)
     margins = np.minimum(rel_margin(hp, upper), rel_margin(lower, hp))
-    return _report("deriv_distortion", alpha, None, margins, pts, slack)
+    return _report("deriv_distortion", alpha, None, margins, pts, _SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +138,7 @@ def default_pairs() -> np.ndarray:
 
 
 def check_two_point_growth(m: HarmonicMap, alpha: float, qc_k: float,
-                           pairs=None, slack: float = 1e-9) -> CheckReport:
+                           pairs=None) -> CheckReport:
     """Two-sided bound on |f(z1)-f(z0)| / ((1-|z0|^2)|f_z(z0)|) between
     (1 - e^{-2 a lambda})/(a(1+K)) and K(e^{2 a lambda} - 1)/(a(1+K)),
     where lambda is the hyperbolic distance of the pair."""
@@ -140,7 +155,7 @@ def check_two_point_growth(m: HarmonicMap, alpha: float, qc_k: float,
     upper = qc_k / (alpha * (1.0 + qc_k)) * (big_e - 1.0)
     lower = (1.0 - 1.0 / big_e) / (alpha * (1.0 + qc_k))
     margins = np.minimum(rel_margin(q, upper), rel_margin(lower, q))
-    return _report("two_point_growth", alpha, qc_k, margins, z1, slack)
+    return _report("two_point_growth", alpha, qc_k, margins, z1, _SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +188,7 @@ def derivative_bound_constant(alpha: float, qc_k: float) -> float:
 
 
 def check_derivative_value_bound(m: HarmonicMap, alpha: float, qc_k: float,
-                                 points=None, slack: float = 1e-9) -> CheckReport:
+                                 points=None) -> CheckReport:
     """|z| * dnorm(z) <= C |f(z)| / (1 - |z|) with the closed-form constant."""
     pts = np.asarray(points if points is not None else geometry.disk_grid(),
                      dtype=complex).ravel()
@@ -182,7 +197,7 @@ def check_derivative_value_bound(m: HarmonicMap, alpha: float, qc_k: float,
     lhs = np.abs(pts) * w.dnorm
     rhs = c * np.abs(m.value(pts)) / (1.0 - np.abs(pts))
     margins = rel_margin(lhs, rhs)
-    return _report("deriv_value_bound", alpha, qc_k, margins, pts, slack,
+    return _report("deriv_value_bound", alpha, qc_k, margins, pts, _SLACK,
                    notes=f"C={c!r}")
 
 
@@ -190,20 +205,19 @@ def check_derivative_value_bound(m: HarmonicMap, alpha: float, qc_k: float,
 # radial quasi-monotonicity of the weighted derivative norm
 
 
-def default_triples(n_angles: int = 8, n_radii: int = 10) -> list:
-    radii = np.linspace(0.0, 0.95, n_radii)
-    angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+def default_triples() -> list:
+    radii = np.linspace(0.0, 0.95, 10)
+    angles = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
     triples = []
     for a in angles:
         xi = complex(np.exp(1j * a))
-        for i in range(n_radii):
-            for j in range(i, n_radii):
+        for i in range(len(radii)):
+            for j in range(i, len(radii)):
                 triples.append((xi, float(radii[i]), float(radii[j])))
     return triples
 
 
-def check_weighted_deriv_growth(m: HarmonicMap, alpha: float, triples=None,
-                                slack: float = 1e-9) -> CheckReport:
+def check_weighted_deriv_growth(m: HarmonicMap, alpha: float, triples=None) -> CheckReport:
     """(1-rho^2) dnorm(rho xi) <= e^{2 a lambda(rho, r)} (1-r^2) dnorm(r xi)
     for 0 <= rho <= r < 1 and |xi| = 1."""
     triples = triples if triples is not None else default_triples()
@@ -214,7 +228,7 @@ def check_weighted_deriv_growth(m: HarmonicMap, alpha: float, triples=None,
     t = (r - rho) / (1.0 - rho * r)
     rhs = _exp2alpha(t, alpha) * (1.0 - r ** 2) * m.wirtinger(r * xi).dnorm
     margins = rel_margin(lhs, rhs)
-    return _report("weighted_deriv_growth", alpha, None, margins, rho * xi, slack)
+    return _report("weighted_deriv_growth", alpha, None, margins, rho * xi, _SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +236,16 @@ def check_weighted_deriv_growth(m: HarmonicMap, alpha: float, triples=None,
 
 
 def check_boundary_dist_lower(m: HarmonicMap, qc_k: float, points=None,
-                              eps: float = 1e-4, n: int = 4096,
-                              slack: float = 1e-9) -> CheckReport:
+                              eps: float = 1e-4) -> CheckReport:
     """d(f(z), image boundary) >= dnorm(z) (1 - |z|^2) / (16 K), with the
     distance estimated from the image of the circle of radius 1 - eps."""
     pts = np.asarray(points if points is not None else geometry.disk_grid(24, 32),
                      dtype=complex).ravel()
-    d = geometry.boundary_distances(m, m.value(pts), eps=eps, n=n)
-    rhs = d
+    d = geometry.boundary_distances(m, m.value(pts), eps=eps, n=_RING_N)
     lhs = m.wirtinger(pts).dnorm * (1.0 - np.abs(pts) ** 2) / (16.0 * qc_k)
-    margins = rel_margin(lhs, rhs)
-    return _report("boundary_dist_lower", 0.0, qc_k, margins, pts, slack,
-                   notes=f"eps={eps!r} n={n}")
+    margins = rel_margin(lhs, d)
+    return _report("boundary_dist_lower", 0.0, qc_k, margins, pts, _SLACK,
+                   notes=f"eps={eps!r} n={_RING_N}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,43 +259,40 @@ def harnack_constant(a1: float, a2: float, a3: float, alpha: float) -> float:
     return 2.0 * math.exp((1.0 + alpha) * (a3 + 0.5 * math.log((2.0 * a2 - a1) / a1)))
 
 
-def _harnack_box(z0: complex, a, n_r: int = 12, n_ang: int = 13) -> np.ndarray:
-    """Qualifying test points: 1 - a2 d <= |z| <= 1 - a1 d within angular
-    half-width a3 d of z0, where d = 1 - |z0|."""
-    a1, a2, a3 = a
+def _harnack_box(z0: complex) -> np.ndarray:
+    """Qualifying test points, 12 radii by 13 angles: 1 - a2 d <= |z| <=
+    1 - a1 d within angular half-width a3 d of z0, where d = 1 - |z0|."""
+    a1, a2, a3 = _HARNACK_A
     delta = 1.0 - abs(z0)
     lo = max(1.0 - a2 * delta, 0.0)
     hi = 1.0 - a1 * delta
     if hi <= 0:
         raise ParameterError("box is empty: a1 too large for this z0")
-    radii = np.linspace(lo, hi, n_r)
-    angles = float(np.angle(z0)) + np.linspace(-a3 * delta, a3 * delta, n_ang)
+    radii = np.linspace(lo, hi, 12)
+    angles = float(np.angle(z0)) + np.linspace(-a3 * delta, a3 * delta, 13)
     pts = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
     return pts[np.abs(pts) < 1.0]
 
 
-def check_harnack(m: HarmonicMap, z0: complex, alpha: float,
-                  a=(1.0, 2.0, math.pi), n_r: int = 12, n_ang: int = 13,
-                  slack: float = 1e-9) -> CheckReport:
+def check_harnack(m: HarmonicMap, z0: complex, alpha: float) -> CheckReport:
     """Two-sided comparison dnorm(z0)/M <= dnorm(z) <= M dnorm(z0) on the
     qualifying boundary box."""
     z0 = complex(z0)
-    big_m = harnack_constant(*a, alpha)
-    pts = _harnack_box(z0, a, n_r, n_ang)
+    big_m = harnack_constant(*_HARNACK_A, alpha)
+    pts = _harnack_box(z0)
     ratio = m.wirtinger(pts).dnorm / float(m.wirtinger(z0).dnorm)
     margins = np.minimum(rel_margin(ratio, big_m), rel_margin(1.0 / big_m, ratio))
-    return _report("harnack_comparison", alpha, None, margins, pts, slack,
+    return _report("harnack_comparison", alpha, None, margins, pts, _SLACK,
                    notes=f"z0={z0!r} M={big_m!r}")
 
 
-def check_displacement(m: HarmonicMap, qc_k: float, alpha: float, z0: complex,
-                       a=(1.0, 2.0, math.pi), n_r: int = 12, n_ang: int = 13,
-                       slack: float = 1e-9) -> CheckReport:
+def check_displacement(m: HarmonicMap, qc_k: float, alpha: float,
+                       z0: complex) -> CheckReport:
     """|f(z) - f(z0)| <= K/(a(1+K)) ((M/2)^{2a/(1+a)} - 1) (1-|z0|^2)|f_z(z0)|
     on the qualifying boundary box."""
     z0 = complex(z0)
-    big_m = harnack_constant(*a, alpha)
-    pts = _harnack_box(z0, a, n_r, n_ang)
+    big_m = harnack_constant(*_HARNACK_A, alpha)
+    pts = _harnack_box(z0)
     fz0 = abs(complex(m.h.d1(z0)))
     if fz0 == 0:
         raise DegenerateMapError(f"{m.label}: f_z vanishes at {z0}")
@@ -291,7 +300,7 @@ def check_displacement(m: HarmonicMap, qc_k: float, alpha: float, z0: complex,
     rhs = qc_k / (alpha * (1.0 + qc_k)) * factor * (1.0 - abs(z0) ** 2) * fz0
     lhs = np.abs(m.value(pts) - complex(m.value(z0)))
     margins = rel_margin(lhs, np.full_like(lhs, rhs))
-    return _report("local_displacement", alpha, qc_k, margins, pts, slack,
+    return _report("local_displacement", alpha, qc_k, margins, pts, _SLACK,
                    notes=f"z0={z0!r} M={big_m!r}")
 
 
@@ -300,8 +309,7 @@ def check_displacement(m: HarmonicMap, qc_k: float, alpha: float, z0: complex,
 
 
 def check_ray_quotient(m: HarmonicMap, qc_k: float, alpha: float,
-                       rho0: float, r: float, theta: float = 0.0,
-                       n: int = 400, slack: float = 1e-9) -> CheckReport:
+                       rho0: float, r: float, theta: float = 0.0) -> CheckReport:
     """Empirical constant for |f(rho e^{i t})| / rho <= C m_f(r, t): reports
     sup over rho in (0, r] of the quotient divided by the running maximum.
 
@@ -309,33 +317,19 @@ def check_ray_quotient(m: HarmonicMap, qc_k: float, alpha: float,
     (rho <= rho0) and outer piece (rho0 <= rho <= r) of the supremum
     separately.  It passes whenever the constant is finite.
     """
-    from .radial import ray_max
-
     if not 0.0 < rho0 <= r < 1.0:
         raise ParameterError("need 0 < rho0 <= r < 1")
     e = np.exp(1j * theta)
-    rho = np.concatenate([
-        np.geomspace(1e-6, rho0, n // 2),
-        np.linspace(rho0, r, n - n // 2),
-    ])
+    rho = np.concatenate([np.geomspace(1e-6, rho0, 200), np.linspace(rho0, r, 200)])
     quot = np.abs(m.value(rho * e)) / rho
     mf = ray_max(m, r, theta)
     c9 = float(quot.max()) / mf
-    inner = float(quot[: n // 2].max()) / mf
-    outer = float(quot[n // 2:].max()) / mf
+    inner = float(quot[:200].max()) / mf
+    outer = float(quot[200:].max()) / mf
     witness = rho[int(np.argmax(quot))] * e
-    finite = math.isfinite(c9)
-    return CheckReport(
-        predicate="ray_quotient",
-        alpha=alpha,
-        qc_k=qc_k,
-        samples=int(rho.size),
-        worst_margin=0.0 if finite else -math.inf,
-        witness=complex(witness),
-        passed=finite,
-        slack=slack,
-        notes=f"C9={c9!r} inner={inner!r} outer={outer!r} rho0={rho0!r} r={r!r}",
-    )
+    return _report("ray_quotient", alpha, qc_k, [0.0 if math.isfinite(c9) else -math.inf],
+                   witness, _SLACK, samples=rho.size,
+                   notes=f"C9={c9!r} inner={inner!r} outer={outer!r} rho0={rho0!r} r={r!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +337,7 @@ def check_ray_quotient(m: HarmonicMap, qc_k: float, alpha: float,
 
 
 def check_arc_image_diameter(m: HarmonicMap, qc_k: float, alpha: float,
-                             a_points, decay, eps: float = 1e-4,
-                             n_arc: int = 512, slack: float = 1e-9) -> CheckReport:
+                             a_points, decay, eps: float = 1e-4) -> CheckReport:
     """diam f((1-eps) I(a)) <= 32 K C d(f(a), image boundary), with
     C = 2 pi e^{(1+a) pi} + (2 C35 e^{(1+a) pi} + C35)/delta from the fitted
     decay pair (C35, delta).  Requires a bounded image and delta in (0, 1]."""
@@ -355,13 +348,13 @@ def check_arc_image_diameter(m: HarmonicMap, qc_k: float, alpha: float,
         raise ParameterError(f"{m.label}: arc-diameter check needs a bounded image")
     boost = math.exp((1.0 + alpha) * math.pi)
     c36 = 2.0 * math.pi * boost + (2.0 * c35 * boost + c35) / delta
+    a_arr = np.atleast_1d(np.asarray(a_points, dtype=complex))
     margins = []
-    for a in np.atleast_1d(np.asarray(a_points, dtype=complex)):
-        img = m.value((1.0 - eps) * geometry.boundary_arc(a, n_arc))
+    for a in a_arr:
+        img = m.value((1.0 - eps) * geometry.boundary_arc(a))
         diam = geometry.set_diameter(img)
         d = geometry.boundary_distance(m, complex(m.value(a)), eps=eps).value
         rhs = 32.0 * qc_k * c36 * d
         margins.append(float(rel_margin(diam, rhs)))
-    a_arr = np.atleast_1d(np.asarray(a_points, dtype=complex))
-    return _report("arc_image_diameter", alpha, qc_k, margins, a_arr, slack,
+    return _report("arc_image_diameter", alpha, qc_k, margins, a_arr, _SLACK,
                    notes=f"C36={c36!r} C35={c35!r} delta={delta!r}")

@@ -161,9 +161,9 @@ def load_corpus(path) -> dict:
     return maps
 
 
-def validate_corpus(maps: dict, points=None) -> None:
-    """Verify sense preservation of every corpus entry on an evaluation grid;
-    a non-positive Jacobian is an input error with a witness point."""
-    pts = points if points is not None else disk_grid(12, 16)
+def validate_corpus(maps: dict) -> None:
+    """Verify sense preservation of every corpus entry on a 12 x 16 disk
+    grid; a non-positive Jacobian is an input error with a witness point."""
+    pts = disk_grid(12, 16)
     for label in sorted(maps):
         check_sense_preserving(maps[label], pts)

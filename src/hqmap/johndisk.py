@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
-from .bounds import CheckReport
+from . import bounds, geometry
 from .maps import R_CAP, HarmonicMap, ParameterError, SenseReversalError, finite_dnorm
 
 # refinement ladder for the box reach: the z quantities stay capped at
@@ -89,6 +88,9 @@ def _z_radii(level: int) -> np.ndarray:
 # rotated-box points evaluated per call: as many consecutive z-radii of a
 # level as fit in 2^15 points (512 KB of complex128, poisson._RING_BLOCK)
 _BOX_BLOCK = 1 << 15
+# radial side of the level-0 box sample, and the rotated boxes per z-radius
+_BOX_SIDE = 20
+_N_ROT = 32
 
 
 def _ratio_sup(m: HarmonicMap, nums, dens, zs) -> float:
@@ -109,8 +111,7 @@ def _ratio_sup(m: HarmonicMap, nums, dens, zs) -> float:
     return float(np.max(ratios))
 
 
-def criterion_iii(m: HarmonicMap, levels: int = 3, n_box: int = 20,
-                  n_ang: int = 32) -> CriterionTrace:
+def criterion_iii(m: HarmonicMap, levels: int = 3) -> CriterionTrace:
     """Grid supremum of |f(z) - f(w)| / ((1-|z|^2) dnorm(z)) over w in B(z),
     traced across refinement levels (denser radial grid and box sample,
     deeper box reach).
@@ -127,27 +128,27 @@ def criterion_iii(m: HarmonicMap, levels: int = 3, n_box: int = 20,
     ``geometry.boundary_box`` contains that boundary's grid points (first and
     last radius, first and last angle).  An nb x (nb|1) box therefore costs
     2 (nb|1) + 2 (nb - 2) points instead of nb (nb|1): 176 instead of 2,025
-    at level 2, for each of the n_ang rotated boxes of a radius.
+    at level 2, for each of the 32 rotated boxes of a radius.
 
     The rotated boxes of consecutive z-radii are evaluated together, in
-    blocks of at most ``_BOX_BLOCK`` = 2^15 points (with the defaults, 13, 8
-    and 5 radii at levels 0, 1 and 2).  One radius alone is a call of
-    2,500-5,600 points, too small for ``report``'s threads to run in
-    parallel: the Python work around each call holds the GIL for longer
-    than numpy's loops release it.  A fixed block keeps memory flat at
-    every level.  Each point and its arithmetic are those of a per-radius
-    evaluation, so the trace does not move by a bit.
+    blocks of at most ``_BOX_BLOCK`` = 2^15 points (13, 8 and 5 radii at
+    levels 0, 1 and 2).  One radius alone is a call of 2,500-5,600 points,
+    too small for ``report``'s threads to run in parallel: the Python work
+    around each call holds the GIL for longer than numpy's loops release it.
+    A fixed block keeps memory flat at every level.  Each point and its
+    arithmetic are those of a per-radius evaluation, so the trace does not
+    move by a bit.
 
     A vanishing derivative norm raises ``SenseReversalError`` with the z
     witness; a non-finite ratio raises ``ParameterError``.
     """
     trace = []
     reaches = []
-    angles = np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * math.pi, _N_ROT, endpoint=False)
     rots = np.exp(1j * angles)
     for level in range(levels):
         reach = _reach(level)
-        nb = _level_density(n_box, level)
+        nb = _level_density(_BOX_SIDE, level)
         box_shape = (nb, nb | 1)  # odd angular count keeps the mid ray
         edges = np.zeros(box_shape, dtype=bool)
         edges[[0, -1], :] = True
@@ -158,7 +159,7 @@ def criterion_iii(m: HarmonicMap, levels: int = 3, n_box: int = 20,
         sup = _ratio_sup(m, np.max(np.abs(m.value(box0) - f0)),
                          m.wirtinger(0.0 + 0.0j).dnorm, 0.0 + 0.0j)
         radii = _z_radii(level)
-        per_block = max(1, _BOX_BLOCK // (n_ang * int(edges.sum())))
+        per_block = max(1, _BOX_BLOCK // (_N_ROT * int(edges.sum())))
         for lo in range(0, len(radii), per_block):
             r = radii[lo:lo + per_block]
             boxes = np.stack([geometry.boundary_box(complex(x), *box_shape, reach=reach)[edges]
@@ -212,11 +213,10 @@ class DecayFit:
         return self.hypothesis_holds() and self.max_slope < 1.0
 
 
-def decay_fit(m: HarmonicMap, n_rays: int = 16, window=(0.6, 0.99),
-              n_samples: int = 48) -> DecayFit:
-    """Per-ray least-squares fit of log dnorm(rho zeta) against log(1-rho),
-    with samples of log(1-rho) clustered toward the boundary end of the
-    window (the decay hypothesis is an asymptotic boundary property, so
+def decay_fit(m: HarmonicMap, window=(0.6, 0.99)) -> DecayFit:
+    """Per-ray least-squares fit of log dnorm(rho zeta) against log(1-rho) on
+    16 rays, with 48 samples of log(1-rho) clustered toward the boundary end
+    of the window (the decay hypothesis is an asymptotic boundary property, so
     boundary weighting recovers the exponent with less bias from interior
     curvature of the profile).
 
@@ -227,11 +227,11 @@ def decay_fit(m: HarmonicMap, n_rays: int = 16, window=(0.6, 0.99),
     lo, hi = window
     if not 0.5 <= lo < hi <= 0.999:
         raise ParameterError("fit window must sit inside [0.5, 0.999]")
-    u = np.linspace(0.0, 1.0, n_samples) ** 0.5
+    u = np.linspace(0.0, 1.0, 48) ** 0.5
     a, b = math.log(1.0 - lo), math.log(1.0 - hi)
     big_l = a + (b - a) * u
     rho = 1.0 - np.exp(big_l)
-    angles = np.linspace(0.0, 2.0 * math.pi, n_rays, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     slopes = []
     intercepts = []
     residual = 0.0
@@ -289,15 +289,16 @@ class JohnEstimate:
         )
 
 
-def john_estimate(m: HarmonicMap, xs=(0.3, 0.5, 0.7, 0.9)) -> JohnEstimate:
-    """Run all three criteria and combine them into a three-valued verdict.
+def john_estimate(m: HarmonicMap) -> JohnEstimate:
+    """Run all three criteria, criterion (ii) at x = 0.3, 0.5, 0.7 and 0.9,
+    and combine them into a three-valued verdict.
 
     john-positive: some tested x has criterion (ii) supremum below one AND
     the criterion (iii) trace is refinement-stable.  john-negative: the
     criterion (iii) trace keeps growing by a factor of at least 1.5 per
     level.  Anything else is inconclusive.
     """
-    sups = tuple((float(x), criterion_ii(m, x)) for x in xs)
+    sups = tuple((x, criterion_ii(m, x)) for x in (0.3, 0.5, 0.7, 0.9))
     trace = criterion_iii(m)
     fit = decay_fit(m)
     pos_ii = any(s < 1.0 for _, s in sups)
@@ -327,15 +328,14 @@ def _box_nested(a1: complex, a2: complex) -> bool:
     return shift + math.pi * (1.0 - abs(a1)) <= math.pi * (1.0 - abs(a2)) + 1e-12
 
 
-def diam_ratio_check(m: HarmonicMap, a1: complex, a2: complex, alpha: float,
-                     n_box: int = 40, eps: float = 1e-4,
-                     slack: float = 1e-9) -> CheckReport:
+def diam_ratio_check(m: HarmonicMap, a1: complex, a2: complex,
+                     alpha: float) -> bounds.CheckReport:
     """Empirical constant in
     diam f(B(a1)) / diam f(B(a2)) <= C (arc(a1)/arc(a2))^alpha,
     where arc(a) = 2 pi (1 - |a|) is the boundary-arc length of the box.
 
-    The check asserts stability of the constant under doubling of the box
-    sample; the constant itself is reported in the notes.
+    The check asserts stability of the constant under doubling of the
+    40 x 41 box sample; the constant itself is reported in the notes.
     """
     a1 = complex(a1)
     a2 = complex(a2)
@@ -348,22 +348,14 @@ def diam_ratio_check(m: HarmonicMap, a1: complex, a2: complex, alpha: float,
         d2 = geometry.set_diameter(m.value(geometry.boundary_box(a2, n, n + 1)))
         return d1 / d2
 
-    r_coarse = ratio_at(n_box)
-    r_fine = ratio_at(2 * n_box)
+    r_coarse = ratio_at(40)
+    r_fine = ratio_at(80)
     c3 = r_fine / arc_ratio ** alpha
     drift = abs(r_fine - r_coarse) / max(r_fine, 1e-300)
-    margin = 0.01 - drift  # stable when refinement moves the ratio < 1%
-    return CheckReport(
-        predicate="diam_ratio",
-        alpha=alpha,
-        qc_k=None,
-        samples=2 * n_box * (n_box + 1),
-        worst_margin=float(margin),
-        witness=a1,
-        passed=margin >= -slack,
-        slack=slack,
-        notes=f"C3={c3!r} diam_ratio={r_fine!r} arc_ratio={arc_ratio!r}",
-    )
+    # stable when refinement moves the ratio < 1%
+    return bounds._report("diam_ratio", alpha, None, [0.01 - drift], a1, bounds._SLACK,
+                          notes=f"C3={c3!r} diam_ratio={r_fine!r} arc_ratio={arc_ratio!r}",
+                          samples=2 * 40 * 41)
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +369,17 @@ class HolderFit:
     pairs: int
 
 
-def holder_check(m: HarmonicMap, z: complex, n_side: int = 8,
-                 eps: float = 1e-4, reach: float = 0.999) -> HolderFit:
+def holder_check(m: HarmonicMap, z: complex) -> HolderFit:
     """Fit |f(w1) - f(w2)| / d(f(z)) ~ C (|w1 - w2|/(1-|z|))^{delta} over
-    pair samples from B(z); the constant is inflated to the worst residual,
-    so every sampled pair sits under the fitted envelope."""
+    pairs from the 8 x 9 sample of B(z); the constant is inflated to the
+    worst residual, so every sampled pair sits under the fitted envelope."""
     z = complex(z)
     if abs(z) < 0.5:
         raise ParameterError("Hoelder check applies for |z| >= 1/2")
-    d = geometry.boundary_distance(m, complex(m.value(z)), eps=eps).value
+    d = geometry.boundary_distance(m, complex(m.value(z))).value
     if d <= 0:
         raise ParameterError("boundary distance estimate vanished")
-    pts = geometry.boundary_box(z, n_side, n_side + 1, reach=reach)
+    pts = geometry.boundary_box(z, 8, 9)
     w1 = pts[:, None].repeat(len(pts), axis=1).ravel()
     w2 = pts[None, :].repeat(len(pts), axis=0).ravel()
     keep = np.abs(w1 - w2) > 1e-12

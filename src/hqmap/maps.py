@@ -365,15 +365,16 @@ class HarmonicMap:
         object.__setattr__(self, "flags", frozenset(self.flags))
         if "SH0" in self.flags and "SH" not in self.flags:
             object.__setattr__(self, "flags", self.flags | {"SH"})
+        # each test reads "not (close)", so a NaN value fails it too
         if "SH" in self.flags:
-            if abs(complex(self.h.value(0.0 + 0.0j))) > _FLAG_TOL:
+            if not abs(complex(self.h.value(0.0 + 0.0j))) <= _FLAG_TOL:
                 raise ParameterError(f"{self.label}: SH flag requires h(0) = 0")
-            if abs(complex(self.g.value(0.0 + 0.0j))) > _FLAG_TOL:
+            if not abs(complex(self.g.value(0.0 + 0.0j))) <= _FLAG_TOL:
                 raise ParameterError(f"{self.label}: SH flag requires g(0) = 0")
-            if abs(complex(self.h.d1(0.0 + 0.0j)) - 1.0) > _FLAG_TOL:
+            if not abs(complex(self.h.d1(0.0 + 0.0j)) - 1.0) <= _FLAG_TOL:
                 raise ParameterError(f"{self.label}: SH flag requires h'(0) = 1")
         if "SH0" in self.flags:
-            if abs(complex(self.g.d1(0.0 + 0.0j))) > _FLAG_TOL:
+            if not abs(complex(self.g.d1(0.0 + 0.0j))) <= _FLAG_TOL:
                 raise ParameterError(f"{self.label}: SH0 flag requires g'(0) = 0")
 
     # -- evaluation ---------------------------------------------------------
@@ -408,13 +409,13 @@ def check_sense_preserving(m: HarmonicMap, points) -> WirtingerPair:
     """Wirtinger data of ``m`` on the flattened point set, after checking
     that the Jacobian is positive there.
 
-    Raises ``SenseReversalError`` with the point of smallest Jacobian as
-    witness otherwise.
+    Raises ``SenseReversalError`` with the point of smallest (or first NaN)
+    Jacobian as witness otherwise.
     """
     pts = np.asarray(points, dtype=complex).ravel()
     w = m.wirtinger(pts)
     jac = w.jacobian
-    if np.any(jac <= 0.0):
+    if not np.all(jac > 0.0):  # a NaN Jacobian fails too; argmin finds it first
         idx = int(np.argmin(jac))
         raise SenseReversalError(f"{m.label}: sense-reversing, non-positive Jacobian",
                                  complex(pts[idx]))

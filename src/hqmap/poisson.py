@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .maps import HarmonicMap, ParameterError, finite_dnorm
 from .quadrature import adaptive_quad
 
@@ -217,8 +218,8 @@ class RatioBracket:
     path_diam: float
 
 
-def pommerenke_bracket(m: HarmonicMap, r: float, theta1: float, theta2: float,
-                       rel_tol: float = 1e-9, n_path: int = 512) -> RatioBracket:
+def pommerenke_bracket(m: HarmonicMap, r: float, theta1: float,
+                       theta2: float) -> RatioBracket:
     """Bracket the ratio of the image arc length between w1 = f(r e^{i t1})
     and w2 = f(r e^{i t2}) to the connecting-arc diameter distance.
 
@@ -243,13 +244,11 @@ def pommerenke_bracket(m: HarmonicMap, r: float, theta1: float, theta2: float,
     if dtheta == 0.0:
         return RatioBracket(0.0, 0.0, 0.0, 0.0, 0.0)
     lo, hi = sorted((0.0, dtheta))
-    arc = adaptive_quad(speed, lo, hi, rel_tol=rel_tol).value
+    arc = adaptive_quad(speed, lo, hi, rel_tol=1e-9).value
     chord = abs(w1 - w2)
-    ts = np.linspace(0.0, 1.0, n_path)
+    ts = np.linspace(0.0, 1.0, 512)
     seg = z1 + ts * (z2 - z1)
-    from .geometry import set_diameter
-
-    path_diam = set_diameter(m.value(seg))
+    path_diam = geometry.set_diameter(m.value(seg))
     if chord == 0.0:
         return RatioBracket(0.0, 0.0, arc, 0.0, path_diam)
     return RatioBracket(arc / path_diam, arc / chord, arc, chord, path_diam)

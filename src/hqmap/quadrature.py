@@ -95,21 +95,21 @@ def adaptive_quad(
         segs.append((e2, mid, hi, v2))
 
 
-def endpoint_cluster(a: float, b: float, n: int = 8, inner: float = None) -> list:
-    """Geometric pre-split points accumulating at b, from coarse scale
-    (b - a)/10 down to ``inner`` (default: a tenth of the distance from b
-    to 1, the natural scale for boundary-singular integrands)."""
-    if inner is None:
-        inner = max(0.1 * (1.0 - b), 1e-12)
+def endpoint_cluster(a: float, b: float) -> list:
+    """Eight geometric pre-split points accumulating at b, from coarse scale
+    (b - a)/10 down to a tenth of the distance from b to 1, the natural
+    scale for boundary-singular integrands."""
+    inner = max(0.1 * (1.0 - b), 1e-12)
     outer = 0.1 * (b - a)
     if outer <= inner:
         return []
-    gaps = np.geomspace(outer, inner, n)
+    gaps = np.geomspace(outer, inner, 8)
     return [b - gap for gap in gaps]
 
 
-def golden_max(fun: Callable, a: float, b: float, tol: float = 1e-12, iters: int = 80):
-    """Golden-section maximizer for a scalar function on [a, b].
+def golden_max(fun: Callable, a: float, b: float):
+    """Golden-section maximizer for a scalar function on [a, b], stopped
+    when the bracket is narrower than 1e-12 or after 80 steps.
 
     Returns (argmax, max).  Assumes unimodality on the bracket; callers pass
     brackets around detected grid maxima.
@@ -119,8 +119,8 @@ def golden_max(fun: Callable, a: float, b: float, tol: float = 1e-12, iters: int
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if hi - lo < tol:
+    for _ in range(80):
+        if hi - lo < 1e-12:
             break
         if fc > fd:
             hi, d, fd = d, c, fc

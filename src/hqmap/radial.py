@@ -77,7 +77,7 @@ def _polished_max(m: HarmonicMap, e: complex, rho) -> float:
     return best
 
 
-def ray_max(m: HarmonicMap, r: float, theta: float, n: int = 256) -> float:
+def ray_max(m: HarmonicMap, r: float, theta: float) -> float:
     """Running maximum of |f| along the ray, max over rho in [0, r].
 
     |f| along a ray need not be monotone for harmonic maps, so every local
@@ -85,7 +85,7 @@ def ray_max(m: HarmonicMap, r: float, theta: float, n: int = 256) -> float:
     """
     if not 0.0 < r < 1.0:
         raise DiskDomainError("ray maximum needs r in (0, 1)")
-    return _polished_max(m, np.exp(1j * theta), np.linspace(0.0, r, n))
+    return _polished_max(m, np.exp(1j * theta), np.linspace(0.0, r, 256))
 
 
 @dataclass(eq=False)
@@ -115,7 +115,7 @@ class RadialProfile:
 
 
 def radial_profile(m: HarmonicMap, theta: float, r_grid,
-                   rel_tol: float = 1e-10, n_seg: int = 24) -> RadialProfile:
+                   rel_tol: float = 1e-10) -> RadialProfile:
     """Build the radial profile incrementally over an increasing r grid.
 
     Lengths accumulate segment by segment; the running maximum refines local
@@ -127,6 +127,8 @@ def radial_profile(m: HarmonicMap, theta: float, r_grid,
             and np.all(np.diff(r_grid) > 0) and r_grid[0] > 0 and r_grid[-1] < 1):
         raise ParameterError("radial profile needs a non-empty, finite, strictly "
                              "increasing grid in (0, 1)")
+    if not math.isfinite(theta):
+        raise ParameterError(f"radial profile needs a finite angle, got theta = {theta!r}")
     speed = _ray_speed(m, theta)
     e = np.exp(1j * theta)
     ell = np.empty_like(r_grid)
@@ -146,7 +148,7 @@ def radial_profile(m: HarmonicMap, theta: float, r_grid,
         total_err += q.error
         ell[k] = total
         err[k] = total_err
-        running = max(running, _polished_max(m, e, np.linspace(lo, hi, n_seg)))
+        running = max(running, _polished_max(m, e, np.linspace(lo, hi, 24)))
         m_f[k] = running
         lo = hi
     abs_f = np.abs(m.value(r_grid * e))
@@ -164,8 +166,7 @@ class GrowthResult:
     median_ratio: float
 
 
-def growth_ratio(m: HarmonicMap, theta: float, r_grid=None,
-                 config: Config = None) -> GrowthResult:
+def growth_ratio(m: HarmonicMap, theta: float, config: Config = None) -> GrowthResult:
     """Series of ell / (m_f * psi) over an r grid in (0.5, 1).
 
     The boundedness verdict is operational: the maximum ratio must stay
@@ -173,8 +174,7 @@ def growth_ratio(m: HarmonicMap, theta: float, r_grid=None,
     monotone blow-up).
     """
     config = config or Config()
-    if r_grid is None:
-        r_grid = 1.0 - np.geomspace(0.49, 1.0 - R_CAP, 40)
+    r_grid = 1.0 - np.geomspace(0.49, 1.0 - R_CAP, 40)
     profile = radial_profile(m, theta, r_grid, rel_tol=config.quad_rel_tol / 4)
     med = float(np.median(profile.ratio))
     mx = float(np.max(profile.ratio))
@@ -193,11 +193,10 @@ class ClassicalBoundCheck:
     converged: bool             # the radial-length quadrature converged
 
 
-def classical_bounds(m: HarmonicMap, theta: float, r: float,
-                     rel_tol: float = 1e-10) -> ClassicalBoundCheck:
+def classical_bounds(m: HarmonicMap, theta: float, r: float) -> ClassicalBoundCheck:
     """Check ell <= |f| (1 + r) for starlike maps and
     ell <= |f| arcsin(r)/r for convex maps, per the corpus flags."""
-    q = radial_length(m, theta, r, rel_tol=rel_tol)
+    q = radial_length(m, theta, r, rel_tol=1e-10)
     fval = abs(complex(m.value(r * np.exp(1j * theta))))
     ratio = q.value / fval
     star = 1.0 + r

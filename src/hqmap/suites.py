@@ -96,21 +96,11 @@ def suite_geometry(corpus: dict, config: Config) -> list:
     n = max(60, round(160 * _scale(config)))
     for r in (0.5, 0.8, 0.95):
         pts = geometry.stolz_sample(r, n, n)
-        eta = np.abs(np.angle(pts))
+        # |p| > r/4 on the sample, so the bound stays below 3 pi / sqrt(15)
         bound = 4.0 * math.pi * (r - np.abs(pts)) / (r * math.sqrt(15.0))
-        margins = bound - eta
-        hard = 3.0 * math.pi / math.sqrt(15.0) - eta
-        idx = int(np.argmin(margins))
-        reports.append(bounds.CheckReport(
-            predicate=f"stolz_angle_bound:r={r:g}",
-            alpha=0.0, qc_k=None,
-            samples=int(pts.size),
-            worst_margin=float(min(margins[idx], hard.min())),
-            witness=complex(pts[idx]),
-            passed=bool(margins[idx] >= 0.0 and hard.min() > 0.0),
-            slack=0.0,
-            notes=f"points={pts.size}",
-        ))
+        reports.append(bounds._report(f"stolz_angle_bound:r={r:g}", 0.0, None,
+                                      bound - np.abs(np.angle(pts)), pts, slack=0.0,
+                                      notes=f"points={pts.size}"))
 
     rng = np.random.default_rng(config.seed)
     zs = (np.sqrt(rng.uniform(0, 1, (10_000, 3))) * 0.95
@@ -124,12 +114,8 @@ def suite_geometry(corpus: dict, config: Config) -> list:
     a = 0.3 - 0.4j
     moved = geometry.mobius_shift(zs[:, :2], a)
     drift = np.abs(geometry.hyp_dist(moved[:, 0], moved[:, 1]) - lam12)
-    idx = int(np.argmax(drift))
-    reports.append(bounds.CheckReport(
-        predicate="hyp_mobius_invariance", alpha=0.0, qc_k=None, samples=len(zs),
-        worst_margin=float(1e-10 - drift[idx]), witness=complex(zs[idx, 0]),
-        passed=bool(drift[idx] < 1e-10), slack=0.0,
-    ))
+    reports.append(bounds._report("hyp_mobius_invariance", 0.0, None, 1e-10 - drift,
+                                  zs[:, 0], slack=0.0))
 
     ident = default_corpus()["identity"]
     ws = np.linspace(0.0, 0.9, 19) * np.exp(0.37j)
@@ -143,11 +129,8 @@ def suite_geometry(corpus: dict, config: Config) -> list:
     return _sorted_reports(reports)
 
 
-def _converged_note(notes: str, converged: bool) -> str:
-    """The notes of a line, naming an unconverged radial-length input."""
-    if converged:
-        return notes
-    return " ".join(filter(None, (notes, "radial-length quadrature did not converge")))
+# the input estimate every radial-growth line rests on
+_QUAD = "radial-length quadrature"
 
 
 def suite_radial_growth(corpus: dict, config: Config) -> list:
@@ -158,27 +141,21 @@ def suite_radial_growth(corpus: dict, config: Config) -> list:
     for label in sorted(corpus):
         m = corpus[label]
         res = radial.growth_ratio(m, 0.0, config=config)
-        margin = (10.0 * res.median_ratio - res.max_ratio) / (10.0 * res.median_ratio)
-        reports.append(bounds.CheckReport(
-            predicate=f"growth_bounded:{label}", alpha=0.0, qc_k=None,
-            samples=len(res.profile.r), worst_margin=float(margin),
-            witness=complex(res.profile.r[int(np.argmax(res.profile.ratio))]),
-            passed=res.bounded and res.profile.converged, slack=0.0,
-            notes=_converged_note(f"max={res.max_ratio!r} median={res.median_ratio!r}",
-                                  res.profile.converged),
-        ))
+        ten_med = 10.0 * res.median_ratio
+        reports.append(bounds._report(
+            f"growth_bounded:{label}", 0.0, None, (ten_med - res.profile.ratio) / ten_med,
+            res.profile.r, slack=0.0,
+            notes=f"max={res.max_ratio!r} median={res.median_ratio!r}",
+            unconverged=None if res.profile.converged else _QUAD))
         for r in (0.3, 0.6, 0.9):
             chk = radial.classical_bounds(m, 0.0, r)
             for kind, ok, bound in (("starlike", chk.starlike_ok, chk.starlike_bound),
                                     ("convex", chk.convex_ok, chk.convex_bound)):
                 if ok is None:
                     continue
-                reports.append(bounds.CheckReport(
-                    predicate=f"classical_{kind}:{label}", alpha=0.0, qc_k=None,
-                    samples=1, worst_margin=float(bound - chk.ratio),
-                    witness=complex(r), passed=bool(ok) and chk.converged, slack=1e-9,
-                    notes=_converged_note("", chk.converged),
-                ))
+                reports.append(bounds._report(
+                    f"classical_{kind}:{label}", 0.0, None, [bound - chk.ratio], r,
+                    bounds._SLACK, unconverged=None if chk.converged else _QUAD))
     koebe = default_corpus()["koebe"]
     for big_k in (2.0, 3.0):
         sheared = shear_qc(CatalogPart("koebe"), big_k)
@@ -186,16 +163,11 @@ def suite_radial_growth(corpus: dict, config: Config) -> list:
             q_s = radial.radial_length(sheared, 0.0, r)
             q_h = radial.radial_length(koebe, 0.0, r)
             ell_s, ell_h = q_s.value, q_h.value
-            converged = q_s.converged and q_h.converged
-            margin = ell_s - 2.0 / (big_k + 1.0) * ell_h
-            reports.append(bounds.CheckReport(
-                predicate=f"shear_sharpness:K={big_k:g}", alpha=0.0, qc_k=big_k,
-                samples=1, worst_margin=float(margin / max(1.0, ell_s)),
-                witness=complex(r), passed=bool(margin >= -1e-9) and converged,
-                slack=1e-9,
-                notes=_converged_note(f"ell_shear={ell_s!r} ell_base={ell_h!r}",
-                                      converged),
-            ))
+            margin = (ell_s - 2.0 / (big_k + 1.0) * ell_h) / max(1.0, ell_s)
+            reports.append(bounds._report(
+                f"shear_sharpness:K={big_k:g}", 0.0, big_k, [margin], r, bounds._SLACK,
+                notes=f"ell_shear={ell_s!r} ell_base={ell_h!r}",
+                unconverged=None if q_s.converged and q_h.converged else _QUAD))
     return _sorted_reports(reports)
 
 

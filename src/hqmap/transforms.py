@@ -58,11 +58,11 @@ def koebe_transform(m: HarmonicMap, zeta: complex) -> HarmonicMap:
                        flags=frozenset(flags))
 
 
-def affine(m: HarmonicMap, mu: complex, check_points=None) -> HarmonicMap:
+def affine(m: HarmonicMap, mu: complex) -> HarmonicMap:
     """Affine map with analytic parts (h + mu g, g + mu h).
 
-    Requires |mu| < 1 and verifies sense preservation on a grid; a
-    non-positive Jacobian raises with the witness point.
+    Requires |mu| < 1 and verifies sense preservation on a 16 x 24 disk
+    grid; a non-positive Jacobian raises with the witness point.
     """
     mu = complex(mu)
     if abs(mu) >= 1.0:
@@ -83,12 +83,11 @@ def affine(m: HarmonicMap, mu: complex, check_points=None) -> HarmonicMap:
         flags.add("analytic")
     out = HarmonicMap(h_new, g_new, label=f"affine[{mu:g}]({m.label})",
                       flags=frozenset(flags))
-    check_sense_preserving(
-        out, check_points if check_points is not None else disk_grid(16, 24))
+    check_sense_preserving(out, disk_grid(16, 24))
     return out
 
 
-def shear_qc(h: AnalyticPart, big_k: float, label: str = None) -> HarmonicMap:
+def shear_qc(h: AnalyticPart, big_k: float) -> HarmonicMap:
     """Shear f = h + mu conj(h) with mu = (K-1)/(K+1).
 
     The dilatation modulus is the constant mu, so the quasiconformality
@@ -98,9 +97,7 @@ def shear_qc(h: AnalyticPart, big_k: float, label: str = None) -> HarmonicMap:
     if big_k < 1.0:
         raise ParameterError("shear parameter K must be >= 1")
     mu = (big_k - 1.0) / (big_k + 1.0)
-    if label is None:
-        base = h.name if isinstance(h, CatalogPart) else "series"
-        label = f"shear[{big_k:g}]({base})"
+    base = h.name if isinstance(h, CatalogPart) else "series"
     g = ComboPart(((mu + 0.0j, h),)) if mu != 0 else SeriesPart((0.0j,))
     flags = set()
     zero = 0.0 + 0.0j
@@ -108,7 +105,7 @@ def shear_qc(h: AnalyticPart, big_k: float, label: str = None) -> HarmonicMap:
         flags.add("SH")
         if mu == 0:
             flags.update({"SH0", "analytic"})
-    return HarmonicMap(h, g, label=label, flags=frozenset(flags))
+    return HarmonicMap(h, g, label=f"shear[{big_k:g}]({base})", flags=frozenset(flags))
 
 
 def _rotate_part(p: AnalyticPart, sigma: complex) -> AnalyticPart:
@@ -163,18 +160,17 @@ class SupLimit:
     radii: tuple
 
 
-def preschwarzian_sup(m: HarmonicMap, radii=None, n_angular: int = 512) -> SupLimit:
+def preschwarzian_sup(m: HarmonicMap) -> SupLimit:
     """Boundary-limit estimate of sup over the disk of the pre-Schwarzian
     expression.
 
-    Circle suprema are computed on a ladder of radii approaching the 0.999
-    cap and extrapolated linearly in (1 - r); the capped grid alone would
-    understate limits attained only at the circle (the sup for the identity
-    is 2|z|, for instance).
+    Circle suprema over 512 angles are computed on the ladder of radii
+    0.99, 0.993, 0.996 and 0.999 (the cap) and extrapolated linearly in
+    (1 - r); the capped grid alone would understate limits attained only at
+    the circle (the sup for the identity is 2|z|, for instance).
     """
-    if radii is None:
-        radii = (0.99, 0.993, 0.996, 0.999)
-    angles = np.linspace(0.0, 2.0 * math.pi, n_angular, endpoint=False)
+    radii = (0.99, 0.993, 0.996, 0.999)
+    angles = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
     sups = []
     for r in radii:
         sups.append(float(np.max(preschwarzian(m, r * np.exp(1j * angles)))))
@@ -184,7 +180,7 @@ def preschwarzian_sup(m: HarmonicMap, radii=None, n_angular: int = 512) -> SupLi
     return SupLimit(value, tuple(sups), tuple(radii))
 
 
-def small_preschwarzian(m: HarmonicMap, guard: float = 1e-3) -> bool:
+def small_preschwarzian(m: HarmonicMap) -> bool:
     """Membership gate for the class with pre-Schwarzian supremum < 4,
-    with a guard band below the threshold."""
-    return preschwarzian_sup(m).value < 4.0 - guard
+    with a guard band of 1e-3 below the threshold."""
+    return preschwarzian_sup(m).value < 4.0 - 1e-3

@@ -19,7 +19,7 @@ from hqmap import (
     disk_grid,
     harnack_constant,
 )
-from hqmap.bounds import rel_margin
+from hqmap.bounds import _report, rel_margin
 from hqmap.maps import ParameterError
 
 ANALYTIC = ("identity", "koebe", "halfplane", "convex-poly2", "convex-poly3")
@@ -78,7 +78,7 @@ def test_harnack_constant_bad_params():
 
 @pytest.mark.parametrize("label", ANALYTIC)
 def test_distortion_analytic(label, corpus):
-    rep = check_distortion(corpus[label], 2.0, slack=1e-9)
+    rep = check_distortion(corpus[label], 2.0)
     assert rep.passed, rep.notes
 
 
@@ -92,7 +92,7 @@ def test_distortion_koebe_attains_bound(corpus):
 
 @pytest.mark.parametrize("label", ANALYTIC)
 def test_two_point_growth_analytic(label, corpus):
-    rep = check_two_point_growth(corpus[label], 2.0, 1.0, slack=1e-9)
+    rep = check_two_point_growth(corpus[label], 2.0, 1.0)
     assert rep.passed, (label, rep.worst_margin)
 
 
@@ -114,7 +114,7 @@ def test_two_point_growth_degenerate_pair(corpus):
 
 @pytest.mark.parametrize("label", ANALYTIC)
 def test_derivative_value_bound_analytic(label, corpus):
-    rep = check_derivative_value_bound(corpus[label], 2.0, 1.0, slack=1e-9)
+    rep = check_derivative_value_bound(corpus[label], 2.0, 1.0)
     assert rep.passed, (label, rep.worst_margin)
 
 
@@ -127,7 +127,7 @@ def test_derivative_value_bound_koebe_margin(corpus):
 
 @pytest.mark.parametrize("label", ANALYTIC)
 def test_weighted_deriv_growth_analytic(label, corpus):
-    rep = check_weighted_deriv_growth(corpus[label], 2.0, slack=1e-9)
+    rep = check_weighted_deriv_growth(corpus[label], 2.0)
     assert rep.passed, (label, rep.worst_margin)
 
 
@@ -151,12 +151,12 @@ def test_weighted_deriv_growth_degenerate_triple(corpus):
 
 @pytest.mark.parametrize("label", ANALYTIC)
 def test_boundary_dist_lower_analytic(label, corpus):
-    rep = check_boundary_dist_lower(corpus[label], 1.0, slack=1e-9)
+    rep = check_boundary_dist_lower(corpus[label], 1.0)
     assert rep.passed, (label, rep.worst_margin)
 
 
 def test_boundary_dist_lower_shear(corpus):
-    rep = check_boundary_dist_lower(corpus["shear-k3"], 3.0, slack=1e-9)
+    rep = check_boundary_dist_lower(corpus["shear-k3"], 3.0)
     assert rep.passed
 
 
@@ -169,7 +169,7 @@ def test_boundary_dist_lower_identity_origin(corpus):
 
 @pytest.mark.parametrize("label", ANALYTIC)
 def test_harnack_analytic(label, corpus):
-    rep = check_harnack(corpus[label], 0.9 + 0.0j, 2.0, slack=1e-9)
+    rep = check_harnack(corpus[label], 0.9 + 0.0j, 2.0)
     assert rep.passed, (label, rep.worst_margin)
 
 
@@ -181,7 +181,7 @@ def test_harnack_identity_ratio_one(corpus):
 
 @pytest.mark.parametrize("label", ANALYTIC)
 def test_displacement_analytic(label, corpus):
-    rep = check_displacement(corpus[label], 1.0, 2.0, 0.9 + 0.0j, slack=1e-9)
+    rep = check_displacement(corpus[label], 1.0, 2.0, 0.9 + 0.0j)
     assert rep.passed, (label, rep.worst_margin)
 
 
@@ -262,6 +262,24 @@ def test_report_json_schema(corpus):
                         "witness", "pass", "slack", "notes"}
     assert doc["pass"] is True
     assert isinstance(doc["witness"], list) and len(doc["witness"]) == 2
+
+
+def test_report_unconverged_input_fails_the_line():
+    # a positive margin does not pass a line whose input estimate did not converge
+    ok = _report("p", 0.0, None, [0.5, 0.25], [0.1, 0.2], 1e-9, notes="x=1")
+    assert ok.passed and ok.notes == "x=1"
+    rep = _report("p", 0.0, None, [0.5, 0.25], [0.1, 0.2], 1e-9, notes="x=1",
+                  unconverged="ring estimate")
+    assert not rep.passed
+    assert rep.worst_margin == 0.25 and rep.witness == 0.2
+    assert rep.notes == "x=1 ring estimate did not converge"
+    bare = _report("p", 0.0, None, [1.0], [0.1], 1e-9, unconverged="ring estimate")
+    assert bare.notes == "ring estimate did not converge"
+
+
+def test_report_samples_override():
+    assert _report("p", 0.0, None, [1.0, 2.0], [0.1, 0.2], 0.0).samples == 2
+    assert _report("p", 0.0, None, [1.0], [0.1], 0.0, samples=400).samples == 400
 
 
 def test_monotone_stability_under_refinement(corpus):

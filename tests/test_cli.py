@@ -83,6 +83,13 @@ def test_radial_bad_grid(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_radial_rejects_non_finite_angle(theta, capsys):
+    code, out, err = run(capsys, "radial", "koebe", theta, "0.5")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"theta = {theta}" in err
+
+
 @pytest.mark.parametrize("radii", [",", "0.3,nan,0.7"], ids=["empty", "nan"])
 def test_radial_bad_radius_list(radii, capsys):
     code, out, err = run(capsys, "radial", "koebe", "0", radii)
@@ -123,6 +130,25 @@ def test_check_analytic_classical(capsys):
     # canonical ordering: sorted by predicate then witness
     keys = [(d["predicate"], d["witness"][0], d["witness"][1]) for d in docs]
     assert keys == sorted(keys)
+
+
+# h'(0) = NaN: the derivative coefficient 2e308 overflows
+_NAN_JACOBIAN = {"label": "big", "g": {"kind": "series", "coeffs": [[0, 0]]},
+                 "h": {"kind": "series", "coeffs": [[0, 0], [1, 0], [1e308, 0]]}}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("flags", [["SH", "SH0", "analytic"], []], ids=["flagged", "bare"])
+@pytest.mark.parametrize("command", [["eval", "big", "0"], ["check", "analytic-classical"]],
+                         ids=["eval", "check"])
+def test_nan_jacobian_corpus_exits_2(flags, command, tmp_path, capsys):
+    # both used to load: eval printed NaN tokens with exit 0, and check wrote
+    # "worst_margin": NaN lines with exit 1
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([dict(_NAN_JACOBIAN, flags=flags)]))
+    code, out, err = run(capsys, "--corpus", str(path), *command)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
 
 
 def test_check_sense_reversing_corpus(tmp_path, capsys):

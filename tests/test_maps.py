@@ -22,7 +22,7 @@ from hqmap import (
     normalize,
     qc_constant,
 )
-from hqmap.maps import ComboPart, MobiusPart
+from hqmap.maps import ComboPart, MobiusPart, check_sense_preserving
 
 ZERO = SeriesPart((0j,))
 
@@ -369,6 +369,27 @@ def test_flag_validation():
     with pytest.raises(ParameterError):
         HarmonicMap(CatalogPart("identity"), SeriesPart((0j, 0.5)), "sheared",
                     frozenset({"SH0"}))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("h, flag", [
+    (SeriesPart((complex(math.nan, 0.0), 1.0)), "SH"),
+    (SeriesPart((0j, 1.0, 1e308)), "SH"),        # h'(0) = NaN: 2e308 overflows
+    (CatalogPart("identity"), "SH0"),
+], ids=["nan-h0", "nan-h-prime", "nan-g-prime"])
+def test_flag_validation_rejects_nan(h, flag):
+    g = SeriesPart((0j, complex(math.nan, 0.0))) if flag == "SH0" else ZERO
+    with pytest.raises(ParameterError):
+        HarmonicMap(h, g, "nan", frozenset({flag}))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sense_check_rejects_nan_jacobian():
+    m = HarmonicMap(SeriesPart((0j, 1.0, 1e308)), ZERO, "big")
+    assert math.isnan(m.wirtinger(0j).jacobian)
+    with pytest.raises(SenseReversalError) as err:
+        check_sense_preserving(m, disk_grid(8, 8))
+    assert err.value.witness == 0j  # the first NaN Jacobian
 
 
 def test_series_needs_coefficients():
