@@ -44,7 +44,6 @@ from .radial import (
     growth_ratio,
     radial_length,
     radial_profile,
-    ray_max,
 )
 from .transforms import (
     affine,
@@ -63,7 +62,6 @@ from .bounds import (
     check_displacement,
     check_distortion,
     check_harnack,
-    check_ray_quotient,
     check_two_point_growth,
     check_weighted_deriv_growth,
     derivative_bound_constant,

@@ -27,7 +27,6 @@ import numpy as np
 from . import geometry
 from .maps import DegenerateMapError, HarmonicMap, ParameterError
 from .quadrature import golden_max
-from .radial import ray_max
 
 
 @dataclass(eq=False)
@@ -305,34 +304,6 @@ def check_displacement(m: HarmonicMap, qc_k: float, alpha: float,
 
 
 # ---------------------------------------------------------------------------
-# difference quotient along a ray versus the running maximum
-
-
-def check_ray_quotient(m: HarmonicMap, qc_k: float, alpha: float,
-                       rho0: float, r: float, theta: float = 0.0) -> CheckReport:
-    """Empirical constant for |f(rho e^{i t})| / rho <= C m_f(r, t): reports
-    sup over rho in (0, r] of the quotient divided by the running maximum.
-
-    This is an existence check; the report carries the inner piece
-    (rho <= rho0) and outer piece (rho0 <= rho <= r) of the supremum
-    separately.  It passes whenever the constant is finite.
-    """
-    if not 0.0 < rho0 <= r < 1.0:
-        raise ParameterError("need 0 < rho0 <= r < 1")
-    e = np.exp(1j * theta)
-    rho = np.concatenate([np.geomspace(1e-6, rho0, 200), np.linspace(rho0, r, 200)])
-    quot = np.abs(m.value(rho * e)) / rho
-    mf = ray_max(m, r, theta)
-    c9 = float(quot.max()) / mf
-    inner = float(quot[:200].max()) / mf
-    outer = float(quot[200:].max()) / mf
-    witness = rho[int(np.argmax(quot))] * e
-    return _report("ray_quotient", alpha, qc_k, [0.0 if math.isfinite(c9) else -math.inf],
-                   witness, _SLACK, samples=rho.size,
-                   notes=f"C9={c9!r} inner={inner!r} outer={outer!r} rho0={rho0!r} r={r!r}")
-
-
-# ---------------------------------------------------------------------------
 # diameter of boundary-arc images
 
 
@@ -349,12 +320,10 @@ def check_arc_image_diameter(m: HarmonicMap, qc_k: float, alpha: float,
     boost = math.exp((1.0 + alpha) * math.pi)
     c36 = 2.0 * math.pi * boost + (2.0 * c35 * boost + c35) / delta
     a_arr = np.atleast_1d(np.asarray(a_points, dtype=complex))
-    margins = []
-    for a in a_arr:
-        img = m.value((1.0 - eps) * geometry.boundary_arc(a))
-        diam = geometry.set_diameter(img)
-        d = geometry.boundary_distance(m, complex(m.value(a)), eps=eps).value
-        rhs = 32.0 * qc_k * c36 * d
-        margins.append(float(rel_margin(diam, rhs)))
+    diam = [geometry.set_diameter(m.value((1.0 - eps) * geometry.boundary_arc(a)))
+            for a in a_arr]
+    dist = geometry.boundary_distance(m, m.value(a_arr), eps)
+    margins = rel_margin(diam, 32.0 * qc_k * c36 * dist.value)
     return _report("arc_image_diameter", alpha, qc_k, margins, a_arr, _SLACK,
-                   notes=f"C36={c36!r} C35={c35!r} delta={delta!r}")
+                   notes=f"C36={c36!r} C35={c35!r} delta={delta!r}",
+                   unconverged=None if dist.converged else "boundary distance")

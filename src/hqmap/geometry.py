@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -164,29 +163,17 @@ def stolz_sample(r: float, n_rho: int = 160, n_eta: int = 160) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DistanceEstimate:
-    value: float
-    drift: float
+    value: float | np.ndarray
+    drift: float | np.ndarray
     converged: bool
 
 
-@lru_cache(maxsize=128)
-def _ring_image(m: HarmonicMap, eps: float, n: int) -> np.ndarray:
+def boundary_distances(m: HarmonicMap, ws, eps: float = 1e-4, n: int = 4096) -> np.ndarray:
+    """Vector of min-over-samples distances from each w to the image of the
+    circle of radius 1 - eps at n uniform angles."""
     if not 0.0 < eps < 1.0:
         raise ParameterError("ring offset must lie in (0, 1)")
-    angles = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    vals = m.value((1.0 - eps) * np.exp(1j * angles))
-    vals.setflags(write=False)
-    return vals
-
-
-def ring_image(m: HarmonicMap, eps: float, n: int) -> np.ndarray:
-    """Image of the circle of radius 1 - eps at n uniform angles (cached)."""
-    return _ring_image(m, float(eps), int(n))
-
-
-def boundary_distances(m: HarmonicMap, ws, eps: float = 1e-4, n: int = 4096) -> np.ndarray:
-    """Vector of min-over-samples distances from each w to the ring image."""
-    img = ring_image(m, eps, n)
+    img = m.value((1.0 - eps) * np.exp(1j * np.linspace(0.0, TWO_PI, n, endpoint=False)))
     ws = np.atleast_1d(np.asarray(ws, dtype=complex))
     out = np.empty(ws.shape, dtype=float)
     # rows per block: a 4 MB complex block stays in cache, and each row's
@@ -198,22 +185,26 @@ def boundary_distances(m: HarmonicMap, ws, eps: float = 1e-4, n: int = 4096) -> 
     return out
 
 
-def boundary_distance(m: HarmonicMap, w: complex, eps: float = 1e-4,
+def boundary_distance(m: HarmonicMap, w, eps: float = 1e-4,
                       n: int = 4096) -> DistanceEstimate:
-    """Distance from w to the image of the circle of radius 1 - eps,
-    estimated as a min over n samples; converges to the distance to the
-    image boundary as eps -> 0, n -> infinity for maps extending
-    continuously to the closed disk.
+    """Distance from w (a point or an array) to the image of the circle of
+    radius 1 - eps, estimated as a min over n samples; converges to the
+    distance to the image boundary as eps -> 0, n -> infinity for maps
+    extending continuously to the closed disk.
 
-    The returned estimate compares the n- and 2n-sample values and flags
-    convergence when they agree to 5 percent.
+    The returned estimate compares the n- and 2n-sample values; ``value``
+    and ``drift`` are floats for a point and arrays otherwise, and the
+    estimate is converged when every target's values agree to 5 percent.
     """
     if n < 64:
         raise ParameterError("boundary distance needs at least 64 samples")
-    v1 = float(np.min(np.abs(ring_image(m, eps, n) - w)))
-    v2 = float(np.min(np.abs(ring_image(m, eps, 2 * n) - w)))
-    drift = abs(v1 - v2)
-    return DistanceEstimate(v2, drift, drift <= 0.05 * max(v2, 1e-300))
+    v1 = boundary_distances(m, w, eps, n)
+    v2 = boundary_distances(m, w, eps, 2 * n)
+    drift = np.abs(v1 - v2)
+    converged = bool(np.all(drift <= 0.05 * np.maximum(v2, 1e-300)))
+    if np.ndim(w) == 0:
+        return DistanceEstimate(float(v2[0]), float(drift[0]), converged)
+    return DistanceEstimate(v2, drift, converged)
 
 
 # ---------------------------------------------------------------------------

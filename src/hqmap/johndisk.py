@@ -200,17 +200,8 @@ class DecayFit:
     def min_slope(self) -> float:
         return min(self.slopes)
 
-    @property
-    def max_slope(self) -> float:
-        return max(self.slopes)
-
     def hypothesis_holds(self) -> bool:
         return 0.0 < self.delta <= 1.0
-
-    def two_sided_holds(self) -> bool:
-        """Two-sided decay: the upper fit must land in (0, 1] and no ray may
-        grow faster than the up-decay family allows (slope below one)."""
-        return self.hypothesis_holds() and self.max_slope < 1.0
 
 
 def decay_fit(m: HarmonicMap, window=(0.6, 0.99)) -> DecayFit:

@@ -14,6 +14,7 @@ The derivative-matrix norm is |f_z| + |f_zb|, the minimum stretch is
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -167,6 +168,12 @@ class SeriesPart(AnalyticPart):
         if len(self.coeffs) < 1:
             raise ParameterError("a power series needs at least one coefficient")
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        # k c and k (k - 1) c can overflow where c does not
+        for name, derived, shift in (("d1", self._d1_coeffs, 1), ("d2", self._d2_coeffs, 2)):
+            for k, c in enumerate(derived, start=shift):
+                if not cmath.isfinite(c):
+                    raise ParameterError(f"series coefficient {k} gives a non-finite "
+                                         f"{name} coefficient {c!r}")
 
     @cached_property
     def _d1_coeffs(self):

@@ -77,17 +77,6 @@ def _polished_max(m: HarmonicMap, e: complex, rho) -> float:
     return best
 
 
-def ray_max(m: HarmonicMap, r: float, theta: float) -> float:
-    """Running maximum of |f| along the ray, max over rho in [0, r].
-
-    |f| along a ray need not be monotone for harmonic maps, so every local
-    grid maximum is polished by golden-section search.
-    """
-    if not 0.0 < r < 1.0:
-        raise DiskDomainError("ray maximum needs r in (0, 1)")
-    return _polished_max(m, np.exp(1j * theta), np.linspace(0.0, r, 256))
-
-
 @dataclass(eq=False)
 class RadialProfile:
     """Per-radius record of length, modulus, running max, gauge and ratio."""
@@ -188,25 +177,18 @@ class ClassicalBoundCheck:
     ratio: float                # ell / |f(r e^{i theta})|
     starlike_bound: float       # 1 + r
     convex_bound: float         # arcsin(r) / r
-    starlike_ok: bool | None    # None when the flag is absent (unchecked)
-    convex_ok: bool | None
     converged: bool             # the radial-length quadrature converged
 
 
 def classical_bounds(m: HarmonicMap, theta: float, r: float) -> ClassicalBoundCheck:
-    """Check ell <= |f| (1 + r) for starlike maps and
-    ell <= |f| arcsin(r)/r for convex maps, per the corpus flags."""
+    """The ratio ell / |f| and the sharp bounds it meets: 1 + r for starlike
+    maps and arcsin(r)/r for convex maps.  Which bound applies, and the pass
+    rule, are the caller's (the radial-growth suite reads the corpus flags)."""
     q = radial_length(m, theta, r, rel_tol=1e-10)
     fval = abs(complex(m.value(r * np.exp(1j * theta))))
-    ratio = q.value / fval
-    star = 1.0 + r
-    conv = math.asin(r) / r
-    tol = 1e-9
     return ClassicalBoundCheck(
-        ratio=ratio,
-        starlike_bound=star,
-        convex_bound=conv,
-        starlike_ok=(ratio <= star + tol) if "starlike" in m.flags else None,
-        convex_ok=(ratio <= conv + tol) if "convex" in m.flags else None,
+        ratio=q.value / fval,
+        starlike_bound=1.0 + r,
+        convex_bound=math.asin(r) / r,
         converged=q.converged,
     )

@@ -47,7 +47,6 @@ def _inequality_family(m: HarmonicMap, alpha: float, qc_k: float,
         bounds.check_boundary_dist_lower(m, qc_k, eps=eps),
         bounds.check_harnack(m, 0.9 + 0.0j, alpha),
         bounds.check_displacement(m, qc_k, alpha, 0.9 + 0.0j),
-        bounds.check_ray_quotient(m, qc_k, alpha, rho0=0.25, r=0.9),
     ]
     if "bounded" in m.flags:
         fit = johndisk.decay_fit(m)
@@ -119,13 +118,11 @@ def suite_geometry(corpus: dict, config: Config) -> list:
 
     ident = default_corpus()["identity"]
     ws = np.linspace(0.0, 0.9, 19) * np.exp(0.37j)
-    errs = np.array([
-        abs(geometry.boundary_distance(ident, complex(w), eps=1e-4, n=4096).value
-            - (1.0 - abs(w)))
-        for w in ws
-    ])
+    dist = geometry.boundary_distance(ident, ws, 1e-4, 4096)
     reports.append(bounds._report("boundary_distance_identity", 0.0, None,
-                                  1e-3 - errs, ws, slack=0.0))
+                                  1e-3 - np.abs(dist.value - (1.0 - np.abs(ws))), ws,
+                                  slack=0.0,
+                                  unconverged=None if dist.converged else "boundary distance"))
     return _sorted_reports(reports)
 
 
@@ -149,9 +146,9 @@ def suite_radial_growth(corpus: dict, config: Config) -> list:
             unconverged=None if res.profile.converged else _QUAD))
         for r in (0.3, 0.6, 0.9):
             chk = radial.classical_bounds(m, 0.0, r)
-            for kind, ok, bound in (("starlike", chk.starlike_ok, chk.starlike_bound),
-                                    ("convex", chk.convex_ok, chk.convex_bound)):
-                if ok is None:
+            for kind, bound in (("starlike", chk.starlike_bound),
+                                ("convex", chk.convex_bound)):
+                if kind not in m.flags:
                     continue
                 reports.append(bounds._report(
                     f"classical_{kind}:{label}", 0.0, None, [bound - chk.ratio], r,

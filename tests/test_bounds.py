@@ -11,7 +11,6 @@ from hqmap import (
     check_displacement,
     check_distortion,
     check_harnack,
-    check_ray_quotient,
     check_two_point_growth,
     check_weighted_deriv_growth,
     decay_fit,
@@ -185,34 +184,6 @@ def test_displacement_analytic(label, corpus):
     assert rep.passed, (label, rep.worst_margin)
 
 
-def test_ray_quotient_identity(corpus):
-    rep = check_ray_quotient(corpus["identity"], 1.0, 2.0, 0.25, 0.9)
-    assert rep.passed
-    assert f"C9={1 / 0.9!r}" in rep.notes
-
-
-def test_ray_quotient_koebe_axis(corpus):
-    # sup of 1/(1-rho)^2 over (0, r] is 1/(1-r)^2 and m_f = r/(1-r)^2,
-    # so the empirical constant is 1/r
-    rep = check_ray_quotient(corpus["koebe"], 1.0, 2.0, 0.25, 0.8, theta=0.0)
-    c9 = float(rep.notes.split("C9=")[1].split(" ")[0])
-    assert c9 == pytest.approx(1.0 / 0.8, rel=1e-6)
-
-
-def test_ray_quotient_koebe_negative_axis(corpus):
-    # sup of 1/(1+rho)^2 is 1 (at rho -> 0), m_f = r/(1+r)^2: constant
-    # (1+r)^2/r
-    r = 0.8
-    rep = check_ray_quotient(corpus["koebe"], 1.0, 2.0, 0.25, r, theta=math.pi)
-    c9 = float(rep.notes.split("C9=")[1].split(" ")[0])
-    assert c9 == pytest.approx((1 + r) ** 2 / r, rel=1e-4)
-
-
-def test_ray_quotient_bad_params(corpus):
-    with pytest.raises(ParameterError):
-        check_ray_quotient(corpus["identity"], 1.0, 2.0, 0.9, 0.5)
-
-
 # ---------------------------------------------------------------------------
 # arc-image diameter
 
@@ -239,6 +210,16 @@ def test_arc_diameter_convex_poly(corpus):
     fit = decay_fit(m)
     rep = check_arc_image_diameter(m, 1.0, 2.0, [0.9 + 0j, 0.5j], (fit.c, fit.delta))
     assert rep.passed
+
+
+def test_arc_diameter_fails_on_unconverged_distance(corpus):
+    # f(a) of the second anchor is a node of the 8192-point ring but not of
+    # the 4096-point one, so the n and 2n distances disagree
+    ident = corpus["identity"]
+    a_points = [0.9 + 0j, (1.0 - 1e-4) * np.exp(2j * math.pi / 8192)]
+    rep = check_arc_image_diameter(ident, 1.0, 2.0, a_points, (1.0, 1.0))
+    assert not rep.passed
+    assert rep.notes.endswith("boundary distance did not converge")
 
 
 def test_arc_diameter_requires_bounded(corpus):

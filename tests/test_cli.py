@@ -1,6 +1,7 @@
 import csv
 import json
 import threading
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -149,6 +150,20 @@ def test_nan_jacobian_corpus_exits_2(flags, command, tmp_path, capsys):
     code, out, err = run(capsys, "--corpus", str(path), *command)
     assert code == 2 and out == ""
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags, point", [(["SH"], "0"), ([], "0.1")], ids=["SH", "bare"])
+def test_overflowing_series_coefficient_exits_2(flags, point, tmp_path, capsys):
+    # the derivative coefficient 2e308 overflows; with warnings as errors,
+    # any numpy warning printed ahead of the one error line fails the run
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([dict(_NAN_JACOBIAN, flags=flags)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "--corpus", str(path), "eval", "big", point)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert "series coefficient 2 gives a non-finite d1 coefficient" in err
 
 
 def test_check_sense_reversing_corpus(tmp_path, capsys):

@@ -10,7 +10,6 @@ import pytest
 from hqmap import (
     CatalogPart,
     ParameterError,
-    decay_fit,
     koebe_transform,
     map_from_json,
     map_to_json,
@@ -87,18 +86,6 @@ def test_transform_second_derivative_identity(corpus):
             # so the pre-Schwarzian scan is |H''(0)| of the composition
             assert abs(got) == pytest.approx(
                 float(preschwarzian(m, np.array([zeta]))[0]), rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# two-sided decay
-
-
-def test_two_sided_decay(corpus):
-    # bounded John maps admit the two-sided decay family; the slit map does
-    # not even satisfy the upper side
-    assert decay_fit(corpus["identity"]).two_sided_holds()
-    assert decay_fit(corpus["convex-poly2"]).two_sided_holds()
-    assert not decay_fit(corpus["koebe"]).two_sided_holds()
 
 
 # ---------------------------------------------------------------------------

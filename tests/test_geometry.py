@@ -20,7 +20,6 @@ from hqmap.geometry import (
     boundary_distances,
     convex_hull,
     mobius_shift,
-    ring_image,
     set_diameter,
 )
 from hqmap.maps import HarmonicMap, SeriesPart
@@ -183,9 +182,31 @@ def test_boundary_distances_blocks_match_full_matrix(corpus, n, count):
     rng = np.random.default_rng(7)
     zs = np.sqrt(rng.uniform(0.0, 0.98, count)) * np.exp(2j * np.pi * rng.uniform(size=count))
     ws = m.value(zs)
-    img = ring_image(m, 1e-4, n)
+    img = m.value((1.0 - 1e-4) * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)))
     reference = np.min(np.abs(ws[:, None] - img[None, :]), axis=1)
     assert boundary_distances(m, ws, eps=1e-4, n=n).tobytes() == reference.tobytes()
+
+
+def _seeded_series_map():
+    rng = np.random.default_rng(3)
+    k = np.arange(2, 13)
+    coef = 0.6 / k ** 2 * np.exp(2j * math.pi * rng.uniform(size=(2, k.size)))
+    return HarmonicMap(SeriesPart((0j, 1.0) + tuple(coef[0])),
+                       SeriesPart((0j, 0j) + tuple(coef[1])), "series12")
+
+
+def test_boundary_distance_array_matches_points(corpus):
+    # one call over an array gives the bits of one call per point, and is
+    # converged exactly when every per-point estimate is
+    zs = np.array([0.0, 0.5, -0.3 + 0.6j, 0.9j, 0.97 * np.exp(2.0j)])
+    for m in list(corpus.values()) + [_seeded_series_map()]:
+        ws = m.value(zs)
+        est = boundary_distance(m, ws)
+        points = [boundary_distance(m, w) for w in ws]
+        assert est.value.tobytes() == np.array([p.value for p in points]).tobytes()
+        assert est.drift.tobytes() == np.array([p.drift for p in points]).tobytes()
+        assert est.converged == all(p.converged for p in points)
+        assert isinstance(points[0].value, float) and isinstance(points[0].drift, float)
 
 
 def test_boundary_distance_needs_samples(corpus):
@@ -203,11 +224,11 @@ def test_ring_and_circle(corpus):
     from hqmap.maps import ParameterError
 
     # the identity's ring image is the ring: the circle of radius 1 - eps
-    ring = ring_image(corpus["identity"], 1e-3, 256)
-    assert np.all(np.abs(np.abs(ring) - 0.999) < 1e-14)
+    assert boundary_distances(corpus["identity"], 0.0, 1e-3, 256)[0] == pytest.approx(
+        0.999, abs=1e-14)
     for eps in (0.0, 1.0):
         with pytest.raises(ParameterError):
-            ring_image(corpus["identity"], eps, 256)
+            boundary_distances(corpus["identity"], 0.0, eps, 256)
 
 
 def test_disk_grid_contains_origin_and_cap():

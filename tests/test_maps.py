@@ -22,7 +22,7 @@ from hqmap import (
     normalize,
     qc_constant,
 )
-from hqmap.maps import ComboPart, MobiusPart, check_sense_preserving
+from hqmap.maps import AnalyticPart, ComboPart, MobiusPart, check_sense_preserving
 
 ZERO = SeriesPart((0j,))
 
@@ -371,21 +371,44 @@ def test_flag_validation():
                     frozenset({"SH0"}))
 
 
+class _NanSlopePart(AnalyticPart):
+    """Vanishes at 0 with a NaN derivative there, which no ``SeriesPart``
+    can carry: it rejects non-finite derivative coefficients."""
+
+    def value(self, z):
+        return np.zeros_like(np.asarray(z, dtype=complex))
+
+    def d1(self, z):
+        return np.full(np.shape(z), complex(math.nan, 0.0))
+
+    d2 = d1
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("h, flag", [
     (SeriesPart((complex(math.nan, 0.0), 1.0)), "SH"),
-    (SeriesPart((0j, 1.0, 1e308)), "SH"),        # h'(0) = NaN: 2e308 overflows
+    (_NanSlopePart(), "SH"),
     (CatalogPart("identity"), "SH0"),
 ], ids=["nan-h0", "nan-h-prime", "nan-g-prime"])
 def test_flag_validation_rejects_nan(h, flag):
-    g = SeriesPart((0j, complex(math.nan, 0.0))) if flag == "SH0" else ZERO
+    g = _NanSlopePart() if flag == "SH0" else ZERO
     with pytest.raises(ParameterError):
         HarmonicMap(h, g, "nan", frozenset({flag}))
 
 
+@pytest.mark.parametrize("coeffs, where", [
+    ((0j, 1.0, 1e308), "series coefficient 2 gives a non-finite d1 coefficient"),
+    ((0j, 1.0, 0j, 5e307), "series coefficient 3 gives a non-finite d2 coefficient"),
+], ids=["d1", "d2"])
+def test_series_rejects_overflowing_derivative_coefficients(coeffs, where):
+    # 3 * 5e307 is finite but 3 * 2 * 5e307 is not
+    with pytest.raises(ParameterError, match=where):
+        SeriesPart(coeffs)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sense_check_rejects_nan_jacobian():
-    m = HarmonicMap(SeriesPart((0j, 1.0, 1e308)), ZERO, "big")
+    m = HarmonicMap(_NanSlopePart(), ZERO, "big")
     assert math.isnan(m.wirtinger(0j).jacobian)
     with pytest.raises(SenseReversalError) as err:
         check_sense_preserving(m, disk_grid(8, 8))
