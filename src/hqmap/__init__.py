@@ -48,7 +48,6 @@ from .radial import (
 from .transforms import (
     affine,
     koebe_transform,
-    preschwarzian_margin,
     preschwarzian_sup,
     rotate,
     shear_qc,

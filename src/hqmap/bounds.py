@@ -67,11 +67,9 @@ def rel_margin(lhs, rhs):
     return (rhs - lhs) / np.maximum(1.0, np.abs(rhs))
 
 
-# numerical slack of the predicates below, the ring-image samples the
-# boundary distances are measured to, and the box parameters (a1, a2, a3)
-# of the Harnack comparison and the displacement bound
+# numerical slack of the predicates below, and the box parameters
+# (a1, a2, a3) of the Harnack comparison and the displacement bound
 _SLACK = 1e-9
-_RING_N = 4096
 _HARNACK_A = (1.0, 2.0, math.pi)
 
 
@@ -240,11 +238,11 @@ def check_boundary_dist_lower(m: HarmonicMap, qc_k: float, points=None,
     distance estimated from the image of the circle of radius 1 - eps."""
     pts = np.asarray(points if points is not None else geometry.disk_grid(24, 32),
                      dtype=complex).ravel()
-    d = geometry.boundary_distances(m, m.value(pts), eps=eps, n=_RING_N)
+    d = geometry.boundary_distances(m, m.value(pts), eps=eps)
     lhs = m.wirtinger(pts).dnorm * (1.0 - np.abs(pts) ** 2) / (16.0 * qc_k)
     margins = rel_margin(lhs, d)
     return _report("boundary_dist_lower", 0.0, qc_k, margins, pts, _SLACK,
-                   notes=f"eps={eps!r} n={_RING_N}")
+                   notes=f"eps={eps!r} n={geometry._RING_N}")
 
 
 # ---------------------------------------------------------------------------

@@ -168,25 +168,35 @@ class DistanceEstimate:
     converged: bool
 
 
-def boundary_distances(m: HarmonicMap, ws, eps: float = 1e-4, n: int = 4096) -> np.ndarray:
+# ring-image samples of a boundary distance
+_RING_N = 4096
+
+
+def _row_reduce(rows: np.ndarray, cols: np.ndarray, reduce) -> np.ndarray:
+    """reduce(|rows[i] - cols|) for each row i of the distance matrix.
+
+    Rows go in blocks of (1 << 18) // len(cols): a 4 MB complex block stays
+    in cache, scratch memory does not grow with the row count, and each
+    row is reduced over the same contiguous row whatever the block size.
+    """
+    out = np.empty(len(rows), dtype=float)
+    chunk = max(1, (1 << 18) // max(len(cols), 1))
+    for i in range(0, len(rows), chunk):
+        out[i:i + chunk] = reduce(np.abs(rows[i:i + chunk, None] - cols[None, :]), axis=1)
+    return out
+
+
+def boundary_distances(m: HarmonicMap, ws, eps: float = 1e-4, n: int = _RING_N) -> np.ndarray:
     """Vector of min-over-samples distances from each w to the image of the
     circle of radius 1 - eps at n uniform angles."""
     if not 0.0 < eps < 1.0:
         raise ParameterError("ring offset must lie in (0, 1)")
     img = m.value((1.0 - eps) * np.exp(1j * np.linspace(0.0, TWO_PI, n, endpoint=False)))
-    ws = np.atleast_1d(np.asarray(ws, dtype=complex))
-    out = np.empty(ws.shape, dtype=float)
-    # rows per block: a 4 MB complex block stays in cache, and each row's
-    # minimum is taken over the same contiguous row whatever the block size
-    chunk = max(1, (1 << 18) // max(n, 1))
-    for i in range(0, len(ws), chunk):
-        block = ws[i:i + chunk]
-        out[i:i + chunk] = np.min(np.abs(block[:, None] - img[None, :]), axis=1)
-    return out
+    return _row_reduce(np.atleast_1d(np.asarray(ws, dtype=complex)), img, np.min)
 
 
 def boundary_distance(m: HarmonicMap, w, eps: float = 1e-4,
-                      n: int = 4096) -> DistanceEstimate:
+                      n: int = _RING_N) -> DistanceEstimate:
     """Distance from w (a point or an array) to the image of the circle of
     radius 1 - eps, estimated as a min over n samples; converges to the
     distance to the image boundary as eps -> 0, n -> infinity for maps
@@ -211,40 +221,9 @@ def boundary_distance(m: HarmonicMap, w, eps: float = 1e-4,
 # diameters
 
 
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Andrew's monotone chain on complex points; returns hull vertices."""
-    pts = np.unique(np.asarray(points, dtype=complex))
-    order = np.lexsort((pts.imag, pts.real))
-    pts = pts[order]
-    if len(pts) <= 2:
-        return pts
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                a = out[-1] - out[-2]
-                b = p - out[-2]
-                if a.real * b.imag - a.imag * b.real > 0:
-                    break
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
-
-
 def set_diameter(points: np.ndarray) -> float:
-    """Max pairwise distance, with a convex-hull prefilter before the
-    quadratic scan."""
+    """Max pairwise distance, in row blocks of the distance matrix."""
     pts = np.asarray(points, dtype=complex).ravel()
     if len(pts) < 2:
         return 0.0
-    if len(pts) > 64:
-        pts = convex_hull(pts)
-        if len(pts) < 2:
-            return 0.0
-    diff = np.abs(pts[:, None] - pts[None, :])
-    return float(diff.max())
+    return float(np.max(_row_reduce(pts, pts, np.max)))

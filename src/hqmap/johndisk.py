@@ -53,10 +53,7 @@ def criterion_ii(m: HarmonicMap, x: float, n_zeta: int = 48, n_r: int = 48) -> f
     zrho = zeta[:, None] * rho[None, :]
     den = (1.0 - r[None, :] ** 2) * finite_dnorm(m, zr)
     num = (1.0 - rho[None, :] ** 2) * finite_dnorm(m, zrho)
-    if np.any(den == 0.0):
-        bad = zr.ravel()[int(np.argmin(den.ravel()))]
-        raise SenseReversalError(f"{m.label}: derivative norm vanishes", complex(bad))
-    return float(np.max(num / den))
+    return _ratio_sup(m, num, den, zr)
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +93,18 @@ _N_ROT = 32
 def _ratio_sup(m: HarmonicMap, nums, dens, zs) -> float:
     """Largest of nums / dens, where dens[i] is the weighted derivative norm
     at zs[i]: a vanishing denominator is a sense reversal at that z, and a
-    non-finite ratio (a NaN or infinite map value) is an input error rather
-    than a ratio the supremum could silently skip."""
+    non-finite ratio (a NaN or infinite map value, or a subnormal norm) is
+    an input error rather than a ratio the supremum could silently skip."""
     nums, dens, zs = (np.asarray(a).ravel() for a in (nums, dens, zs))
     zero = dens == 0.0
     if np.any(zero):
         raise SenseReversalError(f"{m.label}: derivative norm vanishes",
                                  complex(zs[np.argmax(zero)]))
-    ratios = nums / dens
+    with np.errstate(over="ignore"):
+        ratios = nums / dens
     bad = ~np.isfinite(ratios)
     if np.any(bad):
-        raise ParameterError(f"{m.label}: criterion (iii) ratio is not finite at "
+        raise ParameterError(f"{m.label}: criterion ratio is not finite at "
                              f"z = {complex(zs[np.argmax(bad)])}")
     return float(np.max(ratios))
 
@@ -371,14 +369,14 @@ def holder_check(m: HarmonicMap, z: complex) -> HolderFit:
     if d <= 0:
         raise ParameterError("boundary distance estimate vanished")
     pts = geometry.boundary_box(z, 8, 9)
-    w1 = pts[:, None].repeat(len(pts), axis=1).ravel()
-    w2 = pts[None, :].repeat(len(pts), axis=0).ravel()
-    keep = np.abs(w1 - w2) > 1e-12
-    w1, w2 = w1[keep], w2[keep]
-    t = np.abs(w1 - w2) / (1.0 - abs(z))
-    y = np.abs(m.value(w1) - m.value(w2)) / d
+    vals = m.value(pts)
+    # every ordered pair (w1, w2) of distinct box points, row by row
+    sep = np.abs(pts[:, None] - pts[None, :]).ravel()
+    keep = sep > 1e-12
+    t = sep[keep] / (1.0 - abs(z))
+    y = np.abs(vals[:, None] - vals[None, :]).ravel()[keep] / d
     lt = np.log(t)
     ly = np.log(np.maximum(y, 1e-300))
     delta1 = np.polyfit(lt, ly, 1)[0]
     c4 = float(np.exp(np.max(ly - delta1 * lt)))
-    return HolderFit(c4=c4, delta1=float(delta1), pairs=int(len(w1)))
+    return HolderFit(c4=c4, delta1=float(delta1), pairs=int(len(t)))

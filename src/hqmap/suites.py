@@ -118,7 +118,7 @@ def suite_geometry(corpus: dict, config: Config) -> list:
 
     ident = default_corpus()["identity"]
     ws = np.linspace(0.0, 0.9, 19) * np.exp(0.37j)
-    dist = geometry.boundary_distance(ident, ws, 1e-4, 4096)
+    dist = geometry.boundary_distance(ident, ws)
     reports.append(bounds._report("boundary_distance_identity", 0.0, None,
                                   1e-3 - np.abs(dist.value - (1.0 - np.abs(ws))), ws,
                                   slack=0.0,
@@ -144,6 +144,8 @@ def suite_radial_growth(corpus: dict, config: Config) -> list:
             res.profile.r, slack=0.0,
             notes=f"max={res.max_ratio!r} median={res.median_ratio!r}",
             unconverged=None if res.profile.converged else _QUAD))
+        if not m.flags & {"starlike", "convex"}:
+            continue  # no classical line to write, so no quadrature to spend
         for r in (0.3, 0.6, 0.9):
             chk = radial.classical_bounds(m, 0.0, r)
             for kind, bound in (("starlike", chk.starlike_bound),

@@ -148,11 +148,6 @@ def preschwarzian(m: HarmonicMap, z):
     return np.abs((1.0 - np.abs(z) ** 2) * m.h.d2(z) / hp - 2.0 * np.conjugate(z))
 
 
-def preschwarzian_margin(m: HarmonicMap, points) -> float:
-    """Grid supremum of the pre-Schwarzian expression."""
-    return float(np.max(preschwarzian(m, np.asarray(points, dtype=complex))))
-
-
 @dataclass(frozen=True)
 class SupLimit:
     value: float       # extrapolated boundary limit

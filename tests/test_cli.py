@@ -349,6 +349,24 @@ def test_check_radial_growth_unconverged_quadrature_fails(monkeypatch, capsys):
         assert new["worst_margin"] == old["worst_margin"]
 
 
+def test_radial_growth_classical_quadratures_only_for_flagged_maps(monkeypatch):
+    # a map with neither flag writes no classical line, so it gets no
+    # quadrature: 5 flagged built-ins x 3 radii, none for shear-k3
+    from hqmap import radial
+
+    real = radial.classical_bounds
+    labels = []
+
+    def counting(m, *args, **kwargs):
+        labels.append(m.label)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(radial, "classical_bounds", counting)
+    suites.run_suite("radial-growth", default_corpus(), Config(grid_level=0))
+    assert len(labels) == 15
+    assert "shear-k3" not in labels
+
+
 def test_bad_config_value(capsys):
     code, _, err = run(capsys, "--alpha", "1.0", "check", "none")
     assert code == 2
@@ -548,6 +566,19 @@ def test_john_zero_denominator_exits_2(tmp_path, capsys):
     assert out == ""
     assert err == ("hqmap: error: crit-zero: derivative norm vanishes "
                    "(witness z = (0.15+0j))\n")
+
+
+def test_john_overflowing_criterion_ii_ratio_exits_2(tiny_norm_map, tmp_path, capsys,
+                                                    monkeypatch):
+    # criterion (ii) at x = 0.3 overflowed to inf, and john_convex-poly2.json
+    # carried a bare Infinity token
+    monkeypatch.setattr(cli, "default_corpus", lambda: {"convex-poly2": tiny_norm_map})
+    code, out, err = run(capsys, "--out", str(tmp_path), "john", "convex-poly2")
+    assert code == 2
+    assert out == ""
+    assert err == ("hqmap: error: convex-poly2: criterion ratio is not finite at "
+                   f"z = {tiny_norm_map.at}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_empty_corpus(tmp_path, capsys):

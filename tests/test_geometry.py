@@ -18,7 +18,6 @@ from hqmap import (
 )
 from hqmap.geometry import (
     boundary_distances,
-    convex_hull,
     mobius_shift,
     set_diameter,
 )
@@ -240,8 +239,6 @@ def test_disk_grid_contains_origin_and_cap():
 def test_diameter_square():
     pts = np.array([0, 1, 1j, 1 + 1j], dtype=complex)
     assert set_diameter(pts) == pytest.approx(math.sqrt(2.0))
-    hull = convex_hull(np.array([0, 1, 1j, 1 + 1j, 0.5 + 0.5j]))
-    assert len(hull) == 4
 
 
 def test_diameter_matches_bruteforce_on_cloud():
@@ -249,3 +246,37 @@ def test_diameter_matches_bruteforce_on_cloud():
     pts = rng.normal(size=200) + 1j * rng.normal(size=200)
     brute = np.max(np.abs(pts[:, None] - pts[None, :]))
     assert set_diameter(pts) == pytest.approx(float(brute), rel=1e-12)
+
+
+def _row_maxima(p):
+    # max |p[i] - p[j]| over j for each i, one row at a time: the whole
+    # matrix of a 6,480-point box would take 0.7 GB
+    return np.array([np.abs(x - p).max() for x in p])
+
+
+def test_diameter_is_the_unblocked_maximum(corpus):
+    # the arc images that arc_image_diameter takes the diameter of
+    for m in corpus.values():
+        for a in (0.9, 0.7j, 0.95 * np.exp(0.3j)):
+            p = m.value((1.0 - 1e-4) * boundary_arc(a))
+            assert set_diameter(p) == np.abs(p[:, None] - p[None, :]).max(), (m.label, a)
+    # the 80 x 81 box of diam_ratio_check at z = 0: 6,480 points in 162 row
+    # blocks, 81 copies of f(0) on the zero radius and 81 collinear rays
+    p = corpus["identity"].value(boundary_box(0.0, 80, 81))
+    assert set_diameter(p) == _row_maxima(p).max()
+    p = corpus["koebe"].value(boundary_box(0.5, 80, 81))
+    rows = _row_maxima(p)
+    assert set_diameter(p) == rows.max()
+    # the same box image with every point of a farthest pair moved to the
+    # end, less one point: only the last, partial block holds a row that
+    # reaches the diameter
+    ends = np.flatnonzero(rows == rows.max())
+    q = np.concatenate([np.delete(p, np.append(ends, 0)), p[ends]])
+    assert len(ends) <= q.size % ((1 << 18) // q.size)
+    assert set_diameter(q) == _row_maxima(q).max() == rows.max()
+
+
+def test_diameter_of_fewer_than_two_points():
+    assert set_diameter(np.array([], dtype=complex)) == 0.0
+    assert set_diameter(np.array([0.3 + 0.1j])) == 0.0
+    assert set_diameter(np.full(100, 0.3 + 0.1j)) == 0.0

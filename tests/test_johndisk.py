@@ -10,6 +10,8 @@ from hqmap import (
     ParameterError,
     SenseReversalError,
     SeriesPart,
+    boundary_box,
+    boundary_distance,
     criterion_ii,
     criterion_iii,
     decay_fit,
@@ -18,6 +20,8 @@ from hqmap import (
     john_estimate,
     rotate,
 )
+from hqmap.johndisk import HolderFit
+
 EXPECTED_JOHN = {
     "identity": True,
     "shear-k3": True,
@@ -81,6 +85,14 @@ def test_criterion_ii_nan_norm_is_an_error(nan_norm_map):
     # np.max returned the NaN, which the John JSON wrote as a bare NaN token
     with pytest.raises(ParameterError, match="nan-norm: derivative norm is not finite at z = "):
         criterion_ii(nan_norm_map, 0.5)
+
+
+def test_criterion_ii_overflowing_ratio_is_an_error(tiny_norm_map):
+    # a subnormal norm below the ratio made the supremum inf, which the
+    # John JSON wrote as a bare Infinity token
+    with pytest.raises(ParameterError) as info:
+        criterion_ii(tiny_norm_map, 0.3)
+    assert str(info.value) == f"convex-poly2: criterion ratio is not finite at z = {tiny_norm_map.at}"
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +359,31 @@ def test_holder_shear(corpus):
 def test_holder_convex(corpus):
     fit = holder_check(corpus["convex-poly2"], 0.6 + 0.3j)
     assert fit.delta1 == pytest.approx(1.0, abs=0.1)
+
+
+def _holder_by_pairs(m, z):
+    # the fit over the repeated pair arrays w1, w2: each box point is
+    # evaluated once per pair it is in
+    d = boundary_distance(m, complex(m.value(z))).value
+    pts = boundary_box(z, 8, 9)
+    w1 = pts[:, None].repeat(len(pts), axis=1).ravel()
+    w2 = pts[None, :].repeat(len(pts), axis=0).ravel()
+    keep = np.abs(w1 - w2) > 1e-12
+    w1, w2 = w1[keep], w2[keep]
+    lt = np.log(np.abs(w1 - w2) / (1.0 - abs(z)))
+    ly = np.log(np.maximum(np.abs(m.value(w1) - m.value(w2)) / d, 1e-300))
+    delta1 = np.polyfit(lt, ly, 1)[0]
+    return HolderFit(c4=float(np.exp(np.max(ly - delta1 * lt))), delta1=float(delta1),
+                     pairs=int(len(w1)))
+
+
+def test_holder_evaluates_each_box_point_once(corpus):
+    # broadcasting over the 72 box values gives the pair-array fit bit for bit
+    for m in corpus.values():
+        for z in (0.8, 0.6 + 0.3j, -0.75j, 0.95 * np.exp(0.3j)):
+            fit = holder_check(m, z)
+            assert fit == _holder_by_pairs(m, z), (m.label, z)
+            assert fit.pairs == 72 * 71
 
 
 def test_holder_scope(corpus):

@@ -9,7 +9,6 @@ from hqmap import (
     affine,
     disk_grid,
     koebe_transform,
-    preschwarzian_margin,
     preschwarzian_sup,
     qc_constant,
     rotate,
@@ -185,10 +184,7 @@ def test_preschwarzian_sup_koebe(corpus):
 
 def test_preschwarzian_halfplane_grid(corpus):
     pts = disk_grid(24, 32)
-    sup = preschwarzian_margin(corpus["halfplane"], pts)
-    oracle = float(np.max(preschwarzian(corpus["halfplane"], pts)))  # same scan
-    assert sup == oracle
-    assert sup >= 2.0 - 1e-12
+    assert np.max(preschwarzian(corpus["halfplane"], pts)) >= 2.0 - 1e-12
     assert preschwarzian(corpus["halfplane"], np.array([0.5]))[0] == pytest.approx(2.0)
 
 
