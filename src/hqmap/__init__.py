@@ -51,7 +51,6 @@ from .transforms import (
     preschwarzian_sup,
     rotate,
     shear_qc,
-    small_preschwarzian,
 )
 from .bounds import (
     CheckReport,

@@ -148,32 +148,39 @@ def _cmd_eval(args, corpus, config) -> int:
     return 0
 
 
-def _write(out_dir, name: str, text: str) -> None:
-    """Write one output file under --out, creating the directory, with
-    newline-terminated lines on every platform."""
+def _write(out_dir, files) -> None:
+    """Write (name, text) output files under --out, creating the directory,
+    with newline-terminated lines on every platform."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / name).write_text(text, newline="\n")
+    for name, text in files:
+        (out / name).write_text(text, newline="\n")
 
 
-def _radial_csv(m, theta, radii, config) -> str:
-    profile = radial.radial_profile(m, theta, radii,
-                                    rel_tol=config.quad_rel_tol / 4)
+def _emit(args, files) -> None:
+    """Print the first (name, text) file and, with --out, write them all."""
+    sys.stdout.write(files[0][1])
+    if args.out:
+        _write(args.out, files)
+
+
+def _radial_files(m, theta, radii, config):
+    profile = radial.radial_profile(m, theta, radii, rel_tol=config.quad_rel_tol / 4)
     buf = io.StringIO()
     profile.to_csv(buf)
-    return buf.getvalue()
+    return [(f"radial_{m.label}.csv", buf.getvalue())]
 
 
-def _suite_jsonl(name, corpus, config):
-    """JSON lines of one suite, and whether it counts as passed (advisory
-    suites always do)."""
+def _suite_files(name, corpus, config):
+    """The JSON lines file of one suite, and whether it counts as passed
+    (advisory suites always do)."""
     reports, advisory = suites.run_suite(name, corpus, config)
     lines = "".join(r.to_json() + "\n" for r in reports)
-    return lines, advisory or all(r.passed for r in reports)
+    return [(f"checks_{name}.jsonl", lines)], advisory or all(r.passed for r in reports)
 
 
-def _john_json(m) -> str:
-    return johndisk.john_estimate(m).to_json() + "\n"
+def _john_files(m):
+    return [(f"john_{m.label}.json", johndisk.john_estimate(m).to_json() + "\n")]
 
 
 def _poisson_files(m, config):
@@ -181,16 +188,13 @@ def _poisson_files(m, config):
     trace = poisson.poisson_sup(m, eps_levels=_eps_levels(config))
     buf = io.StringIO()
     poisson.poisson_csv(trace, buf)
-    return poisson.poisson_trace_json(m, trace) + "\n", buf.getvalue()
+    return [(f"poisson_{m.label}.json", poisson.poisson_trace_json(m, trace) + "\n"),
+            (f"poisson_{m.label}.csv", buf.getvalue())]
 
 
-def _map_files(label, m, radii, config):
-    """(file name, text) of the four files ``report`` writes for one map."""
-    radial_csv = _radial_csv(m, 0.0, radii, config)
-    john_json = _john_json(m)
-    poisson_json, poisson_csv = _poisson_files(m, config)
-    return [(f"radial_{label}.csv", radial_csv), (f"john_{label}.json", john_json),
-            (f"poisson_{label}.json", poisson_json), (f"poisson_{label}.csv", poisson_csv)]
+def _map_files(m, radii, config):
+    """The four files ``report`` writes for one map."""
+    return _radial_files(m, 0.0, radii, config) + _john_files(m) + _poisson_files(m, config)
 
 
 def _usable_cpus() -> int:
@@ -207,10 +211,7 @@ def _cmd_radial(args, corpus, config) -> int:
         radii = np.array([float(tok) for tok in args.radii.split(",") if tok])
     except ValueError as exc:
         raise HqmapError(f"bad radius list {args.radii!r}") from exc
-    text = _radial_csv(m, args.theta, radii, config)
-    sys.stdout.write(text)
-    if args.out:
-        _write(args.out, f"radial_{m.label}.csv", text)
+    _emit(args, _radial_files(m, args.theta, radii, config))
     return 0
 
 
@@ -218,29 +219,18 @@ def _cmd_check(args, corpus, config) -> int:
     if args.suite not in suites.SUITES:
         raise HqmapError(f"unknown suite {args.suite!r}; have: "
                          + ", ".join(sorted(suites.SUITES)))
-    lines, ok = _suite_jsonl(args.suite, corpus, config)
-    sys.stdout.write(lines)
-    if args.out:
-        _write(args.out, f"checks_{args.suite}.jsonl", lines)
+    files, ok = _suite_files(args.suite, corpus, config)
+    _emit(args, files)
     return 0 if ok else 1
 
 
 def _cmd_john(args, corpus, config) -> int:
-    m = _get_map(corpus, args.label)
-    text = _john_json(m)
-    sys.stdout.write(text)
-    if args.out:
-        _write(args.out, f"john_{m.label}.json", text)
+    _emit(args, _john_files(_get_map(corpus, args.label)))
     return 0
 
 
 def _cmd_poisson(args, corpus, config) -> int:
-    m = _get_map(corpus, args.label)
-    text, csv_text = _poisson_files(m, config)
-    sys.stdout.write(text)
-    if args.out:
-        _write(args.out, f"poisson_{m.label}.json", text)
-        _write(args.out, f"poisson_{m.label}.csv", csv_text)
+    _emit(args, _poisson_files(_get_map(corpus, args.label), config))
     return 0
 
 
@@ -257,8 +247,8 @@ def _cmd_report(args, corpus, config) -> int:
         "seed": config.seed,
         "suites": list(_REPORT_SUITES),
     }
-    _write(args.out, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    _write(args.out, "corpus.json", dump_corpus(corpus))
+    _write(args.out, [("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
+                      ("corpus.json", dump_corpus(corpus))])
 
     # The check suites and the maps depend on none of each other's results,
     # so all of them run as tasks of one thread pool.  Numpy releases the GIL
@@ -275,18 +265,17 @@ def _cmd_report(args, corpus, config) -> int:
     pool = ThreadPoolExecutor(max_workers=_usable_cpus())
     try:
         # maps go first: submitted after the suites, they raise peak RSS by ~9 MB
-        map_futures = [pool.submit(_map_files, label, corpus[label], radii, config)
+        map_futures = [pool.submit(_map_files, corpus[label], radii, config)
                        for label in sorted(corpus)]
-        suite_futures = [(name, pool.submit(_suite_jsonl, name, corpus, config))
+        suite_futures = [pool.submit(_suite_files, name, corpus, config)
                          for name in _REPORT_SUITES]
         ok = True
-        for name, future in suite_futures:
-            lines, suite_ok = future.result()
-            _write(args.out, f"checks_{name}.jsonl", lines)
+        for future in suite_futures:
+            files, suite_ok = future.result()
+            _write(args.out, files)
             ok = ok and suite_ok
         for future in map_futures:
-            for name, text in future.result():
-                _write(args.out, name, text)
+            _write(args.out, future.result())
     finally:
         # after a failure, tasks not yet started are dropped
         pool.shutdown(cancel_futures=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .maps import HarmonicMap, ParameterError, finite_dnorm
+from .maps import HarmonicMap, ParameterError, SenseReversalError, finite_dnorm
 from .quadrature import adaptive_quad
 
 
@@ -80,8 +80,16 @@ def poisson_functional(m: HarmonicMap, zeta: complex, profile: BoundaryProfile) 
     zeta = complex(zeta)
     if abs(zeta) > 1.0 - 2.0 * profile.eps:
         raise ParameterError("kernel point too close to the sampling ring")
-    dz = float(m.wirtinger(zeta).dnorm)
-    return float(np.mean(profile.values * _kernel(profile.nodes, zeta)) / dz)
+    return float(np.mean(profile.values * _kernel(profile.nodes, zeta)) / _dnorm_at(m, zeta))
+
+
+def _dnorm_at(m: HarmonicMap, zeta: complex) -> float:
+    """dnorm(zeta) as the functional's denominator: ``finite_dnorm`` rejects
+    a NaN or infinite norm, and a vanishing one is a sense reversal."""
+    dz = float(finite_dnorm(m, zeta))
+    if dz == 0.0:
+        raise SenseReversalError(f"{m.label}: derivative norm vanishes", zeta)
+    return dz
 
 
 def _kernel(nodes: np.ndarray, zeta: complex) -> np.ndarray:
@@ -157,8 +165,7 @@ def poisson_scan(m: HarmonicMap, eps: float) -> PoissonScan:
         sums = prod[b, shift].sum(axis=1)
         for k, a in enumerate(angles if r > 0.0 else angles[:1]):
             zeta = complex(r * np.exp(1j * a))
-            dz = float(m.wirtinger(zeta).dnorm)
-            out.append((zeta, float(sums[k] / n / dz), profile.eps, n))
+            out.append((zeta, float(sums[k] / n / _dnorm_at(m, zeta)), profile.eps, n))
     return PoissonScan(tuple(out), profile.drift, profile.converged)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bounds, geometry, johndisk, radial
 from .corpus import default_corpus
-from .maps import CatalogPart, Config, HarmonicMap, qc_constant
+from .maps import CatalogPart, Config, HarmonicMap, ParameterError, qc_constant
 from .transforms import shear_qc
 
 
@@ -39,20 +39,22 @@ def _inequality_family(m: HarmonicMap, alpha: float, qc_k: float,
                        config: Config, tag: str) -> list:
     pts = suite_grid(config)
     eps = config.boundary_eps
-    out = [
-        bounds.check_distortion(m, alpha, pts),
-        bounds.check_two_point_growth(m, alpha, qc_k),
-        bounds.check_derivative_value_bound(m, alpha, qc_k, pts),
-        bounds.check_weighted_deriv_growth(m, alpha),
-        bounds.check_boundary_dist_lower(m, qc_k, eps=eps),
-        bounds.check_harnack(m, 0.9 + 0.0j, alpha),
-        bounds.check_displacement(m, qc_k, alpha, 0.9 + 0.0j),
-    ]
-    if "bounded" in m.flags:
-        fit = johndisk.decay_fit(m)
-        if fit.hypothesis_holds():
+    fit = johndisk.decay_fit(m) if "bounded" in m.flags else None
+    try:
+        out = [
+            bounds.check_distortion(m, alpha, pts),
+            bounds.check_two_point_growth(m, alpha, qc_k),
+            bounds.check_derivative_value_bound(m, alpha, qc_k, pts),
+            bounds.check_weighted_deriv_growth(m, alpha),
+            bounds.check_boundary_dist_lower(m, qc_k, eps=eps),
+            bounds.check_harnack(m, 0.9 + 0.0j, alpha),
+            bounds.check_displacement(m, qc_k, alpha, 0.9 + 0.0j),
+        ]
+        if fit is not None and fit.hypothesis_holds():
             out.append(bounds.check_arc_image_diameter(
                 m, qc_k, alpha, [0.9 + 0.0j, 0.7j], (fit.c, fit.delta), eps=eps))
+    except ParameterError as exc:  # a non-finite margin names its predicate, not the map
+        raise ParameterError(f"{m.label}: {exc}") from exc
     for r in out:
         r.predicate = f"{r.predicate}:{tag}"
     return out

@@ -173,9 +173,3 @@ def preschwarzian_sup(m: HarmonicMap) -> SupLimit:
     s1, s2 = sups[-2], sups[-1]
     value = s2 + (s2 - s1) * (1.0 - r2) / (r2 - r1)
     return SupLimit(value, tuple(sups), tuple(radii))
-
-
-def small_preschwarzian(m: HarmonicMap) -> bool:
-    """Membership gate for the class with pre-Schwarzian supremum < 4,
-    with a guard band of 1e-3 below the threshold."""
-    return preschwarzian_sup(m).value < 4.0 - 1e-3

@@ -166,6 +166,25 @@ def test_boundary_dist_lower_identity_origin(corpus):
     assert rep.passed and rep.worst_margin > 0.9
 
 
+@pytest.mark.parametrize("drift, passed", [(0.99, False), (0.5, True)])
+def test_boundary_dist_lower_reads_drift(drift, passed, corpus, monkeypatch):
+    # at z = 0 the identity's bound is d >= 1/16: a drift that puts
+    # value - drift below it fails the line, while a drift of 50 %, far
+    # outside the 5 % convergence rule, leaves room and passes
+    from hqmap import geometry
+
+    def estimate(m, w, eps, n):
+        assert n == geometry._RING_N
+        return geometry.DistanceEstimate(np.ones(np.shape(w)), np.full(np.shape(w), drift),
+                                         False)
+
+    monkeypatch.setattr(geometry, "boundary_distance", estimate)
+    rep = check_boundary_dist_lower(corpus["identity"], 1.0, points=np.array([0.0 + 0j]))
+    assert rep.passed == passed
+    assert ("boundary distance did not converge" in rep.notes) != passed
+    assert rep.notes.startswith("eps=0.0001 n=4096")
+
+
 @pytest.mark.parametrize("label", ANALYTIC)
 def test_harnack_analytic(label, corpus):
     rep = check_harnack(corpus[label], 0.9 + 0.0j, 2.0)

@@ -166,6 +166,23 @@ def test_overflowing_series_coefficient_exits_2(flags, point, tmp_path, capsys):
     assert "series coefficient 2 gives a non-finite d1 coefficient" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_margin_exits_2(tmp_path, capsys):
+    # h = z + 2e305 z^29 has finite coefficients and derivative coefficients,
+    # but near the circle C |f| / (1 - |z|) overflows and the relative margin
+    # is NaN: the lines used to be written as "worst_margin": NaN with exit 1
+    coeffs = [[0, 0], [1, 0]] + [[0, 0]] * 27 + [[2e305, 0]]
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([{"label": "big", "h": {"kind": "series", "coeffs": coeffs},
+                                 "g": {"kind": "series", "coeffs": [[0, 0]]},
+                                 "flags": ["SH", "SH0", "analytic"]}]))
+    code, out, err = run(capsys, "--corpus", str(path), "--grid-level", "0",
+                         "check", "analytic-classical")
+    assert code == 2 and out == "" and "NaN" not in out
+    assert err.count("\n") == 1
+    assert "big: deriv_value_bound: margin is not finite at z = " in err
+
+
 def test_check_sense_reversing_corpus(tmp_path, capsys):
     corpus = default_corpus()
     corpus["reversed"] = type(corpus["identity"])(

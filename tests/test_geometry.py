@@ -17,7 +17,6 @@ from hqmap import (
     stolz_sample,
 )
 from hqmap.geometry import (
-    boundary_distances,
     mobius_shift,
     set_diameter,
 )
@@ -174,16 +173,22 @@ def test_boundary_distance_identity_profile(corpus):
         assert est.value == pytest.approx(1.0 - abs(w), abs=1e-3)
 
 
-@pytest.mark.parametrize("n,count", [(4096, 1000), (64, 5000)])
+def _ring_min(m, ws, eps, n):
+    """Min over the n-sample ring image, from one full distance matrix."""
+    img = m.value((1.0 - eps) * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)))
+    ws = np.asarray(ws)
+    return np.min(np.abs(ws.ravel()[:, None] - img[None, :]), axis=1).reshape(ws.shape)
+
+
+@pytest.mark.parametrize("n,count", [(4096, 1000), (128, 5000)])
 def test_boundary_distances_blocks_match_full_matrix(corpus, n, count):
     # neither target count is a multiple of the rows per block
     m = corpus["shear-k3"]
     rng = np.random.default_rng(7)
     zs = np.sqrt(rng.uniform(0.0, 0.98, count)) * np.exp(2j * np.pi * rng.uniform(size=count))
     ws = m.value(zs)
-    img = m.value((1.0 - 1e-4) * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)))
-    reference = np.min(np.abs(ws[:, None] - img[None, :]), axis=1)
-    assert boundary_distances(m, ws, eps=1e-4, n=n).tobytes() == reference.tobytes()
+    assert boundary_distance(m, ws, eps=1e-4, n=n).value.tobytes() == \
+        _ring_min(m, ws, 1e-4, n).tobytes()
 
 
 def _seeded_series_map():
@@ -208,11 +213,32 @@ def test_boundary_distance_array_matches_points(corpus):
         assert isinstance(points[0].value, float) and isinstance(points[0].drift, float)
 
 
+@pytest.mark.parametrize("n", [8192, 4096])
+def test_boundary_distance_is_the_two_ring_minimum(corpus, n):
+    # value and drift are the n-ring minimum and its gap to the n/2-ring
+    # minimum, bit for bit, with the shape of w: the even half of an n-ring
+    # image is the n/2-ring image, so one ring gives both minima
+    zs = np.array([[0.0, 0.5, -0.3 + 0.6j], [0.9j, 0.97 * np.exp(2.0j), 0.999]])
+    for m in list(corpus.values()) + [_seeded_series_map()]:
+        w = m.value(zs)
+        for ws in (w[0, 1], w[0], w, w[:0]):
+            est = boundary_distance(m, ws, n=n)
+            fine, coarse = _ring_min(m, ws, 1e-4, n), _ring_min(m, ws, 1e-4, n // 2)
+            assert np.shape(est.value) == np.shape(est.drift) == np.shape(ws)
+            assert np.asarray(est.value).tobytes() == fine.tobytes(), m.label
+            assert np.asarray(est.drift).tobytes() == (coarse - fine).tobytes(), m.label
+            assert est.converged == bool(np.all(coarse - fine <= 0.05 * fine))
+    assert isinstance(boundary_distance(corpus["koebe"], 0.0).value, float)
+    empty = boundary_distance(corpus["identity"], np.zeros((0, 3), dtype=complex))
+    assert empty.value.shape == empty.drift.shape == (0, 3) and empty.converged
+
+
 def test_boundary_distance_needs_samples(corpus):
     from hqmap.maps import ParameterError
 
-    with pytest.raises(ParameterError):
-        boundary_distance(corpus["identity"], 0.0, n=32)
+    for n in (32, 64, 129):
+        with pytest.raises(ParameterError):
+            boundary_distance(corpus["identity"], 0.0, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +249,11 @@ def test_ring_and_circle(corpus):
     from hqmap.maps import ParameterError
 
     # the identity's ring image is the ring: the circle of radius 1 - eps
-    assert boundary_distances(corpus["identity"], 0.0, 1e-3, 256)[0] == pytest.approx(
+    assert boundary_distance(corpus["identity"], 0.0, 1e-3, 256).value == pytest.approx(
         0.999, abs=1e-14)
     for eps in (0.0, 1.0):
         with pytest.raises(ParameterError):
-            boundary_distances(corpus["identity"], 0.0, eps, 256)
+            boundary_distance(corpus["identity"], 0.0, eps, 256)
 
 
 def test_disk_grid_contains_origin_and_cap():

@@ -13,10 +13,11 @@ from hqmap import (
     poisson_functional,
     poisson_sup,
     pommerenke_bracket,
-    small_preschwarzian,
+    preschwarzian_sup,
 )
 from hqmap import poisson
-from hqmap.maps import CatalogPart, ComboPart, HarmonicMap, SeriesPart
+from hqmap.maps import (CatalogPart, ComboPart, HarmonicMap, SenseReversalError,
+                        SeriesPart, WirtingerPair)
 from hqmap.poisson import poisson_scan, poisson_trace_json
 
 
@@ -89,6 +90,38 @@ def test_profile_nan_norm_raises(nan_norm_map):
     with pytest.raises(ParameterError, match=re.escape(f"nan-norm: derivative norm is "
                                                        f"not finite at z = {where}")):
         boundary_profile(nan_norm_map, eps=1e-3, n=512)
+
+
+class _NormAtPoint:
+    """Forwards to a map, but f_z = f_zb = ``fz`` at the point ``at``."""
+
+    def __init__(self, m, at, fz):
+        self.m, self.label, self.at, self.fz = m, m.label, at, fz
+
+    def value(self, z):
+        return self.m.value(z)
+
+    def wirtinger(self, z):
+        w = self.m.wirtinger(z)
+        hit = np.asarray(z) == self.at
+        return WirtingerPair(np.where(hit, self.fz, w.fz), np.where(hit, self.fz, w.fzb))
+
+
+@pytest.mark.parametrize("fz, error, message", [
+    (np.nan, ParameterError, "convex-poly2: derivative norm is not finite at z = {}"),
+    (0.0, SenseReversalError, "convex-poly2: derivative norm vanishes (witness z = {})"),
+], ids=["nan", "zero"])
+def test_functional_denominator_checked(fz, error, message, corpus):
+    # a NaN norm at one scan point used to be skipped by the trace maximum
+    # ("stable": true) and written to the CSV as nan
+    eps = 1e-2
+    r = np.linspace(0.0, (1.0 - 2.0 * eps) * (1.0 - 1e-9), 5)[2]
+    zeta = complex(r * np.exp(1j * math.pi / 4))
+    m = _NormAtPoint(corpus["convex-poly2"], zeta, fz)
+    with pytest.raises(error, match=re.escape(message.format(zeta))):
+        poisson_scan(m, eps)
+    with pytest.raises(error, match=re.escape(message.format(zeta))):
+        poisson_functional(m, zeta, boundary_profile(m, eps=eps, n=2048))
 
 
 def test_profile_zero_norm_in_last_block_raises():
@@ -265,7 +298,7 @@ def test_corollary_gate_on_corpus(corpus):
     for label in ("identity", "convex-poly2", "convex-poly3"):
         m = corpus[label]
         assert john_estimate(m).verdict == "john-positive"
-        assert small_preschwarzian(m)
+        assert preschwarzian_sup(m).value < 4.0 - 1e-3
         assert "bounded" in m.flags
         assert poisson_sup(m).stable
 
