@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .maps import DegenerateMapError, HarmonicMap, ParameterError
+from .maps import DegenerateMapError, HarmonicMap, ParameterError, finite_dnorm
 from .quadrature import golden_max
 
 
@@ -61,10 +61,12 @@ class CheckReport:
 
 
 def rel_margin(lhs, rhs):
-    """Margin of LHS <= RHS, normalized by max(1, |RHS|)."""
+    """Margin of LHS <= RHS, normalized by max(1, |RHS|).  An overflowing
+    side gives a NaN or infinite margin, which ``_report`` rejects."""
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    return (rhs - lhs) / np.maximum(1.0, np.abs(rhs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (rhs - lhs) / np.maximum(1.0, np.abs(rhs))
 
 
 # numerical slack of the predicates below, and the box parameters
@@ -198,7 +200,8 @@ def check_derivative_value_bound(m: HarmonicMap, alpha: float, qc_k: float,
     c = derivative_bound_constant(alpha, qc_k)
     w = m.wirtinger(pts)
     lhs = np.abs(pts) * w.dnorm
-    rhs = c * np.abs(m.value(pts)) / (1.0 - np.abs(pts))
+    with np.errstate(over="ignore"):  # an infinite side is rejected by _report
+        rhs = c * np.abs(m.value(pts)) / (1.0 - np.abs(pts))
     margins = rel_margin(lhs, rhs)
     return _report("deriv_value_bound", alpha, qc_k, margins, pts, _SLACK,
                    notes=f"C={c!r}")
@@ -245,9 +248,15 @@ def check_boundary_dist_lower(m: HarmonicMap, qc_k: float, points=None,
     line is unconverged when the bound fails at value - drift, that is when
     one more ring halving that moved each distance as far as the last one
     did would break it (a 5 % rule fails near-boundary distances that clear
-    the bound several times over)."""
+    the bound several times over).  Only the points with |z| <= 1 - 2 eps
+    are sampled, the separation ``poisson_functional`` asks of its kernel
+    point: a point on or outside the ring has no distance the ring resolves."""
     pts = np.asarray(points if points is not None else geometry.disk_grid(24, 32),
                      dtype=complex).ravel()
+    pts = pts[np.abs(pts) <= 1.0 - 2.0 * eps]
+    if pts.size == 0:
+        raise ParameterError(f"boundary_dist_lower: no sample point has |z| <= 1 - 2 eps "
+                             f"at eps = {eps!r}")
     dist = geometry.boundary_distance(m, m.value(pts), eps=eps, n=geometry._RING_N)
     lhs = m.wirtinger(pts).dnorm * (1.0 - np.abs(pts) ** 2) / (16.0 * qc_k)
     settled = np.min(rel_margin(lhs, dist.value - dist.drift)) >= -_SLACK
@@ -288,7 +297,7 @@ def check_harnack(m: HarmonicMap, z0: complex, alpha: float) -> CheckReport:
     z0 = complex(z0)
     big_m = harnack_constant(*_HARNACK_A, alpha)
     pts = _harnack_box(z0)
-    ratio = m.wirtinger(pts).dnorm / float(m.wirtinger(z0).dnorm)
+    ratio = m.wirtinger(pts).dnorm / float(finite_dnorm(m, z0))
     margins = np.minimum(rel_margin(ratio, big_m), rel_margin(1.0 / big_m, ratio))
     return _report("harnack_comparison", alpha, None, margins, pts, _SLACK,
                    notes=f"z0={z0!r} M={big_m!r}")

@@ -17,7 +17,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,14 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "alpha": "alpha",
-    "bigk": "qc_k",
-    "eps": "boundary_eps",
-    "tol": "quad_rel_tol",
-    "grid_level": "grid_level",
-    "seed": "seed",
-}
+_CONFIG_KEYS = tuple(f.name for f in fields(Config))
 
 
 def _config_value(key: str, value):
@@ -106,13 +99,11 @@ def _load_config(args) -> Config:
         if unknown:
             raise HqmapError(f"unknown config key {unknown[0]!r}; have: "
                              + ", ".join(sorted(_CONFIG_KEYS)))
-        for key, field in _CONFIG_KEYS.items():
-            if key in doc:
-                values[field] = _config_value(key, doc[key])
-    for key, field in _CONFIG_KEYS.items():
+        values = {key: _config_value(key, doc[key]) for key in _CONFIG_KEYS if key in doc}
+    for key in _CONFIG_KEYS:
         flag = getattr(args, key)
         if flag is not None:
-            values[field] = flag
+            values[key] = flag
     return replace(Config(), **values)
 
 
@@ -165,7 +156,7 @@ def _emit(args, files) -> None:
 
 
 def _radial_files(m, theta, radii, config):
-    profile = radial.radial_profile(m, theta, radii, rel_tol=config.quad_rel_tol / 4)
+    profile = radial.radial_profile(m, theta, radii, rel_tol=config.tol / 4)
     buf = io.StringIO()
     profile.to_csv(buf)
     return [(f"radial_{m.label}.csv", buf.getvalue())]
@@ -237,16 +228,8 @@ def _cmd_poisson(args, corpus, config) -> int:
 def _cmd_report(args, corpus, config) -> int:
     if not args.out:
         raise HqmapError("report needs --out DIR")
-    manifest = {
-        "corpus": args.corpus or "builtin",
-        "alpha": config.alpha,
-        "bigk": config.qc_k,
-        "eps": config.boundary_eps,
-        "tol": config.quad_rel_tol,
-        "grid_level": config.grid_level,
-        "seed": config.seed,
-        "suites": list(_REPORT_SUITES),
-    }
+    manifest = dict(asdict(config), corpus=args.corpus or "builtin",
+                    suites=list(_REPORT_SUITES))
     _write(args.out, [("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
                       ("corpus.json", dump_corpus(corpus))])
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, geometry
-from .maps import R_CAP, HarmonicMap, ParameterError, SenseReversalError, finite_dnorm
+from .maps import R_CAP, HarmonicMap, ParameterError, finite_dnorm
 
 # refinement ladder for the box reach: the z quantities stay capped at
 # R_CAP, while the sampled boxes extend their radial reach toward the
@@ -92,15 +92,11 @@ _N_ROT = 32
 
 def _ratio_sup(m: HarmonicMap, nums, dens, zs) -> float:
     """Largest of nums / dens, where dens[i] is the weighted derivative norm
-    at zs[i]: a vanishing denominator is a sense reversal at that z, and a
-    non-finite ratio (a NaN or infinite map value, or a subnormal norm) is
-    an input error rather than a ratio the supremum could silently skip."""
+    at zs[i], read through ``finite_dnorm``.  A non-finite ratio (a NaN or
+    infinite map value, or a weighted norm that underflowed) is an input
+    error rather than a ratio the supremum could silently skip."""
     nums, dens, zs = (np.asarray(a).ravel() for a in (nums, dens, zs))
-    zero = dens == 0.0
-    if np.any(zero):
-        raise SenseReversalError(f"{m.label}: derivative norm vanishes",
-                                 complex(zs[np.argmax(zero)]))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ratios = nums / dens
     bad = ~np.isfinite(ratios)
     if np.any(bad):
@@ -137,8 +133,9 @@ def criterion_iii(m: HarmonicMap, levels: int = 3) -> CriterionTrace:
     arithmetic are those of a per-radius evaluation, so the trace does not
     move by a bit.
 
-    A vanishing derivative norm raises ``SenseReversalError`` with the z
-    witness; a non-finite ratio raises ``ParameterError``.
+    A vanishing derivative norm at a z point raises ``SenseReversalError``
+    with that z as witness (see ``finite_dnorm``); a non-finite ratio raises
+    ``ParameterError``.
     """
     trace = []
     reaches = []
@@ -155,7 +152,7 @@ def criterion_iii(m: HarmonicMap, levels: int = 3) -> CriterionTrace:
         f0 = complex(m.value(0.0 + 0.0j))
         box0 = geometry.boundary_box(0.0 + 0.0j, *box_shape, reach=reach)[edges]
         sup = _ratio_sup(m, np.max(np.abs(m.value(box0) - f0)),
-                         m.wirtinger(0.0 + 0.0j).dnorm, 0.0 + 0.0j)
+                         finite_dnorm(m, 0.0 + 0.0j), 0.0 + 0.0j)
         radii = _z_radii(level)
         per_block = max(1, _BOX_BLOCK // (_N_ROT * int(edges.sum())))
         for lo in range(0, len(radii), per_block):
@@ -163,7 +160,7 @@ def criterion_iii(m: HarmonicMap, levels: int = 3) -> CriterionTrace:
             boxes = np.stack([geometry.boundary_box(complex(x), *box_shape, reach=reach)[edges]
                               for x in r])
             zs = r[:, None] * rots[None, :]
-            dens = (1.0 - r * r)[:, None] * np.asarray(m.wirtinger(zs).dnorm, dtype=float)
+            dens = (1.0 - r * r)[:, None] * finite_dnorm(m, zs)
             fzs = m.value(zs)
             # boxes[i] rotated to zs[i, k] is row (i, k)
             nums = np.max(np.abs(m.value(rots[None, :, None] * boxes[:, None, :])

@@ -74,18 +74,21 @@ def _check_in_disk(z) -> None:
 class AnalyticPart:
     """An analytic function on the disk with exact derivatives up to order two.
 
-    Subclasses implement ``value``, ``d1`` and ``d2``; all three accept a
-    complex scalar or a numpy array and broadcast elementwise.
+    Subclasses implement ``derivative(order, z)`` for order 0, 1 and 2; it
+    accepts a complex scalar or a numpy array and broadcasts elementwise.
     """
 
-    def value(self, z):
+    def derivative(self, order: int, z):
         raise NotImplementedError
+
+    def value(self, z):
+        return self.derivative(0, z)
 
     def d1(self, z):
-        raise NotImplementedError
+        return self.derivative(1, z)
 
     def d2(self, z):
-        raise NotImplementedError
+        return self.derivative(2, z)
 
 
 def _identity_forms():
@@ -131,7 +134,7 @@ class CatalogPart(AnalyticPart):
         if not abs(abs(complex(self.rotation)) - 1.0) <= 1e-12:
             raise ParameterError("rotation factor must have modulus one")
 
-    def _rotated(self, order: int, z):
+    def derivative(self, order: int, z):
         """Derivative ``order`` of conj(s) base(s z), i.e. s^(order-1) base^(order)(s z).
         The d1 path applies no factor: multiplying by 1 can flip the sign of
         a zero imaginary part."""
@@ -141,15 +144,6 @@ class CatalogPart(AnalyticPart):
             return base(z)
         w = base(s * np.asarray(z, dtype=complex))
         return w if order == 1 else (np.conjugate(s) if order == 0 else s) * w
-
-    def value(self, z):
-        return self._rotated(0, z)
-
-    def d1(self, z):
-        return self._rotated(1, z)
-
-    def d2(self, z):
-        return self._rotated(2, z)
 
 
 @dataclass(frozen=True)
@@ -169,19 +163,19 @@ class SeriesPart(AnalyticPart):
             raise ParameterError("a power series needs at least one coefficient")
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
         # k c and k (k - 1) c can overflow where c does not
-        for name, derived, shift in (("d1", self._d1_coeffs, 1), ("d2", self._d2_coeffs, 2)):
-            for k, c in enumerate(derived, start=shift):
+        for order in (1, 2):
+            for k, c in enumerate(self._coeffs[order], start=order):
                 if not cmath.isfinite(c):
                     raise ParameterError(f"series coefficient {k} gives a non-finite "
-                                         f"{name} coefficient {c!r}")
+                                         f"d{order} coefficient {c!r}")
 
     @cached_property
-    def _d1_coeffs(self):
-        return tuple(k * c for k, c in enumerate(self.coeffs))[1:] or (0.0j,)
-
-    @cached_property
-    def _d2_coeffs(self):
-        return tuple(k * (k - 1) * c for k, c in enumerate(self.coeffs))[2:] or (0.0j,)
+    def _coeffs(self):
+        """Coefficients of derivative 0, 1 and 2: a_k, k a_k and k (k - 1) a_k."""
+        c = self.coeffs
+        return (c,
+                tuple(k * a for k, a in enumerate(c))[1:] or (0.0j,),
+                tuple(k * (k - 1) * a for k, a in enumerate(c))[2:] or (0.0j,))
 
     @cached_property
     def _is_zero(self) -> bool:
@@ -211,20 +205,12 @@ class SeriesPart(AnalyticPart):
             warnings.warn(
                 f"series evaluated beyond the safe radius {SAFE_SERIES_RADIUS}",
                 SafeRadiusWarning,
-                stacklevel=3,
+                stacklevel=4,  # the caller of value, d1 or d2
             )
 
-    def value(self, z):
+    def derivative(self, order: int, z):
         self._warn_radius(z)
-        return self._horner(self.coeffs, z)
-
-    def d1(self, z):
-        self._warn_radius(z)
-        return self._horner(self._d1_coeffs, z)
-
-    def d2(self, z):
-        self._warn_radius(z)
-        return self._horner(self._d2_coeffs, z)
+        return self._horner(self._coeffs[order], z)
 
 
 @dataclass(frozen=True)
@@ -240,22 +226,11 @@ class ComboPart(AnalyticPart):
         )
         object.__setattr__(self, "shift", complex(self.shift))
 
-    def value(self, z):
-        acc = np.asarray(z, dtype=complex) * 0.0 + self.shift
+    def derivative(self, order: int, z):
+        zs = np.asarray(z, dtype=complex)
+        acc = zs * 0.0 + self.shift if order == 0 else np.zeros_like(zs)
         for w, p in self.terms:
-            acc = acc + w * p.value(z)
-        return acc
-
-    def d1(self, z):
-        acc = np.zeros_like(np.asarray(z, dtype=complex))
-        for w, p in self.terms:
-            acc = acc + w * p.d1(z)
-        return acc
-
-    def d2(self, z):
-        acc = np.zeros_like(np.asarray(z, dtype=complex))
-        for w, p in self.terms:
-            acc = acc + w * p.d2(z)
+            acc = acc + w * p.derivative(order, z)
         return acc
 
 
@@ -292,17 +267,13 @@ class MobiusPart(AnalyticPart):
         zc = np.conjugate(self.zeta)
         return -2.0 * zc * (1.0 - abs(self.zeta) ** 2) / (1.0 + zc * z) ** 3
 
-    def value(self, z):
-        z = np.asarray(z, dtype=complex)
-        return (self.base.value(self._phi(z)) - self.base.value(self.zeta)) / self.scale
-
-    def d1(self, z):
-        z = np.asarray(z, dtype=complex)
-        return self.base.d1(self._phi(z)) * self._dphi(z) / self.scale
-
-    def d2(self, z):
+    def derivative(self, order: int, z):
         z = np.asarray(z, dtype=complex)
         w = self._phi(z)
+        if order == 0:
+            return (self.base.value(w) - self.base.value(self.zeta)) / self.scale
+        if order == 1:
+            return self.base.d1(w) * self._dphi(z) / self.scale
         return (self.base.d2(w) * self._dphi(z) ** 2 + self.base.d1(w) * self._ddphi(z)) / self.scale
 
 
@@ -335,7 +306,13 @@ class WirtingerPair:
 
     @property
     def jacobian(self):
-        return np.abs(self.fz) ** 2 - np.abs(self.fzb) ** 2
+        """|f_z|^2 - |f_zb|^2, as (|f_z| - |f_zb|)(|f_z| + |f_zb|): an overflow
+        gives an infinity of the right sign, and two huge norms of one order
+        give no inf - inf = NaN."""
+        fz = np.abs(self.fz)
+        fzb = np.abs(self.fzb)
+        with np.errstate(over="ignore"):
+            return (fz - fzb) * (fz + fzb)
 
     @property
     def dilatation(self):
@@ -432,15 +409,20 @@ def check_sense_preserving(m: HarmonicMap, points) -> WirtingerPair:
 def finite_dnorm(m: HarmonicMap, z) -> np.ndarray:
     """Derivative norms of ``m`` at z, as floats of z's shape.
 
-    A NaN or infinite norm raises ``ParameterError`` naming the map and the
-    first such z, so that no supremum, fit or trace downstream can skip it
-    or carry it as a number.
+    This is the one guard on the norm: at the first z where it is NaN or
+    infinite it raises ``ParameterError``, and where it vanishes
+    ``SenseReversalError``, each naming the map and that z.  So no
+    supremum, fit or trace downstream can skip a bad norm, carry it as a
+    number, or divide by zero or take its log.
     """
     vals = np.asarray(m.wirtinger(z).dnorm, dtype=float)
-    bad = ~np.isfinite(vals)
+    bad = ~np.isfinite(vals) | (vals == 0.0)
     if np.any(bad):
-        where = np.broadcast_to(z, vals.shape)[np.unravel_index(np.argmax(bad), vals.shape)]
-        raise ParameterError(f"{m.label}: derivative norm is not finite at z = {complex(where)}")
+        idx = np.unravel_index(np.argmax(bad), vals.shape)
+        where = complex(np.broadcast_to(z, vals.shape)[idx])
+        if vals[idx] == 0.0:
+            raise SenseReversalError(f"{m.label}: derivative norm vanishes", where)
+        raise ParameterError(f"{m.label}: derivative norm is not finite at z = {where}")
     return vals
 
 
@@ -491,8 +473,8 @@ def normalize(m: HarmonicMap) -> HarmonicMap:
 
 @dataclass(frozen=True)
 class Config:
-    """Run parameters a user can set, each by a command-line flag or a
-    config-file key.
+    """Run parameters a user can set, each by the command-line flag and the
+    config-file key of its name (``grid_level`` is ``--grid-level``).
 
     ``alpha`` is the order parameter used for genuinely harmonic maps (the
     sharp order of the normalized family is unknown, so harmonic reports are
@@ -500,9 +482,9 @@ class Config:
     """
 
     alpha: float = 3.0
-    qc_k: float = 1.0
-    quad_rel_tol: float = 1e-9
-    boundary_eps: float = 1e-4
+    bigk: float = 1.0
+    tol: float = 1e-9
+    eps: float = 1e-4
     grid_level: int = 1
     seed: int = 0
 
@@ -510,11 +492,11 @@ class Config:
         # each test reads "not (value in range)", so NaN fails it too
         if not 2.0 <= self.alpha < math.inf:
             raise ParameterError("alpha must be finite and >= 2")
-        if not 1.0 <= self.qc_k < math.inf:
+        if not 1.0 <= self.bigk < math.inf:
             raise ParameterError("K must be finite and >= 1")
-        if not 0.0 < self.boundary_eps <= 0.5:
+        if not 0.0 < self.eps <= 0.5:
             raise ParameterError("boundary offset must lie in (0, 0.5]")
-        if not 0.0 < self.quad_rel_tol < math.inf:
+        if not 0.0 < self.tol < math.inf:
             raise ParameterError("quadrature tolerance must be finite and > 0")
         if not self.grid_level >= 0:
             raise ParameterError("grid level must be >= 0")

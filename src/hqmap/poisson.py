@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .maps import HarmonicMap, ParameterError, SenseReversalError, finite_dnorm
+from .maps import HarmonicMap, ParameterError, finite_dnorm
 from .quadrature import adaptive_quad
 
 
@@ -62,8 +62,6 @@ def boundary_profile(m: HarmonicMap, eps: float = 1e-3, n: int = 2048) -> Bounda
         block = nodes[lo:lo + _RING_BLOCK]
         vals = values[lo:lo + _RING_BLOCK]
         vals[:] = finite_dnorm(m, (1.0 - eps) * block)
-        if np.any(vals <= 0.0):
-            raise ParameterError(f"{m.label}: derivative norm vanishes on the ring")
         half = finite_dnorm(m, (1.0 - eps / 2.0) * block)
         rel = np.abs(half - vals) / np.maximum(vals, 1e-300)
         drift = float(np.maximum(drift, np.max(rel)))  # np.maximum keeps a NaN
@@ -80,16 +78,7 @@ def poisson_functional(m: HarmonicMap, zeta: complex, profile: BoundaryProfile) 
     zeta = complex(zeta)
     if abs(zeta) > 1.0 - 2.0 * profile.eps:
         raise ParameterError("kernel point too close to the sampling ring")
-    return float(np.mean(profile.values * _kernel(profile.nodes, zeta)) / _dnorm_at(m, zeta))
-
-
-def _dnorm_at(m: HarmonicMap, zeta: complex) -> float:
-    """dnorm(zeta) as the functional's denominator: ``finite_dnorm`` rejects
-    a NaN or infinite norm, and a vanishing one is a sense reversal."""
-    dz = float(finite_dnorm(m, zeta))
-    if dz == 0.0:
-        raise SenseReversalError(f"{m.label}: derivative norm vanishes", zeta)
-    return dz
+    return float(np.mean(profile.values * _kernel(profile.nodes, zeta)) / finite_dnorm(m, zeta))
 
 
 def _kernel(nodes: np.ndarray, zeta: complex) -> np.ndarray:
@@ -165,7 +154,7 @@ def poisson_scan(m: HarmonicMap, eps: float) -> PoissonScan:
         sums = prod[b, shift].sum(axis=1)
         for k, a in enumerate(angles if r > 0.0 else angles[:1]):
             zeta = complex(r * np.exp(1j * a))
-            out.append((zeta, float(sums[k] / n / _dnorm_at(m, zeta)), profile.eps, n))
+            out.append((zeta, float(sums[k] / n / finite_dnorm(m, zeta)), profile.eps, n))
     return PoissonScan(tuple(out), profile.drift, profile.converged)
 
 

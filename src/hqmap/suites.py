@@ -38,7 +38,7 @@ def _sorted_reports(reports) -> list:
 def _inequality_family(m: HarmonicMap, alpha: float, qc_k: float,
                        config: Config, tag: str) -> list:
     pts = suite_grid(config)
-    eps = config.boundary_eps
+    eps = config.eps
     fit = johndisk.decay_fit(m) if "bounded" in m.flags else None
     try:
         out = [
@@ -85,7 +85,7 @@ def suite_harmonic_advisory(corpus: dict, config: Config) -> list:
     for label in sorted(corpus):
         m = corpus[label]
         if not m.is_analytic():
-            qc_k = max(qc_constant(m, geometry.disk_grid(24, 32)), config.qc_k)
+            qc_k = max(qc_constant(m, geometry.disk_grid(24, 32)), config.bigk)
             reports.extend(_inequality_family(m, config.alpha, qc_k, config, label))
     return _sorted_reports(reports)
 

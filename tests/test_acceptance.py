@@ -73,7 +73,6 @@ def test_c02_shear_sharpness_family(corpus):
 def test_c03_growth_ratio_bounded(corpus):
     for label, m in corpus.items():
         res = growth_ratio(m, 0.0)
-        assert res.bounded, label
         assert res.max_ratio < 10.0 * res.median_ratio
     res_k = growth_ratio(corpus["koebe"], 0.0)
     dev = np.max(np.abs(res_k.profile.ratio - 1.0 / growth_gauge(res_k.profile.r)))

@@ -166,6 +166,16 @@ def test_boundary_dist_lower_identity_origin(corpus):
     assert rep.passed and rep.worst_margin > 0.9
 
 
+def test_boundary_dist_lower_samples_inside_twice_the_offset(corpus):
+    # |z| <= 1 - 2 eps keeps 0.5 and drops 0.9; with no point left the
+    # call is an input error, not an empty reduction
+    rep = check_boundary_dist_lower(corpus["identity"], 1.0, points=np.array([0.5, 0.9]),
+                                    eps=0.1)
+    assert rep.samples == 1 and rep.witness == 0.5
+    with pytest.raises(ParameterError, match="no sample point"):
+        check_boundary_dist_lower(corpus["identity"], 1.0, points=np.array([0.9]), eps=0.1)
+
+
 @pytest.mark.parametrize("drift, passed", [(0.99, False), (0.5, True)])
 def test_boundary_dist_lower_reads_drift(drift, passed, corpus, monkeypatch):
     # at z = 0 the identity's bound is d >= 1/16: a drift that puts

@@ -138,7 +138,6 @@ _NAN_JACOBIAN = {"label": "big", "g": {"kind": "series", "coeffs": [[0, 0]]},
                  "h": {"kind": "series", "coeffs": [[0, 0], [1, 0], [1e308, 0]]}}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("flags", [["SH", "SH0", "analytic"], []], ids=["flagged", "bare"])
 @pytest.mark.parametrize("command", [["eval", "big", "0"], ["check", "analytic-classical"]],
                          ids=["eval", "check"])
@@ -166,7 +165,6 @@ def test_overflowing_series_coefficient_exits_2(flags, point, tmp_path, capsys):
     assert "series coefficient 2 gives a non-finite d1 coefficient" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_margin_exits_2(tmp_path, capsys):
     # h = z + 2e305 z^29 has finite coefficients and derivative coefficients,
     # but near the circle C |f| / (1 - |z|) overflows and the relative margin
@@ -181,6 +179,17 @@ def test_non_finite_margin_exits_2(tmp_path, capsys):
     assert code == 2 and out == "" and "NaN" not in out
     assert err.count("\n") == 1
     assert "big: deriv_value_bound: margin is not finite at z = " in err
+
+
+@pytest.mark.parametrize("eps", ["1e-3", "0.5"])
+def test_check_boundary_offset_keeps_targets_inside_the_ring(eps, capsys):
+    # the lower-bound targets reach |z| = 0.999, on or outside the ring of
+    # radius 1 - eps: every boundary_dist_lower line used to fail unconverged
+    code, out, _ = run(capsys, "--eps", eps, "--grid-level", "0", "check", "analytic-classical")
+    assert code == 0
+    lines = [json.loads(line) for line in out.splitlines()]
+    lower = [d for d in lines if d["predicate"].startswith("boundary_dist_lower:")]
+    assert lower and all(d["pass"] for d in lower)
 
 
 def test_check_sense_reversing_corpus(tmp_path, capsys):
@@ -414,19 +423,22 @@ def test_bad_config_file(doc, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("doc,key", [({"r_cap": 0.99}, "r_cap"), ({"alpah": 3}, "alpah")],
-                         ids=["removed-field", "typo"])
+@pytest.mark.parametrize("doc,key", [({"r_cap": 0.99}, "r_cap"), ({"alpah": 3}, "alpah"),
+                                     ({"qc_k": 2.0}, "qc_k")],
+                         ids=["removed-field", "typo", "field-name-before-rename"])
 def test_unknown_config_key(doc, key, tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
     code, _, err = run(capsys, "--config", str(cfg), "check", "none")
     assert code == 2
     assert err.count("\n") == 1 and repr(key) in err
+    assert err.endswith("have: alpha, bigk, eps, grid_level, seed, tol\n")
 
 
 def test_config_fields_are_the_config_keys():
-    # every Config field can be set from the command line, and nothing else
-    assert {f.name for f in fields(Config)} == set(cli._CONFIG_KEYS.values())
+    # every Config field is a config-file key and a flag of the same name
+    assert cli._CONFIG_KEYS == tuple(f.name for f in fields(Config))
+    assert set(cli._CONFIG_KEYS) <= set(vars(cli._build_parser().parse_args(["report"])))
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):
@@ -583,6 +595,17 @@ def test_john_zero_denominator_exits_2(tmp_path, capsys):
     assert out == ""
     assert err == ("hqmap: error: crit-zero: derivative norm vanishes "
                    "(witness z = (0.15+0j))\n")
+
+
+def test_john_vanishing_decay_fit_norm_exits_2(decay_zero_map, tmp_path, capsys, monkeypatch):
+    # log(0) in the decay fit used to write "delta": NaN with exit 0
+    monkeypatch.setattr(cli, "default_corpus", lambda: {"convex-poly2": decay_zero_map})
+    code, out, err = run(capsys, "--out", str(tmp_path), "john", "convex-poly2")
+    assert code == 2
+    assert out == ""
+    assert err == ("hqmap: error: convex-poly2: derivative norm vanishes "
+                   f"(witness z = {decay_zero_map.at})\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_john_overflowing_criterion_ii_ratio_exits_2(tiny_norm_map, tmp_path, capsys,

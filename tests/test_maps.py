@@ -22,7 +22,13 @@ from hqmap import (
     normalize,
     qc_constant,
 )
-from hqmap.maps import AnalyticPart, ComboPart, MobiusPart, check_sense_preserving
+from hqmap import johndisk
+from hqmap.bounds import check_harnack
+from hqmap.johndisk import criterion_ii, criterion_iii, decay_fit
+from hqmap.maps import R_CAP, AnalyticPart, ComboPart, MobiusPart, check_sense_preserving
+from hqmap.poisson import boundary_profile, poisson_scan
+
+from conftest import decay_fit_sample
 
 ZERO = SeriesPart((0j,))
 
@@ -67,8 +73,10 @@ def test_series_safe_radius_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         part.value(0.99)  # inside the safe radius: no warning
-    with pytest.warns(SafeRadiusWarning):
-        part.value(0.9995)
+    for evaluate in (part.value, part.d1, part.d2):
+        with pytest.warns(SafeRadiusWarning) as record:
+            evaluate(0.9995)
+        assert record[0].filename == __file__  # the warning names the caller
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +383,12 @@ class _NanSlopePart(AnalyticPart):
     """Vanishes at 0 with a NaN derivative there, which no ``SeriesPart``
     can carry: it rejects non-finite derivative coefficients."""
 
-    def value(self, z):
-        return np.zeros_like(np.asarray(z, dtype=complex))
-
-    def d1(self, z):
+    def derivative(self, order, z):
+        if order == 0:
+            return np.zeros_like(np.asarray(z, dtype=complex))
         return np.full(np.shape(z), complex(math.nan, 0.0))
 
-    d2 = d1
 
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("h, flag", [
     (SeriesPart((complex(math.nan, 0.0), 1.0)), "SH"),
     (_NanSlopePart(), "SH"),
@@ -406,13 +410,39 @@ def test_series_rejects_overflowing_derivative_coefficients(coeffs, where):
         SeriesPart(coeffs)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sense_check_rejects_nan_jacobian():
     m = HarmonicMap(_NanSlopePart(), ZERO, "big")
     assert math.isnan(m.wirtinger(0j).jacobian)
     with pytest.raises(SenseReversalError) as err:
         check_sense_preserving(m, disk_grid(8, 8))
     assert err.value.witness == 0j  # the first NaN Jacobian
+
+
+_RING_EPS = 1e-2
+_CRIT_III_Z = (johndisk._z_radii(0)[:, None]
+               * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, johndisk._N_ROT, endpoint=False)))
+_SCAN_R = np.linspace(0.0, (1.0 - 2.0 * _RING_EPS) * (1.0 - 1e-9), 5)[2]
+
+
+@pytest.mark.parametrize("at, read", [
+    (complex((1.0 - np.geomspace(1.0, 1.0 - R_CAP, 48))[20]), lambda m: criterion_ii(m, 0.3)),
+    (complex(_CRIT_III_Z[2, 3]), criterion_iii),
+    (decay_fit_sample(), decay_fit),
+    (complex(((1.0 - _RING_EPS) * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 2048,
+                                                          endpoint=False)))[300]),
+     lambda m: boundary_profile(m, eps=_RING_EPS, n=2048)),
+    (complex(_SCAN_R * np.exp(1j * math.pi / 4)), lambda m: poisson_scan(m, _RING_EPS)),
+    (0.9 + 0j, lambda m: check_harnack(m, 0.9 + 0j, 3.0)),
+], ids=["criterion-ii", "criterion-iii", "decay-fit", "poisson-ring", "poisson-scan",
+        "harnack-z0"])
+def test_vanishing_norm_is_a_sense_reversal_at_its_point(at, read, norm_at_point):
+    # every reader of the derivative norm goes through finite_dnorm; the
+    # decay fit used to write "delta": NaN, and the Harnack check named a
+    # box point in a non-finite-margin error
+    with pytest.raises(SenseReversalError) as info:
+        read(norm_at_point(at))
+    assert info.value.witness == at
+    assert "convex-poly2: derivative norm vanishes" in str(info.value)
 
 
 def test_series_needs_coefficients():
@@ -429,15 +459,15 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         Config(alpha=1.5)
     with pytest.raises(ParameterError):
-        Config(qc_k=0.5)
+        Config(bigk=0.5)
     with pytest.raises(ParameterError):
-        Config(boundary_eps=0.7)
+        Config(eps=0.7)
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"alpha": math.nan}, {"alpha": math.inf}, {"qc_k": math.nan}, {"qc_k": math.inf},
-    {"boundary_eps": math.nan}, {"quad_rel_tol": math.nan}, {"quad_rel_tol": math.inf},
-    {"quad_rel_tol": 0.0}, {"quad_rel_tol": -1e-9}, {"grid_level": -1}, {"seed": -1},
+    {"alpha": math.nan}, {"alpha": math.inf}, {"bigk": math.nan}, {"bigk": math.inf},
+    {"eps": math.nan}, {"tol": math.nan}, {"tol": math.inf},
+    {"tol": 0.0}, {"tol": -1e-9}, {"grid_level": -1}, {"seed": -1},
 ])
 def test_config_rejects_out_of_range(kwargs):
     with pytest.raises(ParameterError):

@@ -125,7 +125,7 @@ def test_radial_length_matches_closed_form(label, exact):
     m = default_corpus()[label]
     config = Config()
     radii = 1.0 - np.geomspace(0.9, 1.0 - R_CAP, 24)
-    profile = radial_profile(m, 0.0, radii, rel_tol=config.quad_rel_tol / 4)
+    profile = radial_profile(m, 0.0, radii, rel_tol=config.tol / 4)
     assert profile.converged
     with mpmath.workdps(30):
         for r, ell in zip(radii, profile.ell):

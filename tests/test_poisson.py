@@ -92,32 +92,17 @@ def test_profile_nan_norm_raises(nan_norm_map):
         boundary_profile(nan_norm_map, eps=1e-3, n=512)
 
 
-class _NormAtPoint:
-    """Forwards to a map, but f_z = f_zb = ``fz`` at the point ``at``."""
-
-    def __init__(self, m, at, fz):
-        self.m, self.label, self.at, self.fz = m, m.label, at, fz
-
-    def value(self, z):
-        return self.m.value(z)
-
-    def wirtinger(self, z):
-        w = self.m.wirtinger(z)
-        hit = np.asarray(z) == self.at
-        return WirtingerPair(np.where(hit, self.fz, w.fz), np.where(hit, self.fz, w.fzb))
-
-
 @pytest.mark.parametrize("fz, error, message", [
     (np.nan, ParameterError, "convex-poly2: derivative norm is not finite at z = {}"),
     (0.0, SenseReversalError, "convex-poly2: derivative norm vanishes (witness z = {})"),
 ], ids=["nan", "zero"])
-def test_functional_denominator_checked(fz, error, message, corpus):
+def test_functional_denominator_checked(fz, error, message, norm_at_point):
     # a NaN norm at one scan point used to be skipped by the trace maximum
     # ("stable": true) and written to the CSV as nan
     eps = 1e-2
     r = np.linspace(0.0, (1.0 - 2.0 * eps) * (1.0 - 1e-9), 5)[2]
     zeta = complex(r * np.exp(1j * math.pi / 4))
-    m = _NormAtPoint(corpus["convex-poly2"], zeta, fz)
+    m = norm_at_point(zeta, fz)
     with pytest.raises(error, match=re.escape(message.format(zeta))):
         poisson_scan(m, eps)
     with pytest.raises(error, match=re.escape(message.format(zeta))):
@@ -126,8 +111,14 @@ def test_functional_denominator_checked(fz, error, message, corpus):
 
 def test_profile_zero_norm_in_last_block_raises():
     m = _RingMap()
-    with pytest.raises(ParameterError, match="derivative norm vanishes on the ring"):
-        boundary_profile(m, eps=1e-4, n=1 << 18)
+    n = 1 << 18
+    ring = (1.0 - 1e-4) * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+    arg = np.angle(ring)
+    where = complex(ring[np.argmax((arg > -math.pi / 4) & (arg < 0.0))])
+    with pytest.raises(SenseReversalError) as info:
+        boundary_profile(m, eps=1e-4, n=n)
+    assert info.value.witness == where
+    assert "ring-zero: derivative norm vanishes" in str(info.value)
     assert m.calls == 2 * 7 + 1  # seven full blocks of both rings, then the last
 
 

@@ -139,27 +139,27 @@ def test_growth_ratio_koebe_equals_inverse_gauge(corpus):
     res = growth_ratio(corpus["koebe"], 0.0)
     expected = 1.0 / growth_gauge(res.profile.r)
     assert np.max(np.abs(res.profile.ratio - expected)) < 1e-6
-    assert res.bounded
+    assert res.max_ratio < 10.0 * res.median_ratio
 
 
 def test_growth_ratio_identity(corpus):
     res = growth_ratio(corpus["identity"], 0.0)
     expected = 1.0 / growth_gauge(res.profile.r)
     assert np.max(np.abs(res.profile.ratio - expected)) < 1e-9
-    assert res.bounded
+    assert res.max_ratio < 10.0 * res.median_ratio
 
 
 def test_growth_ratio_bounded_all_corpus(corpus):
     for label, m in corpus.items():
         for theta in (0.0, 2.0):
             res = growth_ratio(m, theta)
-            assert res.bounded, f"{label} at theta={theta}"
+            assert res.max_ratio < 10.0 * res.median_ratio, f"{label} at theta={theta}"
 
 
 def test_growth_ratio_sheared_koebe_bounded(corpus):
     sheared = shear_qc(CatalogPart("koebe"), 3.0)
     res = growth_ratio(sheared, 0.0)
-    assert res.bounded
+    assert res.max_ratio < 10.0 * res.median_ratio
     # on the axis both length and running max carry the same 3/2 factor,
     # so the ratio is again the inverse gauge
     expected = 1.0 / growth_gauge(res.profile.r)
