@@ -36,13 +36,10 @@ from .geometry import (
     stolz_sample,
 )
 from .radial import (
-    ClassicalBoundCheck,
     GrowthResult,
     RadialProfile,
-    classical_bounds,
     growth_gauge,
     growth_ratio,
-    radial_length,
     radial_profile,
 )
 from .transforms import (

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .maps import DegenerateMapError, HarmonicMap, ParameterError, finite_dnorm
+from .maps import HarmonicMap, ParameterError, SenseReversalError, finite_dnorm
 from .quadrature import golden_max
 
 
@@ -152,8 +152,7 @@ def check_two_point_growth(m: HarmonicMap, alpha: float, qc_k: float,
     z1 = pairs[:, 1]
     fz0 = np.abs(m.h.d1(z0))
     if np.any(fz0 == 0):
-        bad = z0[int(np.argmin(fz0))]
-        raise DegenerateMapError(f"{m.label}: f_z vanishes at {bad}")
+        raise SenseReversalError(f"{m.label}: f_z vanishes", complex(z0[int(np.argmin(fz0))]))
     q = np.abs(m.value(z1) - m.value(z0)) / ((1.0 - np.abs(z0) ** 2) * fz0)
     t = np.abs((z1 - z0) / (1.0 - np.conjugate(z0) * z1))
     big_e = _exp2alpha(t, alpha)
@@ -312,7 +311,7 @@ def check_displacement(m: HarmonicMap, qc_k: float, alpha: float,
     pts = _harnack_box(z0)
     fz0 = abs(complex(m.h.d1(z0)))
     if fz0 == 0:
-        raise DegenerateMapError(f"{m.label}: f_z vanishes at {z0}")
+        raise SenseReversalError(f"{m.label}: f_z vanishes", z0)
     factor = (big_m / 2.0) ** (2.0 * alpha / (1.0 + alpha)) - 1.0
     rhs = qc_k / (alpha * (1.0 + qc_k)) * factor * (1.0 - abs(z0) ** 2) * fz0
     lhs = np.abs(m.value(pts) - complex(m.value(z0)))

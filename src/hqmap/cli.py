@@ -46,9 +46,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--alpha", type=float, default=None, help="order parameter for harmonic maps")
     parser.add_argument("--bigk", type=float, default=None, help="quasiconformality constant")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--grid-level", type=int, default=None, help="grid density level (0/1/2)")
+    parser.add_argument("--grid-level", type=int, default=None,
+                        help="grid density level, any integer >= 0 (default 1)")
     parser.add_argument("--eps", type=float, default=None, help="boundary offset")
-    parser.add_argument("--tol", type=float, default=None, help="quadrature relative tolerance")
+    parser.add_argument("--tol", type=float, default=None,
+                        help="relative tolerance of every radial-length quadrature; "
+                        "each profile segment is integrated to tol/4 (default 1e-9)")
     parser.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -156,7 +159,7 @@ def _emit(args, files) -> None:
 
 
 def _radial_files(m, theta, radii, config):
-    profile = radial.radial_profile(m, theta, radii, rel_tol=config.tol / 4)
+    profile = radial.radial_profile(m, theta, radii, config)
     buf = io.StringIO()
     profile.to_csv(buf)
     return [(f"radial_{m.label}.csv", buf.getvalue())]

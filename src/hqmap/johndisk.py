@@ -189,7 +189,6 @@ class DecayFit:
     delta: float
     residual: float
     slopes: tuple
-    intercepts: tuple
 
     @property
     def min_slope(self) -> float:
@@ -219,7 +218,6 @@ def decay_fit(m: HarmonicMap, window=(0.6, 0.99)) -> DecayFit:
     rho = 1.0 - np.exp(big_l)
     angles = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     slopes = []
-    intercepts = []
     residual = 0.0
     norms = []
     for a in angles:
@@ -228,7 +226,6 @@ def decay_fit(m: HarmonicMap, window=(0.6, 0.99)) -> DecayFit:
         y = np.log(vals)
         slope, intercept = np.polyfit(big_l, y, 1)
         slopes.append(float(slope))
-        intercepts.append(float(intercept))
         residual = max(residual, float(np.max(np.abs(slope * big_l + intercept - y))))
         norms.append(vals)
     delta = 1.0 + min(slopes)
@@ -239,8 +236,7 @@ def decay_fit(m: HarmonicMap, window=(0.6, 0.99)) -> DecayFit:
         scale = ((1.0 - rho[:, None]) / (1.0 - rho[None, :])) ** (delta - 1.0)
         mask = rho[:, None] >= rho[None, :]
         c_emp = max(c_emp, float(np.max(np.where(mask, ratio / scale, 0.0))))
-    return DecayFit(c=c_emp, delta=float(delta), residual=residual,
-                    slopes=tuple(slopes), intercepts=tuple(intercepts))
+    return DecayFit(c=c_emp, delta=float(delta), residual=residual, slopes=tuple(slopes))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,10 @@ _WG = np.array([
 ])
 
 
+# subintervals one integral may use before it stops unconverged
+MAX_INTERVALS = 4000
+
+
 class QuadResult(NamedTuple):
     value: float
     error: float
@@ -60,12 +64,12 @@ def adaptive_quad(
     b: float,
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-9,
-    max_intervals: int = 4000,
     presplit=None,
 ) -> QuadResult:
     """Integrate f over [a, b]; stop when the summed error estimate drops
-    below max(abs_tol, rel_tol * |integral|).  On budget exhaustion the best
-    value is returned with ``converged=False`` rather than raising.
+    below max(abs_tol, rel_tol * |integral|).  On budget exhaustion
+    (``MAX_INTERVALS`` subintervals) the best value is returned with
+    ``converged=False`` rather than raising.
     """
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
@@ -84,7 +88,7 @@ def adaptive_quad(
         err_total = sum(s[0] for s in segs)
         if err_total <= max(abs_tol, rel_tol * abs(total)):
             return QuadResult(total, err_total, True, len(segs))
-        if len(segs) >= max_intervals:
+        if len(segs) >= MAX_INTERVALS:
             return QuadResult(total, err_total, False, len(segs))
         worst = max(range(len(segs)), key=lambda i: segs[i][0])
         _, lo, hi, _ = segs.pop(worst)

@@ -1,11 +1,13 @@
 """Radial image length, the logarithmic growth gauge, running maxima along
-rays, and the growth-ratio / classical-bound harnesses.
+rays, and the growth-ratio harness.
 
-The length of the image of the segment [0, r e^{i theta}] is the integral
-over rho of |f_z(rho e^{i theta}) + e^{-2 i theta} f_zb(rho e^{i theta})|.
+The length ell(r) of the image of the segment [0, r e^{i theta}] is the
+integral over rho of |f_z(rho e^{i theta}) + e^{-2 i theta} f_zb(rho e^{i theta})|.
+``radial_profile`` is its one quadrature: every radial-length number (the
+``radial`` CSV and all radial-growth check lines) is ``radial_profile(...).ell``.
 For the catalog maps this integrand grows like (1 - rho)^{-3} near the
-circle, so the quadrature pre-splits geometrically toward the endpoint
-whenever r > 0.9.
+circle, so the quadrature pre-splits geometrically toward the endpoint of
+each segment that ends beyond 0.9.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import R_CAP, Config, DiskDomainError, HarmonicMap, ParameterError
-from .quadrature import QuadResult, adaptive_quad, endpoint_cluster, golden_max
+from .quadrature import adaptive_quad, endpoint_cluster, golden_max
 
 
 def growth_gauge(r) -> float:
@@ -40,23 +42,6 @@ def _ray_speed(m: HarmonicMap, theta: float):
         return np.abs(m.h.d1(z) + e2 * np.conjugate(m.g.d1(z)))
 
     return speed
-
-
-def radial_length(m: HarmonicMap, theta: float, r: float,
-                  abs_tol: float = 1e-12, rel_tol: float = 1e-9,
-                  max_intervals: int = 4000) -> QuadResult:
-    """Arclength of the image of the radius [0, r e^{i theta}].
-
-    Returns the quadrature result (value, error estimate, convergence flag,
-    interval count); on budget exhaustion the best value carries
-    ``converged=False`` instead of raising.
-    """
-    if not 0.0 < r < 1.0:
-        raise DiskDomainError("radial length needs r in (0, 1)")
-    presplit = endpoint_cluster(0.0, r) if r > 0.9 else None
-    return adaptive_quad(_ray_speed(m, theta), 0.0, r, abs_tol=abs_tol,
-                         rel_tol=rel_tol, max_intervals=max_intervals,
-                         presplit=presplit)
 
 
 def _polished_max(m: HarmonicMap, e: complex, rho) -> float:
@@ -104,11 +89,13 @@ class RadialProfile:
 
 
 def radial_profile(m: HarmonicMap, theta: float, r_grid,
-                   rel_tol: float = 1e-10) -> RadialProfile:
+                   config: Config = None) -> RadialProfile:
     """Build the radial profile incrementally over an increasing r grid.
 
-    Lengths accumulate segment by segment; the running maximum refines local
+    Lengths accumulate segment by segment, each segment integrated to
+    relative tolerance ``config.tol / 4``; the running maximum refines local
     maxima inside each new segment, so both are consistent across the grid.
+    ``converged`` is false if any segment's quadrature did not converge.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     # written as "not (good)" so that an empty, NaN or infinite grid fails too
@@ -118,6 +105,7 @@ def radial_profile(m: HarmonicMap, theta: float, r_grid,
                              "increasing grid in (0, 1)")
     if not math.isfinite(theta):
         raise ParameterError(f"radial profile needs a finite angle, got theta = {theta!r}")
+    rel_tol = (config or Config()).tol / 4
     speed = _ray_speed(m, theta)
     e = np.exp(1j * theta)
     ell = np.empty_like(r_grid)
@@ -160,31 +148,6 @@ def growth_ratio(m: HarmonicMap, theta: float, config: Config = None) -> GrowthR
     ten medians as the grid extends toward the R_CAP cap, so no monotone
     blow-up) is the ``growth_bounded`` line's rule in ``suites``.
     """
-    config = config or Config()
     r_grid = 1.0 - np.geomspace(0.49, 1.0 - R_CAP, 40)
-    profile = radial_profile(m, theta, r_grid, rel_tol=config.tol / 4)
+    profile = radial_profile(m, theta, r_grid, config)
     return GrowthResult(profile, float(np.max(profile.ratio)), float(np.median(profile.ratio)))
-
-
-@dataclass(frozen=True)
-class ClassicalBoundCheck:
-    """Radial length against the sharp starlike / convex bounds."""
-
-    ratio: float                # ell / |f(r e^{i theta})|
-    starlike_bound: float       # 1 + r
-    convex_bound: float         # arcsin(r) / r
-    converged: bool             # the radial-length quadrature converged
-
-
-def classical_bounds(m: HarmonicMap, theta: float, r: float) -> ClassicalBoundCheck:
-    """The ratio ell / |f| and the sharp bounds it meets: 1 + r for starlike
-    maps and arcsin(r)/r for convex maps.  Which bound applies, and the pass
-    rule, are the caller's (the radial-growth suite reads the corpus flags)."""
-    q = radial_length(m, theta, r, rel_tol=1e-10)
-    fval = abs(complex(m.value(r * np.exp(1j * theta))))
-    return ClassicalBoundCheck(
-        ratio=q.value / fval,
-        starlike_bound=1.0 + r,
-        convex_bound=math.asin(r) / r,
-        converged=q.converged,
-    )

@@ -131,11 +131,19 @@ def suite_geometry(corpus: dict, config: Config) -> list:
 # the input estimate every radial-growth line rests on
 _QUAD = "radial-length quadrature"
 
+# the sharp bound on ell(r) / |f(r)| of each flagged class, and the radii
+# of the classical and shear lines
+_CLASSICAL_BOUNDS = {"starlike": lambda r: 1.0 + r, "convex": lambda r: math.asin(r) / r}
+_CLASSICAL_RADII = (0.3, 0.6, 0.9)
+_SHEAR_RADII = (0.5, 0.9)
+
 
 def suite_radial_growth(corpus: dict, config: Config) -> list:
     """Growth-ratio boundedness for every corpus map, the classical
-    starlike/convex radial bounds, and the shear sharpness identity.  A line
-    whose radial-length quadrature did not converge fails."""
+    starlike/convex radial bounds, and the shear sharpness identity.  Every
+    radial length is read from one ``radial_profile`` per map and ray, so
+    ``config.tol`` governs all of them.  A line whose profile did not
+    converge fails."""
     reports = []
     for label in sorted(corpus):
         m = corpus[label]
@@ -146,29 +154,28 @@ def suite_radial_growth(corpus: dict, config: Config) -> list:
             res.profile.r, slack=0.0,
             notes=f"max={res.max_ratio!r} median={res.median_ratio!r}",
             unconverged=None if res.profile.converged else _QUAD))
-        if not m.flags & {"starlike", "convex"}:
+        kinds = [kind for kind in _CLASSICAL_BOUNDS if kind in m.flags]
+        if not kinds:
             continue  # no classical line to write, so no quadrature to spend
-        for r in (0.3, 0.6, 0.9):
-            chk = radial.classical_bounds(m, 0.0, r)
-            for kind, bound in (("starlike", chk.starlike_bound),
-                                ("convex", chk.convex_bound)):
-                if kind not in m.flags:
-                    continue
+        prof = radial.radial_profile(m, 0.0, _CLASSICAL_RADII, config)
+        for k, r in enumerate(_CLASSICAL_RADII):
+            ratio = prof.ell[k] / prof.abs_f[k]
+            for kind in kinds:
                 reports.append(bounds._report(
-                    f"classical_{kind}:{label}", 0.0, None, [bound - chk.ratio], r,
-                    bounds._SLACK, unconverged=None if chk.converged else _QUAD))
-    koebe = default_corpus()["koebe"]
+                    f"classical_{kind}:{label}", 0.0, None,
+                    [_CLASSICAL_BOUNDS[kind](r) - ratio], r, bounds._SLACK,
+                    unconverged=None if prof.converged else _QUAD))
+    base = radial.radial_profile(default_corpus()["koebe"], 0.0, _SHEAR_RADII, config)
     for big_k in (2.0, 3.0):
-        sheared = shear_qc(CatalogPart("koebe"), big_k)
-        for r in (0.5, 0.9):
-            q_s = radial.radial_length(sheared, 0.0, r)
-            q_h = radial.radial_length(koebe, 0.0, r)
-            ell_s, ell_h = q_s.value, q_h.value
+        prof = radial.radial_profile(shear_qc(CatalogPart("koebe"), big_k), 0.0,
+                                     _SHEAR_RADII, config)
+        for k, r in enumerate(_SHEAR_RADII):
+            ell_s, ell_h = float(prof.ell[k]), float(base.ell[k])
             margin = (ell_s - 2.0 / (big_k + 1.0) * ell_h) / max(1.0, ell_s)
             reports.append(bounds._report(
                 f"shear_sharpness:K={big_k:g}", 0.0, big_k, [margin], r, bounds._SLACK,
                 notes=f"ell_shear={ell_s!r} ell_base={ell_h!r}",
-                unconverged=None if q_s.converged and q_h.converged else _QUAD))
+                unconverged=None if prof.converged and base.converged else _QUAD))
     return _sorted_reports(reports)
 
 

@@ -19,7 +19,7 @@ from hqmap import (
     harnack_constant,
 )
 from hqmap.bounds import _report, rel_margin
-from hqmap.maps import ParameterError
+from hqmap.maps import HarmonicMap, ParameterError, SenseReversalError, SeriesPart
 
 ANALYTIC = ("identity", "koebe", "halfplane", "convex-poly2", "convex-poly3")
 
@@ -109,6 +109,19 @@ def test_two_point_growth_degenerate_pair(corpus):
     rep = check_two_point_growth(corpus["identity"], 2.0, 1.0, pairs=[(0.3, 0.3)])
     assert rep.passed
     assert rep.worst_margin == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("read", [
+    lambda m: check_two_point_growth(m, 2.0, 1.0),
+    lambda m: check_displacement(m, 1.0, 2.0, 0.3),
+], ids=["two-point-growth", "displacement"])
+def test_vanishing_f_z_is_a_sense_reversal(read):
+    # h = z - z^2/0.6 has h'(0.3) = 0, and 0.3 is a z0 of the default pairs;
+    # the f_z divisor names that point as finite_dnorm does for the norm
+    m = HarmonicMap(SeriesPart((0j, 1.0, -1.0 / 0.6)), SeriesPart((0j,)), "fold")
+    with pytest.raises(SenseReversalError, match="fold: f_z vanishes") as info:
+        read(m)
+    assert info.value.witness == 0.3
 
 
 @pytest.mark.parametrize("label", ANALYTIC)

@@ -376,21 +376,44 @@ def test_check_radial_growth_unconverged_quadrature_fails(monkeypatch, capsys):
 
 
 def test_radial_growth_classical_quadratures_only_for_flagged_maps(monkeypatch):
-    # a map with neither flag writes no classical line, so it gets no
-    # quadrature: 5 flagged built-ins x 3 radii, none for shear-k3
+    # each map gets its growth profile; a flagged map one more for its
+    # classical lines, and a map with neither flag none.  The shear lines
+    # share one koebe profile and build one per sheared map.
+    from collections import Counter
+
     from hqmap import radial
 
-    real = radial.classical_bounds
-    labels = []
+    real = radial.radial_profile
+    labels = Counter()
 
     def counting(m, *args, **kwargs):
-        labels.append(m.label)
+        labels[m.label] += 1
         return real(m, *args, **kwargs)
 
-    monkeypatch.setattr(radial, "classical_bounds", counting)
+    monkeypatch.setattr(radial, "radial_profile", counting)
     suites.run_suite("radial-growth", default_corpus(), Config(grid_level=0))
-    assert len(labels) == 15
-    assert "shear-k3" not in labels
+    assert labels == {"koebe": 3, "identity": 2, "halfplane": 2, "convex-poly2": 2,
+                      "convex-poly3": 2, "shear-k3": 1,
+                      "shear[2](koebe)": 1, "shear[3](koebe)": 1}
+
+
+def test_radial_growth_tolerance_reaches_every_quadrature(monkeypatch):
+    # --tol governs every radial length of the suite: each profile segment
+    # is integrated to tol/4, the classical and shear lines included
+    from hqmap import radial
+
+    real = radial.adaptive_quad
+    tols = []
+
+    def spying(*args, **kwargs):
+        tols.append(kwargs["rel_tol"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "adaptive_quad", spying)
+    reports, _ = suites.run_suite("radial-growth", default_corpus(), Config(tol=1e-6))
+    assert {r.predicate.split(":")[0] for r in reports} == {
+        "growth_bounded", "classical_starlike", "classical_convex", "shear_sharpness"}
+    assert tols and set(tols) == {2.5e-7}
 
 
 def test_bad_config_value(capsys):

@@ -118,19 +118,19 @@ def test_harnack_constant_matches_mpmath(a1, a2, a3, alpha):
 ], ids=["koebe", "halfplane"])
 def test_radial_length_matches_closed_form(label, exact):
     # on [0, 1) the map is real and increasing, so the image length of
-    # [0, r] is f(r); checked on report's 24-radius grid up to r_cap
-    from hqmap import Config, default_corpus, radial_length, radial_profile
+    # [0, r] is f(r); checked on report's 24-radius grid up to r_cap, both
+    # accumulated segment by segment and in one pass from 0 to each radius
+    from hqmap import default_corpus, radial_profile
     from hqmap.maps import R_CAP
 
     m = default_corpus()[label]
-    config = Config()
     radii = 1.0 - np.geomspace(0.9, 1.0 - R_CAP, 24)
-    profile = radial_profile(m, 0.0, radii, rel_tol=config.tol / 4)
+    profile = radial_profile(m, 0.0, radii)
     assert profile.converged
     with mpmath.workdps(30):
         for r, ell in zip(radii, profile.ell):
             want = exact(mpmath.mpf(float(r)))
-            q = radial_length(m, 0.0, float(r))
-            assert q.converged
-            for got in (float(ell), q.value):
+            one = radial_profile(m, 0.0, [float(r)])
+            assert one.converged
+            for got in (float(ell), float(one.ell[0])):
                 assert float(abs(got / want - 1)) <= 1e-12, (r, got)

@@ -7,17 +7,22 @@ import pytest
 from hqmap import (
     CatalogPart,
     DiskDomainError,
-    classical_bounds,
     growth_gauge,
     growth_ratio,
-    radial_length,
     radial_profile,
     shear_qc,
 )
+from hqmap import quadrature
 from hqmap.maps import Config, HarmonicMap, ParameterError, SeriesPart
-from hqmap.suites import suite_radial_growth
+from hqmap.suites import _CLASSICAL_BOUNDS, suite_radial_growth
 
 ZERO = SeriesPart((0j,))
+
+
+def one_radius(m, theta, r, config=None):
+    """The profile of the single segment [0, r e^{i theta}]: one pass from 0,
+    with the endpoint pre-split when r > 0.9."""
+    return radial_profile(m, theta, [r], config)
 
 
 # ---------------------------------------------------------------------------
@@ -42,53 +47,50 @@ def test_gauge_domain():
 
 
 def test_length_identity_exact(corpus):
-    for r in np.arange(0.1, 0.95, 0.1):
-        q = radial_length(corpus["identity"], 0.7, float(r))
-        assert q.converged
-        assert abs(q.value - r) < 1e-12
+    prof = radial_profile(corpus["identity"], 0.7, np.arange(0.1, 0.95, 0.1))
+    assert prof.converged
+    assert np.all(np.abs(prof.ell - prof.r) < 1e-12)
 
 
 def test_length_koebe_closed_form(corpus):
     # antiderivative of (1+rho)/(1-rho)^3 is rho/(1-rho)^2
-    q = radial_length(corpus["koebe"], 0.0, 0.5)
-    assert q.value == pytest.approx(2.0, rel=1e-8)
+    assert one_radius(corpus["koebe"], 0.0, 0.5).ell[0] == pytest.approx(2.0, rel=1e-8)
 
 
 def test_length_halfplane_closed_form(corpus):
     # antiderivative of (1-rho)^{-2} is rho/(1-rho)
-    q = radial_length(corpus["halfplane"], 0.0, 0.5)
-    assert q.value == pytest.approx(1.0, rel=1e-8)
+    assert one_radius(corpus["halfplane"], 0.0, 0.5).ell[0] == pytest.approx(1.0, rel=1e-8)
 
 
 def test_length_sheared_koebe():
     # on the real axis the integrand is (1 + mu) k'(rho) with mu = 1/2
     sheared = shear_qc(CatalogPart("koebe"), 3.0)
-    q = radial_length(sheared, 0.0, 0.5)
-    assert q.value == pytest.approx(3.0, rel=1e-8)
+    assert one_radius(sheared, 0.0, 0.5).ell[0] == pytest.approx(3.0, rel=1e-8)
 
 
-def test_length_domain():
-    from hqmap import default_corpus
+def test_length_domain(corpus):
+    # the length is defined for 0 < r < 1 only
+    for r in (0.0, 1.0):
+        with pytest.raises(ParameterError, match="radial profile"):
+            one_radius(corpus["identity"], 0.0, r)
 
-    with pytest.raises(DiskDomainError):
-        radial_length(default_corpus()["identity"], 0.0, 1.0)
 
-
-def test_length_budget_flag(corpus):
-    q = radial_length(corpus["koebe"], 0.0, 0.999, rel_tol=1e-13, max_intervals=3)
-    assert not q.converged
-    assert q.value > 0.0
+def test_length_budget_flag(corpus, monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 3)
+    prof = one_radius(corpus["koebe"], 0.0, 0.999, Config(tol=4e-13))
+    assert not prof.converged
+    assert prof.ell[0] > 0.0
 
 
 def test_length_tolerance_convergence(corpus):
     # tightening the tolerance halves (or better) the deviation from the
     # closed form, up to a floating floor; bisection converges in jumps,
-    # so the ratio is checked across decades
+    # so the ratio is checked across decades.  Each segment runs at tol/4.
     exact = 0.99 / (1.0 - 0.99) ** 2
     devs = []
     for tol in (1e-4, 1e-5, 1e-6):
-        q = radial_length(corpus["koebe"], 0.0, 0.99, abs_tol=0.0, rel_tol=tol)
-        devs.append(abs(q.value - exact))
+        prof = one_radius(corpus["koebe"], 0.0, 0.99, Config(tol=4.0 * tol))
+        devs.append(abs(prof.ell[0] - exact))
     for a, b in zip(devs[:-1], devs[1:]):
         assert b <= 0.5 * a + 1e-12 * exact
 
@@ -168,48 +170,53 @@ def test_growth_ratio_sheared_koebe_bounded(corpus):
 
 def test_growth_chain_lower_bound(corpus):
     # ell >= |f| >= (1 - ((1-r)/(1+r))^2)/4 on the analytic subfamily
+    radii = np.array([0.3, 0.6, 0.9])
+    lower = (1.0 - ((1.0 - radii) / (1.0 + radii)) ** 2) / 4.0
     for label in ("identity", "koebe", "halfplane", "convex-poly2", "convex-poly3"):
         m = corpus[label]
         for theta in (0.0, 1.3, math.pi):
-            for r in (0.3, 0.6, 0.9):
-                ell = radial_length(m, theta, r).value
-                fv = abs(complex(m.value(r * np.exp(1j * theta))))
-                lower = (1.0 - ((1.0 - r) / (1.0 + r)) ** 2) / 4.0
-                assert ell >= fv - 1e-10
-                assert fv >= lower - 1e-12, f"{label} {theta} {r}"
+            prof = radial_profile(m, theta, radii)
+            assert np.all(prof.ell >= prof.abs_f - 1e-10)
+            assert np.all(prof.abs_f >= lower - 1e-12), f"{label} {theta}"
 
 
 def test_shear_sharpness_inequality(corpus):
+    radii = [0.3, 0.5, 0.9]
+    ell_k = radial_profile(corpus["koebe"], 0.0, radii).ell
     for big_k in (1.0, 2.0, 3.0, 10.0):
-        sheared = shear_qc(CatalogPart("koebe"), big_k)
-        for r in (0.3, 0.5, 0.9):
-            ell_s = radial_length(sheared, 0.0, r).value
-            ell_k = radial_length(corpus["koebe"], 0.0, r).value
-            assert ell_s == pytest.approx(2.0 * big_k / (big_k + 1.0) * ell_k, rel=1e-8)
-            assert ell_s >= 2.0 / (big_k + 1.0) * ell_k - 1e-12
+        ell_s = radial_profile(shear_qc(CatalogPart("koebe"), big_k), 0.0, radii).ell
+        np.testing.assert_allclose(ell_s, 2.0 * big_k / (big_k + 1.0) * ell_k, rtol=1e-8)
+        assert np.all(ell_s >= 2.0 / (big_k + 1.0) * ell_k - 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# classical starlike / convex bounds
+# classical starlike / convex bounds: ell(r) / |f(r)| against 1 + r and
+# arcsin(r) / r, as the radial-growth suite reads them from one profile
+
+
+def classical_ratio(m, theta, r):
+    prof = one_radius(m, theta, r)
+    return prof.ell[0] / prof.abs_f[0]
 
 
 def test_classical_koebe_starlike(corpus):
-    chk = classical_bounds(corpus["koebe"], 0.0, 0.7)
-    assert chk.ratio == pytest.approx(1.0, rel=1e-9)  # ell = |f| on the axis
-    assert chk.ratio <= chk.starlike_bound + 1e-9
+    ratio = classical_ratio(corpus["koebe"], 0.0, 0.7)
+    assert ratio == pytest.approx(1.0, rel=1e-9)  # ell = |f| on the axis
+    assert ratio <= _CLASSICAL_BOUNDS["starlike"](0.7) + 1e-9
 
 
 def test_classical_halfplane_convex(corpus):
-    chk = classical_bounds(corpus["halfplane"], 0.0, 0.8)
-    assert chk.ratio == pytest.approx(1.0, rel=1e-9)
-    assert chk.ratio <= chk.convex_bound + 1e-9
-    assert chk.convex_bound == pytest.approx(math.asin(0.8) / 0.8)
+    ratio = classical_ratio(corpus["halfplane"], 0.0, 0.8)
+    assert ratio == pytest.approx(1.0, rel=1e-9)
+    assert ratio <= _CLASSICAL_BOUNDS["convex"](0.8) + 1e-9
+    assert _CLASSICAL_BOUNDS["convex"](0.8) == pytest.approx(math.asin(0.8) / 0.8)
 
 
 def test_classical_identity_convex(corpus):
-    chk = classical_bounds(corpus["identity"], 1.0, 0.5)
-    assert chk.ratio <= chk.convex_bound + 1e-9 and chk.ratio <= chk.starlike_bound + 1e-9
-    assert chk.ratio == pytest.approx(1.0, abs=1e-12)
+    ratio = classical_ratio(corpus["identity"], 1.0, 0.5)
+    assert ratio <= _CLASSICAL_BOUNDS["convex"](0.5) + 1e-9
+    assert ratio <= _CLASSICAL_BOUNDS["starlike"](0.5) + 1e-9
+    assert ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_classical_unflagged(corpus):
