@@ -29,7 +29,6 @@ from .geometry import (
     boundary_arc,
     boundary_box,
     boundary_distance,
-    box_contains,
     disk_grid,
     hyp_dist,
     stolz_contains,

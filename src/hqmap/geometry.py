@@ -56,45 +56,40 @@ def wrap_angle(t):
 # region samples
 
 
-def _geom_radii(r_lo: float, r_hi: float, n: int) -> np.ndarray:
-    """Radii from r_lo to r_hi with 1 - r geometrically clustered toward 1."""
-    if n == 1 or r_hi == r_lo:
-        return np.array([r_lo])
-    return 1.0 - np.geomspace(1.0 - r_lo, 1.0 - r_hi, n)
+def boundary_boxes(anchors, n_radial: int, n_angular: int, reach: float) -> np.ndarray:
+    """Tensor samples of the boundary-anchored boxes B(z), one row per
+    anchor z, each flattened radius by radius.
 
+    The radial coordinate runs from |z| to ``reach``, with 1 - r
+    geometrically clustered toward the circle; the angular one spans
+    arg z +- pi (1 - |z|).  Corner extremes are included exactly.  For
+    z = 0 the angular condition is vacuous and a full annulus grid is
+    returned.
 
-def box_contains(z: complex, zeta) -> np.ndarray:
-    """Membership in B(z) = {w : |z| <= |w| < 1, |arg z - arg w| <= pi(1-|z|)}."""
-    zeta = np.asarray(zeta, dtype=complex)
-    rad_ok = (np.abs(zeta) >= abs(z) - 1e-12) & (np.abs(zeta) < 1.0)
-    if z == 0:
-        return rad_ok
-    ang = np.abs(wrap_angle(np.angle(zeta) - np.angle(complex(z))))
-    return rad_ok & (ang <= math.pi * (1.0 - abs(z)) + 1e-12)
+    |z| and arg z are taken per anchor as Python scalars (numpy's complex
+    ``abs`` can differ from ``abs`` in the last bit), and every row is the
+    one-anchor box bit for bit: the lattices of all rows come from one
+    ``geomspace``, one ``linspace`` and one grid product.
+    """
+    anchors = [complex(z) for z in np.ravel(anchors)]
+    r0 = np.array([abs(z) for z in anchors])
+    if np.any(r0 >= reach):
+        raise ParameterError("box anchor must satisfy |z| < reach")
+    half_width = math.pi * (1.0 - r0)
+    base_angle = np.array([float(np.angle(z)) if z else 0.0 for z in anchors])
+    if n_radial == 1:
+        radii = r0[:, None]
+    else:
+        radii = 1.0 - np.geomspace(1.0 - r0, 1.0 - reach, n_radial, axis=1)
+    angles = base_angle[:, None] + np.linspace(-half_width, half_width, n_angular, axis=1)
+    return (radii[:, :, None] * np.exp(1j * angles[:, None, :])).reshape(len(anchors), -1)
 
 
 def boundary_box(z: complex, n_radial: int = 24, n_angular: int = 25,
                  reach: float = 0.999) -> np.ndarray:
     """Tensor sample of the boundary-anchored box B(z), flattened radius by
-    radius.
-
-    The radial coordinate is geometrically clustered toward the circle and
-    stops at ``reach``; corner extremes are included exactly.  For z = 0 the
-    angular condition is vacuous and a full annulus grid is returned.
-    """
-    z = complex(z)
-    r0 = abs(z)
-    if r0 >= reach:
-        raise ParameterError("box anchor must satisfy |z| < reach")
-    if z == 0:
-        half_width = math.pi
-        base_angle = 0.0
-    else:
-        half_width = math.pi * (1.0 - r0)
-        base_angle = float(np.angle(z))
-    radii = _geom_radii(r0, reach, n_radial)
-    angles = base_angle + np.linspace(-half_width, half_width, n_angular)
-    return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+    radius: the one-anchor case of ``boundary_boxes``."""
+    return boundary_boxes([z], n_radial, n_angular, reach)[0]
 
 
 def boundary_arc(a: complex, n: int = 512) -> np.ndarray:
@@ -106,6 +101,13 @@ def boundary_arc(a: complex, n: int = 512) -> np.ndarray:
     base = float(np.angle(a)) if a != 0 else 0.0
     angles = base + np.linspace(-half_width, half_width, n)
     return np.exp(1j * angles)
+
+
+def circle_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n uniform angles 2 pi k / n and their unit-circle nodes
+    e^{i 2 pi k / n}, built afresh on each call."""
+    angles = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    return angles, np.exp(1j * angles)
 
 
 def disk_grid(n_radial: int = 48, n_angular: int = 64, r_cap: float = R_CAP) -> np.ndarray:
@@ -204,7 +206,7 @@ def boundary_distance(m: HarmonicMap, w, eps: float = 1e-4,
     if not 0.0 < eps < 1.0:
         raise ParameterError("ring offset must lie in (0, 1)")
     ws = np.asarray(w, dtype=complex)
-    img = m.value((1.0 - eps) * np.exp(1j * np.linspace(0.0, TWO_PI, n, endpoint=False)))
+    img = m.value((1.0 - eps) * circle_nodes(n)[1])
     halves = _row_reduce(ws.ravel(), np.concatenate([img[0::2], img[1::2]]),
                          lambda d, axis: np.minimum.reduceat(d, [0, n // 2], axis=axis))
     value = np.min(halves, axis=1)

@@ -114,7 +114,9 @@ def criterion_iii(m: HarmonicMap, levels: int = 3) -> CriterionTrace:
     built once per radius and rotated with z, so angular discretization
     error is identical at every level and cancels out of the trace drift.
     The origin (where the box degenerates to the whole disk) is always
-    included.
+    included.  The boxes of a level, the origin's and one per z-radius, come
+    from one ``geometry.boundary_boxes`` call, whose rows are the
+    one-radius boxes bit for bit.
 
     Only the four edges of each box grid are evaluated.  f = h + conj(g) is
     harmonic, so w -> |f(w) - f(z)| is subharmonic and its maximum over the
@@ -149,21 +151,21 @@ def criterion_iii(m: HarmonicMap, levels: int = 3) -> CriterionTrace:
         edges[[0, -1], :] = True
         edges[:, [0, -1]] = True
         edges = edges.ravel()
-        f0 = complex(m.value(0.0 + 0.0j))
-        box0 = geometry.boundary_box(0.0 + 0.0j, *box_shape, reach=reach)[edges]
-        sup = _ratio_sup(m, np.max(np.abs(m.value(box0) - f0)),
-                         finite_dnorm(m, 0.0 + 0.0j), 0.0 + 0.0j)
         radii = _z_radii(level)
+        # row 0 is the origin's box, row 1 + i the box of radii[i]
+        boxes = geometry.boundary_boxes([0.0, *radii], *box_shape, reach)[:, edges]
+        f0 = complex(m.value(0.0 + 0.0j))
+        sup = _ratio_sup(m, np.max(np.abs(m.value(boxes[0]) - f0)),
+                         finite_dnorm(m, 0.0 + 0.0j), 0.0 + 0.0j)
         per_block = max(1, _BOX_BLOCK // (_N_ROT * int(edges.sum())))
         for lo in range(0, len(radii), per_block):
             r = radii[lo:lo + per_block]
-            boxes = np.stack([geometry.boundary_box(complex(x), *box_shape, reach=reach)[edges]
-                              for x in r])
+            block = boxes[1 + lo:1 + lo + per_block]
             zs = r[:, None] * rots[None, :]
             dens = (1.0 - r * r)[:, None] * finite_dnorm(m, zs)
             fzs = m.value(zs)
-            # boxes[i] rotated to zs[i, k] is row (i, k)
-            nums = np.max(np.abs(m.value(rots[None, :, None] * boxes[:, None, :])
+            # block[i] rotated to zs[i, k] is row (i, k)
+            nums = np.max(np.abs(m.value(rots[None, :, None] * block[:, None, :])
                                  - fzs[:, :, None]), axis=2)
             sup = max(sup, _ratio_sup(m, nums, dens, zs))
         trace.append(sup)
@@ -216,26 +218,23 @@ def decay_fit(m: HarmonicMap, window=(0.6, 0.99)) -> DecayFit:
     a, b = math.log(1.0 - lo), math.log(1.0 - hi)
     big_l = a + (b - a) * u
     rho = 1.0 - np.exp(big_l)
-    angles = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    zetas = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False))
+    # row k is the ray at angle 2 pi k / 16; one call over the whole lattice
+    # reports a bad norm at the first bad point of the first ray with one
+    norms = finite_dnorm(m, zetas[:, None] * rho[None, :])
     slopes = []
     residual = 0.0
-    norms = []
-    for a in angles:
-        zeta = complex(np.exp(1j * a))
-        vals = finite_dnorm(m, rho * zeta)
+    for vals in norms:
         y = np.log(vals)
         slope, intercept = np.polyfit(big_l, y, 1)
         slopes.append(float(slope))
         residual = max(residual, float(np.max(np.abs(slope * big_l + intercept - y))))
-        norms.append(vals)
     delta = 1.0 + min(slopes)
-    c_emp = 0.0
-    for vals in norms:
-        # same-ray pairs with the row point at least as deep as the column
-        ratio = vals[:, None] / vals[None, :]
-        scale = ((1.0 - rho[:, None]) / (1.0 - rho[None, :])) ** (delta - 1.0)
-        mask = rho[:, None] >= rho[None, :]
-        c_emp = max(c_emp, float(np.max(np.where(mask, ratio / scale, 0.0))))
+    # same-ray pairs with the row point at least as deep as the column
+    ratio = norms[:, :, None] / norms[:, None, :]
+    scale = ((1.0 - rho[:, None]) / (1.0 - rho[None, :])) ** (delta - 1.0)
+    mask = rho[:, None] >= rho[None, :]
+    c_emp = float(np.max(np.where(mask, ratio / scale, 0.0)))
     return DecayFit(c=c_emp, delta=float(delta), residual=residual, slopes=tuple(slopes))
 
 

@@ -54,8 +54,7 @@ def boundary_profile(m: HarmonicMap, eps: float = 1e-3, n: int = 2048) -> Bounda
         raise ParameterError("profile size must be a power of two, at least 256")
     if not 0.0 < eps < 0.5:
         raise ParameterError("ring offset must lie in (0, 0.5)")
-    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    nodes = np.exp(1j * angles)
+    angles, nodes = geometry.circle_nodes(n)
     values = np.empty(n)
     drift = 0.0
     for lo in range(0, n, _RING_BLOCK):

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import threading
 import warnings
 from dataclasses import fields
@@ -550,6 +551,25 @@ def test_report_single_worker_same_bytes(report_dir, tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     for name in names:
         assert (tmp_path / name).read_bytes() == (report_dir / name).read_bytes(), name
+
+
+def test_report_rerun_into_the_same_out_writes_the_same_bytes(report_dir, tmp_path):
+    # a second report into a used directory replaces each file rather than
+    # truncating it: a hard link to an old file keeps the old bytes, and a
+    # stale file longer than its new text leaves no tail behind
+    out = tmp_path / "out"
+    link = tmp_path / "corpus-link.json"
+    argv = ["--grid-level", "0", "--out", str(out), "report"]
+    assert main(argv) == 0
+    names = sorted(p.name for p in report_dir.iterdir())
+    (out / "manifest.json").write_text("stale\n" * 10_000)
+    os.link(out / "corpus.json", link)
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (report_dir / name).read_bytes(), name
+    assert link.read_bytes() == (report_dir / "corpus.json").read_bytes()
+    assert not link.samefile(out / "corpus.json")
 
 
 def test_report_map_error_exits_2(tmp_path, capsys, monkeypatch):

@@ -10,17 +10,18 @@ from hqmap import (
     boundary_arc,
     boundary_box,
     boundary_distance,
-    box_contains,
     disk_grid,
     hyp_dist,
     stolz_contains,
     stolz_sample,
 )
 from hqmap.geometry import (
+    boundary_boxes,
     mobius_shift,
     set_diameter,
+    wrap_angle,
 )
-from hqmap.maps import HarmonicMap, SeriesPart
+from hqmap.maps import HarmonicMap, ParameterError, SeriesPart
 
 
 def polar(r, t):
@@ -73,6 +74,61 @@ def test_hyp_mobius_invariance(z1, z2, a):
 
 # ---------------------------------------------------------------------------
 # boundary boxes
+
+
+def box_contains(z: complex, zeta) -> np.ndarray:
+    """Membership in B(z) = {w : |z| <= |w| < 1, |arg z - arg w| <= pi(1-|z|)},
+    the oracle the box sample is tested against."""
+    zeta = np.asarray(zeta, dtype=complex)
+    rad_ok = (np.abs(zeta) >= abs(z) - 1e-12) & (np.abs(zeta) < 1.0)
+    if z == 0:
+        return rad_ok
+    ang = np.abs(wrap_angle(np.angle(zeta) - np.angle(complex(z))))
+    return rad_ok & (ang <= math.pi * (1.0 - abs(z)) + 1e-12)
+
+
+def _box_per_anchor(z, n_radial, n_angular, reach):
+    """Reference box: the one-anchor sample, its lattices built for z alone."""
+    z = complex(z)
+    r0 = abs(z)
+    if z == 0:
+        half_width = math.pi
+        base_angle = 0.0
+    else:
+        half_width = math.pi * (1.0 - r0)
+        base_angle = float(np.angle(z))
+    if n_radial == 1:
+        radii = np.array([r0])
+    else:
+        radii = 1.0 - np.geomspace(1.0 - r0, 1.0 - reach, n_radial)
+    angles = base_angle + np.linspace(-half_width, half_width, n_angular)
+    return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+
+
+def test_boundary_boxes_rows_are_the_per_anchor_boxes():
+    # every row equals its own one-anchor box bit for bit; at the first
+    # complex anchor numpy's complex abs is one ulp below Python's abs
+    from hqmap.johndisk import _reach, _z_radii
+
+    anchors = [0j, *(complex(r) for level in range(4) for r in _z_radii(level)),
+               0.7293521485912897 + 0.5457463043506803j, -0.3 + 0.4j, -0.75j,
+               0.95 * np.exp(0.3j), -0.9, 0.2 - 1e-9j]
+    for reach in (*(_reach(level) for level in range(4)), 0.999):
+        inside = [z for z in anchors if abs(z) < reach]
+        for shape in ((8, 9), (20, 21), (30, 31), (45, 45), (80, 81), (1, 5), (6, 1)):
+            rows = boundary_boxes(inside, *shape, reach)
+            assert rows.shape == (len(inside), shape[0] * shape[1])
+            for z, row in zip(inside, rows):
+                assert row.tobytes() == _box_per_anchor(z, *shape, reach).tobytes(), \
+                    (z, shape, reach)
+            assert boundary_box(inside[-1], *shape, reach).tobytes() == rows[-1].tobytes()
+
+
+def test_boundary_boxes_reject_an_anchor_past_the_reach():
+    with pytest.raises(ParameterError, match=r"\|z\| < reach"):
+        boundary_boxes([0.0, 0.5, 0.9995], 8, 9, 0.999)
+    with pytest.raises(ParameterError, match=r"\|z\| < reach"):
+        boundary_box(0.999j, 8, 9, 0.999)
 
 
 def test_box_geometry():

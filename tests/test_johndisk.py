@@ -1,11 +1,13 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hqmap import (
     CatalogPart,
+    DecayFit,
     HarmonicMap,
     ParameterError,
     SenseReversalError,
@@ -21,6 +23,7 @@ from hqmap import (
     rotate,
 )
 from hqmap.johndisk import HolderFit
+from hqmap.maps import finite_dnorm
 
 EXPECTED_JOHN = {
     "identity": True,
@@ -200,18 +203,20 @@ def test_criterion_iii_batched_boxes_match_per_rotation(corpus):
 
 
 class _CountingMap:
-    """Forwards to a map and counts its ``value`` calls."""
+    """Forwards to a map and counts its ``value`` and ``wirtinger`` calls."""
 
     def __init__(self, m):
         self.m = m
         self.label = m.label
         self.value_calls = 0
+        self.wirtinger_calls = 0
 
     def value(self, z):
         self.value_calls += 1
         return self.m.value(z)
 
     def wirtinger(self, z):
+        self.wirtinger_calls += 1
         return self.m.wirtinger(z)
 
 
@@ -244,6 +249,78 @@ def test_decay_nan_norm_is_an_error(nan_norm_map):
     # the fit once came out as C = 0, residual = 0, delta = NaN
     with pytest.raises(ParameterError, match="nan-norm: derivative norm is not finite at z = "):
         decay_fit(nan_norm_map)
+
+
+def _decay_fit_per_ray(m, window=(0.6, 0.99)):
+    """Reference fit: one derivative-norm evaluation per ray, and the
+    constant folded ray by ray."""
+    lo, hi = window
+    u = np.linspace(0.0, 1.0, 48) ** 0.5
+    a, b = math.log(1.0 - lo), math.log(1.0 - hi)
+    big_l = a + (b - a) * u
+    rho = 1.0 - np.exp(big_l)
+    slopes = []
+    residual = 0.0
+    norms = []
+    for t in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
+        zeta = complex(np.exp(1j * t))
+        vals = finite_dnorm(m, rho * zeta)
+        y = np.log(vals)
+        slope, intercept = np.polyfit(big_l, y, 1)
+        slopes.append(float(slope))
+        residual = max(residual, float(np.max(np.abs(slope * big_l + intercept - y))))
+        norms.append(vals)
+    delta = 1.0 + min(slopes)
+    c_emp = 0.0
+    for vals in norms:
+        ratio = vals[:, None] / vals[None, :]
+        scale = ((1.0 - rho[:, None]) / (1.0 - rho[None, :])) ** (delta - 1.0)
+        mask = rho[:, None] >= rho[None, :]
+        c_emp = max(c_emp, float(np.max(np.where(mask, ratio / scale, 0.0))))
+    return DecayFit(c=c_emp, delta=float(delta), residual=residual, slopes=tuple(slopes))
+
+
+def test_decay_fit_matches_per_ray_reference(corpus):
+    # the one lattice evaluation gives every slope, residual and constant of
+    # the ray-by-ray fit bit for bit
+    maps = (*(corpus[label] for label in sorted(corpus)), _series12(),
+            *(_seeded_harmonic12(seed) for seed in (1, 2, 3, 11, 19)))
+    def bits(fit):
+        return np.array([fit.c, fit.delta, fit.residual, *fit.slopes]).tobytes()
+
+    for m in maps:
+        for window in ((0.6, 0.99), (0.5, 0.999)):
+            assert bits(decay_fit(m, window)) == bits(_decay_fit_per_ray(m, window)), \
+                (m.label, window)
+
+
+def test_decay_fit_makes_one_norm_call(corpus):
+    for label in ("identity", "koebe", "shear-k3"):
+        m = _CountingMap(corpus[label])
+        decay_fit(m)
+        assert (m.wirtinger_calls, m.value_calls) == (1, 0), label
+
+
+class _NanBelowMap(_CountingMap):
+    """Its derivative norm is NaN wherever Im z < -0.3."""
+
+    def wirtinger(self, z):
+        dnorm = np.array(super().wirtinger(z).dnorm, dtype=float)
+        dnorm[np.imag(np.broadcast_to(z, dnorm.shape)) < -0.3] = np.nan
+        return SimpleNamespace(dnorm=dnorm)
+
+
+def test_decay_nan_norm_names_the_first_bad_point_of_the_first_bad_ray(corpus):
+    # rays 9 to 15 point below the real axis; ray 9 is the first to cross
+    # Im z = -0.3, though ray 10 crosses it at a smaller radius
+    m = _NanBelowMap(corpus["convex-poly2"])
+    with pytest.raises(ParameterError) as ref:
+        _decay_fit_per_ray(m)
+    with pytest.raises(ParameterError) as info:
+        decay_fit(m)
+    assert str(info.value) == str(ref.value)
+    where = complex(str(info.value).split("z = ")[1])
+    assert math.atan2(where.imag, where.real) == pytest.approx(-7 * math.pi / 8)
 
 
 def test_decay_koebe_slope(corpus):
