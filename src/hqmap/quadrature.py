@@ -4,6 +4,12 @@ The radial-length integrands of extremal maps grow like (1 - rho)^{-3}
 toward the upper endpoint, so the driver accepts a list of pre-split points
 to seed geometric refinement there before the error-driven subdivision
 takes over.  Integrands must be vectorized (array in, array out).
+
+``adaptive_quads`` integrates many integrals of one integrand together:
+their first GK15 pass is one call of the integrand over the nodes of every
+initial interval, and each later bisection one call over both halves.
+``adaptive_quad`` is its one-integral case.  Batching moves no bit: every
+interval sees the same nodes and the same floating-point operations.
 """
 
 from __future__ import annotations
@@ -48,14 +54,118 @@ class QuadResult(NamedTuple):
     intervals: int
 
 
-def _gk15(f: Callable, a: float, b: float):
+def _gk15(f: Callable, a, b):
+    """GK15 value and error estimate on each interval [a, b], from one call
+    of f over the 15 nodes of every interval.
+
+    Scalar ends give one (value, error) pair of floats, equal-length 1-D
+    arrays of ends one pair of arrays.  The weighted sums are taken row by
+    row with ``np.dot``: one matrix-vector product over all rows rounds
+    differently.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
-    nodes = 0.5 * (a + b) + half * _XK
-    vals = np.asarray(f(nodes), dtype=float)
-    k = half * float(np.dot(_WK, vals))
-    g = half * float(np.dot(_WG, vals[1::2]))
-    diff = abs(k - g)
-    return k, min(diff, (200.0 * diff) ** 1.5)
+    nodes = (0.5 * (a + b))[..., None] + half[..., None] * _XK
+    rows = np.asarray(f(nodes.ravel()), dtype=float).reshape(-1, _XK.size)
+    values, errors = [], []
+    for h, vals in zip(half.ravel().tolist(), rows):
+        k = h * float(np.dot(_WK, vals))
+        g = h * float(np.dot(_WG, vals[1::2]))
+        diff = abs(k - g)
+        values.append(k)
+        # (200 diff)^1.5 < diff only when diff < 200^-3 = 1.25e-7, so the
+        # power is taken only below 1e-6, where it cannot overflow
+        errors.append(min(diff, (200.0 * diff) ** 1.5) if diff < 1e-6 else diff)
+    if half.ndim == 0:
+        return values[0], errors[0]
+    return np.array(values), np.array(errors)
+
+
+def _sum_in_order(x) -> float:
+    """0.0 + x[0] + x[1] + ... added left to right, as Python 3.11's
+    ``sum()`` adds floats (``np.sum`` adds pairwise, and Python 3.12's
+    ``sum()`` compensates)."""
+    return 0.0 + float(np.cumsum(x)[-1])
+
+
+def cut_list(a: float, b: float, presplit=None) -> list:
+    """The cuts [a, *sorted presplit points inside (a, b), b] that
+    ``adaptive_quad`` starts from; [a] alone when a == b."""
+    if b == a:
+        return [a]
+    inner = sorted(p for p in presplit if a < p < b) if presplit is not None else []
+    return [a, *inner, b]
+
+
+def adaptive_quads(f: Callable, cuts, abs_tol: float = 1e-12,
+                   rel_tol: float = 1e-9) -> list:
+    """Integrate f over [c[0], c[-1]] for each non-decreasing cut list c,
+    starting from the intervals between consecutive cuts; one
+    ``QuadResult`` per cut list.  A one-point cut list is an empty integral.
+
+    The first GK15 pass over every initial interval of every integral is
+    one call of f.  Then each integral, in turn, bisects its worst interval
+    (the first one of largest error estimate, both halves in one call of f)
+    until the summed error estimate drops below
+    max(abs_tol, rel_tol * |integral|).  On budget exhaustion
+    (``MAX_INTERVALS`` subintervals) the best value is returned with
+    ``converged=False`` rather than raising.
+
+    Sums run over the intervals in the order they were made (a bisection
+    retires the worst interval and appends its two halves), left to right,
+    so they are Python 3.11's float ``sum()`` over a list kept in that
+    order, bit for bit.
+    With a NaN error estimate the first NaN interval is bisected; the
+    result is NaN and unconverged either way.
+    """
+    cuts = [[float(x) for x in c] for c in cuts]
+    for c in cuts:
+        if not c or any(hi < lo for lo, hi in zip(c, c[1:])):
+            raise ValueError("each cut list must be non-empty and non-decreasing")
+    los = [lo for c in cuts for lo in c[:-1]]
+    his = [hi for c in cuts for hi in c[1:]]
+    val, err = _gk15(f, los, his) if los else (None, None)
+    results = []
+    start = 0
+    for c in cuts:
+        stop = start + len(c) - 1
+        if stop == start:
+            results.append(QuadResult(0.0, 0.0, True, 0))
+        else:
+            results.append(_bisect(f, list(zip(c[:-1], c[1:])), val[start:stop],
+                                   err[start:stop], abs_tol, rel_tol))
+        start = stop
+    return results
+
+
+def _bisect(f, ends, val, err, abs_tol, rel_tol) -> QuadResult:
+    """The bisection loop of one integral from its first-pass intervals
+    ``ends`` with values ``val`` and error estimates ``err``.  A retired
+    interval keeps its slot with value and error 0.0, which adds nothing
+    to a sum and is never the worst while some live error is positive."""
+    live = used = len(ends)
+    while True:
+        total = _sum_in_order(val[:used])
+        err_total = _sum_in_order(err[:used])
+        if err_total <= max(abs_tol, rel_tol * abs(total)):
+            return QuadResult(total, err_total, True, live)
+        if live >= MAX_INTERVALS:
+            return QuadResult(total, err_total, False, live)
+        if used == len(val):
+            # room for every bisection the budget allows; copies the
+            # first-pass slice, so the batch arrays are never written
+            room = np.empty(2 * (MAX_INTERVALS - live))
+            val = np.concatenate((val, room))
+            err = np.concatenate((err, room))
+        worst = int(np.argmax(err[:used]))
+        lo, hi = ends[worst]
+        mid = 0.5 * (lo + hi)
+        val[worst] = err[worst] = 0.0
+        val[used:used + 2], err[used:used + 2] = _gk15(f, [lo, mid], [mid, hi])
+        ends += [(lo, mid), (mid, hi)]
+        used += 2
+        live += 1
 
 
 def adaptive_quad(
@@ -66,37 +176,11 @@ def adaptive_quad(
     rel_tol: float = 1e-9,
     presplit=None,
 ) -> QuadResult:
-    """Integrate f over [a, b]; stop when the summed error estimate drops
-    below max(abs_tol, rel_tol * |integral|).  On budget exhaustion
-    (``MAX_INTERVALS`` subintervals) the best value is returned with
-    ``converged=False`` rather than raising.
-    """
+    """Integrate f over [a, b] from the cuts ``cut_list(a, b, presplit)``:
+    the one-integral case of ``adaptive_quads``."""
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
-    if b == a:
-        return QuadResult(0.0, 0.0, True, 0)
-    cuts = [a]
-    if presplit is not None:
-        cuts.extend(p for p in sorted(presplit) if a < p < b)
-    cuts.append(b)
-    segs = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        val, err = _gk15(f, lo, hi)
-        segs.append((err, lo, hi, val))
-    while True:
-        total = sum(s[3] for s in segs)
-        err_total = sum(s[0] for s in segs)
-        if err_total <= max(abs_tol, rel_tol * abs(total)):
-            return QuadResult(total, err_total, True, len(segs))
-        if len(segs) >= MAX_INTERVALS:
-            return QuadResult(total, err_total, False, len(segs))
-        worst = max(range(len(segs)), key=lambda i: segs[i][0])
-        _, lo, hi, _ = segs.pop(worst)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        segs.append((e1, lo, mid, v1))
-        segs.append((e2, mid, hi, v2))
+    return adaptive_quads(f, [cut_list(a, b, presplit)], abs_tol, rel_tol)[0]
 
 
 def endpoint_cluster(a: float, b: float) -> list:

@@ -7,7 +7,9 @@ integral over rho of |f_z(rho e^{i theta}) + e^{-2 i theta} f_zb(rho e^{i theta}
 ``radial`` CSV and all radial-growth check lines) is ``radial_profile(...).ell``.
 For the catalog maps this integrand grows like (1 - rho)^{-3} near the
 circle, so the quadrature pre-splits geometrically toward the endpoint of
-each segment that ends beyond 0.9.
+each segment that ends beyond 0.9.  A profile integrates all its segments
+in one ``adaptive_quads`` call and evaluates the 24-point max-scan grids of
+all segments in one ``value`` call.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import R_CAP, Config, DiskDomainError, HarmonicMap, ParameterError
-from .quadrature import adaptive_quad, endpoint_cluster, golden_max
+from .quadrature import adaptive_quads, cut_list, endpoint_cluster, golden_max
 
 
 def growth_gauge(r) -> float:
@@ -44,10 +46,9 @@ def _ray_speed(m: HarmonicMap, theta: float):
     return speed
 
 
-def _polished_max(m: HarmonicMap, e: complex, rho) -> float:
-    """Maximum of |f(rho e)| over the grid rho, with every interior local
-    grid maximum polished by golden-section search."""
-    vals = np.abs(m.value(rho * e))
+def _polished_max(m: HarmonicMap, e: complex, rho, vals) -> float:
+    """Maximum of |f(rho e)| over the grid rho, given as ``vals``, with every
+    interior local grid maximum polished by golden-section search."""
     best = float(vals.max())
 
     def f(x):
@@ -96,6 +97,10 @@ def radial_profile(m: HarmonicMap, theta: float, r_grid,
     relative tolerance ``config.tol / 4``; the running maximum refines local
     maxima inside each new segment, so both are consistent across the grid.
     ``converged`` is false if any segment's quadrature did not converge.
+    All segments are integrated by one ``adaptive_quads`` call (one speed
+    call for their first GK15 pass, one per bisection) and their max-scan
+    grids evaluated by one ``value`` call; the golden-section polish and
+    the running maximum still go segment by segment.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     # written as "not (good)" so that an empty, NaN or infinite grid fails too
@@ -106,33 +111,42 @@ def radial_profile(m: HarmonicMap, theta: float, r_grid,
     if not math.isfinite(theta):
         raise ParameterError(f"radial profile needs a finite angle, got theta = {theta!r}")
     rel_tol = (config or Config()).tol / 4
-    speed = _ray_speed(m, theta)
     e = np.exp(1j * theta)
+    los = np.concatenate(([0.0], r_grid[:-1]))
+    cuts = [cut_list(lo, hi, endpoint_cluster(lo, hi) if hi > 0.9 else None)
+            for lo, hi in zip(los, r_grid)]
+    quads = adaptive_quads(_ray_speed(m, theta), cuts, abs_tol=0.0, rel_tol=rel_tol)
+    grids = np.linspace(los, r_grid, 24, axis=1)
+    scans = np.abs(m.value(grids * e))
     ell = np.empty_like(r_grid)
     err = np.empty_like(r_grid)
     m_f = np.empty_like(r_grid)
     total = 0.0
     total_err = 0.0
     running = abs(complex(m.value(0.0 + 0.0j)))
-    lo = 0.0
-    ok = True
-    for k, hi in enumerate(r_grid):
-        presplit = endpoint_cluster(lo, hi) if hi > 0.9 else None
-        q = adaptive_quad(speed, lo, hi, abs_tol=0.0, rel_tol=rel_tol,
-                          presplit=presplit)
-        ok = ok and q.converged
+    for k, q in enumerate(quads):
         total += q.value
         total_err += q.error
         ell[k] = total
         err[k] = total_err
-        running = max(running, _polished_max(m, e, np.linspace(lo, hi, 24)))
+        running = max(running, _polished_max(m, e, grids[k], scans[k]))
         m_f[k] = running
-        lo = hi
     abs_f = np.abs(m.value(r_grid * e))
     psi = growth_gauge(r_grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(psi * m_f > 0, ell / (m_f * psi), np.inf)
+    ok = all(q.converged for q in quads)
     return RadialProfile(theta, r_grid, ell, abs_f, m_f, psi, ratio, err, ok)
+
+
+def _median(x) -> float:
+    """``np.median`` of a 1-D array, bit for bit (NaN if any entry is NaN),
+    without the ``numpy.ma`` import that ``np.median`` makes on first use."""
+    s = np.sort(x)  # NaN sorts last
+    h = s.size // 2
+    if np.isnan(s[-1]):
+        return math.nan
+    return float(s[h] if s.size % 2 else (s[h - 1] + s[h]) / 2)
 
 
 @dataclass(eq=False)
@@ -150,4 +164,4 @@ def growth_ratio(m: HarmonicMap, theta: float, config: Config = None) -> GrowthR
     """
     r_grid = 1.0 - np.geomspace(0.49, 1.0 - R_CAP, 40)
     profile = radial_profile(m, theta, r_grid, config)
-    return GrowthResult(profile, float(np.max(profile.ratio)), float(np.median(profile.ratio)))
+    return GrowthResult(profile, float(np.max(profile.ratio)), _median(profile.ratio))

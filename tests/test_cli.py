@@ -356,12 +356,12 @@ def test_check_radial_growth_unconverged_quadrature_fails(monkeypatch, capsys):
     before = [json.loads(line) for line in out.splitlines()]
     assert all("did not converge" not in d["notes"] for d in before)
 
-    real = radial.adaptive_quad
+    real = radial.adaptive_quads
 
     def unconverged(*args, **kwargs):
-        return real(*args, **kwargs)._replace(converged=False)
+        return [q._replace(converged=False) for q in real(*args, **kwargs)]
 
-    monkeypatch.setattr(radial, "adaptive_quad", unconverged)
+    monkeypatch.setattr(radial, "adaptive_quads", unconverged)
     code, out, _ = run(capsys, "--grid-level", "0", "check", "radial-growth")
     assert code == 1
     after = [json.loads(line) for line in out.splitlines()]
@@ -403,14 +403,14 @@ def test_radial_growth_tolerance_reaches_every_quadrature(monkeypatch):
     # is integrated to tol/4, the classical and shear lines included
     from hqmap import radial
 
-    real = radial.adaptive_quad
+    real = radial.adaptive_quads
     tols = []
 
     def spying(*args, **kwargs):
         tols.append(kwargs["rel_tol"])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(radial, "adaptive_quad", spying)
+    monkeypatch.setattr(radial, "adaptive_quads", spying)
     reports, _ = suites.run_suite("radial-growth", default_corpus(), Config(tol=1e-6))
     assert {r.predicate.split(":")[0] for r in reports} == {
         "growth_bounded", "classical_starlike", "classical_convex", "shear_sharpness"}

@@ -1,0 +1,313 @@
+"""Batched GK15 quadrature and the batched radial profile, each against a
+copy of the one-integral, one-segment code it replaced, bit for bit."""
+
+import io
+import math
+
+import numpy as np
+import pytest
+
+from hqmap import default_corpus, quadrature, radial, radial_profile
+from hqmap.cli import main
+from hqmap.corpus import save_corpus
+from hqmap.maps import R_CAP, Config, HarmonicMap, SeriesPart
+from hqmap.quadrature import (
+    QuadResult,
+    adaptive_quad,
+    adaptive_quads,
+    cut_list,
+    endpoint_cluster,
+    golden_max,
+)
+
+ZERO = SeriesPart((0j,))
+GRID = [0.05, 0.5, 0.93, 0.95, 0.99, 0.999]
+
+
+# ---------------------------------------------------------------------------
+# reference: one GK15 call of f per interval, lists re-summed per bisection
+
+
+def _ref_gk15(f, a, b):
+    half = 0.5 * (b - a)
+    nodes = 0.5 * (a + b) + half * quadrature._XK
+    vals = np.asarray(f(nodes), dtype=float)
+    k = half * float(np.dot(quadrature._WK, vals))
+    g = half * float(np.dot(quadrature._WG, vals[1::2]))
+    diff = abs(k - g)
+    with np.errstate(over="ignore"):
+        return k, min(diff, (200.0 * diff) ** 1.5)
+
+
+def _ref_quad(f, a, b, abs_tol=1e-12, rel_tol=1e-9, presplit=None):
+    if b < a:
+        raise ValueError("integration bounds must satisfy a <= b")
+    if b == a:
+        return QuadResult(0.0, 0.0, True, 0)
+    cuts = [a]
+    if presplit is not None:
+        cuts.extend(p for p in sorted(presplit) if a < p < b)
+    cuts.append(b)
+    segs = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        val, err = _ref_gk15(f, lo, hi)
+        segs.append((err, lo, hi, val))
+    while True:
+        total = sum(s[3] for s in segs)
+        err_total = sum(s[0] for s in segs)
+        if err_total <= max(abs_tol, rel_tol * abs(total)):
+            return QuadResult(total, err_total, True, len(segs))
+        if len(segs) >= quadrature.MAX_INTERVALS:
+            return QuadResult(total, err_total, False, len(segs))
+        worst = max(range(len(segs)), key=lambda i: segs[i][0])
+        _, lo, hi, _ = segs.pop(worst)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = _ref_gk15(f, lo, mid)
+        v2, e2 = _ref_gk15(f, mid, hi)
+        segs.append((e1, lo, mid, v1))
+        segs.append((e2, mid, hi, v2))
+
+
+def _bits(q):
+    return (float(q.value).hex(), float(q.error).hex(), q.converged, q.intervals)
+
+
+def _jump(x):
+    return np.sign(np.sin(1000.0 * x)) + 2.0
+
+
+# (f, a, b, abs_tol, rel_tol, presplit): presplit, bisecting and empty integrals
+CASES = {
+    "koebe-presplit": (lambda x: (1 + x) / (1 - x) ** 3, 0.95, 0.999, 0.0, 2.5e-10,
+                       endpoint_cluster(0.95, 0.999)),
+    "halfplane-presplit": (lambda x: (1 - x) ** -2.0, 0.0, 0.99, 0.0, 1e-12,
+                           endpoint_cluster(0.0, 0.99)),
+    "sqrt-bisects": (np.sqrt, 0.0, 1.0, 1e-14, 1e-13, None),
+    "kink-bisects": (lambda x: np.abs(x - 0.3137), 0.0, 1.0, 0.0, 1e-14, None),
+    "oscillating": (lambda x: np.cos(40.0 * x) ** 2, -1.0, 2.0, 1e-12, 1e-9, None),
+    "unsorted-presplit": (np.exp, 0.0, 1.0, 1e-12, 1e-9, [0.7, 0.2, 1.5, -0.1, 0.5]),
+    "a-equals-b": (np.exp, 0.4, 0.4, 1e-12, 1e-9, [0.4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_adaptive_quad_matches_reference(case):
+    f, a, b, abs_tol, rel_tol, presplit = CASES[case]
+    got = adaptive_quad(f, a, b, abs_tol, rel_tol, presplit)
+    assert _bits(got) == _bits(_ref_quad(f, a, b, abs_tol, rel_tol, presplit))
+
+
+def test_adaptive_quads_matches_reference_per_integral():
+    # one batch of all cases: each result is its own integral's, bit for bit
+    cases = [CASES[name] for name in sorted(CASES)]
+    # every case shares one integrand here, so the batch can run them together
+    f = CASES["kink-bisects"][0]
+    cuts = [cut_list(a, b, presplit) for _, a, b, _, _, presplit in cases]
+    got = adaptive_quads(f, cuts, abs_tol=0.0, rel_tol=1e-12)
+    want = [_ref_quad(f, a, b, 0.0, 1e-12, presplit) for _, a, b, _, _, presplit in cases]
+    assert [_bits(q) for q in got] == [_bits(q) for q in want]
+    assert got[sorted(CASES).index("a-equals-b")] == QuadResult(0.0, 0.0, True, 0)
+
+
+@pytest.mark.parametrize("budget", [3, 9])
+def test_patched_budget_matches_reference(budget, monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", budget)
+    for f, a, b, abs_tol, rel_tol, presplit in CASES.values():
+        got = adaptive_quad(f, a, b, abs_tol, rel_tol, presplit)
+        assert _bits(got) == _bits(_ref_quad(f, a, b, abs_tol, rel_tol, presplit))
+
+
+def test_jump_integrand_at_the_real_budget_matches_reference():
+    got = adaptive_quad(_jump, 0.0, 1.0, abs_tol=0.0, rel_tol=1e-14)
+    assert not got.converged and got.intervals == quadrature.MAX_INTERVALS
+    assert _bits(got) == _bits(_ref_quad(_jump, 0.0, 1.0, 0.0, 1e-14))
+
+
+def test_bounds_and_cut_lists_are_checked():
+    with pytest.raises(ValueError, match="a <= b"):
+        adaptive_quad(np.exp, 1.0, 0.0)
+    for cuts in ([], [0.0, 0.5, 0.4]):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            adaptive_quads(np.exp, [[0.0, 1.0], cuts])
+
+
+def test_gk15_batch_rows_are_the_single_interval_pairs():
+    a = np.array([0.0, 0.25, 0.9, 0.999, -1.0])
+    b = np.array([0.25, 0.9, 0.999, 0.9999, 3.0])
+
+    def f(x):
+        return np.abs(x - 0.31) / (1.0 - 0.5 * x) ** 3
+
+    vals, errs = quadrature._gk15(f, a, b)
+    for k in range(a.size):
+        pair = quadrature._gk15(f, float(a[k]), float(b[k]))
+        assert (vals[k], errs[k]) == pair == _ref_gk15(f, a[k], b[k])
+
+
+def test_gk15_error_estimate_cannot_overflow():
+    # a jump of 1e250 makes diff ~ 1e249, where (200 diff)^1.5 overflows;
+    # the estimate is then diff itself, as min(diff, inf) gave for numpy
+    # floats (Python floats raised OverflowError)
+    def f(x):
+        return np.where(x > 0.3, 1e250, 0.0)
+
+    with np.errstate(all="raise"):
+        value, error = quadrature._gk15(f, 0.0, 1.0)
+    assert math.isfinite(error) and error > 1e203
+    assert (value, error) == _ref_gk15(f, np.float64(0.0), np.float64(1.0))
+
+
+def test_radial_of_a_huge_series_prints_no_warning(tmp_path, capsys):
+    # h = z + 1e250 z^2: the speed is about 2e250 rho and the GK15 error
+    # estimate about 1e235, past where the power overflowed
+    big = HarmonicMap(SeriesPart((0j, 1.0, 1e250)), ZERO, "big")
+    path = tmp_path / "corpus.json"
+    save_corpus({"big": big}, path)
+    code = main(["--corpus", str(path), "radial", "big", "0.37", ",".join(map(str, GRID))])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    want = io.StringIO()
+    _ref_profile(big, 0.37, GRID).to_csv(want)
+    assert out.out == want.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# radial profile: reference is one adaptive_quad and one value call per segment
+
+
+def _ref_polished_max(m, e, rho):
+    vals = np.abs(m.value(rho * e))
+    best = float(vals.max())
+
+    def f(x):
+        return float(np.abs(m.value(x * e)))
+
+    interior = np.nonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
+    for i in interior:
+        _, v = golden_max(f, rho[i - 1], rho[i + 1])
+        best = max(best, v)
+    return best
+
+
+def _ref_profile(m, theta, r_grid, config=None):
+    r_grid = np.asarray(r_grid, dtype=float)
+    rel_tol = (config or Config()).tol / 4
+    speed = radial._ray_speed(m, theta)
+    e = np.exp(1j * theta)
+    ell, err, m_f = (np.empty_like(r_grid) for _ in range(3))
+    total = total_err = 0.0
+    running = abs(complex(m.value(0.0 + 0.0j)))
+    lo = 0.0
+    ok = True
+    for k, hi in enumerate(r_grid):
+        presplit = endpoint_cluster(lo, hi) if hi > 0.9 else None
+        q = _ref_quad(speed, lo, hi, abs_tol=0.0, rel_tol=rel_tol, presplit=presplit)
+        ok = ok and q.converged
+        total += q.value
+        total_err += q.error
+        ell[k] = total
+        err[k] = total_err
+        running = max(running, _ref_polished_max(m, e, np.linspace(lo, hi, 24)))
+        m_f[k] = running
+        lo = hi
+    abs_f = np.abs(m.value(r_grid * e))
+    psi = radial.growth_gauge(r_grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(psi * m_f > 0, ell / (m_f * psi), np.inf)
+    return radial.RadialProfile(theta, r_grid, ell, abs_f, m_f, psi, ratio, err, ok)
+
+
+FIELDS = ("r", "ell", "abs_f", "m_f", "psi", "ratio", "quad_err")
+
+
+def _assert_same_profile(got, want):
+    assert got.converged == want.converged
+    assert got.theta == want.theta
+    for name in FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def _series12():
+    k = np.arange(2, 13)
+    h = [0j, 1 + 0j] + list(0.05 / k * np.exp(1j * k))
+    g = [0j, 0j] + list(0.03 / k * np.exp(-2j * k))
+    return HarmonicMap(SeriesPart(tuple(h)), SeriesPart(tuple(g)), "series12")
+
+
+def _seeded_harmonic(seed, degree):
+    """h = z + sum a_k z^k, g = sum b_k z^k with random phases and
+    sum_k k (|a_k| + |b_k|) < 1, so sense-preserving on the closed disk."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(2, degree + 1)
+    w = rng.uniform(0.0, 1.0, (2, k.size))
+    w *= rng.uniform(0.3, 0.95) / w.sum()
+    coef = w / k * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, w.shape))
+    return HarmonicMap(SeriesPart((0j, 1 + 0j) + tuple(coef[0])),
+                       SeriesPart((0j, 0j) + tuple(coef[1])), f"series{degree}-seed{seed}")
+
+
+def _profile_maps():
+    corpus = default_corpus()
+    return [*(corpus[label] for label in sorted(corpus)), _series12(),
+            _seeded_harmonic(3, 12), _seeded_harmonic(11, 12),
+            _seeded_harmonic(5, 16), _seeded_harmonic(23, 16)]
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.37])
+def test_radial_profile_matches_per_segment_reference(theta):
+    for m in _profile_maps():
+        _assert_same_profile(radial_profile(m, theta, GRID), _ref_profile(m, theta, GRID))
+
+
+def test_radial_profile_matches_reference_on_the_growth_grid():
+    r_grid = 1.0 - np.geomspace(0.49, 1.0 - R_CAP, 40)
+    for m in _profile_maps()[:7]:
+        _assert_same_profile(radial_profile(m, 2.0, r_grid), _ref_profile(m, 2.0, r_grid))
+
+
+def test_radial_profile_budget_matches_reference(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 3)
+    koebe = default_corpus()["koebe"]
+    got = radial_profile(koebe, 0.0, GRID, Config(tol=4e-13))
+    assert not got.converged
+    _assert_same_profile(got, _ref_profile(koebe, 0.0, GRID, Config(tol=4e-13)))
+
+
+def test_profile_makes_one_speed_call_per_pass(monkeypatch):
+    # all first-pass nodes of the 40 segments go through one speed call, and
+    # each bisection through one more; the max-scan grids are one value call
+    real_speed, real_quads = radial._ray_speed, radial.adaptive_quads
+    real_value = HarmonicMap.value
+    speed_calls, value_sizes, runs = [], [], []
+
+    def counting_speed(m, theta):
+        speed = real_speed(m, theta)
+
+        def counted(rho):
+            speed_calls.append(np.size(rho))
+            return speed(rho)
+
+        return counted
+
+    def spying(f, cuts, **kwargs):
+        out = real_quads(f, cuts, **kwargs)
+        runs.append((cuts, out))
+        return out
+
+    def counting_value(self, z):
+        value_sizes.append(np.size(z))
+        return real_value(self, z)
+
+    monkeypatch.setattr(radial, "_ray_speed", counting_speed)
+    monkeypatch.setattr(radial, "adaptive_quads", spying)
+    monkeypatch.setattr(HarmonicMap, "value", counting_value)
+    r_grid = 1.0 - np.geomspace(0.49, 1.0 - R_CAP, 40)
+    radial_profile(default_corpus()["koebe"], 0.3, r_grid, Config(tol=1e-13))
+    (cuts, quads), = runs
+    first = sum(len(c) - 1 for c in cuts)
+    bisections = sum(q.intervals - (len(c) - 1) for c, q in zip(cuts, quads))
+    assert len(cuts) == 40 and bisections > 0
+    assert speed_calls == [15 * first] + [30] * bisections
+    # the scalar calls are m.value(0) and the golden-section polish
+    assert sorted(set(value_sizes)) == [1, 40, 40 * 24]
+    assert value_sizes.count(40) == value_sizes.count(40 * 24) == 1

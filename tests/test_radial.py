@@ -225,3 +225,49 @@ def test_classical_unflagged(corpus):
     reports = suite_radial_growth({k: corpus[k] for k in labels}, Config())
     classical = {r.predicate for r in reports if r.predicate.startswith("classical_")}
     assert classical == {"classical_starlike:koebe", "classical_convex:halfplane"}
+
+
+# ---------------------------------------------------------------------------
+# the growth ratio's median
+
+
+@pytest.mark.parametrize("values", [
+    [0.3], [2.0, 1.0], [3.0, 1.0, 2.0], [0.1, 0.7, 0.3, 0.2],
+    [1.0, np.inf, 2.0], [np.inf, 1.0, np.inf, 2.0], [np.inf, np.inf],
+    [-np.inf, 1.0, 2.0, 3.0], [1.0, np.nan, 2.0], [np.nan, 1.0], [np.nan],
+    [1.0, 2.0, np.inf, np.nan],
+], ids=lambda v: ",".join(map(str, v)))
+def test_median_is_numpys_bit_for_bit(values):
+    from hqmap.radial import _median
+
+    x = np.array(values)
+    got = _median(x)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.median(x).tobytes()
+
+
+def test_median_of_seeded_ratios_is_numpys():
+    from hqmap.radial import _median
+
+    rng = np.random.default_rng(7)
+    for n in (39, 40, 41):
+        x = rng.lognormal(0.0, 2.0, n)
+        assert np.float64(_median(x)).tobytes() == np.median(x).tobytes()
+
+
+def test_radial_growth_check_does_not_import_numpy_ma():
+    # np.median imports numpy.ma on first use, about 7 ms and 1.2 MB a process
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hqmap
+
+    code = ("import sys; from hqmap import cli; "
+            "code = cli.main(['--grid-level', '0', 'check', 'radial-growth']); "
+            "sys.stderr.write(f'{code} {\"numpy.ma\" in sys.modules}')")
+    env = dict(os.environ, PYTHONPATH=str(Path(hqmap.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.stderr.splitlines()[-1] == "0 False"
