@@ -150,7 +150,7 @@ def check_two_point_growth(m: HarmonicMap, alpha: float, qc_k: float,
     pairs = np.asarray(pairs if pairs is not None else default_pairs(), dtype=complex)
     z0 = pairs[:, 0]
     z1 = pairs[:, 1]
-    fz0 = np.abs(m.h.d1(z0))
+    fz0 = np.abs(m.wirtinger(z0).fz)
     if np.any(fz0 == 0):
         raise SenseReversalError(f"{m.label}: f_z vanishes", complex(z0[int(np.argmin(fz0))]))
     q = np.abs(m.value(z1) - m.value(z0)) / ((1.0 - np.abs(z0) ** 2) * fz0)
@@ -197,8 +197,7 @@ def check_derivative_value_bound(m: HarmonicMap, alpha: float, qc_k: float,
     pts = np.asarray(points if points is not None else geometry.disk_grid(),
                      dtype=complex).ravel()
     c = derivative_bound_constant(alpha, qc_k)
-    w = m.wirtinger(pts)
-    lhs = np.abs(pts) * w.dnorm
+    lhs = np.abs(pts) * finite_dnorm(m, pts)
     with np.errstate(over="ignore"):  # an infinite side is rejected by _report
         rhs = c * np.abs(m.value(pts)) / (1.0 - np.abs(pts))
     margins = rel_margin(lhs, rhs)
@@ -229,9 +228,9 @@ def check_weighted_deriv_growth(m: HarmonicMap, alpha: float, triples=None) -> C
     xi = np.array([t[0] for t in triples], dtype=complex)
     rho = np.array([t[1] for t in triples], dtype=float)
     r = np.array([t[2] for t in triples], dtype=float)
-    lhs = (1.0 - rho ** 2) * m.wirtinger(rho * xi).dnorm
+    lhs = (1.0 - rho ** 2) * finite_dnorm(m, rho * xi)
     t = (r - rho) / (1.0 - rho * r)
-    rhs = _exp2alpha(t, alpha) * (1.0 - r ** 2) * m.wirtinger(r * xi).dnorm
+    rhs = _exp2alpha(t, alpha) * (1.0 - r ** 2) * finite_dnorm(m, r * xi)
     margins = rel_margin(lhs, rhs)
     return _report("weighted_deriv_growth", alpha, None, margins, rho * xi, _SLACK)
 
@@ -257,7 +256,7 @@ def check_boundary_dist_lower(m: HarmonicMap, qc_k: float, points=None,
         raise ParameterError(f"boundary_dist_lower: no sample point has |z| <= 1 - 2 eps "
                              f"at eps = {eps!r}")
     dist = geometry.boundary_distance(m, m.value(pts), eps=eps, n=geometry._RING_N)
-    lhs = m.wirtinger(pts).dnorm * (1.0 - np.abs(pts) ** 2) / (16.0 * qc_k)
+    lhs = finite_dnorm(m, pts) * (1.0 - np.abs(pts) ** 2) / (16.0 * qc_k)
     settled = np.min(rel_margin(lhs, dist.value - dist.drift)) >= -_SLACK
     return _report("boundary_dist_lower", 0.0, qc_k, rel_margin(lhs, dist.value), pts,
                    _SLACK, notes=f"eps={eps!r} n={geometry._RING_N}",
@@ -296,7 +295,7 @@ def check_harnack(m: HarmonicMap, z0: complex, alpha: float) -> CheckReport:
     z0 = complex(z0)
     big_m = harnack_constant(*_HARNACK_A, alpha)
     pts = _harnack_box(z0)
-    ratio = m.wirtinger(pts).dnorm / float(finite_dnorm(m, z0))
+    ratio = finite_dnorm(m, pts) / float(finite_dnorm(m, z0))
     margins = np.minimum(rel_margin(ratio, big_m), rel_margin(1.0 / big_m, ratio))
     return _report("harnack_comparison", alpha, None, margins, pts, _SLACK,
                    notes=f"z0={z0!r} M={big_m!r}")
@@ -309,7 +308,7 @@ def check_displacement(m: HarmonicMap, qc_k: float, alpha: float,
     z0 = complex(z0)
     big_m = harnack_constant(*_HARNACK_A, alpha)
     pts = _harnack_box(z0)
-    fz0 = abs(complex(m.h.d1(z0)))
+    fz0 = abs(complex(m.wirtinger(z0).fz))
     if fz0 == 0:
         raise SenseReversalError(f"{m.label}: f_z vanishes", z0)
     factor = (big_m / 2.0) ** (2.0 * alpha / (1.0 + alpha)) - 1.0

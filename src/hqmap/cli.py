@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import johndisk, poisson, radial, suites
-from .corpus import default_corpus, dump_corpus, load_corpus, validate_corpus
+from .corpus import default_corpus, dump_corpus, load_corpus, read_json, validate_corpus
 from .maps import R_CAP, Config, HqmapError
 
 _REPORT_SUITES = ("analytic-classical", "geometry", "radial-growth", "harmonic-advisory")
@@ -82,20 +82,26 @@ _CONFIG_KEYS = tuple(f.name for f in fields(Config))
 
 
 def _config_value(key: str, value):
-    """A value from the config file, type-checked as the matching flag's
-    argparse type would be, so that a wrong type is an input error."""
+    """A value from the config file, type-checked and converted as the
+    matching flag's argparse type would be, so that a wrong type is an input
+    error.  A number key becomes a float, so an integer too large for one
+    is an input error too."""
     kind = int if key in ("grid_level", "seed") else (int, float)
     if isinstance(value, bool) or not isinstance(value, kind):
         need = "an integer" if kind is int else "a number"
         raise HqmapError(f"config key {key!r} needs {need}, got {value!r}")
-    return value
+    if kind is int:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise HqmapError(f"config key {key!r} needs a finite number, got {value!r}") from None
 
 
 def _load_config(args) -> Config:
     values = {}
     if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        doc = read_json(args.config)
         if not isinstance(doc, dict):
             raise HqmapError("config file must hold a JSON object")
         unknown = sorted(set(doc) - set(_CONFIG_KEYS))
@@ -293,7 +299,7 @@ def main(argv=None) -> int:
     except HqmapError as exc:
         print(f"hqmap: error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, KeyError) as exc:
         print(f"hqmap: input error: {exc}", file=sys.stderr)
         return 2
 

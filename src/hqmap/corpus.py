@@ -7,7 +7,8 @@ Corpus files hold a list of map descriptors, one per label:
      "g": {...},
      "flags": ["SH", "SH0", ...]}
 
-Catalog parts may carry an optional unit-modulus "rotation": [re, im].
+Catalog parts may carry a unit-modulus "rotation"; when present it must be
+an [re, im] pair.  Corpus files are read as UTF-8 (``read_json``).
 The built-in corpus covers both sides of the John dichotomy: the identity,
 a K = 3 shear of it, and two bounded convex polynomials map onto John
 disks; the Koebe map (slit plane) and the half-plane map do not.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 
 from .geometry import disk_grid
 from .maps import (
@@ -82,7 +84,10 @@ def _pair2c(pair, what: str) -> complex:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                        for x in pair)):
         raise ParameterError(f"{what} must be a [re, im] pair of numbers, got {pair!r}")
-    c = complex(pair[0], pair[1])
+    try:
+        c = complex(pair[0], pair[1])
+    except OverflowError:  # an integer too large for a float
+        c = complex(math.inf)
     if not cmath.isfinite(c):
         raise ParameterError(f"{what} must be finite, got {pair!r}")
     return c
@@ -93,8 +98,8 @@ def part_from_json(d: dict) -> AnalyticPart:
         raise ParameterError(f"a map part must be a JSON object, got {d!r}")
     kind = d.get("kind")
     if kind == "catalog":
-        rot = d.get("rotation")
-        rotation = _pair2c(rot, "catalog rotation") if rot else 1.0 + 0.0j
+        # a rotation that is present must be a pair, so 0 or [] is an error
+        rotation = _pair2c(d["rotation"], "catalog rotation") if "rotation" in d else 1.0 + 0.0j
         return CatalogPart(d["name"], rotation=rotation)
     if kind == "series":
         coeffs = d["coeffs"]
@@ -147,9 +152,20 @@ def save_corpus(maps: dict, path) -> None:
         fh.write(dump_corpus(maps))
 
 
+def read_json(path):
+    """The JSON document of a UTF-8 file.  A file that is not UTF-8, not
+    JSON, or nested too deep to parse is a ``ParameterError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors, and so is an
+    # integer literal past Python's digit limit
+    except (ValueError, RecursionError) as exc:
+        raise ParameterError(f"cannot read {path} as UTF-8 JSON: {exc}") from None
+
+
 def load_corpus(path) -> dict:
-    with open(path) as fh:
-        docs = json.load(fh)
+    docs = read_json(path)
     if not isinstance(docs, list):
         raise ParameterError("a corpus file must hold a JSON list of map descriptors")
     maps = {}

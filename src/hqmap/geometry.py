@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import R_CAP, DiskDomainError, HarmonicMap, ParameterError
+from .maps import R_CAP, DiskDomainError, HarmonicMap, ParameterError, _check_in_disk
 
 TWO_PI = 2.0 * math.pi
 
@@ -31,8 +31,8 @@ def hyp_dist(z1, z2):
     """
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
-    if np.any(np.abs(z1) >= 1.0) or np.any(np.abs(z2) >= 1.0):
-        raise DiskDomainError("hyperbolic distance needs both points inside the disk")
+    _check_in_disk(z1)
+    _check_in_disk(z2)
     t = np.abs((z1 - z2) / (1.0 - np.conjugate(z1) * z2))
     out = np.arctanh(t)
     return float(out) if out.ndim == 0 else out
@@ -73,7 +73,7 @@ def boundary_boxes(anchors, n_radial: int, n_angular: int, reach: float) -> np.n
     """
     anchors = [complex(z) for z in np.ravel(anchors)]
     r0 = np.array([abs(z) for z in anchors])
-    if np.any(r0 >= reach):
+    if not np.all(r0 < reach):  # "not (inside)", so a NaN anchor fails too
         raise ParameterError("box anchor must satisfy |z| < reach")
     half_width = math.pi * (1.0 - r0)
     base_angle = np.array([float(np.angle(z)) if z else 0.0 for z in anchors])

@@ -250,8 +250,7 @@ class MobiusPart(AnalyticPart):
     def __post_init__(self):
         object.__setattr__(self, "zeta", complex(self.zeta))
         object.__setattr__(self, "scale", complex(self.scale))
-        if abs(self.zeta) >= 1.0:
-            raise DiskDomainError("composition center must lie in the open disk")
+        _check_in_disk(self.zeta)
         if self.scale == 0:
             raise DegenerateMapError("zero normalizing scale")
 

@@ -234,7 +234,8 @@ def pommerenke_bracket(m: HarmonicMap, r: float, theta1: float,
 
     def speed(t):
         z = r * np.exp(1j * (theta1 + t))
-        return np.abs(1j * z * m.h.d1(z) - 1j * np.conjugate(z * m.g.d1(z)))
+        w = m.wirtinger(z)
+        return np.abs(1j * z * w.fz - 1j * np.conjugate(z) * w.fzb)
 
     if dtheta == 0.0:
         return RatioBracket(0.0, 0.0, 0.0, 0.0, 0.0)

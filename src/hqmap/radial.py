@@ -28,20 +28,20 @@ def growth_gauge(r) -> float:
     """sqrt(log(1/(1-r))), the gauge the radial-length growth is measured
     against.  Domain [0, 1)."""
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0) or np.any(r >= 1.0):
+    if not np.all((r >= 0.0) & (r < 1.0)):  # "not (inside)", so NaN fails too
         raise DiskDomainError("growth gauge is defined for 0 <= r < 1")
     out = np.sqrt(np.log1p(r / (1.0 - r)))
     return float(out) if out.ndim == 0 else out
 
 
 def _ray_speed(m: HarmonicMap, theta: float):
-    """Vectorized integrand |h'(rho e^{i t}) + e^{-2 i t} conj(g'(rho e^{i t}))|."""
+    """Vectorized integrand |f_z(rho e^{i t}) + e^{-2 i t} f_zb(rho e^{i t})|."""
     e = np.exp(1j * theta)
     e2 = np.exp(-2j * theta)
 
     def speed(rho):
-        z = np.asarray(rho, dtype=float) * e
-        return np.abs(m.h.d1(z) + e2 * np.conjugate(m.g.d1(z)))
+        w = m.wirtinger(np.asarray(rho, dtype=float) * e)
+        return np.abs(w.fz + e2 * w.fzb)
 
     return speed
 

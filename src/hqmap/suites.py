@@ -53,7 +53,11 @@ def _inequality_family(m: HarmonicMap, alpha: float, qc_k: float,
         if fit is not None and fit.hypothesis_holds():
             out.append(bounds.check_arc_image_diameter(
                 m, qc_k, alpha, [0.9 + 0.0j, 0.7j], (fit.c, fit.delta), eps=eps))
-    except ParameterError as exc:  # a non-finite margin names its predicate, not the map
+    except ParameterError as exc:
+        # a non-finite margin names its predicate, not the map; a norm
+        # error from ``finite_dnorm`` already names the map
+        if str(exc).startswith(f"{m.label}: "):
+            raise
         raise ParameterError(f"{m.label}: {exc}") from exc
     for r in out:
         r.predicate = f"{r.predicate}:{tag}"

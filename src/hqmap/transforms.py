@@ -1,6 +1,6 @@
 """Map constructions: renormalized disk-automorphism composition, the
-affine family, quasiconformal shears, rotations, and the pre-Schwarzian
-supremum used to gate the small-pre-Schwarzian class.
+affine family, quasiconformal shears, rotations, and the boundary-limit
+estimate of the pre-Schwarzian supremum.
 
 Transforms are lazy compositions; re-expanding a composed power series would
 lose accuracy near the boundary where all the interesting suprema live, so
@@ -40,7 +40,7 @@ def koebe_transform(m: HarmonicMap, zeta: complex) -> HarmonicMap:
     conformal.
     """
     zeta = complex(zeta)
-    if abs(zeta) >= 1.0:
+    if not abs(zeta) < 1.0:  # "not (inside)", so a NaN center fails too
         raise ParameterError("transform center must lie in the open disk")
     hp = complex(m.h.d1(zeta))
     if hp == 0:

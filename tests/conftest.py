@@ -5,12 +5,24 @@ import numpy as np
 import pytest
 
 from hqmap import default_corpus
-from hqmap.maps import R_CAP, WirtingerPair
+from hqmap.maps import R_CAP, HarmonicMap, SeriesPart, WirtingerPair
 
 
 @pytest.fixture(scope="session")
 def corpus():
     return default_corpus()
+
+
+def seeded_harmonic(seed, degree):
+    """h = z + sum a_k z^k, g = sum b_k z^k with random phases and
+    sum_k k (|a_k| + |b_k|) < 1, so sense-preserving on the closed disk."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(2, degree + 1)
+    w = rng.uniform(0.0, 1.0, (2, k.size))
+    w *= rng.uniform(0.3, 0.95) / w.sum()
+    coef = w / k * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, w.shape))
+    return HarmonicMap(SeriesPart((0j, 1 + 0j) + tuple(coef[0])),
+                       SeriesPart((0j, 0j) + tuple(coef[1])), f"series{degree}-seed{seed}")
 
 
 class NanNormMap:

@@ -18,8 +18,16 @@ from hqmap import (
     disk_grid,
     harnack_constant,
 )
-from hqmap.bounds import _report, rel_margin
-from hqmap.maps import HarmonicMap, ParameterError, SenseReversalError, SeriesPart
+from hqmap import suites
+from hqmap.bounds import _harnack_box, _report, rel_margin
+from hqmap.maps import (
+    AnalyticPart,
+    Config,
+    HarmonicMap,
+    ParameterError,
+    SenseReversalError,
+    SeriesPart,
+)
 
 ANALYTIC = ("identity", "koebe", "halfplane", "convex-poly2", "convex-poly3")
 
@@ -122,6 +130,30 @@ def test_vanishing_f_z_is_a_sense_reversal(read):
     with pytest.raises(SenseReversalError, match="fold: f_z vanishes") as info:
         read(m)
     assert info.value.witness == 0.3
+
+
+class _SpikePart(AnalyticPart):
+    """The identity, but with an infinite derivative at the one point ``at``."""
+
+    def __init__(self, at):
+        self.at = at
+
+    def derivative(self, order, z):
+        z = np.asarray(z, dtype=complex)
+        if order == 1:
+            return np.where(z == self.at, complex(math.inf, 0.0), 1.0 + 0.0j)
+        return z if order == 0 else np.zeros_like(z)
+
+
+def test_norm_error_in_a_suite_names_its_map_once():
+    # the Harnack box's norm goes through finite_dnorm, whose error names the
+    # map; the suite prefixes the label only to errors that lack it (this
+    # one used to be a non-finite harnack_comparison margin)
+    at = complex(_harnack_box(0.9 + 0j)[7])
+    m = HarmonicMap(_SpikePart(at), SeriesPart((0j,)), "spike")
+    with pytest.raises(ParameterError) as info:
+        suites._inequality_family(m, 2.0, 1.0, Config(grid_level=0), "spike")
+    assert str(info.value) == f"spike: derivative norm is not finite at z = {at}"
 
 
 @pytest.mark.parametrize("label", ANALYTIC)

@@ -299,6 +299,48 @@ def test_malformed_corpus_shape(doc, tmp_path, capsys):
     assert err.startswith("hqmap: error:")
 
 
+@pytest.mark.parametrize("option", ["--corpus", "--config"])
+@pytest.mark.parametrize("data", [
+    '[{"label": "\u00e9"}]'.encode("latin-1"),
+    b"[" * 100_000 + b"]" * 100_000,
+    b"[" + b"9" * 5000 + b"]",
+], ids=["not-utf-8", "nested-100000-deep", "integer-past-digit-limit"])
+def test_unreadable_json_file_exits_2(option, data, tmp_path, capsys):
+    # each used to end in a traceback with exit 1: json.load raised
+    # UnicodeDecodeError, RecursionError and a plain ValueError
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, option, str(path), "check", "none")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"hqmap: error: cannot read {path} as UTF-8 JSON: ")
+
+
+@pytest.mark.parametrize("h, g", [
+    (_IDENTITY_H, {"kind": "series", "coeffs": [[0, 0], [10 ** 400, 0]]}),
+    ({"kind": "catalog", "name": "koebe", "rotation": [0, 10 ** 400]}, _ZERO_G),
+], ids=["series-coefficient", "rotation"])
+def test_corpus_integer_too_large_for_a_float_exits_2(h, g, tmp_path, capsys):
+    # complex() of a 400-digit integer used to raise OverflowError
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([{"label": "big", "h": h, "g": g}]))
+    code, out, err = run(capsys, "--corpus", str(path), "check", "none")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "must be finite" in err
+
+
+@pytest.mark.parametrize("rotation", [0, [], False, "", None],
+                         ids=["zero", "empty-list", "false", "empty-string", "null"])
+def test_present_rotation_must_be_a_pair(rotation, tmp_path, capsys):
+    # a falsy rotation used to load as an unrotated map, and check exited 0
+    path = tmp_path / "corpus.json"
+    h = {"kind": "catalog", "name": "koebe", "rotation": rotation}
+    path.write_text(json.dumps([{"label": "rot", "h": h, "g": _ZERO_G}]))
+    code, out, err = run(capsys, "--corpus", str(path), "check", "none")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "catalog rotation must be a [re, im] pair" in err
+
+
 def test_k_free_suite_reports_write_null_k(tmp_path, capsys):
     # only shear_sharpness takes a K in the geometry and radial-growth suites
     path = tmp_path / "corpus.json"
@@ -457,6 +499,29 @@ def test_unknown_config_key(doc, key, tmp_path, capsys):
     assert code == 2
     assert err.count("\n") == 1 and repr(key) in err
     assert err.endswith("have: alpha, bigk, eps, grid_level, seed, tol\n")
+
+
+@pytest.mark.parametrize("key", ["alpha", "bigk", "eps", "tol"])
+def test_config_integer_too_large_for_a_float_exits_2(key, tmp_path, capsys):
+    # a 400-digit alpha or K passed Config, since an int compares below
+    # math.inf, and alpha then raised OverflowError in harmonic-advisory;
+    # as tol it was accepted silently
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({key: 10 ** 400}))
+    code, out, err = run(capsys, "--config", str(cfg), "check", "none")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and repr(key) in err
+
+
+def test_config_file_numbers_are_floats_as_the_flags_give(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"alpha": 4, "bigk": 2, "tol": 1}))
+    parser = cli._build_parser()
+    from_file = cli._load_config(parser.parse_args(["--config", str(cfg), "check", "none"]))
+    from_flags = cli._load_config(parser.parse_args(
+        ["--alpha", "4", "--bigk", "2", "--tol", "1", "check", "none"]))
+    assert from_file == from_flags
+    assert all(type(getattr(from_file, key)) is float for key in ("alpha", "bigk", "tol"))
 
 
 def test_config_fields_are_the_config_keys():

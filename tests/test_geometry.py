@@ -52,6 +52,14 @@ def test_hyp_dist_domain_error():
         hyp_dist(0.5, 1.2j)
 
 
+@pytest.mark.parametrize("z1, z2", [(math.nan, 0.5), (0.5, [0.1, complex(0.2, math.nan)])],
+                         ids=["first", "second"])
+def test_hyp_dist_rejects_nan(z1, z2):
+    # a NaN point used to pass "any(|z| >= 1)" and give NaN after a warning
+    with pytest.raises(DiskDomainError, match="nan"):
+        hyp_dist(z1, z2)
+
+
 @settings(max_examples=200, derandomize=True)
 @given(disk_pts, disk_pts, disk_pts)
 def test_hyp_triangle_inequality(z1, z2, z3):
@@ -129,6 +137,16 @@ def test_boundary_boxes_reject_an_anchor_past_the_reach():
         boundary_boxes([0.0, 0.5, 0.9995], 8, 9, 0.999)
     with pytest.raises(ParameterError, match=r"\|z\| < reach"):
         boundary_box(0.999j, 8, 9, 0.999)
+
+
+def test_boundary_boxes_reject_a_nan_anchor_or_reach():
+    # each used to return a grid of NaN points
+    with pytest.raises(ParameterError, match=r"\|z\| < reach"):
+        boundary_boxes([0.5, complex(math.nan, 0.0)], 8, 9, 0.999)
+    with pytest.raises(ParameterError, match=r"\|z\| < reach"):
+        boundary_box(math.nan, 8, 9, 0.999)
+    with pytest.raises(ParameterError, match=r"\|z\| < reach"):
+        boundary_box(0.5, 8, 9, math.nan)
 
 
 def test_box_geometry():

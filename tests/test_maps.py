@@ -23,7 +23,14 @@ from hqmap import (
     qc_constant,
 )
 from hqmap import johndisk
-from hqmap.bounds import check_harnack
+from hqmap.bounds import (
+    _harnack_box,
+    check_boundary_dist_lower,
+    check_derivative_value_bound,
+    check_harnack,
+    check_weighted_deriv_growth,
+    default_triples,
+)
 from hqmap.johndisk import criterion_ii, criterion_iii, decay_fit
 from hqmap.maps import R_CAP, AnalyticPart, ComboPart, MobiusPart, check_sense_preserving
 from hqmap.poisson import boundary_profile, poisson_scan
@@ -292,6 +299,14 @@ def test_wirtinger_matches_finite_differences():
             assert complex(part.d2(z)) == pytest.approx(complex(fd2), rel=1e-3, abs=1e-4)
 
 
+@pytest.mark.parametrize("zeta", [1.0, 0.6 + 0.8j, complex(math.nan, 0.0), complex(0.2, math.nan)],
+                         ids=["on-circle", "on-circle-complex", "nan-re", "nan-im"])
+def test_mobius_center_must_be_in_the_disk(zeta):
+    # a NaN center used to pass "abs(zeta) >= 1" and build a NaN part
+    with pytest.raises(DiskDomainError):
+        MobiusPart(CatalogPart("koebe"), zeta, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # quasiconformality constant
 
@@ -422,6 +437,9 @@ _RING_EPS = 1e-2
 _CRIT_III_Z = (johndisk._z_radii(0)[:, None]
                * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, johndisk._N_ROT, endpoint=False)))
 _SCAN_R = np.linspace(0.0, (1.0 - 2.0 * _RING_EPS) * (1.0 - 1e-9), 5)[2]
+# the lower points rho xi of check_weighted_deriv_growth's default triples
+_TRIPLE_RHO_XI = (np.array([t[1] for t in default_triples()])
+                  * np.array([t[0] for t in default_triples()], dtype=complex))
 
 
 @pytest.mark.parametrize("at, read", [
@@ -433,12 +451,18 @@ _SCAN_R = np.linspace(0.0, (1.0 - 2.0 * _RING_EPS) * (1.0 - 1e-9), 5)[2]
      lambda m: boundary_profile(m, eps=_RING_EPS, n=2048)),
     (complex(_SCAN_R * np.exp(1j * math.pi / 4)), lambda m: poisson_scan(m, _RING_EPS)),
     (0.9 + 0j, lambda m: check_harnack(m, 0.9 + 0j, 3.0)),
+    (complex(_harnack_box(0.9 + 0j)[7]), lambda m: check_harnack(m, 0.9 + 0j, 3.0)),
+    (complex(_TRIPLE_RHO_XI[70]), lambda m: check_weighted_deriv_growth(m, 2.0)),
+    (complex(disk_grid()[100]), lambda m: check_derivative_value_bound(m, 2.0, 1.0)),
+    (complex(disk_grid(24, 32)[50]), lambda m: check_boundary_dist_lower(m, 1.0)),
 ], ids=["criterion-ii", "criterion-iii", "decay-fit", "poisson-ring", "poisson-scan",
-        "harnack-z0"])
+        "harnack-z0", "harnack-box", "weighted-deriv-growth", "deriv-value-bound",
+        "boundary-dist-lower"])
 def test_vanishing_norm_is_a_sense_reversal_at_its_point(at, read, norm_at_point):
     # every reader of the derivative norm goes through finite_dnorm; the
-    # decay fit used to write "delta": NaN, and the Harnack check named a
-    # box point in a non-finite-margin error
+    # decay fit used to write "delta": NaN, the Harnack check named a box
+    # point in a non-finite-margin error, and the four bounds checks read a
+    # zero norm as a zero side of their inequality
     with pytest.raises(SenseReversalError) as info:
         read(norm_at_point(at))
     assert info.value.witness == at

@@ -19,6 +19,9 @@ from hqmap import poisson
 from hqmap.maps import (CatalogPart, ComboPart, HarmonicMap, SenseReversalError,
                         SeriesPart, WirtingerPair)
 from hqmap.poisson import poisson_scan, poisson_trace_json
+from hqmap.quadrature import adaptive_quad
+
+from conftest import seeded_harmonic
 
 
 def scaled(m, c):
@@ -362,6 +365,24 @@ def test_bracket_picks_smaller_arc(corpus):
     # wraps to length 0.2 r
     br = pommerenke_bracket(corpus["identity"], 0.5, 0.1, 2 * math.pi - 0.1)
     assert br.arc_length == pytest.approx(0.5 * 0.2, rel=1e-9)
+
+
+@pytest.mark.parametrize("t1, t2", [(0.3, 1.1), (2.5, 0.4)], ids=["forward", "backward"])
+def test_bracket_arc_is_the_old_tangential_speed_bit_for_bit(t1, t2, corpus):
+    # the tangential speed reads f_z and f_zb through HarmonicMap.wirtinger;
+    # the arc is the one it gave when it read the parts' derivatives itself
+    r = 0.7
+    maps = [corpus["identity"], corpus["koebe"], corpus["shear-k3"],
+            seeded_harmonic(3, 12), seeded_harmonic(5, 16)]
+    for m in maps:
+        def speed(t):
+            z = r * np.exp(1j * (t1 + t))
+            return np.abs(1j * z * m.h.d1(z) - 1j * np.conjugate(z * m.g.d1(z)))
+
+        dtheta = float(np.mod(t2 - t1 + math.pi, 2.0 * math.pi) - math.pi)
+        want = adaptive_quad(speed, *sorted((0.0, dtheta)), rel_tol=1e-9).value
+        got = pommerenke_bracket(m, r, t1, t2).arc_length
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), m.label
 
 
 def test_bracket_shear(corpus):

@@ -20,6 +20,8 @@ from hqmap.quadrature import (
     golden_max,
 )
 
+from conftest import seeded_harmonic
+
 ZERO = SeriesPart((0j,))
 GRID = [0.05, 0.5, 0.93, 0.95, 0.99, 0.999]
 
@@ -234,23 +236,11 @@ def _series12():
     return HarmonicMap(SeriesPart(tuple(h)), SeriesPart(tuple(g)), "series12")
 
 
-def _seeded_harmonic(seed, degree):
-    """h = z + sum a_k z^k, g = sum b_k z^k with random phases and
-    sum_k k (|a_k| + |b_k|) < 1, so sense-preserving on the closed disk."""
-    rng = np.random.default_rng(seed)
-    k = np.arange(2, degree + 1)
-    w = rng.uniform(0.0, 1.0, (2, k.size))
-    w *= rng.uniform(0.3, 0.95) / w.sum()
-    coef = w / k * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, w.shape))
-    return HarmonicMap(SeriesPart((0j, 1 + 0j) + tuple(coef[0])),
-                       SeriesPart((0j, 0j) + tuple(coef[1])), f"series{degree}-seed{seed}")
-
-
 def _profile_maps():
     corpus = default_corpus()
     return [*(corpus[label] for label in sorted(corpus)), _series12(),
-            _seeded_harmonic(3, 12), _seeded_harmonic(11, 12),
-            _seeded_harmonic(5, 16), _seeded_harmonic(23, 16)]
+            seeded_harmonic(3, 12), seeded_harmonic(11, 12),
+            seeded_harmonic(5, 16), seeded_harmonic(23, 16)]
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.37])

@@ -12,9 +12,11 @@ from hqmap import (
     radial_profile,
     shear_qc,
 )
-from hqmap import quadrature
-from hqmap.maps import Config, HarmonicMap, ParameterError, SeriesPart
+from hqmap import quadrature, radial
+from hqmap.maps import R_CAP, Config, HarmonicMap, ParameterError, SeriesPart
 from hqmap.suites import _CLASSICAL_BOUNDS, suite_radial_growth
+
+from conftest import seeded_harmonic
 
 ZERO = SeriesPart((0j,))
 
@@ -40,6 +42,13 @@ def test_gauge_domain():
         growth_gauge(1.0)
     with pytest.raises(DiskDomainError):
         growth_gauge(-0.1)
+
+
+@pytest.mark.parametrize("r", [math.nan, [0.5, math.nan]], ids=["scalar", "array"])
+def test_gauge_rejects_nan(r):
+    # NaN used to pass "any(r < 0) or any(r >= 1)" and come back as NaN
+    with pytest.raises(DiskDomainError):
+        growth_gauge(r)
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +280,47 @@ def test_radial_growth_check_does_not_import_numpy_ma():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.stderr.splitlines()[-1] == "0 False"
+
+
+# ---------------------------------------------------------------------------
+# the ray speed reads f_z and f_zb through HarmonicMap.wirtinger
+
+
+def _old_ray_speed(m, theta):
+    """The ray speed as it was when it read the parts' derivatives itself."""
+    e = np.exp(1j * theta)
+    e2 = np.exp(-2j * theta)
+
+    def speed(rho):
+        z = np.asarray(rho, dtype=float) * e
+        return np.abs(m.h.d1(z) + e2 * np.conjugate(m.g.d1(z)))
+
+    return speed
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.37, 2.5])
+def test_ray_speed_is_the_old_expression_bit_for_bit(theta, corpus):
+    rho = np.concatenate((np.linspace(0.0, R_CAP, 257), 1.0 - np.geomspace(1e-2, 1e-3, 64)))
+    maps = [*(corpus[label] for label in sorted(corpus)),
+            seeded_harmonic(3, 12), seeded_harmonic(11, 12),
+            seeded_harmonic(5, 16), seeded_harmonic(23, 16)]
+    for m in maps:
+        got = radial._ray_speed(m, theta)(rho)
+        assert got.tobytes() == _old_ray_speed(m, theta)(rho).tobytes(), m.label
+
+
+def test_radial_profile_never_evaluates_a_zero_g(corpus, monkeypatch):
+    # HarmonicMap.wirtinger skips an all-zero g; the ray speed used to call
+    # g.d1 at every quadrature node of an analytic map
+    real = SeriesPart.derivative
+    evaluated = []
+
+    def counting(self, order, z):
+        evaluated.append(self)
+        return real(self, order, z)
+
+    monkeypatch.setattr(SeriesPart, "derivative", counting)
+    m = corpus["convex-poly2"]
+    radial_profile(m, 0.37, [0.05, 0.5, 0.93, 0.99])
+    assert any(p is m.h for p in evaluated)
+    assert not any(p is m.g for p in evaluated)

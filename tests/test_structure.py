@@ -1,0 +1,66 @@
+"""One derivative path: outside ``maps``, f_z, f_zb and the derivative norm
+are read only through ``HarmonicMap.wirtinger`` and ``maps.finite_dnorm``.
+
+The scan parses every module of the package and lists, per top-level
+function, each derivative call on an analytic part (``.h.d1(...)``,
+``.g.d2(...)``, ``.h.derivative(...)``) and each ``.dnorm`` read.
+"""
+
+import ast
+from pathlib import Path
+
+import hqmap
+
+# modules that own the part algebra: ``maps`` evaluates and guards the
+# derivatives, ``transforms`` and ``corpus`` build and check parts
+_PART_MODULES = {"maps", "transforms", "corpus"}
+
+# (module, top-level function, kind) -> why the direct read is right there
+_ALLOWED = {
+    ("bounds", "check_distortion", "part derivative"):
+        "a theorem about |h'| alone; wirtinger would evaluate g' over the grid for nothing",
+    ("cli", "_cmd_eval", "dnorm"):
+        "prints the raw Wirtinger data of one point, a vanishing norm included",
+}
+
+_DERIVATIVES = {"d1", "d2", "derivative"}
+
+
+def _reads(tree):
+    """(top-level function, kind, line) of each direct derivative read."""
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "dnorm":
+                yield name, "dnorm", node.lineno
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _DERIVATIVES
+                    and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr in ("h", "g")):
+                yield name, "part derivative", node.lineno
+
+
+def _package_reads():
+    src = Path(hqmap.__file__).parent
+    out = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem in _PART_MODULES:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        out += [(path.stem, func, kind, line) for func, kind, line in _reads(tree)]
+    return out
+
+
+def test_the_scan_sees_part_derivative_calls_and_norm_reads():
+    tree = ast.parse("def f(m, z):\n    a = m.h.d1(z)\n    b = m.g.derivative(2, z)\n"
+                     "    c = m.wirtinger(z).dnorm\n    d = m.h.value(z)\n")
+    assert list(_reads(tree)) == [("f", "part derivative", 2), ("f", "part derivative", 3),
+                                  ("f", "dnorm", 4)]
+
+
+def test_derivatives_are_read_only_through_wirtinger_and_finite_dnorm():
+    reads = _package_reads()
+    stray = [r for r in reads if r[:3] not in _ALLOWED]
+    assert stray == [], "read f_z, f_zb through m.wirtinger and the norm through finite_dnorm"
+    # an allowance nobody uses any more is dropped, not kept as a loophole
+    assert {r[:3] for r in reads} == set(_ALLOWED)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,16 @@ def test_koebe_transform_center_outside():
 
     with pytest.raises(ParameterError):
         koebe_transform(default_corpus()["identity"], 1.1)
+
+
+@pytest.mark.parametrize("zeta", [complex(math.nan, 0.0), complex(0.1, math.nan)],
+                         ids=["nan-re", "nan-im"])
+def test_koebe_transform_center_nan(zeta):
+    # a NaN center used to reach h'(zeta) and raise a RuntimeWarning
+    from hqmap import default_corpus
+
+    with pytest.raises(ParameterError, match="transform center"):
+        koebe_transform(default_corpus()["koebe"], zeta)
 
 
 # ---------------------------------------------------------------------------
