@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .maps import HarmonicMap, ParameterError, SenseReversalError, finite_dnorm
+from .maps import HarmonicMap, ParameterError, check_sense_preserving, finite_dnorm
 from .quadrature import golden_max
 
 
@@ -150,9 +150,7 @@ def check_two_point_growth(m: HarmonicMap, alpha: float, qc_k: float,
     pairs = np.asarray(pairs if pairs is not None else default_pairs(), dtype=complex)
     z0 = pairs[:, 0]
     z1 = pairs[:, 1]
-    fz0 = np.abs(m.wirtinger(z0).fz)
-    if np.any(fz0 == 0):
-        raise SenseReversalError(f"{m.label}: f_z vanishes", complex(z0[int(np.argmin(fz0))]))
+    fz0 = np.abs(check_sense_preserving(m, z0).fz)
     q = np.abs(m.value(z1) - m.value(z0)) / ((1.0 - np.abs(z0) ** 2) * fz0)
     t = np.abs((z1 - z0) / (1.0 - np.conjugate(z0) * z1))
     big_e = _exp2alpha(t, alpha)
@@ -170,8 +168,9 @@ def derivative_bound_constant(alpha: float, qc_k: float) -> float:
     """2 a K sup_{t in (0,1)} t (1+t)^{a-1} / ((1+t)^a - (1-t)^a), by grid
     scan plus golden-section polish.  Always at least K (it is at least
     a K >= 2 K, since the expression equals 1/2 at t = 1)."""
-    if alpha < 2.0 or qc_k < 1.0:
-        raise ParameterError("need alpha >= 2 and K >= 1")
+    # "not (inside)", so NaN fails it too
+    if not (2.0 <= alpha < math.inf and 1.0 <= qc_k < math.inf):
+        raise ParameterError("need finite alpha >= 2 and K >= 1")
 
     def phi(t):
         t = np.asarray(t, dtype=float)
@@ -269,8 +268,9 @@ def check_boundary_dist_lower(m: HarmonicMap, qc_k: float, points=None,
 
 def harnack_constant(a1: float, a2: float, a3: float, alpha: float) -> float:
     """2 exp((1+alpha)(a3 + log((2 a2 - a1)/a1) / 2))."""
-    if min(a1, a2, a3) < 0 or a1 <= 0 or a1 > a2:
-        raise ParameterError("need 0 < a1 <= a2 and a3 >= 0")
+    # "not (inside)", so NaN fails it too
+    if not (0.0 < a1 <= a2 < math.inf and 0.0 <= a3 < math.inf and 2.0 <= alpha < math.inf):
+        raise ParameterError("need finite 0 < a1 <= a2, a3 >= 0 and alpha >= 2")
     return 2.0 * math.exp((1.0 + alpha) * (a3 + 0.5 * math.log((2.0 * a2 - a1) / a1)))
 
 
@@ -308,9 +308,7 @@ def check_displacement(m: HarmonicMap, qc_k: float, alpha: float,
     z0 = complex(z0)
     big_m = harnack_constant(*_HARNACK_A, alpha)
     pts = _harnack_box(z0)
-    fz0 = abs(complex(m.wirtinger(z0).fz))
-    if fz0 == 0:
-        raise SenseReversalError(f"{m.label}: f_z vanishes", z0)
+    fz0 = abs(complex(check_sense_preserving(m, z0).fz))
     factor = (big_m / 2.0) ** (2.0 * alpha / (1.0 + alpha)) - 1.0
     rhs = qc_k / (alpha * (1.0 + qc_k)) * factor * (1.0 - abs(z0) ** 2) * fz0
     lhs = np.abs(m.value(pts) - complex(m.value(z0)))

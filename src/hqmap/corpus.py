@@ -179,7 +179,8 @@ def load_corpus(path) -> dict:
 
 def validate_corpus(maps: dict) -> None:
     """Verify sense preservation of every corpus entry on a 12 x 16 disk
-    grid; a non-positive Jacobian is an input error with a witness point."""
+    grid (see ``check_sense_preserving``).  Every command also checks each
+    point where it reads a derivative."""
     pts = disk_grid(12, 16)
     for label in sorted(maps):
         check_sense_preserving(maps[label], pts)

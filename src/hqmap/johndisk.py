@@ -135,7 +135,7 @@ def criterion_iii(m: HarmonicMap, levels: int = 3) -> CriterionTrace:
     arithmetic are those of a per-radius evaluation, so the trace does not
     move by a bit.
 
-    A vanishing derivative norm at a z point raises ``SenseReversalError``
+    A z point where |f_zb| < |f_z| fails raises ``SenseReversalError``
     with that z as witness (see ``finite_dnorm``); a non-finite ratio raises
     ``ParameterError``.
     """

@@ -48,7 +48,7 @@ class ParameterError(HqmapError, ValueError):
 
 
 class SenseReversalError(HqmapError, ValueError):
-    """The Jacobian is non-positive at a sampled point."""
+    """|f_zb| < |f_z| fails at a sampled point."""
 
     def __init__(self, message: str, witness: complex):
         super().__init__(f"{message} (witness z = {witness})")
@@ -276,8 +276,6 @@ class MobiusPart(AnalyticPart):
         return (self.base.d2(w) * self._dphi(z) ** 2 + self.base.d1(w) * self._ddphi(z)) / self.scale
 
 
-ZERO_PART = SeriesPart((0.0j,))
-
 # conj(+0.0 + 0.0j): what a zero anti-analytic part contributes to f and f_zb
 _CONJ_ZERO = np.complex128(complex(0.0, -0.0))
 
@@ -389,48 +387,43 @@ class HarmonicMap:
 
 
 def check_sense_preserving(m: HarmonicMap, points) -> WirtingerPair:
-    """Wirtinger data of ``m`` on the flattened point set, after checking
-    that the Jacobian is positive there.
+    """Wirtinger data of ``m`` at the points, after checking the one
+    sense-preservation rule there: |f_zb| < |f_z| and a finite norm.
 
-    Raises ``SenseReversalError`` with the point of smallest (or first NaN)
-    Jacobian as witness otherwise.
+    At the first point, in the array's order, where the norm is NaN or
+    infinite it raises ``ParameterError``, and where |f_zb| < |f_z| fails
+    ``SenseReversalError``, each naming the map and that point.  The moduli
+    are compared, not the Jacobian, which underflows to 0 at f_z = 1e-170.
     """
-    pts = np.asarray(points, dtype=complex).ravel()
-    w = m.wirtinger(pts)
-    jac = w.jacobian
-    if not np.all(jac > 0.0):  # a NaN Jacobian fails too; argmin finds it first
-        idx = int(np.argmin(jac))
-        raise SenseReversalError(f"{m.label}: sense-reversing, non-positive Jacobian",
-                                 complex(pts[idx]))
+    w = m.wirtinger(points)
+    fz = np.abs(w.fz)
+    fzb = np.abs(w.fzb)
+    norm = np.ravel(fz + fzb)
+    bad = ~np.isfinite(norm) | ~np.ravel(fzb < fz)
+    if np.any(bad):
+        idx = int(np.argmax(bad))
+        where = complex(np.ravel(points)[idx])
+        if not np.isfinite(norm[idx]):
+            raise ParameterError(f"{m.label}: derivative norm is not finite at z = {where}")
+        raise SenseReversalError(f"{m.label}: sense-reversing, |f_zb| >= |f_z|", where)
     return w
 
 
 def finite_dnorm(m: HarmonicMap, z) -> np.ndarray:
-    """Derivative norms of ``m`` at z, as floats of z's shape.
-
-    This is the one guard on the norm: at the first z where it is NaN or
-    infinite it raises ``ParameterError``, and where it vanishes
-    ``SenseReversalError``, each naming the map and that z.  So no
-    supremum, fit or trace downstream can skip a bad norm, carry it as a
-    number, or divide by zero or take its log.
+    """Derivative norms of ``m`` at z, as floats of z's shape, read from
+    ``check_sense_preserving``'s one pass.  So no supremum, fit or trace
+    downstream can skip a bad norm, carry it as a number, or divide by zero
+    or take its log.
     """
-    vals = np.asarray(m.wirtinger(z).dnorm, dtype=float)
-    bad = ~np.isfinite(vals) | (vals == 0.0)
-    if np.any(bad):
-        idx = np.unravel_index(np.argmax(bad), vals.shape)
-        where = complex(np.broadcast_to(z, vals.shape)[idx])
-        if vals[idx] == 0.0:
-            raise SenseReversalError(f"{m.label}: derivative norm vanishes", where)
-        raise ParameterError(f"{m.label}: derivative norm is not finite at z = {where}")
-    return vals
+    return np.asarray(check_sense_preserving(m, z).dnorm, dtype=float)
 
 
 def qc_constant(m: HarmonicMap, points) -> float:
     """Supremum over the sample of dnorm/dmin, i.e. the quasiconformality
     constant witnessed by the grid.  Nondecreasing under grid refinement.
 
-    Raises ``SenseReversalError`` with a witness point if the Jacobian is
-    not positive somewhere on the sample.
+    Raises ``SenseReversalError`` with a witness point where ``m`` reverses
+    sense on the sample (see ``check_sense_preserving``).
     """
     w = check_sense_preserving(m, points)
     return float(np.max(w.dnorm / w.dmin))
@@ -497,8 +490,10 @@ class Config:
             raise ParameterError("boundary offset must lie in (0, 0.5]")
         if not 0.0 < self.tol < math.inf:
             raise ParameterError("quadrature tolerance must be finite and > 0")
-        if not self.grid_level >= 0:
-            raise ParameterError("grid level must be >= 0")
+        # each level doubles both axes of the suite grids, so a check's
+        # memory grows 4x per level: level 6 peaks near 2 GB, 7 would need 8
+        if not 0 <= self.grid_level <= 6:
+            raise ParameterError("grid level must lie in [0, 6]")
         if not self.seed >= 0:
             raise ParameterError("seed must be >= 0")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .maps import HarmonicMap, ParameterError, finite_dnorm
+from .maps import HarmonicMap, ParameterError, check_sense_preserving, finite_dnorm
 from .quadrature import adaptive_quad
 
 
@@ -234,7 +234,7 @@ def pommerenke_bracket(m: HarmonicMap, r: float, theta1: float,
 
     def speed(t):
         z = r * np.exp(1j * (theta1 + t))
-        w = m.wirtinger(z)
+        w = check_sense_preserving(m, z)
         return np.abs(1j * z * w.fz - 1j * np.conjugate(z) * w.fzb)
 
     if dtheta == 0.0:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import R_CAP, Config, DiskDomainError, HarmonicMap, ParameterError
+from .maps import (R_CAP, Config, DiskDomainError, HarmonicMap, ParameterError,
+                   check_sense_preserving)
 from .quadrature import adaptive_quads, cut_list, endpoint_cluster, golden_max
 
 
@@ -40,7 +41,7 @@ def _ray_speed(m: HarmonicMap, theta: float):
     e2 = np.exp(-2j * theta)
 
     def speed(rho):
-        w = m.wirtinger(np.asarray(rho, dtype=float) * e)
+        w = check_sense_preserving(m, np.asarray(rho, dtype=float) * e)
         return np.abs(w.fz + e2 * w.fzb)
 
     return speed

@@ -23,7 +23,6 @@ from .maps import (
     HarmonicMap,
     MobiusPart,
     ParameterError,
-    SenseReversalError,
     SeriesPart,
     check_sense_preserving,
 )
@@ -62,7 +61,7 @@ def affine(m: HarmonicMap, mu: complex) -> HarmonicMap:
     """Affine map with analytic parts (h + mu g, g + mu h).
 
     Requires |mu| < 1 and verifies sense preservation on a 16 x 24 disk
-    grid; a non-positive Jacobian raises with the witness point.
+    grid (see ``check_sense_preserving``).
     """
     mu = complex(mu)
     if abs(mu) >= 1.0:
@@ -139,12 +138,10 @@ def rotate(m: HarmonicMap, sigma: complex) -> HarmonicMap:
 
 
 def preschwarzian(m: HarmonicMap, z):
-    """|(1 - |z|^2) h''(z)/h'(z) - 2 conj(z)| at the given points."""
+    """|(1 - |z|^2) h''(z)/h'(z) - 2 conj(z)| at the given points, with
+    h' = f_z read through ``check_sense_preserving``."""
     z = np.asarray(z, dtype=complex)
-    hp = m.h.d1(z)
-    if np.any(hp == 0):
-        bad = z.ravel()[int(np.argmin(np.abs(hp).ravel()))]
-        raise SenseReversalError(f"{m.label}: h' vanishes on the grid", complex(bad))
+    hp = check_sense_preserving(m, z).fz
     return np.abs((1.0 - np.abs(z) ** 2) * m.h.d2(z) / hp - 2.0 * np.conjugate(z))
 
 

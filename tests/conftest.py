@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,9 +37,10 @@ class NanNormMap:
         return self.m.value(z)
 
     def wirtinger(self, z):
-        dnorm = np.array(self.m.wirtinger(z).dnorm, dtype=float)
-        dnorm.flat[dnorm.size // 2] = np.nan
-        return SimpleNamespace(dnorm=dnorm)
+        w = self.m.wirtinger(z)
+        fz = np.array(w.fz, dtype=complex)
+        fz.flat[fz.size // 2] = np.nan
+        return WirtingerPair(fz, w.fzb)
 
 
 @pytest.fixture

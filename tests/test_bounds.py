@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,10 +59,10 @@ def test_derivative_constant_refinement_stable():
 
 
 def test_derivative_constant_rejects_bad_params():
-    with pytest.raises(ParameterError):
-        derivative_bound_constant(1.0, 1.0)
-    with pytest.raises(ParameterError):
-        derivative_bound_constant(2.0, 0.0)
+    # NaN in each argument too, which "alpha < 2 or K < 1" let through
+    for args in [(1.0, 1.0), (2.0, 0.0), (math.nan, 1.0), (2.0, math.nan)]:
+        with pytest.raises(ParameterError):
+            derivative_bound_constant(*args)
 
 
 def test_harnack_constant_collapse():
@@ -77,6 +78,14 @@ def test_harnack_constant_direct():
 def test_harnack_constant_bad_params():
     with pytest.raises(ParameterError):
         harnack_constant(2.0, 1.0, 0.0, 2.0)  # a1 > a2
+    # NaN in each argument, which the old range test let through
+    for at in range(4):
+        args = [1.0, 2.0, math.pi, 2.0]
+        args[at] = math.nan
+        with pytest.raises(ParameterError):
+            harnack_constant(*args)
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +134,26 @@ def test_two_point_growth_degenerate_pair(corpus):
 ], ids=["two-point-growth", "displacement"])
 def test_vanishing_f_z_is_a_sense_reversal(read):
     # h = z - z^2/0.6 has h'(0.3) = 0, and 0.3 is a z0 of the default pairs;
-    # the f_z divisor names that point as finite_dnorm does for the norm
+    # the f_z divisor comes from check_sense_preserving, which names that point
     m = HarmonicMap(SeriesPart((0j, 1.0, -1.0 / 0.6)), SeriesPart((0j,)), "fold")
-    with pytest.raises(SenseReversalError, match="fold: f_z vanishes") as info:
+    with pytest.raises(SenseReversalError,
+                       match=re.escape("fold: sense-reversing, |f_zb| >= |f_z|")) as info:
         read(m)
     assert info.value.witness == 0.3
+
+
+@pytest.mark.parametrize("at, read", [
+    (0.3 + 0j, lambda m: check_two_point_growth(m, 2.0, 1.0)),
+    (0.9 + 0j, lambda m: check_displacement(m, 1.0, 2.0, 0.9 + 0j)),
+], ids=["two-point-growth", "displacement"])
+def test_equal_moduli_at_z0_is_a_sense_reversal(at, read, norm_at_point):
+    # f_z = f_zb = 1 at z0: the divisor is not zero, so both checks used to
+    # return a margin there
+    with pytest.raises(SenseReversalError) as info:
+        read(norm_at_point(at, 1.0))
+    assert info.value.witness == at
+    assert str(info.value) == ("convex-poly2: sense-reversing, |f_zb| >= |f_z| "
+                               f"(witness z = {at})")
 
 
 class _SpikePart(AnalyticPart):

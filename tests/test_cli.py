@@ -471,6 +471,8 @@ def test_bad_config_value(capsys):
     ("--tol", "0"),
     ("--tol", "nan"),
     ("--grid-level", "-5"),
+    ("--grid-level", "7"),
+    ("--grid-level", "2000"),
     ("--seed", "-1"),
 ])
 def test_bad_config_flag(flag, value, capsys):
@@ -479,8 +481,10 @@ def test_bad_config_flag(flag, value, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("doc", [{"alpha": "x"}, {"grid_level": 1.5}, {"seed": True}, [3.0]],
-                         ids=["alpha-string", "grid-level-float", "seed-bool", "not-object"])
+@pytest.mark.parametrize("doc", [{"alpha": "x"}, {"grid_level": 1.5}, {"grid_level": 7},
+                                 {"grid_level": 2000}, {"seed": True}, [3.0]],
+                         ids=["alpha-string", "grid-level-float", "grid-level-7",
+                              "grid-level-2000", "seed-bool", "not-object"])
 def test_bad_config_file(doc, tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
@@ -701,8 +705,25 @@ def test_john_zero_denominator_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "--corpus", str(path), "john", "crit-zero")
     assert code == 2
     assert out == ""
-    assert err == ("hqmap: error: crit-zero: derivative norm vanishes "
+    assert err == ("hqmap: error: crit-zero: sense-reversing, |f_zb| >= |f_z| "
                    "(witness z = (0.15+0j))\n")
+
+
+@pytest.mark.parametrize("command", ["john", "poisson"])
+def test_sense_reversal_near_the_circle_exits_2(command, tmp_path, capsys):
+    # g' = 1.1 z^200 overtakes h' = 1 at |z| = 1.1^(-1/200) = 0.99952, past
+    # the load grid; both commands used to exit 0, john with john-positive
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([{
+        "label": "fold",
+        "h": {"kind": "series", "coeffs": [[0.0, 0.0], [1.0, 0.0]]},
+        "g": {"kind": "series", "coeffs": [[0.0, 0.0]] * 201 + [[1.1 / 201, 0.0]]},
+        "flags": ["SH", "SH0", "bounded"]}]))
+    code, out, err = run(capsys, "--corpus", str(path), "--out", str(tmp_path / "out"),
+                         command, "fold")
+    assert code == 2 and out == ""
+    assert err.startswith("hqmap: error: fold: sense-reversing") and err.count("\n") == 1
+    assert abs(complex(err.split("witness z = ")[1].rstrip(")\n") + ")")) > 0.9995
 
 
 def test_john_vanishing_decay_fit_norm_exits_2(decay_zero_map, tmp_path, capsys, monkeypatch):
@@ -711,7 +732,7 @@ def test_john_vanishing_decay_fit_norm_exits_2(decay_zero_map, tmp_path, capsys,
     code, out, err = run(capsys, "--out", str(tmp_path), "john", "convex-poly2")
     assert code == 2
     assert out == ""
-    assert err == ("hqmap: error: convex-poly2: derivative norm vanishes "
+    assert err == ("hqmap: error: convex-poly2: sense-reversing, |f_zb| >= |f_z| "
                    f"(witness z = {decay_zero_map.at})\n")
     assert list(tmp_path.iterdir()) == []
 

@@ -1,6 +1,5 @@
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from hqmap import (
     rotate,
 )
 from hqmap.johndisk import HolderFit
-from hqmap.maps import finite_dnorm
+from hqmap.maps import WirtingerPair, finite_dnorm
 
 EXPECTED_JOHN = {
     "identity": True,
@@ -305,9 +304,10 @@ class _NanBelowMap(_CountingMap):
     """Its derivative norm is NaN wherever Im z < -0.3."""
 
     def wirtinger(self, z):
-        dnorm = np.array(super().wirtinger(z).dnorm, dtype=float)
-        dnorm[np.imag(np.broadcast_to(z, dnorm.shape)) < -0.3] = np.nan
-        return SimpleNamespace(dnorm=dnorm)
+        w = super().wirtinger(z)
+        fz = np.array(w.fz, dtype=complex)
+        fz[np.imag(np.broadcast_to(z, fz.shape)) < -0.3] = np.nan
+        return WirtingerPair(fz, w.fzb)
 
 
 def test_decay_nan_norm_names_the_first_bad_point_of_the_first_bad_ray(corpus):
@@ -566,7 +566,7 @@ def test_criterion_iii_zero_denominator_names_the_witness():
     with pytest.raises(SenseReversalError) as info:
         criterion_iii(_crit_zero())
     assert info.value.witness == 0.15 + 0j
-    assert "derivative norm vanishes" in str(info.value)
+    assert "crit-zero: sense-reversing, |f_zb| >= |f_z|" in str(info.value)
 
 
 class _NanBoxMap(_CountingMap):

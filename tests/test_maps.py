@@ -32,7 +32,8 @@ from hqmap.bounds import (
     default_triples,
 )
 from hqmap.johndisk import criterion_ii, criterion_iii, decay_fit
-from hqmap.maps import R_CAP, AnalyticPart, ComboPart, MobiusPart, check_sense_preserving
+from hqmap.maps import (R_CAP, AnalyticPart, ComboPart, MobiusPart, check_sense_preserving,
+                        finite_dnorm)
 from hqmap.poisson import boundary_profile, poisson_scan
 
 from conftest import decay_fit_sample
@@ -428,9 +429,20 @@ def test_series_rejects_overflowing_derivative_coefficients(coeffs, where):
 def test_sense_check_rejects_nan_jacobian():
     m = HarmonicMap(_NanSlopePart(), ZERO, "big")
     assert math.isnan(m.wirtinger(0j).jacobian)
-    with pytest.raises(SenseReversalError) as err:
+    with pytest.raises(ParameterError) as err:
         check_sense_preserving(m, disk_grid(8, 8))
-    assert err.value.witness == 0j  # the first NaN Jacobian
+    # the first NaN norm is an input error, as finite_dnorm reports it
+    assert str(err.value) == "big: derivative norm is not finite at z = 0j"
+
+
+def test_sense_check_compares_moduli_not_the_jacobian():
+    # the Jacobian (1e-170)^2 underflows to 0, which the check once read as
+    # a sense reversal while finite_dnorm accepted the point
+    m = HarmonicMap(SeriesPart((0j, 1e-170)), ZERO, "tiny")
+    assert m.wirtinger(0.5 + 0j).jacobian == 0.0
+    w = check_sense_preserving(m, [0.5 + 0j])
+    assert w.fz[0] == 1e-170 and w.fzb[0] == 0
+    assert finite_dnorm(m, 0.5 + 0j) == 1e-170
 
 
 _RING_EPS = 1e-2
@@ -466,7 +478,7 @@ def test_vanishing_norm_is_a_sense_reversal_at_its_point(at, read, norm_at_point
     with pytest.raises(SenseReversalError) as info:
         read(norm_at_point(at))
     assert info.value.witness == at
-    assert "convex-poly2: derivative norm vanishes" in str(info.value)
+    assert "convex-poly2: sense-reversing, |f_zb| >= |f_z|" in str(info.value)
 
 
 def test_series_needs_coefficients():

@@ -1,6 +1,5 @@
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -83,7 +82,8 @@ class _RingMap:
     def wirtinger(self, z):
         self.calls += 1
         arg = np.angle(z)
-        return SimpleNamespace(dnorm=np.where((arg > -math.pi / 4) & (arg < 0.0), 0.0, 1.0))
+        fz = np.where((arg > -math.pi / 4) & (arg < 0.0), 0.0, 1.0) + 0.0j
+        return WirtingerPair(fz, np.zeros_like(fz))
 
 
 def test_profile_nan_norm_raises(nan_norm_map):
@@ -97,7 +97,7 @@ def test_profile_nan_norm_raises(nan_norm_map):
 
 @pytest.mark.parametrize("fz, error, message", [
     (np.nan, ParameterError, "convex-poly2: derivative norm is not finite at z = {}"),
-    (0.0, SenseReversalError, "convex-poly2: derivative norm vanishes (witness z = {})"),
+    (0.0, SenseReversalError, "convex-poly2: sense-reversing, |f_zb| >= |f_z| (witness z = {})"),
 ], ids=["nan", "zero"])
 def test_functional_denominator_checked(fz, error, message, norm_at_point):
     # a NaN norm at one scan point used to be skipped by the trace maximum
@@ -121,7 +121,7 @@ def test_profile_zero_norm_in_last_block_raises():
     with pytest.raises(SenseReversalError) as info:
         boundary_profile(m, eps=1e-4, n=n)
     assert info.value.witness == where
-    assert "ring-zero: derivative norm vanishes" in str(info.value)
+    assert "ring-zero: sense-reversing, |f_zb| >= |f_z|" in str(info.value)
     assert m.calls == 2 * 7 + 1  # seven full blocks of both rings, then the last
 
 

@@ -1,9 +1,12 @@
-"""One derivative path: outside ``maps``, f_z, f_zb and the derivative norm
-are read only through ``HarmonicMap.wirtinger`` and ``maps.finite_dnorm``.
+"""One derivative path and one sense-preservation rule.
 
-The scan parses every module of the package and lists, per top-level
-function, each derivative call on an analytic part (``.h.d1(...)``,
-``.g.d2(...)``, ``.h.derivative(...)``) and each ``.dnorm`` read.
+Outside ``maps``, f_z, f_zb and the derivative norm are read only through
+``maps.check_sense_preserving`` and ``maps.finite_dnorm``, which apply the
+rule |f_zb| < |f_z| at every point they read, and only that function
+raises ``SenseReversalError``.  The scans list, per top-level function,
+each derivative call on an analytic part (``.h.d1(...)``, ``.g.d2(...)``,
+``.h.derivative(...)``), each ``.dnorm`` read, each ``.wirtinger(...)``
+call, each ``.jacobian`` read and each ``SenseReversalError(...)``.
 """
 
 import ast
@@ -61,6 +64,62 @@ def test_the_scan_sees_part_derivative_calls_and_norm_reads():
 def test_derivatives_are_read_only_through_wirtinger_and_finite_dnorm():
     reads = _package_reads()
     stray = [r for r in reads if r[:3] not in _ALLOWED]
-    assert stray == [], "read f_z, f_zb through m.wirtinger and the norm through finite_dnorm"
+    assert stray == [], ("read f_z, f_zb through check_sense_preserving and the norm "
+                         "through finite_dnorm")
     # an allowance nobody uses any more is dropped, not kept as a loophole
     assert {r[:3] for r in reads} == set(_ALLOWED)
+
+
+# (module, top-level function, kind) outside ``maps`` -> why the unchecked read is right there
+_UNCHECKED = {
+    ("cli", "_cmd_eval", "wirtinger"):
+        "prints the raw Wirtinger data of one point, a sense-reversing one included",
+    ("cli", "_cmd_eval", "jacobian"):
+        "prints the raw Wirtinger data of one point, its Jacobian included",
+}
+
+
+def _sense_sites(tree):
+    """(top-level function, kind, line) of each ``SenseReversalError(...)``
+    construction ("raise"), each ``.wirtinger(...)`` call and each
+    ``.jacobian`` read."""
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "jacobian":
+                yield name, "jacobian", node.lineno
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if called == "SenseReversalError":
+                    yield name, "raise", node.lineno
+                if called == "wirtinger":
+                    yield name, "wirtinger", node.lineno
+
+
+def _package_sense_sites():
+    src = Path(hqmap.__file__).parent
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        out += [(path.stem, func, kind, line) for func, kind, line in _sense_sites(tree)]
+    return out
+
+
+def test_the_scan_sees_sense_reversals_and_jacobian_reads():
+    tree = ast.parse("def f(m, z):\n    if m.wirtinger(z).jacobian <= 0:\n"
+                     "        raise SenseReversalError('x', z)\n"
+                     "    raise maps.SenseReversalError('y', z)\n")
+    assert sorted(_sense_sites(tree)) == [("f", "jacobian", 2), ("f", "raise", 3),
+                                          ("f", "raise", 4), ("f", "wirtinger", 2)]
+
+
+def test_one_sense_preservation_rule():
+    sites = _package_sense_sites()
+    raises = [r for r in sites if r[2] == "raise"]
+    assert [r[:2] for r in raises] == [("maps", "check_sense_preserving")], \
+        "raise SenseReversalError only in maps.check_sense_preserving"
+    # the Jacobian underflows where |f_zb| < |f_z| holds, so no rule reads
+    # it; an allowance nobody uses any more is dropped
+    unchecked = {r[:3] for r in sites if r[2] != "raise" and r[0] != "maps"}
+    assert unchecked == set(_UNCHECKED)
