@@ -11,17 +11,14 @@ from .maps import (
     CatalogPart,
     ComboPart,
     Config,
-    DegenerateMapError,
     DiskDomainError,
     HarmonicMap,
     HqmapError,
-    MobiusPart,
     ParameterError,
     SafeRadiusWarning,
     SenseReversalError,
     SeriesPart,
     WirtingerPair,
-    normalize,
     qc_constant,
 )
 from .corpus import default_corpus, load_corpus, map_from_json, map_to_json, save_corpus
@@ -43,7 +40,6 @@ from .radial import (
 )
 from .transforms import (
     affine,
-    koebe_transform,
     preschwarzian_sup,
     rotate,
     shear_qc,

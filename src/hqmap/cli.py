@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--bigk", type=float, default=None, help="quasiconformality constant")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--grid-level", type=int, default=None,
-                        help="grid density level, any integer >= 0 (default 1)")
+                        help="grid density level, 0 to 6 (default 1)")
     parser.add_argument("--eps", type=float, default=None, help="boundary offset")
     parser.add_argument("--tol", type=float, default=None,
                         help="relative tolerance of every radial-length quadrature; "

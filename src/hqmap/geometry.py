@@ -113,8 +113,7 @@ def circle_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 def disk_grid(n_radial: int = 48, n_angular: int = 64, r_cap: float = R_CAP) -> np.ndarray:
     """Polar grid over the disk, radially clustered toward the cap."""
     radii = np.minimum(1.0 - np.geomspace(1.0, 1.0 - r_cap, n_radial), r_cap)
-    angles = np.linspace(0.0, TWO_PI, n_angular, endpoint=False)
-    pts = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+    pts = (radii[:, None] * circle_nodes(n_angular)[1][None, :]).ravel()
     pts = pts[np.abs(pts) > 0]
     return np.concatenate(([0.0 + 0.0j], pts))
 

@@ -45,10 +45,9 @@ def criterion_ii(m: HarmonicMap, x: float, n_zeta: int = 48, n_r: int = 48) -> f
     rho = (x + r)/(1 + x r)."""
     if not 0.0 < x < 1.0:
         raise ParameterError("criterion parameter x must lie in (0, 1)")
-    angles = np.linspace(0.0, 2.0 * math.pi, n_zeta, endpoint=False)
+    zeta = geometry.circle_nodes(n_zeta)[1]
     r = 1.0 - np.geomspace(1.0, 1.0 - R_CAP, n_r)
     rho = (x + r) / (1.0 + x * r)
-    zeta = np.exp(1j * angles)
     zr = zeta[:, None] * r[None, :]
     zrho = zeta[:, None] * rho[None, :]
     den = (1.0 - r[None, :] ** 2) * finite_dnorm(m, zr)
@@ -141,8 +140,7 @@ def criterion_iii(m: HarmonicMap, levels: int = 3) -> CriterionTrace:
     """
     trace = []
     reaches = []
-    angles = np.linspace(0.0, 2.0 * math.pi, _N_ROT, endpoint=False)
-    rots = np.exp(1j * angles)
+    rots = geometry.circle_nodes(_N_ROT)[1]
     for level in range(levels):
         reach = _reach(level)
         nb = _level_density(_BOX_SIDE, level)
@@ -218,7 +216,7 @@ def decay_fit(m: HarmonicMap, window=(0.6, 0.99)) -> DecayFit:
     a, b = math.log(1.0 - lo), math.log(1.0 - hi)
     big_l = a + (b - a) * u
     rho = 1.0 - np.exp(big_l)
-    zetas = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False))
+    zetas = geometry.circle_nodes(16)[1]
     # row k is the ray at angle 2 pi k / 16; one call over the whole lattice
     # reports a bad norm at the first bad point of the first ray with one
     norms = finite_dnorm(m, zetas[:, None] * rho[None, :])

@@ -2,9 +2,9 @@
 
 A planar harmonic mapping is written f = h + conj(g) with h and g analytic
 on the unit disk D = {|z| < 1}.  Everything downstream (derivative norms,
-Jacobian, dilatation, quasiconformality, renormalization) is computed from
-the pair (h, g), so analytic parts carry exact closed-form first and second
-derivatives; finite differences are never used for the inequality checks.
+Jacobian, dilatation, quasiconformality) is computed from the pair (h, g),
+so analytic parts carry exact closed-form first and second derivatives;
+finite differences are never used for the inequality checks.
 
 Derivative conventions (Wirtinger): f_z = (f_x - i f_y)/2 and
 f_zb = (f_x + i f_y)/2, so that f_z = h'(z) and f_zb = conj(g'(z)).
@@ -37,10 +37,6 @@ class HqmapError(Exception):
 
 class DiskDomainError(HqmapError, ValueError):
     """An argument lies on or outside the unit circle."""
-
-
-class DegenerateMapError(HqmapError, ValueError):
-    """A normalization or transform is singular (e.g. h'(0) = 0, |g'(0)| >= 1)."""
 
 
 class ParameterError(HqmapError, ValueError):
@@ -215,65 +211,20 @@ class SeriesPart(AnalyticPart):
 
 @dataclass(frozen=True)
 class ComboPart(AnalyticPart):
-    """Affine combination sum w_i * p_i(z) + shift of analytic parts."""
+    """Linear combination sum w_i * p_i(z) of analytic parts."""
 
     terms: tuple  # tuple of (complex weight, AnalyticPart)
-    shift: complex = 0.0 + 0.0j
 
     def __post_init__(self):
         object.__setattr__(
             self, "terms", tuple((complex(w), p) for w, p in self.terms)
         )
-        object.__setattr__(self, "shift", complex(self.shift))
 
     def derivative(self, order: int, z):
-        zs = np.asarray(z, dtype=complex)
-        acc = zs * 0.0 + self.shift if order == 0 else np.zeros_like(zs)
+        acc = np.zeros_like(np.asarray(z, dtype=complex))
         for w, p in self.terms:
             acc = acc + w * p.derivative(order, z)
         return acc
-
-
-@dataclass(frozen=True)
-class MobiusPart(AnalyticPart):
-    """Lazy composition (base(phi(z)) - base(zeta)) / scale with the disk
-    automorphism phi(z) = (z + zeta)/(1 + conj(zeta) z).
-
-    Derivatives come from the exact chain rule on phi, so second derivatives
-    of renormalized compositions keep closed-form accuracy near the boundary.
-    """
-
-    base: AnalyticPart
-    zeta: complex
-    scale: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "zeta", complex(self.zeta))
-        object.__setattr__(self, "scale", complex(self.scale))
-        _check_in_disk(self.zeta)
-        if self.scale == 0:
-            raise DegenerateMapError("zero normalizing scale")
-
-    def _phi(self, z):
-        zc = np.conjugate(self.zeta)
-        return (z + self.zeta) / (1.0 + zc * z)
-
-    def _dphi(self, z):
-        zc = np.conjugate(self.zeta)
-        return (1.0 - abs(self.zeta) ** 2) / (1.0 + zc * z) ** 2
-
-    def _ddphi(self, z):
-        zc = np.conjugate(self.zeta)
-        return -2.0 * zc * (1.0 - abs(self.zeta) ** 2) / (1.0 + zc * z) ** 3
-
-    def derivative(self, order: int, z):
-        z = np.asarray(z, dtype=complex)
-        w = self._phi(z)
-        if order == 0:
-            return (self.base.value(w) - self.base.value(self.zeta)) / self.scale
-        if order == 1:
-            return self.base.d1(w) * self._dphi(z) / self.scale
-        return (self.base.d2(w) * self._dphi(z) ** 2 + self.base.d1(w) * self._ddphi(z)) / self.scale
 
 
 # conj(+0.0 + 0.0j): what a zero anti-analytic part contributes to f and f_zb
@@ -427,36 +378,6 @@ def qc_constant(m: HarmonicMap, points) -> float:
     """
     w = check_sense_preserving(m, points)
     return float(np.max(w.dnorm / w.dmin))
-
-
-def normalize(m: HarmonicMap) -> HarmonicMap:
-    """Renormalize to the standard form with h(0) = g(0) = 0, h'(0) = 1 and
-    g'(0) = 0 (translation, rescaling by h'(0), then the affine de-shear
-    (F - conj(G'(0)) conj(F)) / (1 - |G'(0)|^2)).  Idempotent.
-    """
-    z0 = 0.0 + 0.0j
-    h0 = complex(m.h.value(z0))
-    g0 = complex(m.g.value(z0))
-    hp0 = complex(m.h.d1(z0))
-    if hp0 == 0:
-        raise DegenerateMapError(f"{m.label}: h'(0) = 0 cannot be normalized")
-    omega0 = complex(m.g.d1(z0)) / np.conjugate(hp0)
-    if abs(omega0) >= 1.0:
-        raise DegenerateMapError(
-            f"{m.label}: |g'(0)/h'(0)| = {abs(omega0):.6g} >= 1 is degenerate"
-        )
-    big_h = ComboPart(((1.0 / hp0, m.h),), shift=-h0 / hp0)
-    big_g = ComboPart(((1.0 / np.conjugate(hp0), m.g),), shift=-g0 / np.conjugate(hp0))
-    b = np.conjugate(omega0)
-    denom = 1.0 - abs(b) ** 2
-    h_new = ComboPart(((1.0 / denom, big_h), (-b / denom, big_g)))
-    g_new = ComboPart(((1.0 / denom, big_g), (-np.conjugate(b) / denom, big_h)))
-    flags = {"SH", "SH0"}
-    if "analytic" in m.flags and abs(omega0) == 0.0:
-        flags.add("analytic")
-    if "bounded" in m.flags:
-        flags.add("bounded")
-    return HarmonicMap(h_new, g_new, label=f"normalized({m.label})", flags=frozenset(flags))
 
 
 # ---------------------------------------------------------------------------

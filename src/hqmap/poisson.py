@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geometry
 from .maps import HarmonicMap, ParameterError, check_sense_preserving, finite_dnorm
-from .quadrature import adaptive_quad
+from .quadrature import adaptive_quads
 
 
 @dataclass(eq=False)
@@ -240,7 +240,7 @@ def pommerenke_bracket(m: HarmonicMap, r: float, theta1: float,
     if dtheta == 0.0:
         return RatioBracket(0.0, 0.0, 0.0, 0.0, 0.0)
     lo, hi = sorted((0.0, dtheta))
-    arc = adaptive_quad(speed, lo, hi, rel_tol=1e-9).value
+    arc = adaptive_quads(speed, [[lo, hi]])[0].value
     chord = abs(w1 - w2)
     ts = np.linspace(0.0, 1.0, 512)
     seg = z1 + ts * (z2 - z1)

@@ -8,8 +8,8 @@ takes over.  Integrands must be vectorized (array in, array out).
 ``adaptive_quads`` integrates many integrals of one integrand together:
 their first GK15 pass is one call of the integrand over the nodes of every
 initial interval, and each later bisection one call over both halves.
-``adaptive_quad`` is its one-integral case.  Batching moves no bit: every
-interval sees the same nodes and the same floating-point operations.
+Batching moves no bit: every interval sees the same nodes and the same
+floating-point operations.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def _sum_in_order(x) -> float:
 
 def cut_list(a: float, b: float, presplit=None) -> list:
     """The cuts [a, *sorted presplit points inside (a, b), b] that
-    ``adaptive_quad`` starts from; [a] alone when a == b."""
+    ``adaptive_quads`` starts from; [a] alone when a == b."""
     if b == a:
         return [a]
     inner = sorted(p for p in presplit if a < p < b) if presplit is not None else []
@@ -166,21 +166,6 @@ def _bisect(f, ends, val, err, abs_tol, rel_tol) -> QuadResult:
         ends += [(lo, mid), (mid, hi)]
         used += 2
         live += 1
-
-
-def adaptive_quad(
-    f: Callable,
-    a: float,
-    b: float,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-9,
-    presplit=None,
-) -> QuadResult:
-    """Integrate f over [a, b] from the cuts ``cut_list(a, b, presplit)``:
-    the one-integral case of ``adaptive_quads``."""
-    if b < a:
-        raise ValueError("integration bounds must satisfy a <= b")
-    return adaptive_quads(f, [cut_list(a, b, presplit)], abs_tol, rel_tol)[0]
 
 
 def endpoint_cluster(a: float, b: float) -> list:

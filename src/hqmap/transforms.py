@@ -1,60 +1,30 @@
-"""Map constructions: renormalized disk-automorphism composition, the
-affine family, quasiconformal shears, rotations, and the boundary-limit
-estimate of the pre-Schwarzian supremum.
+"""Map constructions: the affine family, quasiconformal shears, rotations,
+and the boundary-limit estimate of the pre-Schwarzian supremum.
 
 Transforms are lazy compositions; re-expanding a composed power series would
 lose accuracy near the boundary where all the interesting suprema live, so
-evaluation and both derivatives go through the exact chain rule instead.
+evaluation and both derivatives go through the exact derivatives of the
+parts instead.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import disk_grid
+from .geometry import circle_nodes, disk_grid
 from .maps import (
     AnalyticPart,
     CatalogPart,
     ComboPart,
-    DegenerateMapError,
     HarmonicMap,
-    MobiusPart,
     ParameterError,
     SeriesPart,
     check_sense_preserving,
 )
 
 _TOL = 1e-12
-
-
-def koebe_transform(m: HarmonicMap, zeta: complex) -> HarmonicMap:
-    """Precompose with the automorphism sending 0 to zeta, recenter, and
-    rescale by h'(zeta)(1 - |zeta|^2).
-
-    The result stays normalized; the dilatation modulus (hence the
-    quasiconformality constant) is unchanged because the automorphism is
-    conformal.
-    """
-    zeta = complex(zeta)
-    if not abs(zeta) < 1.0:  # "not (inside)", so a NaN center fails too
-        raise ParameterError("transform center must lie in the open disk")
-    hp = complex(m.h.d1(zeta))
-    if hp == 0:
-        raise DegenerateMapError(f"{m.label}: h'({zeta}) = 0, normalization is singular")
-    c = hp * (1.0 - abs(zeta) ** 2)
-    h_new = MobiusPart(m.h, zeta, c)
-    g_new = MobiusPart(m.g, zeta, np.conjugate(c))
-    flags = {"SH"} if "SH" in m.flags else set()
-    if "SH" in m.flags and abs(complex(g_new.d1(0.0 + 0.0j))) <= _TOL:
-        flags.add("SH0")
-    for tag in ("analytic", "bounded"):
-        if tag in m.flags:
-            flags.add(tag)
-    return HarmonicMap(h_new, g_new, label=f"koebe[{zeta:g}]({m.label})",
-                       flags=frozenset(flags))
 
 
 def affine(m: HarmonicMap, mu: complex) -> HarmonicMap:
@@ -114,8 +84,7 @@ def _rotate_part(p: AnalyticPart, sigma: complex) -> AnalyticPart:
     if isinstance(p, SeriesPart):
         return SeriesPart(tuple(c * sigma ** (k - 1) for k, c in enumerate(p.coeffs)))
     if isinstance(p, ComboPart):
-        return ComboPart(tuple((w, _rotate_part(q, sigma)) for w, q in p.terms),
-                         shift=np.conjugate(sigma) * p.shift)
+        return ComboPart(tuple((w, _rotate_part(q, sigma)) for w, q in p.terms))
     raise ParameterError(f"rotation of {type(p).__name__} parts is not supported")
 
 
@@ -162,10 +131,10 @@ def preschwarzian_sup(m: HarmonicMap) -> SupLimit:
     the circle (the sup for the identity is 2|z|, for instance).
     """
     radii = (0.99, 0.993, 0.996, 0.999)
-    angles = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+    nodes = circle_nodes(512)[1]
     sups = []
     for r in radii:
-        sups.append(float(np.max(preschwarzian(m, r * np.exp(1j * angles)))))
+        sups.append(float(np.max(preschwarzian(m, r * nodes))))
     r1, r2 = radii[-2], radii[-1]
     s1, s2 = sups[-2], sups[-1]
     value = s2 + (s2 - s1) * (1.0 - r2) / (r2 - r1)

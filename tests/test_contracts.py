@@ -1,5 +1,4 @@
-"""Interface contracts: serialization round trips, report file formats, and
-the composed-transform identities connecting modules."""
+"""Interface contracts: serialization round trips and report file formats."""
 
 import io
 import math
@@ -10,14 +9,13 @@ import pytest
 from hqmap import (
     CatalogPart,
     ParameterError,
-    koebe_transform,
     map_from_json,
     map_to_json,
+    shear_qc,
 )
 from hqmap.corpus import dump_corpus, load_corpus, save_corpus
-from hqmap.maps import HarmonicMap, MobiusPart, SeriesPart
+from hqmap.maps import ComboPart, HarmonicMap, SeriesPart
 from hqmap.poisson import poisson_csv, poisson_sup
-from hqmap.transforms import preschwarzian
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +51,9 @@ def test_json_schema_fixed_fields(corpus):
     assert doc["g"]["coeffs"] == [[0.0, 0.0], [0.5, 0.0]]
 
 
-def test_composed_parts_do_not_serialize(corpus):
-    t = koebe_transform(corpus["koebe"], 0.3)
+def test_composed_parts_do_not_serialize():
+    t = shear_qc(CatalogPart("koebe"), 2.0)
+    assert isinstance(t.g, ComboPart)
     with pytest.raises(ParameterError):
         map_to_json(t)
 
@@ -65,27 +64,6 @@ def test_corpus_file_roundtrip(tmp_path, corpus):
     back = load_corpus(path)
     assert sorted(back) == sorted(corpus)
     assert dump_corpus(back) == dump_corpus(corpus)
-
-
-# ---------------------------------------------------------------------------
-# composed second derivative matches the pre-Schwarzian expression
-
-
-def test_transform_second_derivative_identity(corpus):
-    # H''(0) of the recentered composition equals
-    # (1-|zeta|^2) h''(zeta)/h'(zeta) - 2 conj(zeta)
-    for label in ("koebe", "halfplane", "convex-poly2"):
-        m = corpus[label]
-        for zeta in (0.3, -0.2 + 0.4j, 0.7j):
-            t = koebe_transform(m, zeta)
-            got = complex(t.h.d2(0.0 + 0.0j))
-            hp = complex(m.h.d1(zeta))
-            hpp = complex(m.h.d2(zeta))
-            expected = (1 - abs(zeta) ** 2) * hpp / hp - 2 * np.conjugate(zeta)
-            assert got == pytest.approx(expected, rel=1e-12)
-            # so the pre-Schwarzian scan is |H''(0)| of the composition
-            assert abs(got) == pytest.approx(
-                float(preschwarzian(m, np.array([zeta]))[0]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -101,18 +79,3 @@ def test_poisson_csv_schema(corpus):
     assert len(lines) == 1 + 2 * (1 + 4 * 8)
     vals = [float(line.split(",")[2]) for line in lines[1:]]
     assert max(abs(v - 1.0) for v in vals) < 1e-6
-
-
-# ---------------------------------------------------------------------------
-# composed map evaluation stays exact under nesting
-
-
-def test_nested_transform_derivatives(corpus):
-    inner = koebe_transform(corpus["convex-poly3"], 0.2 - 0.1j)
-    outer = koebe_transform(inner, -0.3j)
-    h = outer.h
-    assert isinstance(h, MobiusPart)
-    z = 0.37 + 0.21j
-    step = 1e-6
-    fd = (h.value(z + step) - h.value(z - step)) / (2 * step)
-    assert complex(h.d1(z)) == pytest.approx(complex(fd), rel=1e-7)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hqmap import (
     CatalogPart,
     Config,
-    DegenerateMapError,
     DiskDomainError,
     HarmonicMap,
     ParameterError,
@@ -19,7 +18,6 @@ from hqmap import (
     WirtingerPair,
     default_corpus,
     disk_grid,
-    normalize,
     qc_constant,
 )
 from hqmap import johndisk
@@ -32,8 +30,7 @@ from hqmap.bounds import (
     default_triples,
 )
 from hqmap.johndisk import criterion_ii, criterion_iii, decay_fit
-from hqmap.maps import (R_CAP, AnalyticPart, ComboPart, MobiusPart, check_sense_preserving,
-                        finite_dnorm)
+from hqmap.maps import R_CAP, AnalyticPart, ComboPart, check_sense_preserving, finite_dnorm
 from hqmap.poisson import boundary_profile, poisson_scan
 
 from conftest import decay_fit_sample
@@ -288,8 +285,7 @@ def test_wirtinger_matches_finite_differences():
         CatalogPart("koebe"),
         CatalogPart("halfplane", rotation=complex(math.cos(0.7), math.sin(0.7))),
         SeriesPart((0j, 1.0, -0.3 + 0.1j, 0.05j, 0.02)),
-        ComboPart(((0.5 + 0j, CatalogPart("koebe")), (0.25j, CatalogPart("identity"))), shift=0.1),
-        MobiusPart(CatalogPart("koebe"), 0.3 - 0.2j, 1.5 + 0.5j),
+        ComboPart(((0.5 + 0j, CatalogPart("koebe")), (0.25j, CatalogPart("identity")))),
     ]
     zs = [0.1, -0.4, 0.3 + 0.4j, -0.2 - 0.55j, 0.85, 0.6j]
     for part in parts:
@@ -298,14 +294,6 @@ def test_wirtinger_matches_finite_differences():
             fd2 = (part.value(z + h) - 2 * part.value(z) + part.value(z - h)) / h**2
             assert complex(part.d1(z)) == pytest.approx(complex(fd1), rel=1e-6)
             assert complex(part.d2(z)) == pytest.approx(complex(fd2), rel=1e-3, abs=1e-4)
-
-
-@pytest.mark.parametrize("zeta", [1.0, 0.6 + 0.8j, complex(math.nan, 0.0), complex(0.2, math.nan)],
-                         ids=["on-circle", "on-circle-complex", "nan-re", "nan-im"])
-def test_mobius_center_must_be_in_the_disk(zeta):
-    # a NaN center used to pass "abs(zeta) >= 1" and build a NaN part
-    with pytest.raises(DiskDomainError):
-        MobiusPart(CatalogPart("koebe"), zeta, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,47 +326,6 @@ def test_qc_sense_reversing_witness():
     with pytest.raises(SenseReversalError) as err:
         qc_constant(m, disk_grid(8, 8))
     assert abs(err.value.witness) < 1.0
-
-
-# ---------------------------------------------------------------------------
-# normalization
-
-
-def test_normalize_fixed_point(corpus):
-    m = corpus["convex-poly2"]
-    n = normalize(m)
-    zs = np.array([0.1, 0.5j, -0.3 + 0.2j, 0.9])
-    assert np.max(np.abs(n.value(zs) - m.value(zs))) < 1e-12
-
-
-def test_normalize_shear_gives_identity(corpus):
-    # (f - 0.5 conj f) / 0.75 recovers z from z + 0.5 conj z
-    n = normalize(corpus["shear-k3"])
-    zs = np.array([0.2, -0.7j, 0.5 + 0.3j])
-    assert np.max(np.abs(n.value(zs) - zs)) < 1e-12
-    assert "SH0" in n.flags
-
-
-def test_normalize_rescales_h():
-    m = HarmonicMap(SeriesPart((0j, 2.0)), ZERO, "twice")
-    n = normalize(m)
-    zs = np.array([0.3, 0.4j])
-    assert np.max(np.abs(n.value(zs) - zs)) < 1e-14
-
-
-def test_normalize_idempotent(corpus):
-    m = HarmonicMap(SeriesPart((0.1 + 0j, 1.5, 0.2j)), SeriesPart((0j, 0.4)), "messy")
-    n1 = normalize(m)
-    n2 = normalize(n1)
-    zs = np.array([0.15, -0.6j, 0.44 + 0.31j, 0.9])
-    assert np.max(np.abs(n2.value(zs) - n1.value(zs))) < 1e-12
-
-
-def test_normalize_degenerate():
-    with pytest.raises(DegenerateMapError):
-        normalize(HarmonicMap(SeriesPart((0j, 1.0)), SeriesPart((0j, 1.0)), "flat"))
-    with pytest.raises(DegenerateMapError):
-        normalize(HarmonicMap(SeriesPart((0j, 0j, 1.0)), ZERO, "critical"))
 
 
 # ---------------------------------------------------------------------------

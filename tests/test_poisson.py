@@ -18,7 +18,7 @@ from hqmap import poisson
 from hqmap.maps import (CatalogPart, ComboPart, HarmonicMap, SenseReversalError,
                         SeriesPart, WirtingerPair)
 from hqmap.poisson import poisson_scan, poisson_trace_json
-from hqmap.quadrature import adaptive_quad
+from hqmap.quadrature import adaptive_quads, cut_list
 
 from conftest import seeded_harmonic
 
@@ -380,7 +380,7 @@ def test_bracket_arc_is_the_old_tangential_speed_bit_for_bit(t1, t2, corpus):
             return np.abs(1j * z * m.h.d1(z) - 1j * np.conjugate(z * m.g.d1(z)))
 
         dtheta = float(np.mod(t2 - t1 + math.pi, 2.0 * math.pi) - math.pi)
-        want = adaptive_quad(speed, *sorted((0.0, dtheta)), rel_tol=1e-9).value
+        want = adaptive_quads(speed, [cut_list(*sorted((0.0, dtheta)))], rel_tol=1e-9)[0].value
         got = pommerenke_bracket(m, r, t1, t2).arc_length
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), m.label
 

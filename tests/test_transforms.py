@@ -1,18 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
 from hqmap import (
     CatalogPart,
-    DegenerateMapError,
     ParameterError,
     SenseReversalError,
     affine,
     disk_grid,
-    koebe_transform,
     preschwarzian_sup,
-    qc_constant,
     rotate,
     shear_qc,
 )
@@ -20,62 +15,6 @@ from hqmap.maps import HarmonicMap, SeriesPart
 from hqmap.transforms import preschwarzian
 
 ZS = np.array([0.1, -0.35, 0.3 + 0.4j, -0.2 - 0.55j, 0.7j, 0.85])
-
-
-# ---------------------------------------------------------------------------
-# renormalized automorphism composition
-
-
-def test_koebe_transform_center_zero_is_identity(corpus):
-    for label in ("identity", "koebe", "convex-poly2"):
-        m = corpus[label]
-        t = koebe_transform(m, 0.0)
-        assert np.max(np.abs(t.value(ZS) - m.value(ZS))) < 1e-12
-
-
-def test_koebe_transform_of_identity_closed_form(corpus):
-    # ((z + 1/2)/(1 + z/2) - 1/2) / (3/4) = z / (1 + z/2)
-    t = koebe_transform(corpus["identity"], 0.5)
-    assert np.max(np.abs(t.value(ZS) - ZS / (1.0 + 0.5 * ZS))) < 1e-14
-
-
-def test_koebe_transform_preserves_qc_constant(corpus):
-    pts = disk_grid(16, 24)
-    sheared = shear_qc(CatalogPart("identity"), 3.0)
-    moved = koebe_transform(sheared, 0.4)
-    assert qc_constant(moved, pts) == pytest.approx(3.0, abs=1e-12)
-    moved_k = koebe_transform(corpus["koebe"], 0.3 - 0.2j)
-    assert abs(qc_constant(moved_k, pts) - qc_constant(corpus["koebe"], pts)) < 1e-6
-
-
-def test_koebe_transform_normalization_flags(corpus):
-    t = koebe_transform(corpus["koebe"], 0.25)
-    assert "SH" in t.flags and "SH0" in t.flags  # analytic part keeps g' = 0
-    assert abs(complex(t.value(0.0))) < 1e-15
-    assert complex(t.h.d1(0.0)) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_koebe_transform_singular_center():
-    m = HarmonicMap(SeriesPart((0j, 1.0, -1.0)), SeriesPart((0j,)), "stall")
-    with pytest.raises(DegenerateMapError):
-        koebe_transform(m, 0.5)  # h'(0.5) = 1 - 2*0.5 = 0
-
-
-def test_koebe_transform_center_outside():
-    from hqmap import default_corpus
-
-    with pytest.raises(ParameterError):
-        koebe_transform(default_corpus()["identity"], 1.1)
-
-
-@pytest.mark.parametrize("zeta", [complex(math.nan, 0.0), complex(0.1, math.nan)],
-                         ids=["nan-re", "nan-im"])
-def test_koebe_transform_center_nan(zeta):
-    # a NaN center used to reach h'(zeta) and raise a RuntimeWarning
-    from hqmap import default_corpus
-
-    with pytest.raises(ParameterError, match="transform center"):
-        koebe_transform(default_corpus()["koebe"], zeta)
 
 
 # ---------------------------------------------------------------------------
