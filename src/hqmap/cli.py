@@ -13,6 +13,7 @@ that quantity, so ``hqmap --out D poisson koebe`` writes the same bytes as
 from __future__ import annotations
 
 import argparse
+import ctypes
 import io
 import json
 import os
@@ -288,7 +289,35 @@ _COMMANDS = {
 }
 
 
+# glibc's mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _pin_malloc_thresholds() -> None:
+    """Serve allocations below 4 MiB from the heap and keep up to 8 MiB of
+    freed heap top, where the C library is glibc; elsewhere do nothing.
+
+    glibc maps each allocation above its dynamic threshold (128 KiB at
+    start-up) with mmap and unmaps it on free, and raises the threshold
+    only after freeing such a block.  A level-3 suite builds hundreds of
+    0.4-0.8 MB grid temporaries, so left to itself a ``check`` process
+    faults in every page of each one afresh: ``check analytic-classical``
+    on a 30-map corpus took 51k minor faults, and takes 1.4k with these
+    settings.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 8 << 20)
+
+
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

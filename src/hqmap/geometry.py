@@ -172,19 +172,86 @@ class DistanceEstimate:
 # ring-image samples of a boundary distance
 _RING_N = 4096
 
+# The pruned search cuts points into blocks of consecutive samples: _BLOCK
+# per block of a ring image, whose blocks face single targets, and
+# _DIAMETER_BLOCK per block of a diameter's points, whose blocks face blocks
+# (8 x 8 distances a pair; 32 x 32 kept too many pairs on the box grids).  A
+# step of the search holds at most _CHUNK distances, and a block is skipped
+# only when its bound misses by more than _GUARD relative to the sizes
+# compared (rounding moves each of them by a few ulps).
+_BLOCK = 32
+_DIAMETER_BLOCK = 8
+_CHUNK = 1 << 16
+_GUARD = 1e-12
 
-def _row_reduce(rows: np.ndarray, cols: np.ndarray, reduce) -> np.ndarray:
-    """reduce(|rows[i] - cols|, axis=1) for each row i of the distance
-    matrix: one value per row, or one row of values.  No rows still make
-    one empty block, so the result keeps the width ``reduce`` gives.
 
-    Rows go in blocks of (1 << 18) // len(cols): a 4 MB complex block stays
-    in cache, scratch memory does not grow with the row count, and each
-    row is reduced over the same contiguous row whatever the block size.
+def _gaps(a, b) -> np.ndarray:
+    """|a - b| for a bound of the pruned search.  inf - inf gives NaN there,
+    which only keeps a block, so it is not warned about."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(a - b)
+
+
+def _blocks(pts: np.ndarray, size: int):
+    """Blocks of ``size`` consecutive points, as the columns of a
+    (size, blocks) array, the last one padded with copies of the last point
+    (a copy moves no min or max); with each block's centre sample c and
+    radius max |p - c|.  A non-finite point makes its block's radius inf or
+    NaN, so no bound skips that block."""
+    idx = np.minimum(np.arange(-(-pts.size // size) * size), pts.size - 1)
+    blocks = pts[idx.reshape(-1, size).T]
+    centre = blocks[size // 2]
+    return blocks, centre, _gaps(blocks, centre).max(axis=0)
+
+
+def _pruned_extreme(rows, cols, largest: bool):
+    """The exact extremes of |p - q| over p in the row blocks and q in the
+    column blocks (both from ``_blocks``): the minimum per row when the rows
+    are single points, or with ``largest`` the maximum over all pairs, rows
+    and columns being the same blocks.
+
+    A block pair is skipped only when the triangle inequality shows that
+    none of its distances can be the extreme: for a minimum, when
+    |w - c| - rho exceeds the row's distance to its nearest centre; for the
+    maximum, when |c1 - c2| + rho1 + rho2 falls short of the largest
+    centre-to-centre distance.  Both references are distances the search
+    itself evaluates, a NaN comparison skips nothing, and the kept pairs are
+    evaluated as ``np.abs(p - q)``, so the result is the full distance
+    matrix's min or max bit for bit.  Rows go in steps of _CHUNK centre
+    distances and kept pairs in steps of _CHUNK point distances, so scratch
+    memory does not grow with the row count.
     """
-    chunk = max(1, (1 << 18) // max(len(cols), 1))
-    return np.concatenate([reduce(np.abs(rows[i:i + chunk, None] - cols[None, :]), axis=1)
-                           for i in range(0, max(len(rows), 1), chunk)])
+    rpts, rcen, rrad = rows
+    cpts, ccen, crad = cols
+    step = max(1, _CHUNK // len(ccen))
+    pair_step = max(1, _CHUNK // (len(rpts) * len(cpts)))
+    if largest:
+        bound = np.max([_gaps(rcen[i:i + step, None], ccen).max()
+                        for i in range(0, len(rcen), step)])
+    out = []
+    for i0 in range(0, len(rcen), step):
+        dc = _gaps(rcen[i0:i0 + step, None], ccen)
+        if largest:
+            skip = (dc + rrad[i0:i0 + step, None] + crad) * (1.0 + _GUARD) < bound
+            # each unordered pair once: |p - q| and |q - p| are the same bits
+            skip |= np.arange(len(ccen)) < np.arange(i0, i0 + len(dc))[:, None]
+        else:
+            skip = dc > (dc.min(axis=1, keepdims=True) + crad) * (1.0 + _GUARD)
+        i, j = np.nonzero(~skip)
+        vals = np.empty(len(i))
+        for k in range(0, len(i), pair_step):
+            pair = slice(k, k + pair_step)
+            d = np.abs(np.take(rpts, i0 + i[pair], axis=1)[:, None]
+                       - np.take(cpts, j[pair], axis=1)[None, :])
+            vals[k:k + pair_step] = d.max(axis=(0, 1)) if largest else d.min(axis=(0, 1))
+        if largest:
+            out.append(vals.max(initial=0.0))
+        else:
+            # every row keeps its nearest centre's block, so each row has a segment
+            out.append(np.minimum.reduceat(vals, np.flatnonzero(np.diff(i, prepend=-1))))
+    if largest:
+        return np.max(out)
+    return np.concatenate(out) if out else np.empty(0)
 
 
 def boundary_distance(m: HarmonicMap, w, eps: float = 1e-4,
@@ -195,10 +262,11 @@ def boundary_distance(m: HarmonicMap, w, eps: float = 1e-4,
     n -> infinity for maps extending continuously to the closed disk.
 
     The ring is evaluated once.  Its even-indexed half is the n/2-sample
-    ring bit for bit (halving a float step is exact), so one pass over the
-    ring, reordered even half first, gives ``value`` and the even half's
-    min.  ``drift`` is their difference; both take the shape of w, and the
-    estimate is converged when every drift is at most 5 % of its value.
+    ring bit for bit (halving a float step is exact), so the pruned search
+    takes the minimum over each half: ``value`` is the smaller of the two
+    and ``drift`` the even half's excess over it.  Both take the shape of
+    w, and the estimate is converged when every drift is at most 5 % of its
+    value.
     """
     if n < 128 or n % 2:
         raise ParameterError("boundary distance needs an even ring of at least 128 samples")
@@ -206,8 +274,9 @@ def boundary_distance(m: HarmonicMap, w, eps: float = 1e-4,
         raise ParameterError("ring offset must lie in (0, 1)")
     ws = np.asarray(w, dtype=complex)
     img = m.value((1.0 - eps) * circle_nodes(n)[1])
-    halves = _row_reduce(ws.ravel(), np.concatenate([img[0::2], img[1::2]]),
-                         lambda d, axis: np.minimum.reduceat(d, [0, n // 2], axis=axis))
+    targets = _blocks(ws.ravel(), 1)
+    halves = np.stack([_pruned_extreme(targets, _blocks(img[k::2], _BLOCK), False)
+                       for k in (0, 1)], axis=1)
     value = np.min(halves, axis=1)
     drift = halves[:, 0] - value
     converged = bool(np.all(drift <= 0.05 * np.maximum(value, 1e-300)))
@@ -219,8 +288,10 @@ def boundary_distance(m: HarmonicMap, w, eps: float = 1e-4,
 
 
 def set_diameter(points: np.ndarray) -> float:
-    """Max pairwise distance, in row blocks of the distance matrix."""
+    """Max pairwise distance, by the pruned search over blocks of
+    consecutive points."""
     pts = np.asarray(points, dtype=complex).ravel()
     if len(pts) < 2:
         return 0.0
-    return float(np.max(_row_reduce(pts, pts, np.max)))
+    blocks = _blocks(pts, _DIAMETER_BLOCK)
+    return float(_pruned_extreme(blocks, blocks, True))

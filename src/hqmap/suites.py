@@ -23,9 +23,13 @@ def _scale(config: Config) -> float:
 
 
 def suite_grid(config: Config) -> np.ndarray:
+    """The disk grid of a suite's inequality predicates.  A suite builds it
+    once and every map's predicates read it, so it is read-only."""
     n_r = max(8, round(48 * _scale(config)))
     n_a = max(8, round(64 * _scale(config)))
-    return geometry.disk_grid(n_r, n_a)
+    pts = geometry.disk_grid(n_r, n_a)
+    pts.flags.writeable = False
+    return pts
 
 
 def _sorted_reports(reports) -> list:
@@ -35,9 +39,9 @@ def _sorted_reports(reports) -> list:
     )
 
 
-def _inequality_family(m: HarmonicMap, alpha: float, qc_k: float,
+def _inequality_family(m: HarmonicMap, alpha: float, qc_k: float, pts: np.ndarray,
                        config: Config, tag: str) -> list:
-    pts = suite_grid(config)
+    """The inequality predicates of one map on the suite's grid ``pts``."""
     eps = config.eps
     fit = johndisk.decay_fit(m) if "bounded" in m.flags else None
     try:
@@ -68,10 +72,11 @@ def suite_analytic_classical(corpus: dict, config: Config) -> list:
     """Every inequality predicate on the analytic subfamily with the classical
     sharp order 2 and K = 1; these are theorems and must pass."""
     reports = []
+    pts = suite_grid(config)
     for label in sorted(corpus):
         m = corpus[label]
         if m.is_analytic():
-            reports.extend(_inequality_family(m, 2.0, 1.0, config, label))
+            reports.extend(_inequality_family(m, 2.0, 1.0, pts, config, label))
     return _sorted_reports(reports)
 
 
@@ -86,11 +91,12 @@ def suite_harmonic_advisory(corpus: dict, config: Config) -> list:
     it upward.
     """
     reports = []
+    pts = suite_grid(config)
     for label in sorted(corpus):
         m = corpus[label]
         if not m.is_analytic():
             qc_k = max(qc_constant(m, geometry.disk_grid(24, 32)), config.bigk)
-            reports.extend(_inequality_family(m, config.alpha, qc_k, config, label))
+            reports.extend(_inequality_family(m, config.alpha, qc_k, pts, config, label))
     return _sorted_reports(reports)
 
 

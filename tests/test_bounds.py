@@ -175,8 +175,10 @@ def test_norm_error_in_a_suite_names_its_map_once():
     # one used to be a non-finite harnack_comparison margin)
     at = complex(_harnack_box(0.9 + 0j)[7])
     m = HarmonicMap(_SpikePart(at), SeriesPart((0j,)), "spike")
+    config = Config(grid_level=0)
+    pts = suites.suite_grid(config)
     with pytest.raises(ParameterError) as info:
-        suites._inequality_family(m, 2.0, 1.0, Config(grid_level=0), "spike")
+        suites._inequality_family(m, 2.0, 1.0, pts, config, "spike")
     assert str(info.value) == f"spike: derivative norm is not finite at z = {at}"
 
 

@@ -760,3 +760,42 @@ def test_report_empty_corpus(tmp_path, capsys):
         "checks_analytic-classical.jsonl", "checks_geometry.jsonl",
         "checks_harmonic-advisory.jsonl", "checks_radial-growth.jsonl",
         "corpus.json", "manifest.json"]
+
+
+# ---------------------------------------------------------------------------
+# allocator thresholds
+
+
+class _FakeLibc:
+    """A C library whose ``mallopt`` records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+def test_main_pins_the_malloc_thresholds(capsys, monkeypatch):
+    libc = _FakeLibc()
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    assert run(capsys, "eval", "identity", "0.5+0i")[0] == 0
+    # glibc's M_MMAP_THRESHOLD (-3) to 4 MiB and M_TRIM_THRESHOLD (-1) to 8 MiB
+    assert libc.calls == [(-3, 4 << 20), (-1, 8 << 20)]
+
+
+def _no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
+                         ids=["no-libc", "no-mallopt"])
+def test_main_runs_where_mallopt_is_missing(cdll, capsys, monkeypatch):
+    argv = ("--grid-level", "0", "check", "geometry")
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hqmap.geometry import (
     set_diameter,
     wrap_angle,
 )
+from hqmap import geometry
 from hqmap.maps import HarmonicMap, ParameterError, SeriesPart
 
 
@@ -368,11 +370,11 @@ def test_diameter_is_the_unblocked_maximum(corpus):
     rows = _row_maxima(p)
     assert set_diameter(p) == rows.max()
     # the same box image with every point of a farthest pair moved to the
-    # end, less one point: only the last, partial block holds a row that
-    # reaches the diameter
+    # end, less one point: only the last, partial block of consecutive
+    # points holds a farthest pair
     ends = np.flatnonzero(rows == rows.max())
     q = np.concatenate([np.delete(p, np.append(ends, 0)), p[ends]])
-    assert len(ends) <= q.size % ((1 << 18) // q.size)
+    assert len(ends) <= q.size % geometry._DIAMETER_BLOCK
     assert set_diameter(q) == _row_maxima(q).max() == rows.max()
 
 
@@ -380,3 +382,144 @@ def test_diameter_of_fewer_than_two_points():
     assert set_diameter(np.array([], dtype=complex)) == 0.0
     assert set_diameter(np.array([0.3 + 0.1j])) == 0.0
     assert set_diameter(np.full(100, 0.3 + 0.1j)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the pruned search against the full distance matrix
+
+
+class _RingImage:
+    """Stands in for a map whose ring image is ``img``: boundary_distance
+    reads nothing of a map but its values on the ring."""
+
+    def __init__(self, img):
+        self.img = img
+
+    def value(self, z):
+        assert np.shape(z) == self.img.shape
+        return self.img.copy()
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, any NaN matching any NaN (which NaN a min or max
+    keeps depends on its order)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+@st.composite
+def _point_curves(draw, sizes):
+    """Consecutive samples of a closed curve (so that the search skips
+    blocks), a Gaussian cloud, a line of duplicated points or one point
+    repeated, moved far off the origin or scaled; with a few NaN or
+    infinite points and duplicates of other samples."""
+    n = draw(sizes)
+    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    kind = draw(st.sampled_from(["curve", "cloud", "collinear", "constant"]))
+    if kind == "cloud":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        pts = rng.normal(size=n) + 1j * rng.normal(size=n)
+    elif kind == "curve":
+        k = draw(st.integers(1, 6))
+        pts = np.exp(1j * t) * (1.0 + draw(st.floats(-0.6, 0.6)) * np.cos(k * t))
+    elif kind == "collinear":
+        pts = np.round(4.0 * np.cos(draw(st.integers(1, 3)) * t)) * np.exp(0.3j) + 0j
+    else:
+        pts = np.full(n, 0.25 - 0.5j)
+    pts = (draw(st.sampled_from([0.0, 1e6 - 3e5j]))
+           + draw(st.sampled_from([1.0, 1e-7, 1e5])) * pts)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=4)):
+        pts[i] = pts[j]
+    specials = [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf),
+                complex(math.inf, math.nan)]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        pts[i] = draw(st.sampled_from(specials))
+    return pts
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_point_curves(st.sampled_from([128, 130, 192, 258])),
+       st.sampled_from([(), (0,), (7,), (2, 40), (0, 3)]), st.integers(0, 2**32 - 1))
+def test_boundary_distance_is_the_full_matrix_minimum(img, shape, seed):
+    # n = 130 has halves of 65 samples, not a multiple of the block size;
+    # half of the targets lie on the ring image, at distance 0
+    rng = np.random.default_rng(seed)
+    finite = img[np.isfinite(img)]
+    size = math.prod(shape)
+    centre, spread = (finite.mean(), np.ptp(np.abs(finite))) if finite.size else (0j, 1.0)
+    ws = centre + (spread + 1.0) * (rng.normal(size=size) + 1j * rng.normal(size=size))
+    if finite.size:
+        ws[: size // 2] = rng.choice(finite, size // 2)
+    ws = ws.reshape(shape)
+    est = boundary_distance(_RingImage(img), ws, n=img.size)
+    d = np.abs(ws.reshape(-1, 1) - img)
+    fine, coarse = d.min(axis=1), d[:, 0::2].min(axis=1)
+    assert _same_bits(est.value, fine.reshape(shape))
+    assert _same_bits(est.drift, (coarse - fine).reshape(shape))
+    assert est.converged == bool(np.all(coarse - fine <= 0.05 * np.maximum(fine, 1e-300)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_point_curves(st.integers(2, 300)))
+def test_diameter_is_the_full_matrix_maximum(pts):
+    with np.errstate(invalid="ignore"):  # inf - inf on both sides
+        assert _same_bits(set_diameter(pts), np.abs(pts[:, None] - pts[None, :]).max())
+
+
+def test_boundary_distance_when_no_block_is_skipped(corpus):
+    # the identity's ring image is a circle about its centre, so for 1,000
+    # targets there every block survives: scratch memory stays bounded
+    # (the blocked full matrix peaked at 6.3 MiB)
+    ident, ws = corpus["identity"], np.zeros(1000, dtype=complex)
+    tracemalloc.start()
+    try:
+        est = boundary_distance(ident, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.3 * 2**20
+    # the targets are equal, so one row of the full matrix is the reference
+    ref = _ring_min(ident, ws[:1], 1e-4, 2 * geometry._RING_N)
+    assert est.value.tobytes() == np.repeat(ref, ws.size).tobytes()
+
+
+def _np_dist(a, b):
+    """|a - b| as numpy's complex abs gives it, as the search evaluates it
+    (Python's ``abs`` can differ in the last bit)."""
+    return np.abs(np.complex128(a) - b)
+
+
+def test_boundary_distance_skip_test_allows_for_rounding():
+    # p lies halfway from w to c, and q as far from w as p.  In floats
+    # |w - c| > |p - c| + |w - q| although |w - p| < |w - q|, so a block
+    # centred at c that holds p may be skipped only with a guard
+    w, p, c, q = (-0.2885287706590929 + 0.9622545779452354j,
+                  -0.5225582886942709 + 0.6604301710044524j,
+                  -0.7565878067294489 + 0.3586057640636694j,
+                  0.005179989972656451 + 0.7181174200501398j)
+    assert _np_dist(w, c) > _np_dist(p, c) + _np_dist(w, q) and _np_dist(w, p) < _np_dist(w, q)
+    half = np.full(2 * geometry._BLOCK, q)
+    half[:geometry._BLOCK] = c
+    half[geometry._BLOCK // 2 - 1] = p
+    img = np.empty(2 * half.size, dtype=complex)
+    img[0::2], img[1::2] = half, q
+    est = boundary_distance(_RingImage(img), w, n=img.size)
+    assert est.value == _np_dist(w, p) and est.drift == 0.0
+
+
+def test_diameter_skip_test_allows_for_rounding():
+    # p, a, b, q lie on a segment, and c, d end a crossing segment between
+    # the two in length.  In floats |a - b| + |p - a| + |q - b| < |c - d| <
+    # |p - q|, so the pair of blocks centred at a and b, which holds the
+    # farthest pair, may be skipped only with a guard
+    a, b = -0.79735347889626 + 0.9298245278458679j, -1.2791573791272375 + 0.05440226596712183j
+    p, q = -0.7230686583778297 + 1.0647976685164293j, -1.4013443190589263 - 0.16760749210200585j
+    c, d = -0.44600390840916027 + 0.10945725786666344j, -1.6784090690275957 + 0.78773291854776j
+    assert _np_dist(a, b) + _np_dist(p, a) + _np_dist(q, b) < _np_dist(c, d) < _np_dist(p, q)
+    size = geometry._DIAMETER_BLOCK
+    pts = np.repeat(np.array([a, b, c, d]), size)
+    pts[size // 2 - 1], pts[size + size // 2 - 1] = p, q  # a and b stay the centres
+    assert set_diameter(pts) == np.abs(pts[:, None] - pts[None, :]).max() == _np_dist(p, q)
