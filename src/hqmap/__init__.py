@@ -48,10 +48,8 @@ from .bounds import (
     CheckReport,
     check_arc_image_diameter,
     check_boundary_dist_lower,
-    check_derivative_value_bound,
-    check_displacement,
-    check_distortion,
-    check_harnack,
+    check_derivative_bounds,
+    check_harnack_box,
     check_two_point_growth,
     check_weighted_deriv_growth,
     derivative_bound_constant,

@@ -4,8 +4,10 @@ constant).
 
 Every predicate evaluates its inequality on a deterministic sample and
 reports the worst margin (RHS - LHS) / max(1, |RHS|) together with the
-witness point attaining it.  Margins are relative wherever the two sides
-blow up like (1 - |z|)^{-3} near the circle, so the reports stay readable.
+witness point attaining it; ``check_derivative_bounds`` and
+``check_harnack_box`` evaluate two inequalities on one sample and report
+one line for each.  Margins are relative wherever the two sides blow up
+like (1 - |z|)^{-3} near the circle, so the reports stay readable.
 Every check line, in every module, is built by ``_report`` under one pass
 rule: the line passes when its worst margin is at least minus its declared
 numerical slack and no input estimate it rests on failed to converge.
@@ -111,24 +113,6 @@ def _exp2alpha(t, alpha):
 
 
 # ---------------------------------------------------------------------------
-# derivative distortion
-
-
-def check_distortion(m: HarmonicMap, alpha: float, points=None) -> CheckReport:
-    """Two-sided distortion of the analytic part:
-    (1-|z|)^{a-1}/(1+|z|)^{a+1} <= |h'(z)| <= (1+|z|)^{a-1}/(1-|z|)^{a+1}.
-    """
-    pts = np.asarray(points if points is not None else geometry.disk_grid(),
-                     dtype=complex).ravel()
-    t = np.abs(pts)
-    hp = np.abs(m.h.d1(pts))
-    lower = (1.0 - t) ** (alpha - 1.0) / (1.0 + t) ** (alpha + 1.0)
-    upper = (1.0 + t) ** (alpha - 1.0) / (1.0 - t) ** (alpha + 1.0)
-    margins = np.minimum(rel_margin(hp, upper), rel_margin(lower, hp))
-    return _report("deriv_distortion", alpha, None, margins, pts, _SLACK)
-
-
-# ---------------------------------------------------------------------------
 # two-point growth
 
 
@@ -161,7 +145,7 @@ def check_two_point_growth(m: HarmonicMap, alpha: float, qc_k: float,
 
 
 # ---------------------------------------------------------------------------
-# derivative-vs-value bound with its explicit constant
+# derivative distortion and the derivative-vs-value bound with its explicit constant
 
 
 def derivative_bound_constant(alpha: float, qc_k: float) -> float:
@@ -190,18 +174,29 @@ def derivative_bound_constant(alpha: float, qc_k: float) -> float:
     return c
 
 
-def check_derivative_value_bound(m: HarmonicMap, alpha: float, qc_k: float,
-                                 points=None) -> CheckReport:
-    """|z| * dnorm(z) <= C |f(z)| / (1 - |z|) with the closed-form constant."""
+def check_derivative_bounds(m: HarmonicMap, alpha: float, qc_k: float,
+                            points=None) -> tuple:
+    """The lines ``deriv_distortion``, the two-sided distortion of the
+    analytic part
+    (1-|z|)^{a-1}/(1+|z|)^{a+1} <= |h'(z)| <= (1+|z|)^{a-1}/(1-|z|)^{a+1},
+    and ``deriv_value_bound``, |z| dnorm(z) <= C |f(z)| / (1 - |z|) with the
+    closed-form constant.  |h'| = |f_z| and the norm come from one checked
+    read of the sample, and f from one ``value`` call."""
     pts = np.asarray(points if points is not None else geometry.disk_grid(),
                      dtype=complex).ravel()
     c = derivative_bound_constant(alpha, qc_k)
-    lhs = np.abs(pts) * finite_dnorm(m, pts)
+    t = np.abs(pts)
+    w = check_sense_preserving(m, pts)
+    hp = np.abs(w.fz)
+    lower = (1.0 - t) ** (alpha - 1.0) / (1.0 + t) ** (alpha + 1.0)
+    upper = (1.0 + t) ** (alpha - 1.0) / (1.0 - t) ** (alpha + 1.0)
+    margins = np.minimum(rel_margin(hp, upper), rel_margin(lower, hp))
+    distortion = _report("deriv_distortion", alpha, None, margins, pts, _SLACK)
     with np.errstate(over="ignore"):  # an infinite side is rejected by _report
-        rhs = c * np.abs(m.value(pts)) / (1.0 - np.abs(pts))
-    margins = rel_margin(lhs, rhs)
-    return _report("deriv_value_bound", alpha, qc_k, margins, pts, _SLACK,
-                   notes=f"C={c!r}")
+        rhs = c * np.abs(m.value(pts)) / (1.0 - t)
+    value_bound = _report("deriv_value_bound", alpha, qc_k, rel_margin(t * w.dnorm, rhs),
+                          pts, _SLACK, notes=f"C={c!r}")
+    return distortion, value_bound
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +258,7 @@ def check_boundary_dist_lower(m: HarmonicMap, qc_k: float, points=None,
 
 
 # ---------------------------------------------------------------------------
-# Harnack-type comparison of derivative norms near the boundary
+# Harnack-type comparison of derivative norms and the local displacement bound
 
 
 def harnack_constant(a1: float, a2: float, a3: float, alpha: float) -> float:
@@ -289,32 +284,28 @@ def _harnack_box(z0: complex) -> np.ndarray:
     return pts[np.abs(pts) < 1.0]
 
 
-def check_harnack(m: HarmonicMap, z0: complex, alpha: float) -> CheckReport:
-    """Two-sided comparison dnorm(z0)/M <= dnorm(z) <= M dnorm(z0) on the
-    qualifying boundary box."""
+def check_harnack_box(m: HarmonicMap, qc_k: float, alpha: float, z0: complex) -> tuple:
+    """The lines ``harnack_comparison``,
+    dnorm(z0)/M <= dnorm(z) <= M dnorm(z0), and ``local_displacement``,
+    |f(z) - f(z0)| <= K/(a(1+K)) ((M/2)^{2a/(1+a)} - 1) (1-|z0|^2)|f_z(z0)|,
+    on one qualifying boundary box with one M.  The box norms are read
+    before z0, so a bad point in both is named in the box."""
     z0 = complex(z0)
     big_m = harnack_constant(*_HARNACK_A, alpha)
     pts = _harnack_box(z0)
-    ratio = finite_dnorm(m, pts) / float(finite_dnorm(m, z0))
+    norms = finite_dnorm(m, pts)
+    w0 = check_sense_preserving(m, z0)
+    ratio = norms / float(w0.dnorm)
     margins = np.minimum(rel_margin(ratio, big_m), rel_margin(1.0 / big_m, ratio))
-    return _report("harnack_comparison", alpha, None, margins, pts, _SLACK,
-                   notes=f"z0={z0!r} M={big_m!r}")
-
-
-def check_displacement(m: HarmonicMap, qc_k: float, alpha: float,
-                       z0: complex) -> CheckReport:
-    """|f(z) - f(z0)| <= K/(a(1+K)) ((M/2)^{2a/(1+a)} - 1) (1-|z0|^2)|f_z(z0)|
-    on the qualifying boundary box."""
-    z0 = complex(z0)
-    big_m = harnack_constant(*_HARNACK_A, alpha)
-    pts = _harnack_box(z0)
-    fz0 = abs(complex(check_sense_preserving(m, z0).fz))
+    notes = f"z0={z0!r} M={big_m!r}"
+    harnack = _report("harnack_comparison", alpha, None, margins, pts, _SLACK, notes=notes)
+    fz0 = abs(complex(w0.fz))
     factor = (big_m / 2.0) ** (2.0 * alpha / (1.0 + alpha)) - 1.0
     rhs = qc_k / (alpha * (1.0 + qc_k)) * factor * (1.0 - abs(z0) ** 2) * fz0
     lhs = np.abs(m.value(pts) - complex(m.value(z0)))
-    margins = rel_margin(lhs, np.full_like(lhs, rhs))
-    return _report("local_displacement", alpha, qc_k, margins, pts, _SLACK,
-                   notes=f"z0={z0!r} M={big_m!r}")
+    displacement = _report("local_displacement", alpha, qc_k,
+                           rel_margin(lhs, np.full_like(lhs, rhs)), pts, _SLACK, notes=notes)
+    return harnack, displacement
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--bigk", type=float, default=None, help="quasiconformality constant")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--grid-level", type=int, default=None,
-                        help="grid density level, 0 to 6 (default 1)")
+                        help="sample density level, 0 to 6 (default 1); scales the "
+                        "deriv_distortion/deriv_value_bound grid, the geometry suite's "
+                        "Stolz samples and the Poisson eps ladder (level 0 against 1 and "
+                        "above), and no other check line's sample")
     parser.add_argument("--eps", type=float, default=None, help="boundary offset")
     parser.add_argument("--tol", type=float, default=None,
                         help="relative tolerance of every radial-length quadrature; "

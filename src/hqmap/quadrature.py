@@ -55,21 +55,18 @@ class QuadResult(NamedTuple):
 
 
 def _gk15(f: Callable, a, b):
-    """GK15 value and error estimate on each interval [a, b], from one call
-    of f over the 15 nodes of every interval.
-
-    Scalar ends give one (value, error) pair of floats, equal-length 1-D
-    arrays of ends one pair of arrays.  The weighted sums are taken row by
-    row with ``np.dot``: one matrix-vector product over all rows rounds
-    differently.
+    """GK15 value and error estimate on each interval [a, b], as two arrays,
+    from one call of f over the 15 nodes of every interval.  The weighted
+    sums are taken row by row with ``np.dot``: one matrix-vector product
+    over all rows rounds differently.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[..., None] + half[..., None] * _XK
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _XK
     rows = np.asarray(f(nodes.ravel()), dtype=float).reshape(-1, _XK.size)
     values, errors = [], []
-    for h, vals in zip(half.ravel().tolist(), rows):
+    for h, vals in zip(half.tolist(), rows):
         k = h * float(np.dot(_WK, vals))
         g = h * float(np.dot(_WG, vals[1::2]))
         diff = abs(k - g)
@@ -77,8 +74,6 @@ def _gk15(f: Callable, a, b):
         # (200 diff)^1.5 < diff only when diff < 200^-3 = 1.25e-7, so the
         # power is taken only below 1e-6, where it cannot overflow
         errors.append(min(diff, (200.0 * diff) ** 1.5) if diff < 1e-6 else diff)
-    if half.ndim == 0:
-        return values[0], errors[0]
     return np.array(values), np.array(errors)
 
 

@@ -12,10 +12,8 @@ from hqmap import (
     CatalogPart,
     boundary_profile,
     check_boundary_dist_lower,
-    check_derivative_value_bound,
-    check_displacement,
-    check_distortion,
-    check_harnack,
+    check_derivative_bounds,
+    check_harnack_box,
     check_two_point_growth,
     check_weighted_deriv_growth,
     decay_fit,
@@ -84,13 +82,15 @@ def test_c04_classical_sharp_suite(corpus):
     analytic = [m for m in corpus.values() if m.is_analytic()]
     slack = 1e-9
     for m in analytic:
-        assert check_distortion(m, 2.0).passed, m.label
+        distortion, value_bound = check_derivative_bounds(m, 2.0, 1.0)
+        harnack, displacement = check_harnack_box(m, 1.0, 2.0, 0.9 + 0j)
+        assert distortion.passed, m.label
         assert check_two_point_growth(m, 2.0, 1.0).passed, m.label
-        assert check_derivative_value_bound(m, 2.0, 1.0).passed, m.label
+        assert value_bound.passed, m.label
         assert check_weighted_deriv_growth(m, 2.0).passed, m.label
         assert check_boundary_dist_lower(m, 1.0).passed, m.label
-        assert check_harnack(m, 0.9 + 0j, 2.0).passed, m.label
-        assert check_displacement(m, 1.0, 2.0, 0.9 + 0j).passed, m.label
+        assert harnack.passed, m.label
+        assert displacement.passed, m.label
     sharp = check_two_point_growth(corpus["koebe"], 2.0, 1.0, pairs=[(0.0, 0.5)])
     assert sharp.passed and abs(sharp.worst_margin) <= 1e-6
     report(4, f"{7 * len(analytic)} checks pass at slack 1e-9; "

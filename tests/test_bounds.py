@@ -8,19 +8,18 @@ import pytest
 from hqmap import (
     check_arc_image_diameter,
     check_boundary_dist_lower,
-    check_derivative_value_bound,
-    check_displacement,
-    check_distortion,
-    check_harnack,
+    check_derivative_bounds,
+    check_harnack_box,
     check_two_point_growth,
     check_weighted_deriv_growth,
     decay_fit,
+    default_corpus,
     derivative_bound_constant,
     disk_grid,
     harnack_constant,
 )
-from hqmap import suites
-from hqmap.bounds import _harnack_box, _report, rel_margin
+from hqmap import geometry, suites
+from hqmap.bounds import _HARNACK_A, _SLACK, _harnack_box, _report, rel_margin
 from hqmap.maps import (
     AnalyticPart,
     Config,
@@ -28,7 +27,11 @@ from hqmap.maps import (
     ParameterError,
     SenseReversalError,
     SeriesPart,
+    check_sense_preserving,
+    finite_dnorm,
 )
+
+from conftest import seeded_harmonic
 
 ANALYTIC = ("identity", "koebe", "halfplane", "convex-poly2", "convex-poly3")
 
@@ -94,14 +97,14 @@ def test_harnack_constant_bad_params():
 
 @pytest.mark.parametrize("label", ANALYTIC)
 def test_distortion_analytic(label, corpus):
-    rep = check_distortion(corpus[label], 2.0)
+    rep, _ = check_derivative_bounds(corpus[label], 2.0, 1.0)
     assert rep.passed, rep.notes
 
 
 def test_distortion_koebe_attains_bound(corpus):
     # |k'(r)| equals the upper bound on the positive axis: margin ~ 0
     pts = np.array([0.3, 0.6, 0.9, 0.999], dtype=complex)
-    rep = check_distortion(corpus["koebe"], 2.0, pts)
+    rep, _ = check_derivative_bounds(corpus["koebe"], 2.0, 1.0, pts)
     assert rep.passed
     assert abs(rep.worst_margin) < 1e-12
 
@@ -130,7 +133,7 @@ def test_two_point_growth_degenerate_pair(corpus):
 
 @pytest.mark.parametrize("read", [
     lambda m: check_two_point_growth(m, 2.0, 1.0),
-    lambda m: check_displacement(m, 1.0, 2.0, 0.3),
+    lambda m: check_harnack_box(m, 1.0, 2.0, 0.3),
 ], ids=["two-point-growth", "displacement"])
 def test_vanishing_f_z_is_a_sense_reversal(read):
     # h = z - z^2/0.6 has h'(0.3) = 0, and 0.3 is a z0 of the default pairs;
@@ -144,7 +147,7 @@ def test_vanishing_f_z_is_a_sense_reversal(read):
 
 @pytest.mark.parametrize("at, read", [
     (0.3 + 0j, lambda m: check_two_point_growth(m, 2.0, 1.0)),
-    (0.9 + 0j, lambda m: check_displacement(m, 1.0, 2.0, 0.9 + 0j)),
+    (0.9 + 0j, lambda m: check_harnack_box(m, 1.0, 2.0, 0.9 + 0j)),
 ], ids=["two-point-growth", "displacement"])
 def test_equal_moduli_at_z0_is_a_sense_reversal(at, read, norm_at_point):
     # f_z = f_zb = 1 at z0: the divisor is not zero, so both checks used to
@@ -184,14 +187,14 @@ def test_norm_error_in_a_suite_names_its_map_once():
 
 @pytest.mark.parametrize("label", ANALYTIC)
 def test_derivative_value_bound_analytic(label, corpus):
-    rep = check_derivative_value_bound(corpus[label], 2.0, 1.0)
+    _, rep = check_derivative_bounds(corpus[label], 2.0, 1.0)
     assert rep.passed, (label, rep.worst_margin)
 
 
 def test_derivative_value_bound_koebe_margin(corpus):
     # the margin (2 - (1+r))/2 shrinks like (1-r)/2 toward the circle
     pts = np.array([0.999], dtype=complex)
-    rep = check_derivative_value_bound(corpus["koebe"], 2.0, 1.0, pts)
+    _, rep = check_derivative_bounds(corpus["koebe"], 2.0, 1.0, pts)
     assert rep.worst_margin == pytest.approx(0.0005, rel=1e-6)
 
 
@@ -268,20 +271,167 @@ def test_boundary_dist_lower_reads_drift(drift, passed, corpus, monkeypatch):
 
 @pytest.mark.parametrize("label", ANALYTIC)
 def test_harnack_analytic(label, corpus):
-    rep = check_harnack(corpus[label], 0.9 + 0.0j, 2.0)
+    rep, _ = check_harnack_box(corpus[label], 1.0, 2.0, 0.9 + 0.0j)
     assert rep.passed, (label, rep.worst_margin)
 
 
 def test_harnack_identity_ratio_one(corpus):
-    rep = check_harnack(corpus["identity"], 0.7j, 2.0)
+    rep, _ = check_harnack_box(corpus["identity"], 1.0, 2.0, 0.7j)
     # ratio is identically 1, so the worst margin is 1/M - something tiny
     assert rep.passed and rep.worst_margin > 0.0
 
 
 @pytest.mark.parametrize("label", ANALYTIC)
 def test_displacement_analytic(label, corpus):
-    rep = check_displacement(corpus[label], 1.0, 2.0, 0.9 + 0.0j)
+    _, rep = check_harnack_box(corpus[label], 1.0, 2.0, 0.9 + 0.0j)
     assert rep.passed, (label, rep.worst_margin)
+
+
+# ---------------------------------------------------------------------------
+# check_derivative_bounds and check_harnack_box against the four separate
+# predicates they replace, kept here as references
+
+
+def _ref_distortion(m, alpha, pts):
+    t = np.abs(pts)
+    hp = np.abs(m.h.d1(pts))
+    lower = (1.0 - t) ** (alpha - 1.0) / (1.0 + t) ** (alpha + 1.0)
+    upper = (1.0 + t) ** (alpha - 1.0) / (1.0 - t) ** (alpha + 1.0)
+    margins = np.minimum(rel_margin(hp, upper), rel_margin(lower, hp))
+    return _report("deriv_distortion", alpha, None, margins, pts, _SLACK)
+
+
+def _ref_value_bound(m, alpha, qc_k, pts):
+    c = derivative_bound_constant(alpha, qc_k)
+    lhs = np.abs(pts) * finite_dnorm(m, pts)
+    with np.errstate(over="ignore"):
+        rhs = c * np.abs(m.value(pts)) / (1.0 - np.abs(pts))
+    return _report("deriv_value_bound", alpha, qc_k, rel_margin(lhs, rhs), pts, _SLACK,
+                   notes=f"C={c!r}")
+
+
+def _ref_harnack(m, z0, alpha):
+    big_m = harnack_constant(*_HARNACK_A, alpha)
+    pts = _harnack_box(z0)
+    ratio = finite_dnorm(m, pts) / float(finite_dnorm(m, z0))
+    margins = np.minimum(rel_margin(ratio, big_m), rel_margin(1.0 / big_m, ratio))
+    return _report("harnack_comparison", alpha, None, margins, pts, _SLACK,
+                   notes=f"z0={z0!r} M={big_m!r}")
+
+
+def _ref_displacement(m, qc_k, alpha, z0):
+    big_m = harnack_constant(*_HARNACK_A, alpha)
+    pts = _harnack_box(z0)
+    fz0 = abs(complex(check_sense_preserving(m, z0).fz))
+    factor = (big_m / 2.0) ** (2.0 * alpha / (1.0 + alpha)) - 1.0
+    rhs = qc_k / (alpha * (1.0 + qc_k)) * factor * (1.0 - abs(z0) ** 2) * fz0
+    lhs = np.abs(m.value(pts) - complex(m.value(z0)))
+    return _report("local_displacement", alpha, qc_k, rel_margin(lhs, np.full_like(lhs, rhs)),
+                   pts, _SLACK, notes=f"z0={z0!r} M={big_m!r}")
+
+
+# the six built-ins and two seeded series maps, by (seed, degree)
+_SERIES = {"series12-seed3": (3, 12), "series16-seed5": (5, 16)}
+_MERGED_LABELS = (*sorted(default_corpus()), *_SERIES)
+
+
+def _merged_map(label):
+    return seeded_harmonic(*_SERIES[label]) if label in _SERIES else default_corpus()[label]
+
+
+@pytest.mark.parametrize("label", _MERGED_LABELS)
+@pytest.mark.parametrize("grid", ["default", "level-3"])
+def test_derivative_bounds_are_the_two_separate_lines(label, grid):
+    # to_json writes every field, each float by its shortest round-trip
+    # repr, so equal lines are equal bit for bit
+    m = _merged_map(label)
+    pts = disk_grid() if grid == "default" else suites.suite_grid(Config(grid_level=3))
+    for alpha, qc_k in ((2.0, 1.0), (3.0, 2.5)):
+        distortion, value_bound = check_derivative_bounds(m, alpha, qc_k, pts)
+        assert distortion.to_json() == _ref_distortion(m, alpha, pts).to_json()
+        assert value_bound.to_json() == _ref_value_bound(m, alpha, qc_k, pts).to_json()
+    assert [r.to_json() for r in check_derivative_bounds(m, 2.0, 1.0)] == \
+        [r.to_json() for r in check_derivative_bounds(m, 2.0, 1.0, disk_grid())]
+
+
+@pytest.mark.parametrize("label", _MERGED_LABELS)
+@pytest.mark.parametrize("z0", [0.9 + 0j, 0.7j, 0.3 + 0j])
+def test_harnack_box_is_the_two_separate_lines(label, z0):
+    m = _merged_map(label)
+    for alpha, qc_k in ((2.0, 1.0), (3.0, 2.5)):
+        harnack, displacement = check_harnack_box(m, qc_k, alpha, z0)
+        assert harnack.to_json() == _ref_harnack(m, z0, alpha).to_json()
+        assert displacement.to_json() == _ref_displacement(m, qc_k, alpha, z0).to_json()
+
+
+class _CountingMap:
+    """Forwards ``value`` and ``wirtinger`` to a map and logs each call with
+    its number of points; it has no parts, so a direct part read fails."""
+
+    def __init__(self, m):
+        self.m, self.label, self.flags, self.calls = m, m.label, m.flags, []
+
+    def value(self, z):
+        self.calls.append(("value", np.size(z)))
+        return self.m.value(z)
+
+    def wirtinger(self, z):
+        self.calls.append(("wirtinger", np.size(z)))
+        return self.m.wirtinger(z)
+
+
+def test_each_merged_predicate_reads_its_sample_once(corpus):
+    m = _CountingMap(corpus["shear-k3"])
+    pts = disk_grid()
+    check_derivative_bounds(m, 3.0, 3.0, pts)
+    assert m.calls == [("wirtinger", pts.size), ("value", pts.size)]
+    m.calls.clear()
+    check_harnack_box(m, 3.0, 3.0, 0.9 + 0j)
+    box = _harnack_box(0.9 + 0j).size
+    # the box norms, the one checked read at z0, then the values
+    assert m.calls == [("wirtinger", box), ("wirtinger", 1), ("value", box), ("value", 1)]
+
+
+def test_a_suite_reads_its_grid_once_per_map(corpus):
+    # level 1: the suite grid's 3,009 points match no other sample's count
+    config = Config(grid_level=1)
+    pts = suites.suite_grid(config)
+    for label in ("koebe", "shear-k3", "convex-poly2"):
+        m = _CountingMap(corpus[label])
+        suites._inequality_family(m, 3.0, 3.0, pts, config, label)
+        on_grid = [c for c in m.calls if c[1] == pts.size]
+        assert on_grid == [("wirtinger", pts.size), ("value", pts.size)], label
+        assert m.calls.count(("wirtinger", 1)) == 1, label
+
+
+def test_derivative_bounds_raise_where_the_distortion_line_did_not():
+    # |g'| = 1.2 |z| reaches |h'| = 1 at |z| = 1/1.2 inside the grid; the
+    # distortion line alone, which read h' only, wrote a line there
+    m = HarmonicMap(SeriesPart((0j, 1.0)), SeriesPart((0j, 0j, 0.6)), "fold")
+    pts = disk_grid()
+    w = m.wirtinger(pts)
+    first = complex(pts[np.argmax(np.abs(w.fzb) >= np.abs(w.fz))])
+    assert 0.8 < abs(first) < 0.9
+    with pytest.raises(SenseReversalError,
+                       match=re.escape("fold: sense-reversing, |f_zb| >= |f_z|")) as info:
+        check_derivative_bounds(m, 2.0, 1.0, pts)
+    assert info.value.witness == first
+    assert _ref_distortion(m, 2.0, np.array([first])).samples == 1
+    assert _ref_distortion(m, 2.0, pts).samples == pts.size
+
+
+@pytest.mark.parametrize("name", ["analytic-classical", "harmonic-advisory"])
+def test_an_inequality_suite_builds_at_most_two_disk_grids(name, monkeypatch):
+    # every map's boundary_dist_lower sample and K sample is one shared
+    # array, not a grid per map
+    built = []
+    real = geometry.disk_grid
+    monkeypatch.setattr(geometry, "disk_grid", lambda *a, **k: built.append(a) or real(*a, **k))
+    corpus = dict(default_corpus(), **{
+        f"series{s}": seeded_harmonic(s, 12) for s in (3, 5, 7)})
+    reports, _ = suites.run_suite(name, corpus, Config(grid_level=0))
+    assert len(reports) >= 7 * 3
+    assert len(built) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +487,7 @@ def test_arc_diameter_requires_decay(corpus):
 
 
 def test_report_json_schema(corpus):
-    rep = check_distortion(corpus["identity"], 2.0)
+    rep, _ = check_derivative_bounds(corpus["identity"], 2.0, 1.0)
     doc = json.loads(rep.to_json())
     assert set(doc) == {"predicate", "alpha", "K", "samples", "worst_margin",
                         "witness", "pass", "slack", "notes"}
@@ -367,9 +517,7 @@ def test_monotone_stability_under_refinement(corpus):
     # doubling grid density never flips a pass beyond the declared slack
     for label in ("koebe", "halfplane"):
         m = corpus[label]
-        coarse = check_distortion(m, 2.0, disk_grid(16, 16))
-        fine = check_distortion(m, 2.0, disk_grid(32, 32))
+        coarse, dvb_c = check_derivative_bounds(m, 2.0, 1.0, disk_grid(16, 16))
+        fine, dvb_f = check_derivative_bounds(m, 2.0, 1.0, disk_grid(32, 32))
         assert coarse.passed and fine.passed
-        dvb_c = check_derivative_value_bound(m, 2.0, 1.0, disk_grid(16, 16))
-        dvb_f = check_derivative_value_bound(m, 2.0, 1.0, disk_grid(32, 32))
         assert dvb_c.passed and dvb_f.passed

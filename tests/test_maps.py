@@ -24,8 +24,8 @@ from hqmap import johndisk
 from hqmap.bounds import (
     _harnack_box,
     check_boundary_dist_lower,
-    check_derivative_value_bound,
-    check_harnack,
+    check_derivative_bounds,
+    check_harnack_box,
     check_weighted_deriv_growth,
     default_triples,
 )
@@ -409,10 +409,10 @@ _TRIPLE_RHO_XI = (np.array([t[1] for t in default_triples()])
                                                           endpoint=False)))[300]),
      lambda m: boundary_profile(m, eps=_RING_EPS, n=2048)),
     (complex(_SCAN_R * np.exp(1j * math.pi / 4)), lambda m: poisson_scan(m, _RING_EPS)),
-    (0.9 + 0j, lambda m: check_harnack(m, 0.9 + 0j, 3.0)),
-    (complex(_harnack_box(0.9 + 0j)[7]), lambda m: check_harnack(m, 0.9 + 0j, 3.0)),
+    (0.9 + 0j, lambda m: check_harnack_box(m, 1.0, 3.0, 0.9 + 0j)),
+    (complex(_harnack_box(0.9 + 0j)[7]), lambda m: check_harnack_box(m, 1.0, 3.0, 0.9 + 0j)),
     (complex(_TRIPLE_RHO_XI[70]), lambda m: check_weighted_deriv_growth(m, 2.0)),
-    (complex(disk_grid()[100]), lambda m: check_derivative_value_bound(m, 2.0, 1.0)),
+    (complex(disk_grid()[100]), lambda m: check_derivative_bounds(m, 2.0, 1.0)),
     (complex(disk_grid(24, 32)[50]), lambda m: check_boundary_dist_lower(m, 1.0)),
 ], ids=["criterion-ii", "criterion-iii", "decay-fit", "poisson-ring", "poisson-scan",
         "harnack-z0", "harnack-box", "weighted-deriv-growth", "deriv-value-bound",

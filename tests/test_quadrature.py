@@ -149,8 +149,8 @@ def test_gk15_batch_rows_are_the_single_interval_pairs():
 
     vals, errs = quadrature._gk15(f, a, b)
     for k in range(a.size):
-        pair = quadrature._gk15(f, float(a[k]), float(b[k]))
-        assert (vals[k], errs[k]) == pair == _ref_gk15(f, a[k], b[k])
+        val, err = quadrature._gk15(f, [float(a[k])], [float(b[k])])
+        assert (vals[k], errs[k]) == (val[0], err[0]) == _ref_gk15(f, a[k], b[k])
 
 
 def test_gk15_error_estimate_cannot_overflow():
@@ -161,7 +161,8 @@ def test_gk15_error_estimate_cannot_overflow():
         return np.where(x > 0.3, 1e250, 0.0)
 
     with np.errstate(all="raise"):
-        value, error = quadrature._gk15(f, 0.0, 1.0)
+        values, errors = quadrature._gk15(f, [0.0], [1.0])
+    value, error = values[0], errors[0]
     assert math.isfinite(error) and error > 1e203
     assert (value, error) == _ref_gk15(f, np.float64(0.0), np.float64(1.0))
 

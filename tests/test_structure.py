@@ -6,7 +6,8 @@ Outside ``maps``, f_z, f_zb and the derivative norm are read only through
 rule |f_zb| < |f_z| at every point they read, and only that function
 raises ``SenseReversalError``.  The scans list, per top-level function,
 each derivative call on an analytic part (``.h.d1(...)``, ``.g.d2(...)``,
-``.h.derivative(...)``), each ``.dnorm`` read, each ``.wirtinger(...)``
+``.h.derivative(...)``), each ``.dnorm`` read on a pair that the function
+did not get from ``check_sense_preserving(...)``, each ``.wirtinger(...)``
 call, each ``.jacobian`` read and each ``SenseReversalError(...)``.
 """
 
@@ -21,8 +22,6 @@ _PART_MODULES = {"maps", "transforms", "corpus"}
 
 # (module, top-level function, kind) -> why the direct read is right there
 _ALLOWED = {
-    ("bounds", "check_distortion", "part derivative"):
-        "a theorem about |h'| alone; wirtinger would evaluate g' over the grid for nothing",
     ("cli", "_cmd_eval", "dnorm"):
         "prints the raw Wirtinger data of one point, a vanishing norm included",
 }
@@ -30,12 +29,36 @@ _ALLOWED = {
 _DERIVATIVES = {"d1", "d2", "derivative"}
 
 
+def _calls(node, name):
+    """Whether ``node`` calls ``name`` or ``<module>.name``."""
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == name)
+
+
+def _checked_pairs(top):
+    """Names that ``top`` binds only by ``name = check_sense_preserving(...)``:
+    any other binding in ``top``, a parameter included, disqualifies a name."""
+    checked = {}
+    for node in ast.walk(top):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and _calls(node.value, "check_sense_preserving")):
+            checked[node.targets[0]] = node.targets[0].id
+    rebound = {node.arg for node in ast.walk(top) if isinstance(node, ast.arg)}
+    rebound |= {node.id for node in ast.walk(top) if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Store) and node not in checked}
+    return set(checked.values()) - rebound
+
+
 def _reads(tree):
     """(top-level function, kind, line) of each direct derivative read."""
     for top in tree.body:
         name = getattr(top, "name", "<module>")
+        checked = _checked_pairs(top)
         for node in ast.walk(top):
-            if isinstance(node, ast.Attribute) and node.attr == "dnorm":
+            if (isinstance(node, ast.Attribute) and node.attr == "dnorm"
+                    and not _calls(node.value, "check_sense_preserving")
+                    and getattr(node.value, "id", None) not in checked):
                 yield name, "dnorm", node.lineno
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr in _DERIVATIVES
@@ -60,6 +83,30 @@ def test_the_scan_sees_part_derivative_calls_and_norm_reads():
                      "    c = m.wirtinger(z).dnorm\n    d = m.h.value(z)\n")
     assert list(_reads(tree)) == [("f", "part derivative", 2), ("f", "part derivative", 3),
                                   ("f", "dnorm", 4)]
+
+
+def test_the_scan_accepts_a_norm_only_on_a_checked_pair():
+    tree = ast.parse("def f(m, z):\n"
+                     "    w = check_sense_preserving(m, z)\n"
+                     "    return w.dnorm + maps.check_sense_preserving(m, z).dnorm\n"
+                     "def bound_elsewhere(m, z):\n"
+                     "    return w.dnorm\n"
+                     "def parameter(m, w):\n"
+                     "    return w.dnorm\n"
+                     "def rebound(m, z):\n"
+                     "    w = check_sense_preserving(m, z)\n"
+                     "    w = m.wirtinger(z)\n"
+                     "    return w.dnorm\n"
+                     "def loop(m, z):\n"
+                     "    w = check_sense_preserving(m, z)\n"
+                     "    for w in (m.wirtinger(z),):\n"
+                     "        return w.dnorm\n"
+                     "def unchecked_call(m, z):\n"
+                     "    w = other_check(m, z)\n"
+                     "    return w.dnorm\n")
+    assert list(_reads(tree)) == [("bound_elsewhere", "dnorm", 5), ("parameter", "dnorm", 7),
+                                  ("rebound", "dnorm", 11), ("loop", "dnorm", 15),
+                                  ("unchecked_call", "dnorm", 18)]
 
 
 def test_derivatives_are_read_only_through_wirtinger_and_finite_dnorm():
