@@ -20,6 +20,7 @@ and the reports are advisory.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -148,13 +149,11 @@ def check_two_point_growth(m: HarmonicMap, alpha: float, qc_k: float,
 # derivative distortion and the derivative-vs-value bound with its explicit constant
 
 
-def derivative_bound_constant(alpha: float, qc_k: float) -> float:
-    """2 a K sup_{t in (0,1)} t (1+t)^{a-1} / ((1+t)^a - (1-t)^a), by grid
-    scan plus golden-section polish.  Always at least K (it is at least
-    a K >= 2 K, since the expression equals 1/2 at t = 1)."""
-    # "not (inside)", so NaN fails it too
-    if not (2.0 <= alpha < math.inf and 1.0 <= qc_k < math.inf):
-        raise ParameterError("need finite alpha >= 2 and K >= 1")
+@functools.lru_cache(maxsize=None)
+def _phi_sup(alpha: float) -> float:
+    """sup_{t in (0,1)} t (1+t)^{a-1} / ((1+t)^a - (1-t)^a), by grid scan
+    plus golden-section polish.  It depends on alpha alone, so it is
+    computed once per alpha for the life of the process."""
 
     def phi(t):
         t = np.asarray(t, dtype=float)
@@ -167,7 +166,17 @@ def derivative_bound_constant(alpha: float, qc_k: float) -> float:
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, len(ts) - 1)]
     _, polished = golden_max(lambda t: float(phi(t)), lo, hi)
-    sup = max(best, polished)
+    return max(best, polished)
+
+
+def derivative_bound_constant(alpha: float, qc_k: float) -> float:
+    """2 a K sup_{t in (0,1)} t (1+t)^{a-1} / ((1+t)^a - (1-t)^a), with the
+    supremum from ``_phi_sup``.  Always at least K (it is at least
+    a K >= 2 K, since the expression equals 1/2 at t = 1)."""
+    # "not (inside)", so NaN fails it too
+    if not (2.0 <= alpha < math.inf and 1.0 <= qc_k < math.inf):
+        raise ParameterError("need finite alpha >= 2 and K >= 1")
+    sup = _phi_sup(alpha)
     c = 2.0 * alpha * qc_k * sup
     if c < qc_k:
         raise ArithmeticError("scan produced a constant below K; refine the grid")
@@ -215,13 +224,26 @@ def default_triples() -> list:
     return triples
 
 
+def _triple_arrays(triples) -> tuple:
+    """The xi, rho and r columns of (xi, rho, r) triples, read-only."""
+    cols = (np.array([t[0] for t in triples], dtype=complex),
+            np.array([t[1] for t in triples], dtype=float),
+            np.array([t[2] for t in triples], dtype=float))
+    for col in cols:
+        col.flags.writeable = False
+    return cols
+
+
+@functools.lru_cache(maxsize=None)
+def _default_triple_arrays() -> tuple:
+    """``default_triples()`` as columns, built once per process."""
+    return _triple_arrays(default_triples())
+
+
 def check_weighted_deriv_growth(m: HarmonicMap, alpha: float, triples=None) -> CheckReport:
     """(1-rho^2) dnorm(rho xi) <= e^{2 a lambda(rho, r)} (1-r^2) dnorm(r xi)
     for 0 <= rho <= r < 1 and |xi| = 1."""
-    triples = triples if triples is not None else default_triples()
-    xi = np.array([t[0] for t in triples], dtype=complex)
-    rho = np.array([t[1] for t in triples], dtype=float)
-    r = np.array([t[2] for t in triples], dtype=float)
+    xi, rho, r = _default_triple_arrays() if triples is None else _triple_arrays(triples)
     lhs = (1.0 - rho ** 2) * finite_dnorm(m, rho * xi)
     t = (r - rho) / (1.0 - rho * r)
     rhs = _exp2alpha(t, alpha) * (1.0 - r ** 2) * finite_dnorm(m, r * xi)

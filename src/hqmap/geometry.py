@@ -9,6 +9,7 @@ that corner extremes (where suprema tend to live) are included.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,17 +104,20 @@ def boundary_arc(a: complex, n: int = 512) -> np.ndarray:
     return np.exp(1j * angles)
 
 
-def circle_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n uniform angles 2 pi k / n and their unit-circle nodes
-    e^{i 2 pi k / n}, built afresh on each call."""
-    angles = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    return angles, np.exp(1j * angles)
+@functools.lru_cache(maxsize=None)
+def circle_nodes(n: int) -> np.ndarray:
+    """The n unit-circle nodes e^{i 2 pi k / n}.  They depend on n alone, so
+    each ring is built once per process and shared read-only by every
+    caller; the largest, 2^18 nodes, is 4 MiB."""
+    nodes = np.exp(1j * np.linspace(0.0, TWO_PI, n, endpoint=False))
+    nodes.flags.writeable = False
+    return nodes
 
 
 def disk_grid(n_radial: int = 48, n_angular: int = 64, r_cap: float = R_CAP) -> np.ndarray:
     """Polar grid over the disk, radially clustered toward the cap."""
     radii = np.minimum(1.0 - np.geomspace(1.0, 1.0 - r_cap, n_radial), r_cap)
-    pts = (radii[:, None] * circle_nodes(n_angular)[1][None, :]).ravel()
+    pts = (radii[:, None] * circle_nodes(n_angular)[None, :]).ravel()
     pts = pts[np.abs(pts) > 0]
     return np.concatenate(([0.0 + 0.0j], pts))
 
@@ -273,7 +277,7 @@ def boundary_distance(m: HarmonicMap, w, eps: float = 1e-4,
     if not 0.0 < eps < 1.0:
         raise ParameterError("ring offset must lie in (0, 1)")
     ws = np.asarray(w, dtype=complex)
-    img = m.value((1.0 - eps) * circle_nodes(n)[1])
+    img = m.value((1.0 - eps) * circle_nodes(n))
     targets = _blocks(ws.ravel(), 1)
     halves = np.stack([_pruned_extreme(targets, _blocks(img[k::2], _BLOCK), False)
                        for k in (0, 1)], axis=1)

@@ -11,6 +11,7 @@ divergence.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ def criterion_ii(m: HarmonicMap, x: float, n_zeta: int = 48, n_r: int = 48) -> f
     rho = (x + r)/(1 + x r)."""
     if not 0.0 < x < 1.0:
         raise ParameterError("criterion parameter x must lie in (0, 1)")
-    zeta = geometry.circle_nodes(n_zeta)[1]
+    zeta = geometry.circle_nodes(n_zeta)
     r = 1.0 - np.geomspace(1.0, 1.0 - R_CAP, n_r)
     rho = (x + r) / (1.0 + x * r)
     zr = zeta[:, None] * r[None, :]
@@ -89,6 +90,25 @@ _BOX_SIDE = 20
 _N_ROT = 32
 
 
+@functools.lru_cache(maxsize=None)
+def _level_boxes(level: int) -> tuple:
+    """A level's map-independent sample, built once per process and
+    read-only: the box reach, the z-radii, and the edge points of the boxes
+    from one ``geometry.boundary_boxes`` call (row 0 is the origin's box,
+    row 1 + i the box of radii[i])."""
+    reach = _reach(level)
+    nb = _level_density(_BOX_SIDE, level)
+    box_shape = (nb, nb | 1)  # odd angular count keeps the mid ray
+    edges = np.zeros(box_shape, dtype=bool)
+    edges[[0, -1], :] = True
+    edges[:, [0, -1]] = True
+    radii = _z_radii(level)
+    boxes = geometry.boundary_boxes([0.0, *radii], *box_shape, reach)[:, edges.ravel()]
+    radii.flags.writeable = False
+    boxes.flags.writeable = False
+    return reach, radii, boxes
+
+
 def _ratio_sup(m: HarmonicMap, nums, dens, zs) -> float:
     """Largest of nums / dens, where dens[i] is the weighted derivative norm
     at zs[i], read through ``finite_dnorm``.  A non-finite ratio (a NaN or
@@ -115,7 +135,9 @@ def criterion_iii(m: HarmonicMap, levels: int = 3) -> CriterionTrace:
     The origin (where the box degenerates to the whole disk) is always
     included.  The boxes of a level, the origin's and one per z-radius, come
     from one ``geometry.boundary_boxes`` call, whose rows are the
-    one-radius boxes bit for bit.
+    one-radius boxes bit for bit.  They depend on the level alone, so
+    ``_level_boxes`` builds them once per level for the life of the process
+    and every map reads the same read-only sample.
 
     Only the four edges of each box grid are evaluated.  f = h + conj(g) is
     harmonic, so w -> |f(w) - f(z)| is subharmonic and its maximum over the
@@ -140,22 +162,13 @@ def criterion_iii(m: HarmonicMap, levels: int = 3) -> CriterionTrace:
     """
     trace = []
     reaches = []
-    rots = geometry.circle_nodes(_N_ROT)[1]
+    rots = geometry.circle_nodes(_N_ROT)
     for level in range(levels):
-        reach = _reach(level)
-        nb = _level_density(_BOX_SIDE, level)
-        box_shape = (nb, nb | 1)  # odd angular count keeps the mid ray
-        edges = np.zeros(box_shape, dtype=bool)
-        edges[[0, -1], :] = True
-        edges[:, [0, -1]] = True
-        edges = edges.ravel()
-        radii = _z_radii(level)
-        # row 0 is the origin's box, row 1 + i the box of radii[i]
-        boxes = geometry.boundary_boxes([0.0, *radii], *box_shape, reach)[:, edges]
+        reach, radii, boxes = _level_boxes(level)
         f0 = complex(m.value(0.0 + 0.0j))
         sup = _ratio_sup(m, np.max(np.abs(m.value(boxes[0]) - f0)),
                          finite_dnorm(m, 0.0 + 0.0j), 0.0 + 0.0j)
-        per_block = max(1, _BOX_BLOCK // (_N_ROT * int(edges.sum())))
+        per_block = max(1, _BOX_BLOCK // (_N_ROT * boxes.shape[1]))
         for lo in range(0, len(radii), per_block):
             r = radii[lo:lo + per_block]
             block = boxes[1 + lo:1 + lo + per_block]
@@ -216,7 +229,7 @@ def decay_fit(m: HarmonicMap, window=(0.6, 0.99)) -> DecayFit:
     a, b = math.log(1.0 - lo), math.log(1.0 - hi)
     big_l = a + (b - a) * u
     rho = 1.0 - np.exp(big_l)
-    zetas = geometry.circle_nodes(16)[1]
+    zetas = geometry.circle_nodes(16)
     # row k is the ray at angle 2 pi k / 16; one call over the whole lattice
     # reports a bad norm at the first bad point of the first ray with one
     norms = finite_dnorm(m, zetas[:, None] * rho[None, :])

@@ -26,12 +26,12 @@ from .quadrature import adaptive_quads
 
 @dataclass(eq=False)
 class BoundaryProfile:
-    """Derivative norms dnorm((1-eps) e^{i t_k}) at n uniform angles."""
+    """Derivative norms dnorm((1-eps) e^{i t_k}) at the n uniform angles
+    t_k = 2 pi k / n."""
 
     eps: float
     n: int
-    angles: np.ndarray
-    nodes: np.ndarray     # unit-circle nodes e^{i t_k}, shared by both rings and the kernel
+    nodes: np.ndarray     # geometry.circle_nodes(n), read-only, shared by both rings and the kernel
     values: np.ndarray
     drift: float          # relative change when resampled at eps/2
     converged: bool
@@ -49,12 +49,13 @@ def boundary_profile(m: HarmonicMap, eps: float = 1e-3, n: int = 2048) -> Bounda
     Both rings are evaluated in blocks of 2^15 nodes (512 KB of complex
     points), so a 2^18-node profile never holds a full ring's temporaries;
     every value is computed pointwise, so the blocks do not move a bit.
+    The nodes are the shared, read-only ``geometry.circle_nodes(n)``.
     """
     if n < 256 or n & (n - 1):
         raise ParameterError("profile size must be a power of two, at least 256")
     if not 0.0 < eps < 0.5:
         raise ParameterError("ring offset must lie in (0, 0.5)")
-    angles, nodes = geometry.circle_nodes(n)
+    nodes = geometry.circle_nodes(n)
     values = np.empty(n)
     drift = 0.0
     for lo in range(0, n, _RING_BLOCK):
@@ -64,7 +65,7 @@ def boundary_profile(m: HarmonicMap, eps: float = 1e-3, n: int = 2048) -> Bounda
         half = finite_dnorm(m, (1.0 - eps / 2.0) * block)
         rel = np.abs(half - vals) / np.maximum(vals, 1e-300)
         drift = float(np.maximum(drift, np.max(rel)))  # np.maximum keeps a NaN
-    return BoundaryProfile(eps, n, angles, nodes, values, drift, drift <= 0.1)
+    return BoundaryProfile(eps, n, nodes, values, drift, drift <= 0.1)
 
 
 def poisson_functional(m: HarmonicMap, zeta: complex, profile: BoundaryProfile) -> float:

@@ -131,7 +131,7 @@ def preschwarzian_sup(m: HarmonicMap) -> SupLimit:
     the circle (the sup for the identity is 2|z|, for instance).
     """
     radii = (0.99, 0.993, 0.996, 0.999)
-    nodes = circle_nodes(512)[1]
+    nodes = circle_nodes(512)
     sups = []
     for r in radii:
         sups.append(float(np.max(preschwarzian(m, r * nodes))))

@@ -61,6 +61,44 @@ def test_derivative_constant_refinement_stable():
     assert derivative_bound_constant(alpha, 1.0) == pytest.approx(brute, abs=1e-9)
 
 
+def _phi_sup_reference(alpha):
+    """The scan and polish as ``derivative_bound_constant`` ran them on
+    every call before the supremum was cached: the reference."""
+    from hqmap.quadrature import golden_max
+
+    def phi(t):
+        t = np.asarray(t, dtype=float)
+        return t * (1.0 + t) ** (alpha - 1.0) / ((1.0 + t) ** alpha - (1.0 - t) ** alpha)
+
+    ts = np.linspace(1e-6, 1.0, 2001)
+    vals = phi(ts)
+    i = int(np.argmax(vals))
+    _, polished = golden_max(lambda t: float(phi(t)), ts[max(i - 1, 0)],
+                             ts[min(i + 1, len(ts) - 1)])
+    return max(float(vals[i]), polished)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.5, 7.0])
+def test_derivative_constant_cached_supremum_is_the_per_call_one(alpha):
+    from hqmap import bounds
+
+    bounds._phi_sup.cache_clear()
+    sup = _phi_sup_reference(alpha)
+    for qc_k in (1.0, 1.25, 3.0, 10.0):
+        assert derivative_bound_constant(alpha, qc_k) == 2.0 * alpha * qc_k * sup
+    # one scan per alpha, whatever K
+    assert bounds._phi_sup.cache_info().misses == 1
+
+
+def test_derivative_constant_checks_k_on_every_call(monkeypatch):
+    from hqmap import bounds
+
+    monkeypatch.setattr(bounds, "_phi_sup", lambda alpha: 0.1)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            derivative_bound_constant(2.0, 1.0)
+
+
 def test_derivative_constant_rejects_bad_params():
     # NaN in each argument too, which "alpha < 2 or K < 1" let through
     for args in [(1.0, 1.0), (2.0, 0.0), (math.nan, 1.0), (2.0, math.nan)]:
@@ -202,6 +240,25 @@ def test_derivative_value_bound_koebe_margin(corpus):
 def test_weighted_deriv_growth_analytic(label, corpus):
     rep = check_weighted_deriv_growth(corpus[label], 2.0)
     assert rep.passed, (label, rep.worst_margin)
+
+
+def test_weighted_deriv_growth_default_arrays_are_built_once(corpus):
+    # the default columns are one read-only set per process, and the line
+    # they give is the line of the triples passed explicitly
+    from hqmap import bounds
+
+    cols = bounds._default_triple_arrays()
+    assert bounds._default_triple_arrays() is cols
+    triples = bounds.default_triples()
+    refs = ([t[0] for t in triples], [t[1] for t in triples], [t[2] for t in triples])
+    for col, ref, dtype in zip(cols, refs, (complex, float, float)):
+        assert not col.flags.writeable
+        assert col.tobytes() == np.array(ref, dtype=dtype).tobytes()
+    for label in ("koebe", "shear-k3", "convex-poly3"):
+        for alpha in (2.0, 3.0):
+            m = corpus[label]
+            assert (check_weighted_deriv_growth(m, alpha).to_json()
+                    == check_weighted_deriv_growth(m, alpha, triples=triples).to_json())
 
 
 def test_weighted_deriv_growth_identity_closed_form(corpus):

@@ -622,6 +622,50 @@ def test_report_single_worker_same_bytes(report_dir, tmp_path, monkeypatch):
         assert (tmp_path / name).read_bytes() == (report_dir / name).read_bytes(), name
 
 
+def _clear_sample_caches():
+    from hqmap import geometry
+
+    geometry.circle_nodes.cache_clear()
+    johndisk._level_boxes.cache_clear()
+
+
+def test_report_builds_the_map_independent_samples_once(tmp_path, monkeypatch):
+    # criterion (iii)'s boxes are built once per level (6 maps x 3 levels
+    # made 18 builds), and each ring size once; one worker, so that no two
+    # threads miss on the same size together
+    from hqmap import geometry
+
+    _clear_sample_caches()
+    ring = geometry.circle_nodes
+    sizes = set()
+    box_builds = []
+    real_boxes = geometry.boundary_boxes
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(geometry, "circle_nodes", lambda n: sizes.add(n) or ring(n))
+    monkeypatch.setattr(geometry, "boundary_boxes",
+                        lambda *a: box_builds.append(a) or real_boxes(*a))
+    assert main(["--grid-level", "1", "--out", str(tmp_path), "report"]) == 0
+    assert len(box_builds) <= 3
+    assert 1 << 18 in sizes
+    assert ring.cache_info().misses == len(sizes)
+
+
+def test_report_cold_and_warm_sample_caches_write_the_same_bytes(tmp_path):
+    # a report that fills the caches and one that reads them write the same
+    # bytes, so no caller writes into a cached sample
+    _clear_sample_caches()
+    for run_no in range(2):
+        for level in ("0", "1"):
+            assert main(["--grid-level", level, "--out",
+                         str(tmp_path / f"{level}-{run_no}"), "report"]) == 0
+    for level in ("0", "1"):
+        cold, warm = tmp_path / f"{level}-0", tmp_path / f"{level}-1"
+        names = sorted(p.name for p in cold.iterdir())
+        assert sorted(p.name for p in warm.iterdir()) == names
+        for name in names:
+            assert (warm / name).read_bytes() == (cold / name).read_bytes(), (level, name)
+
+
 def test_report_rerun_into_the_same_out_writes_the_same_bytes(report_dir, tmp_path):
     # a second report into a used directory replaces each file rather than
     # truncating it: a hard link to an old file keeps the old bytes, and a

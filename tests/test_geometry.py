@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -31,6 +33,68 @@ def polar(r, t):
 
 
 disk_pts = st.builds(polar, st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi))
+
+
+# ---------------------------------------------------------------------------
+# unit-circle nodes: one read-only ring per size and process
+
+_RING_SIZES = (16, 32, 48, 512, 4096, 8192, 1 << 15, 1 << 18)
+
+
+def _fresh_ring(n):
+    return np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+
+
+def test_circle_nodes_is_one_read_only_array_per_size():
+    nodes = geometry.circle_nodes(64)
+    assert geometry.circle_nodes(64) is nodes
+    assert not nodes.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        nodes *= 2.0
+    assert nodes.tobytes() == _fresh_ring(64).tobytes()
+
+
+@pytest.mark.parametrize("n", _RING_SIZES)
+def test_circle_nodes_are_the_exponentiated_linspace_angles(n):
+    assert geometry.circle_nodes(n).tobytes() == _fresh_ring(n).tobytes()
+
+
+@pytest.mark.parametrize("n", _RING_SIZES)
+def test_even_half_of_a_ring_is_the_half_size_ring(n):
+    # boundary_distance reads the even-indexed half of its ring as the
+    # n/2-sample ring
+    assert geometry.circle_nodes(n)[::2].tobytes() == geometry.circle_nodes(n // 2).tobytes()
+
+
+def test_circle_nodes_threads_filling_a_cleared_cache_get_the_same_bits():
+    # threads that miss together each build the ring; every one must see
+    # the fresh bits in a read-only array
+    n = 1 << 18
+    geometry.circle_nodes.cache_clear()
+    got = [None] * 4
+    start = threading.Barrier(len(got), timeout=30)
+
+    def fill(i):
+        start.wait()
+        got[i] = geometry.circle_nodes(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill, args=(i,)) for i in range(len(got))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    fresh = _fresh_ring(n).tobytes()
+    for nodes in got:
+        assert not nodes.flags.writeable
+        assert nodes.tobytes() == fresh
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,38 @@ def test_criterion_iii_batched_boxes_match_per_rotation(corpus):
         assert criterion_iii(m).trace == _criterion_iii_per_rotation(m), m.label
 
 
+def _level_boxes_reference(level):
+    """Criterion (iii)'s level sample as it was built inline, once per map
+    and level, before ``_level_boxes`` cached it: the reference."""
+    from hqmap.geometry import boundary_boxes
+    from hqmap.johndisk import _level_density, _reach, _z_radii
+
+    reach = _reach(level)
+    nb = _level_density(20, level)
+    box_shape = (nb, nb | 1)
+    edges = np.zeros(box_shape, dtype=bool)
+    edges[[0, -1], :] = True
+    edges[:, [0, -1]] = True
+    edges = edges.ravel()
+    radii = _z_radii(level)
+    boxes = boundary_boxes([0.0, *radii], *box_shape, reach)[:, edges]
+    return reach, radii, boxes
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_level_boxes_are_the_inline_construction(level):
+    from hqmap.johndisk import _level_boxes
+
+    sample = _level_boxes(level)
+    assert _level_boxes(level) is sample
+    reach, radii, boxes = sample
+    ref_reach, ref_radii, ref_boxes = _level_boxes_reference(level)
+    assert reach == ref_reach
+    for got, ref in ((radii, ref_radii), (boxes, ref_boxes)):
+        assert not got.flags.writeable
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 class _CountingMap:
     """Forwards to a map and counts its ``value`` and ``wirtinger`` calls."""
 

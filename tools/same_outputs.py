@@ -12,7 +12,11 @@ fresh interpreter with that root's ``src`` (and, for the corpora, its
 - ``report`` on the built-in maps at ``--grid-level`` 0 and 1;
 - ``report`` on the ``report-series-l0`` corpus at level 0, ``--seed 1``;
 - each of the four ``check`` suites on the ``checks-series-l3`` corpus at
-  level 3, ``--seed 1``, with ``--out``.
+  level 3, ``--seed 1``, with ``--out``;
+- ``poisson koebe`` at level 1 and ``john shear-k3`` on the built-ins, with
+  ``--out``.  In ``report`` only the first map meets the process's cold
+  sample caches (``geometry.circle_nodes``, criterion (iii)'s level
+  boxes), so these single-map runs check the cold path for other maps.
 
 Each run's exit code, standard output and standard error are kept beside
 its output files.  The standard error is kept as its distinct lines,
@@ -48,6 +52,8 @@ RUNS = {
                          "--seed", "1", "report"],
     **{f"check-{suite}-l3": ["--corpus", "checks-series-l3.json", "--grid-level", "3",
                              "--seed", "1", "check", suite] for suite in SUITES},
+    "poisson-koebe-l1": ["--grid-level", "1", "poisson", "koebe"],
+    "john-shear-k3": ["john", "shear-k3"],
 }
 
 _WRITE_CORPUS = ("import sys, pathlib, corpus_gen\n"
