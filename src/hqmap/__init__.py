@@ -15,7 +15,6 @@ from .maps import (
     HarmonicMap,
     HqmapError,
     ParameterError,
-    SafeRadiusWarning,
     SenseReversalError,
     SeriesPart,
     WirtingerPair,

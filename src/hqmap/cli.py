@@ -135,19 +135,26 @@ def _eps_levels(config: Config):
 def _cmd_eval(args, corpus, config) -> int:
     m = _get_map(corpus, args.label)
     z = _parse_complex(args.z)
-    f = complex(m.value(z))
-    w = m.wirtinger(z)
-    doc = {
-        "label": m.label,
-        "z": [z.real, z.imag],
-        "f": [f.real, f.imag],
-        "fz": [complex(w.fz).real, complex(w.fz).imag],
-        "fzb": [complex(w.fzb).real, complex(w.fzb).imag],
-        "dnorm": float(w.dnorm),
-        "dmin": float(w.dmin),
-        "jacobian": float(w.jacobian),
-        "dilatation": float(w.dilatation),
-    }
+    # an overflow is reported below as its field, not as a numpy warning
+    with np.errstate(all="ignore"):
+        f = complex(m.value(z))
+        w = m.wirtinger(z)
+        fz = complex(w.fz)
+        doc = {
+            "label": m.label,
+            "z": [z.real, z.imag],
+            "f": [f.real, f.imag],
+            "fz": [fz.real, fz.imag],
+            "fzb": [complex(w.fzb).real, complex(w.fzb).imag],
+            "dnorm": float(w.dnorm),
+            "dmin": float(w.dmin),
+            "jacobian": float(w.jacobian),
+            # |f_zb| / |f_z| has no value where f_z = 0
+            "dilatation": None if fz == 0 else float(w.dilatation),
+        }
+    for key, value in sorted(doc.items()):
+        if isinstance(value, (float, list)) and not np.all(np.isfinite(value)):
+            raise HqmapError(f"{m.label}: eval {key} is not finite at z = {z}")
     print(json.dumps(doc, sort_keys=True))
     return 0
 

@@ -132,8 +132,10 @@ def map_from_json(d: dict) -> HarmonicMap:
     if not isinstance(d, dict):
         raise ParameterError(f"a map descriptor must be a JSON object, got {d!r}")
     label = d["label"]
-    if not isinstance(label, str):
-        raise ParameterError(f"a map label must be a string, got {label!r}")
+    # labels name output files (john_<label>.json), so they must be one path part
+    if not isinstance(label, str) or not label or any(c in label for c in "/\\\0"):
+        raise ParameterError("a map label must be a non-empty string without '/', "
+                             f"'\\' or NUL, got {label!r}")
     return HarmonicMap(
         part_from_json(d["h"]),
         part_from_json(d["g"]),

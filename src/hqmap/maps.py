@@ -16,13 +16,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-SAFE_SERIES_RADIUS = 0.999
 
 # outermost radius of the interior grids and radius ladders
 R_CAP = 0.999
@@ -49,10 +46,6 @@ class SenseReversalError(HqmapError, ValueError):
     def __init__(self, message: str, witness: complex):
         super().__init__(f"{message} (witness z = {witness})")
         self.witness = witness
-
-
-class SafeRadiusWarning(UserWarning):
-    """A truncated power series was evaluated beyond the safe radius."""
 
 
 def _check_in_disk(z) -> None:
@@ -144,13 +137,7 @@ class CatalogPart(AnalyticPart):
 
 @dataclass(frozen=True)
 class SeriesPart(AnalyticPart):
-    """Truncated power series sum a_k z^k (coefficients ascending from z^0).
-
-    Evaluation uses the Horner recurrence; derivatives are termwise and
-    therefore exact for the truncation.  Beyond |z| = 0.999 a
-    ``SafeRadiusWarning`` is attached instead of raising, because the
-    boundary-limit studies deliberately evaluate near the circle.
-    """
+    """The polynomial sum a_k z^k (coefficients ascending from z^0)."""
 
     coeffs: tuple
 
@@ -196,16 +183,11 @@ class SeriesPart(AnalyticPart):
             np.add(acc, c, out=acc)
         return acc
 
-    def _warn_radius(self, z):
-        if np.max(np.abs(z)) > SAFE_SERIES_RADIUS * (1.0 + 1e-12):
-            warnings.warn(
-                f"series evaluated beyond the safe radius {SAFE_SERIES_RADIUS}",
-                SafeRadiusWarning,
-                stacklevel=4,  # the caller of value, d1 or d2
-            )
-
     def derivative(self, order: int, z):
-        self._warn_radius(z)
+        """Horner's rule on the termwise derivative coefficients.  A series
+        part is the polynomial it lists, not a truncation of some other
+        function, so it is evaluated exactly (up to rounding) anywhere in the
+        disk, near the circle included."""
         return self._horner(self._coeffs[order], z)
 
 

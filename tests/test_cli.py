@@ -1,9 +1,12 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import threading
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,8 @@ from hqmap import cli, johndisk, suites
 from hqmap.cli import main
 from hqmap.corpus import default_corpus, save_corpus
 from hqmap.maps import CatalogPart, Config, HarmonicMap, HqmapError, SeriesPart
+
+from conftest import seeded_harmonic
 
 
 def run(capsys, *argv):
@@ -64,6 +69,44 @@ def test_eval_nan_point(capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "not in the open unit disk" in err
+
+
+def _strict_json(text):
+    """The JSON document of ``text``; a NaN or Infinity token raises."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+# h = z - z^2 has f_z = h'(z) = 0 at z = 1/2; h = 1e308 (1 + z) overflows at 0.9
+_CRIT = {"label": "crit", "h": {"kind": "series", "coeffs": [[0, 0], [1, 0], [-1, 0]]},
+         "g": {"kind": "series", "coeffs": [[0, 0]]}, "flags": ["SH", "SH0", "analytic"]}
+_HUGE = {"label": "huge", "h": {"kind": "series", "coeffs": [[1e308, 0], [1e308, 0]]},
+         "g": {"kind": "series", "coeffs": [[0, 0]]}, "flags": []}
+
+
+def test_eval_dilatation_is_null_where_f_z_vanishes(tmp_path, capsys):
+    # it printed a bare Infinity token, which is not JSON, and exited 0
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([_CRIT]))
+    code, out, err = run(capsys, "--corpus", str(path), "eval", "crit", "0.5")
+    assert code == 0 and err == ""
+    doc = _strict_json(out)
+    assert doc["fz"] == [0.0, 0.0]
+    assert doc["dilatation"] is None
+    code, out, _ = run(capsys, "--corpus", str(path), "eval", "crit", "0.25")
+    assert code == 0 and _strict_json(out)["dilatation"] == 0.0
+
+
+@pytest.mark.parametrize("point, field", [("0.9", "f"), ("0.5+0.5i", "jacobian")])
+def test_eval_non_finite_field_exits_2(point, field, tmp_path, capsys):
+    # h(0.9) = 1.9e308 overflows; at 0.5 + 0.5i only |f_z|^2 = 1e616 does
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([_HUGE]))
+    code, out, err = run(capsys, "--corpus", str(path), "eval", "huge", point)
+    assert code == 2 and out == ""
+    z = cli._parse_complex(point)
+    assert err == f"hqmap: error: huge: eval {field} is not finite at z = {z}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +340,22 @@ def test_malformed_corpus_shape(doc, tmp_path, capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("hqmap: error:")
+
+
+@pytest.mark.parametrize("label", ["", "sub/x", "sub\\x", "a\0b"],
+                         ids=["empty", "slash", "backslash", "nul"])
+def test_label_that_is_not_one_file_name_part_exits_2(label, tmp_path, capsys):
+    # report named files after the label: NUL ended in a ValueError traceback
+    # with exit 1, sub/x exited 2 after writing six files, and "" wrote john_.json
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([{"label": label, "h": _IDENTITY_H, "g": _ZERO_G}]))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, out, err = run(capsys, "--corpus", str(path), "--out", str(out_dir), "report")
+    assert code == 2 and out == ""
+    assert err == ("hqmap: error: a map label must be a non-empty string without '/', "
+                   f"'\\' or NUL, got {label!r}\n")
+    assert list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("option", ["--corpus", "--config"])
@@ -573,6 +632,32 @@ def test_poisson_identity(capsys):
 def test_report_needs_out(capsys):
     code, _, err = run(capsys, "report")
     assert code == 2
+
+
+def _cli_process(tmp_path, *argv):
+    """``python -m hqmap.cli ARGV`` in a fresh interpreter, with Python's
+    default warning filters rather than the test suite's."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-m", "hqmap.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, timeout=300)
+
+
+def test_report_writes_nothing_to_stderr(tmp_path):
+    # series maps are evaluated at 1 - eps = 0.9999 by design; each such
+    # call used to print a warning line from the report's pool threads
+    done = _cli_process(tmp_path, "--grid-level", "1", "--out", "out", "report")
+    assert done.returncode == 0
+    assert done.stderr == b""
+
+
+def test_check_on_series_maps_writes_nothing_to_stderr(tmp_path):
+    save_corpus({m.label: m for m in (seeded_harmonic(1, 12), seeded_harmonic(2, 16))},
+                tmp_path / "corpus.json")
+    done = _cli_process(tmp_path, "--corpus", "corpus.json", "check", "harmonic-advisory")
+    assert done.returncode == 0
+    assert done.stdout.count(b"\n") > 0
+    assert done.stderr == b""
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,6 @@ from hqmap import (
     DiskDomainError,
     HarmonicMap,
     ParameterError,
-    SafeRadiusWarning,
     SenseReversalError,
     SeriesPart,
     WirtingerPair,
@@ -73,15 +72,21 @@ def test_eval_outside_disk_raises(corpus):
         corpus["koebe"].wirtinger(np.array([0.5, complex("nan+0j")]))
 
 
-def test_series_safe_radius_warning():
+def _hex_bits(values):
+    """(real, imag) float.hex pairs of each value, signed zeros included."""
+    return [(c.real.hex(), c.imag.hex()) for c in map(complex, np.ravel(values))]
+
+
+def test_series_part_past_0999_is_exact_and_silent():
+    # a series part is the polynomial it lists, so nothing warns at 0.9995;
+    # the bits are those the same Horner passes gave when a warning fired there
     part = SeriesPart((0j, 1.0, 0.25))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        part.value(0.99)  # inside the safe radius: no warning
-    for evaluate in (part.value, part.d1, part.d2):
-        with pytest.warns(SafeRadiusWarning) as record:
-            evaluate(0.9995)
-        assert record[0].filename == __file__  # the warning names the caller
+        got = [_hex_bits(evaluate(0.9995)) for evaluate in (part.value, part.d1, part.d2)]
+    assert got == [[("0x1.3fceda22f6a51p+0", "0x0.0p+0")],
+                   [("0x1.7fef9db22d0e6p+0", "0x0.0p+0")],
+                   [("0x1.0000000000000p-1", "0x0.0p+0")]]
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +206,19 @@ def test_zero_g_is_never_evaluated(monkeypatch):
     assert [name for name, part in calls if part is signed.g] == ["value", "d1"]
 
 
-def test_safe_radius_warning_through_map():
-    m = HarmonicMap(SeriesPart((0j, 1.0, 0.25)), ZERO, "poly")
-    with pytest.warns(SafeRadiusWarning):
-        m.value(0.9995)
-    with pytest.warns(SafeRadiusWarning):
-        m.wirtinger(np.array([0.5, 0.9995j]))
-    # a zero series has no truncation error, so it never warns
-    k = HarmonicMap(CatalogPart("koebe"), ZERO, "koebe")
+def test_series_map_past_0999_is_exact_and_silent():
+    m = HarmonicMap(SeriesPart((0j, 1.0, 0.25)), SeriesPart((0j, 0j, 0.125 + 0.0625j)), "poly")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        k.value(0.9995)
-        k.wirtinger(np.array([0.5, 0.9995j]))
+        value = m.value(0.9995j)
+        w = m.wirtinger(np.array([0.5, 0.9995j, -0.9995]))
+    assert _hex_bits(value) == [("-0x1.7f9db877ab326p-2", "0x1.0fdb2314013edp+0")]
+    assert _hex_bits(w.fz) == [("0x1.4000000000000p+0", "0x0.0p+0"),
+                               ("0x1.0000000000000p+0", "0x1.ffbe76c8b4396p-2"),
+                               ("0x1.0020c49ba5e35p-1", "0x0.0p+0")]
+    assert _hex_bits(w.fzb) == [("0x1.0000000000000p-3", "-0x1.0000000000000p-4"),
+                                ("-0x1.ffbe76c8b4396p-4", "-0x1.ffbe76c8b4396p-3"),
+                                ("-0x1.ffbe76c8b4396p-3", "0x1.ffbe76c8b4396p-4")]
 
 
 # ---------------------------------------------------------------------------

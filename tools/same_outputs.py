@@ -19,13 +19,11 @@ fresh interpreter with that root's ``src`` (and, for the corpora, its
   boxes), so these single-map runs check the cold path for other maps.
 
 Each run's exit code, standard output and standard error are kept beside
-its output files.  The standard error is kept as its distinct lines,
-sorted, with the root's path replaced by ``ROOT``: ``report``'s threads
-print ``SafeRadiusWarning`` lines in an order and number that vary from
-run to run.  The corpora and every run are given by relative paths, so
-the two trees hold the same names.  The script prints each file that
-differs or exists on one side only, and exits 0 when the trees are equal
-and 1 otherwise.
+its output files, and compared byte for byte like them; a run that
+succeeds writes nothing to standard error.  The corpora and every run are
+given by relative paths, so the two trees hold the same names.  The script
+prints each file that differs or exists on one side only, and exits 0 when
+the trees are equal and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -64,8 +62,7 @@ _WRITE_CORPUS = ("import sys, pathlib, corpus_gen\n"
 def _python(root: Path, work: Path, args: list, *extra_paths: str):
     paths = [str(root / "src"), *(str(root / p) for p in extra_paths)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    return subprocess.run([sys.executable, *args], cwd=work, env=env,
-                          capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True)
 
 
 def run_root(root: Path, work: Path) -> None:
@@ -73,15 +70,14 @@ def run_root(root: Path, work: Path) -> None:
     for name, spec in CORPORA.items():
         proc = _python(root, work, ["-c", _WRITE_CORPUS, name, *map(str, spec)], "perfbench")
         if proc.returncode != 0:
-            raise SystemExit(f"{root}: writing {name} failed:\n{proc.stderr}")
+            raise SystemExit(f"{root}: writing {name} failed:\n{proc.stderr.decode()}")
     for name, argv in RUNS.items():
         out = Path("out") / name
         (work / out).mkdir(parents=True)
         proc = _python(root, work, ["-m", "hqmap.cli", "--out", str(out), *argv])
         (work / out / "exit_code").write_text(f"{proc.returncode}\n")
-        (work / out / "stdout").write_text(proc.stdout)
-        err = set(proc.stderr.replace(str(root), "ROOT").splitlines(keepends=True))
-        (work / out / "stderr.lines").write_text("".join(sorted(err)))
+        (work / out / "stdout").write_bytes(proc.stdout)
+        (work / out / "stderr").write_bytes(proc.stderr)
 
 
 def differences(left: Path, right: Path, rel: Path = Path(".")) -> list:
