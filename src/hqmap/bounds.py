@@ -183,16 +183,26 @@ def derivative_bound_constant(alpha: float, qc_k: float) -> float:
     return c
 
 
+@functools.lru_cache(maxsize=None)
+def _default_grid() -> np.ndarray:
+    """``geometry.disk_grid()``, 48 radii by 64 angles, built once per
+    process, read-only.  Both derivative lines are worst at z = 0 or on the
+    cap at angle 0, points that a denser grid only repeats."""
+    pts = geometry.disk_grid()
+    pts.flags.writeable = False
+    return pts
+
+
 def check_derivative_bounds(m: HarmonicMap, alpha: float, qc_k: float,
                             points=None) -> tuple:
     """The lines ``deriv_distortion``, the two-sided distortion of the
     analytic part
     (1-|z|)^{a-1}/(1+|z|)^{a+1} <= |h'(z)| <= (1+|z|)^{a-1}/(1-|z|)^{a+1},
     and ``deriv_value_bound``, |z| dnorm(z) <= C |f(z)| / (1 - |z|) with the
-    closed-form constant.  |h'| = |f_z| and the norm come from one checked
-    read of the sample, and f from one ``value`` call."""
-    pts = np.asarray(points if points is not None else geometry.disk_grid(),
-                     dtype=complex).ravel()
+    closed-form constant, on ``points`` or else ``_default_grid()``.  |h'| =
+    |f_z| and the norm come from one checked read of the sample, and f from
+    one ``value`` call."""
+    pts = _default_grid() if points is None else np.asarray(points, dtype=complex).ravel()
     c = derivative_bound_constant(alpha, qc_k)
     t = np.abs(pts)
     w = check_sense_preserving(m, pts)

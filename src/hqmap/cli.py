@@ -49,9 +49,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--grid-level", type=int, default=None,
                         help="sample density level, 0 to 6 (default 1); scales the "
-                        "deriv_distortion/deriv_value_bound grid, the geometry suite's "
-                        "Stolz samples and the Poisson eps ladder (level 0 against 1 and "
-                        "above), and no other check line's sample")
+                        "geometry suite's Stolz samples and the Poisson eps ladder (level "
+                        "0 against 1 and above), and no other sample: the map suites "
+                        "write the same lines at every level")
     parser.add_argument("--eps", type=float, default=None, help="boundary offset")
     parser.add_argument("--tol", type=float, default=None,
                         help="relative tolerance of every radial-length quadrature; "
@@ -132,6 +132,19 @@ def _eps_levels(config: Config):
     return (1e-2, 3e-3, 1e-3) if config.grid_level <= 0 else (1e-2, 1e-3, 1e-4)
 
 
+def _require_finite(what: str, doc: dict, where: str = "") -> None:
+    """Raise an input error naming the first field of ``doc``, in key order,
+    that holds a NaN or infinite number.  Each output builder computes under
+    ``np.errstate(all="ignore")`` and then checks its numbers here, so an
+    overflow ends in this one line rather than a numpy warning.  The
+    errstate is the builder's own, as ``report`` runs each builder in a pool
+    thread, which the main thread's errstate does not reach."""
+    for key, value in sorted(doc.items()):
+        arr = np.asarray(value)
+        if arr.dtype.kind in "fc" and not np.all(np.isfinite(arr)):
+            raise HqmapError(f"{what} {key} is not finite{where}")
+
+
 def _cmd_eval(args, corpus, config) -> int:
     m = _get_map(corpus, args.label)
     z = _parse_complex(args.z)
@@ -152,9 +165,7 @@ def _cmd_eval(args, corpus, config) -> int:
             # |f_zb| / |f_z| has no value where f_z = 0
             "dilatation": None if fz == 0 else float(w.dilatation),
         }
-    for key, value in sorted(doc.items()):
-        if isinstance(value, (float, list)) and not np.all(np.isfinite(value)):
-            raise HqmapError(f"{m.label}: eval {key} is not finite at z = {z}")
+    _require_finite(f"{m.label}: eval", doc, f" at z = {z}")
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -180,7 +191,9 @@ def _emit(args, files) -> None:
 
 
 def _radial_files(m, theta, radii, config):
-    profile = radial.radial_profile(m, theta, radii, config)
+    with np.errstate(all="ignore"):
+        profile = radial.radial_profile(m, theta, radii, config)
+    _require_finite(f"{m.label}: radial", vars(profile), f" on the ray theta = {theta!r}")
     buf = io.StringIO()
     profile.to_csv(buf)
     return [(f"radial_{m.label}.csv", buf.getvalue())]
@@ -189,18 +202,31 @@ def _radial_files(m, theta, radii, config):
 def _suite_files(name, corpus, config):
     """The JSON lines file of one suite, and whether it counts as passed
     (advisory suites always do)."""
-    reports, advisory = suites.run_suite(name, corpus, config)
+    # every number of a line rests on its margin, which bounds._report checks
+    with np.errstate(all="ignore"):
+        reports, advisory = suites.run_suite(name, corpus, config)
     lines = "".join(r.to_json() + "\n" for r in reports)
     return [(f"checks_{name}.jsonl", lines)], advisory or all(r.passed for r in reports)
 
 
 def _john_files(m):
-    return [(f"john_{m.label}.json", johndisk.john_estimate(m).to_json() + "\n")]
+    with np.errstate(all="ignore"):
+        est = johndisk.john_estimate(m)
+    _require_finite(f"{m.label}: john", {
+        "criterion_ii": [sup for _, sup in est.criterion_ii],
+        "criterion_iii": est.criterion_iii.trace,
+        "decay": [est.decay.c, est.decay.delta, est.decay.residual]})
+    return [(f"john_{m.label}.json", est.to_json() + "\n")]
 
 
 def _poisson_files(m, config):
     """The sup-trace JSON and the per-point CSV, from one scan per ring level."""
-    trace = poisson.poisson_sup(m, eps_levels=_eps_levels(config))
+    with np.errstate(all="ignore"):
+        trace = poisson.poisson_sup(m, eps_levels=_eps_levels(config))
+    _require_finite(f"{m.label}: poisson", {
+        "functional": [value for scan in trace.scans for _, value, _, _ in scan.records],
+        "profile_drift": [scan.drift for scan in trace.scans],
+        "sup": trace.sup, "trace": trace.trace})
     buf = io.StringIO()
     poisson.poisson_csv(trace, buf)
     return [(f"poisson_{m.label}.json", poisson.poisson_trace_json(m, trace) + "\n"),
@@ -310,11 +336,11 @@ def _pin_malloc_thresholds() -> None:
 
     glibc maps each allocation above its dynamic threshold (128 KiB at
     start-up) with mmap and unmaps it on free, and raises the threshold
-    only after freeing such a block.  A level-3 suite builds hundreds of
-    0.4-0.8 MB grid temporaries, so left to itself a ``check`` process
-    faults in every page of each one afresh: ``check analytic-classical``
-    on a 30-map corpus took 51k minor faults, and takes 1.4k with these
-    settings.
+    only after freeing such a block.  The pruned boundary-distance search
+    works in 0.5-1 MiB chunks, dozens per map, so left to itself a
+    ``check`` process faults in every page of each one afresh: ``check
+    analytic-classical`` on a 30-map corpus takes 19k minor faults and
+    50 ms without these settings, and 1.1k and 40 ms with them.
     """
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt

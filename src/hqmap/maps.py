@@ -328,10 +328,12 @@ def check_sense_preserving(m: HarmonicMap, points) -> WirtingerPair:
     ``SenseReversalError``, each naming the map and that point.  The moduli
     are compared, not the Jacobian, which underflows to 0 at f_z = 1e-170.
     """
-    w = m.wirtinger(points)
-    fz = np.abs(w.fz)
-    fzb = np.abs(w.fzb)
-    norm = np.ravel(fz + fzb)
+    # an overflow here is caught below as a non-finite norm
+    with np.errstate(all="ignore"):
+        w = m.wirtinger(points)
+        fz = np.abs(w.fz)
+        fzb = np.abs(w.fzb)
+        norm = np.ravel(fz + fzb)
     bad = ~np.isfinite(norm) | ~np.ravel(fzb < fz)
     if np.any(bad):
         idx = int(np.argmax(bad))
@@ -393,8 +395,9 @@ class Config:
             raise ParameterError("boundary offset must lie in (0, 0.5]")
         if not 0.0 < self.tol < math.inf:
             raise ParameterError("quadrature tolerance must be finite and > 0")
-        # each level doubles both axes of the suite grids, so a check's
-        # memory grows 4x per level: level 6 peaks near 2 GB, 7 would need 8
+        # each level doubles both axes of the geometry suite's Stolz
+        # samples, so its memory grows 4x per level: level 6 peaks near
+        # 2 GB, 7 would need 8
         if not 0 <= self.grid_level <= 6:
             raise ParameterError("grid level must lie in [0, 6]")
         if not self.seed >= 0:

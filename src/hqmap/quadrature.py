@@ -14,6 +14,7 @@ floating-point operations.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -111,8 +112,8 @@ def adaptive_quads(f: Callable, cuts, abs_tol: float = 1e-12,
     retires the worst interval and appends its two halves), left to right,
     so they are Python 3.11's float ``sum()`` over a list kept in that
     order, bit for bit.
-    With a NaN error estimate the first NaN interval is bisected; the
-    result is NaN and unconverged either way.
+    A NaN error estimate, where a GK15 sum overflowed, ends an integral
+    at once, NaN and unconverged: bisection would spend the whole budget.
     """
     cuts = [[float(x) for x in c] for c in cuts]
     for c in cuts:
@@ -145,7 +146,7 @@ def _bisect(f, ends, val, err, abs_tol, rel_tol) -> QuadResult:
         err_total = _sum_in_order(err[:used])
         if err_total <= max(abs_tol, rel_tol * abs(total)):
             return QuadResult(total, err_total, True, live)
-        if live >= MAX_INTERVALS:
+        if live >= MAX_INTERVALS or math.isnan(err_total):
             return QuadResult(total, err_total, False, live)
         if used == len(val):
             # room for every bisection the budget allows; copies the

@@ -1,5 +1,7 @@
 """Named check suites over a corpus: bundles of inequality predicates with
-deterministic grids, used by the command-line runner and the tests.
+deterministic grids, used by the command-line runner and the tests.  Every
+map suite reads fixed samples; ``config.grid_level`` scales only the
+``geometry`` suite's Stolz samples.
 
 Suite results are lists of CheckReports in canonical order (predicate name,
 then witness), so repeated runs with the same manifest serialize to
@@ -18,22 +20,8 @@ from .maps import CatalogPart, Config, HarmonicMap, ParameterError, qc_constant
 from .transforms import shear_qc
 
 
-def _scale(config: Config) -> float:
-    return 2.0 ** (config.grid_level - 1)
-
-
-def suite_grid(config: Config) -> np.ndarray:
-    """The disk grid of a suite's inequality predicates.  A suite builds it
-    once and every map's predicates read it, so it is read-only."""
-    n_r = max(8, round(48 * _scale(config)))
-    n_a = max(8, round(64 * _scale(config)))
-    pts = geometry.disk_grid(n_r, n_a)
-    pts.flags.writeable = False
-    return pts
-
-
 # the sample of each map's boundary_dist_lower line and of its K in
-# harmonic-advisory; no level scales it, so it is built once, read-only
+# harmonic-advisory, built once, read-only
 _DIST_GRID = geometry.disk_grid(24, 32)
 _DIST_GRID.flags.writeable = False
 
@@ -45,15 +33,15 @@ def _sorted_reports(reports) -> list:
     )
 
 
-def _inequality_family(m: HarmonicMap, alpha: float, qc_k: float, pts: np.ndarray,
-                       config: Config, tag: str) -> list:
-    """The inequality predicates of one map on the suite's grid ``pts``."""
+def _inequality_family(m: HarmonicMap, alpha: float, qc_k: float, config: Config,
+                       tag: str) -> list:
+    """The inequality predicates of one map, each on its fixed sample."""
     eps = config.eps
     fit = johndisk.decay_fit(m) if "bounded" in m.flags else None
     try:
         out = [
             bounds.check_two_point_growth(m, alpha, qc_k),
-            *bounds.check_derivative_bounds(m, alpha, qc_k, pts),
+            *bounds.check_derivative_bounds(m, alpha, qc_k),
             bounds.check_weighted_deriv_growth(m, alpha),
             bounds.check_boundary_dist_lower(m, qc_k, points=_DIST_GRID, eps=eps),
             *bounds.check_harnack_box(m, qc_k, alpha, 0.9 + 0.0j),
@@ -76,11 +64,10 @@ def suite_analytic_classical(corpus: dict, config: Config) -> list:
     """Every inequality predicate on the analytic subfamily with the classical
     sharp order 2 and K = 1; these are theorems and must pass."""
     reports = []
-    pts = suite_grid(config)
     for label in sorted(corpus):
         m = corpus[label]
         if m.is_analytic():
-            reports.extend(_inequality_family(m, 2.0, 1.0, pts, config, label))
+            reports.extend(_inequality_family(m, 2.0, 1.0, config, label))
     return _sorted_reports(reports)
 
 
@@ -95,12 +82,11 @@ def suite_harmonic_advisory(corpus: dict, config: Config) -> list:
     it upward.
     """
     reports = []
-    pts = suite_grid(config)
     for label in sorted(corpus):
         m = corpus[label]
         if not m.is_analytic():
             qc_k = max(qc_constant(m, _DIST_GRID), config.bigk)
-            reports.extend(_inequality_family(m, config.alpha, qc_k, pts, config, label))
+            reports.extend(_inequality_family(m, config.alpha, qc_k, config, label))
     return _sorted_reports(reports)
 
 
@@ -108,7 +94,7 @@ def suite_geometry(corpus: dict, config: Config) -> list:
     """Stolz-domain angle bound, hyperbolic-metric properties, and
     boundary-distance convergence on the identity; the corpus is unused."""
     reports = []
-    n = max(60, round(160 * _scale(config)))
+    n = max(60, round(160 * 2.0 ** (config.grid_level - 1)))
     for r in (0.5, 0.8, 0.95):
         pts = geometry.stolz_sample(r, n, n)
         # |p| > r/4 on the sample, so the bound stays below 3 pi / sqrt(15)

@@ -18,7 +18,7 @@ from hqmap import (
     disk_grid,
     harnack_constant,
 )
-from hqmap import geometry, suites
+from hqmap import bounds, geometry, suites
 from hqmap.bounds import _HARNACK_A, _SLACK, _harnack_box, _report, rel_margin
 from hqmap.maps import (
     AnalyticPart,
@@ -216,10 +216,8 @@ def test_norm_error_in_a_suite_names_its_map_once():
     # one used to be a non-finite harnack_comparison margin)
     at = complex(_harnack_box(0.9 + 0j)[7])
     m = HarmonicMap(_SpikePart(at), SeriesPart((0j,)), "spike")
-    config = Config(grid_level=0)
-    pts = suites.suite_grid(config)
     with pytest.raises(ParameterError) as info:
-        suites._inequality_family(m, 2.0, 1.0, pts, config, "spike")
+        suites._inequality_family(m, 2.0, 1.0, Config(grid_level=0), "spike")
     assert str(info.value) == f"spike: derivative norm is not finite at z = {at}"
 
 
@@ -402,7 +400,8 @@ def test_derivative_bounds_are_the_two_separate_lines(label, grid):
     # to_json writes every field, each float by its shortest round-trip
     # repr, so equal lines are equal bit for bit
     m = _merged_map(label)
-    pts = disk_grid() if grid == "default" else suites.suite_grid(Config(grid_level=3))
+    # level-3: a 48,897-point grid, 16 times the default
+    pts = disk_grid() if grid == "default" else disk_grid(192, 256)
     for alpha, qc_k in ((2.0, 1.0), (3.0, 2.5)):
         distortion, value_bound = check_derivative_bounds(m, alpha, qc_k, pts)
         assert distortion.to_json() == _ref_distortion(m, alpha, pts).to_json()
@@ -450,15 +449,16 @@ def test_each_merged_predicate_reads_its_sample_once(corpus):
 
 
 def test_a_suite_reads_its_grid_once_per_map(corpus):
-    # level 1: the suite grid's 3,009 points match no other sample's count
-    config = Config(grid_level=1)
-    pts = suites.suite_grid(config)
-    for label in ("koebe", "shear-k3", "convex-poly2"):
-        m = _CountingMap(corpus[label])
-        suites._inequality_family(m, 3.0, 3.0, pts, config, label)
-        on_grid = [c for c in m.calls if c[1] == pts.size]
-        assert on_grid == [("wirtinger", pts.size), ("value", pts.size)], label
-        assert m.calls.count(("wirtinger", 1)) == 1, label
+    # the derivative grid's 3,009 points match no other sample's count, at
+    # every level
+    size = disk_grid().size
+    for level in (0, 3):
+        for label in ("koebe", "shear-k3", "convex-poly2"):
+            m = _CountingMap(corpus[label])
+            suites._inequality_family(m, 3.0, 3.0, Config(grid_level=level), label)
+            on_grid = [c for c in m.calls if c[1] == size]
+            assert on_grid == [("wirtinger", size), ("value", size)], (level, label)
+            assert m.calls.count(("wirtinger", 1)) == 1, (level, label)
 
 
 def test_derivative_bounds_raise_where_the_distortion_line_did_not():
@@ -480,7 +480,8 @@ def test_derivative_bounds_raise_where_the_distortion_line_did_not():
 @pytest.mark.parametrize("name", ["analytic-classical", "harmonic-advisory"])
 def test_an_inequality_suite_builds_at_most_two_disk_grids(name, monkeypatch):
     # every map's boundary_dist_lower sample and K sample is one shared
-    # array, not a grid per map
+    # array, not a grid per map, and the derivative grid is built at most
+    # once per process
     built = []
     real = geometry.disk_grid
     monkeypatch.setattr(geometry, "disk_grid", lambda *a, **k: built.append(a) or real(*a, **k))
@@ -488,7 +489,43 @@ def test_an_inequality_suite_builds_at_most_two_disk_grids(name, monkeypatch):
         f"series{s}": seeded_harmonic(s, 12) for s in (3, 5, 7)})
     reports, _ = suites.run_suite(name, corpus, Config(grid_level=0))
     assert len(reports) >= 7 * 3
-    assert len(built) <= 2
+    assert len(built) <= 1
+
+
+def test_the_default_derivative_grid_is_one_read_only_array(monkeypatch):
+    # both inequality suites, at every level, and a direct call read the
+    # one cached grid; no call builds another
+    grid = bounds._default_grid()
+    assert not grid.flags.writeable
+    np.testing.assert_array_equal(grid, disk_grid())
+    read, built = [], []
+    real_check, real_grid = bounds.check_sense_preserving, geometry.disk_grid
+    monkeypatch.setattr(bounds, "check_sense_preserving",
+                        lambda m, pts: read.append(pts) or real_check(m, pts))
+    monkeypatch.setattr(geometry, "disk_grid",
+                        lambda *a, **k: built.append(a) or real_grid(*a, **k))
+    corpus = default_corpus()
+    for level in (0, 3):
+        for name in ("analytic-classical", "harmonic-advisory"):
+            suites.run_suite(name, corpus, Config(grid_level=level))
+    check_derivative_bounds(corpus["koebe"], 2.0, 1.0)
+    on_grid = [pts for pts in read if np.size(pts) == grid.size]
+    assert len(on_grid) == 2 * len(corpus) + 1
+    assert all(pts is grid for pts in on_grid)
+    assert built == []
+
+
+def test_the_inequality_suites_write_the_same_lines_at_every_level():
+    # the level moves no map-suite sample; at the parent, levels 0 and 3
+    # sampled the derivative lines on 737 and 48,897 points
+    corpus = dict(default_corpus(), **{f"series{s}": seeded_harmonic(s, 12) for s in (3, 5)})
+    for name in ("analytic-classical", "harmonic-advisory"):
+        lines = {level: [r.to_json() for r in suites.run_suite(name, corpus,
+                                                                Config(grid_level=level))[0]]
+                 for level in (0, 1, 3, 6)}
+        assert lines[1], name
+        for level in (0, 3, 6):
+            assert lines[level] == lines[1], (name, level)
 
 
 # ---------------------------------------------------------------------------

@@ -660,6 +660,38 @@ def test_check_on_series_maps_writes_nothing_to_stderr(tmp_path):
     assert done.stderr == b""
 
 
+# h = 1.2e308 z, g = 1e308 z: |f_z| + |f_zb| overflows at every point
+_HUGE_NORM = {"label": "wide", "h": {"kind": "series", "coeffs": [[0, 0], [1.2e308, 0]]},
+              "g": {"kind": "series", "coeffs": [[0, 0], [1e308, 0]]}, "flags": []}
+
+
+@pytest.mark.parametrize("doc, argv, line", [
+    (_HUGE, ["radial", "huge", "0", "0.5,0.9"],
+     "huge: radial abs_f is not finite on the ray theta = 0.0"),
+    (_HUGE, ["poisson", "huge"], "huge: poisson functional is not finite"),
+    (_HUGE, ["john", "huge"], "huge: criterion ratio is not finite at z = 0j"),
+    (_HUGE, ["check", "radial-growth"],
+     "growth_bounded:huge: margin is not finite at z = (0.51+0j)"),
+    (_HUGE, ["check", "harmonic-advisory"],
+     "huge: two_point_growth: margin is not finite at z = (0.9+0j)"),
+    # every builder runs in a pool thread, out of reach of the main
+    # thread's errstate: this run printed five overflow warnings from them
+    (_HUGE, ["--out", "out", "report"],
+     "growth_bounded:huge: margin is not finite at z = (0.51+0j)"),
+    (_HUGE_NORM, ["john", "wide"], "wide: derivative norm is not finite at z = 0j"),
+    (_HUGE_NORM, ["eval", "wide", "0.5"], "wide: derivative norm is not finite at z = 0j"),
+], ids=["radial", "poisson", "john", "radial-growth", "harmonic-advisory", "report",
+        "john-norm", "eval-norm"])
+def test_an_overflowing_map_prints_one_error_line(doc, argv, line, tmp_path):
+    # radial and poisson wrote inf, nan and Infinity with exit 0, and every
+    # command printed numpy overflow warnings ahead of its error line
+    (tmp_path / "corpus.json").write_text(json.dumps([doc]))
+    done = _cli_process(tmp_path, "--corpus", "corpus.json", *argv)
+    assert done.returncode == 2
+    assert done.stdout == b""
+    assert done.stderr.decode() == f"hqmap: error: {line}\n"
+
+
 @pytest.fixture(scope="module")
 def report_dir(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("report")

@@ -23,12 +23,16 @@ its output files, and compared byte for byte like them; a run that
 succeeds writes nothing to standard error.  The corpora and every run are
 given by relative paths, so the two trees hold the same names.  The script
 prints each file that differs or exists on one side only, and exits 0 when
-the trees are equal and 1 otherwise.
+the trees are equal and 1 otherwise.  Under each differing check-line file
+(a suite's ``.jsonl`` or a ``check`` run's ``stdout``) it also prints every
+field that differs, as ``predicate key: parent -> change``; the n-th line
+of a predicate that has several is named ``predicate#n``.
 """
 
 from __future__ import annotations
 
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -91,6 +95,36 @@ def differences(left: Path, right: Path, rel: Path = Path(".")) -> list:
     return sorted(out)
 
 
+def _lines_by_predicate(path: Path) -> dict:
+    """The check lines of a JSON-lines file, keyed ``predicate`` or, for a
+    predicate's n-th line of several, ``predicate#n``."""
+    groups = {}
+    for line in path.read_text().splitlines():
+        doc = json.loads(line)
+        groups.setdefault(doc["predicate"], []).append(doc)
+    return {name if len(docs) == 1 else f"{name}#{n}": doc
+            for name, docs in groups.items() for n, doc in enumerate(docs, 1)}
+
+
+def field_differences(left: Path, right: Path) -> list:
+    """``predicate key: left -> right`` for every field of two check-line
+    files that differs, a line on one side only included."""
+    old, new = _lines_by_predicate(left), _lines_by_predicate(right)
+    out = []
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name, {}), new.get(name, {})
+        for key in sorted(a.keys() | b.keys()):
+            if key != "predicate" and a.get(key) != b.get(key):
+                out.append(f"{name} {key}: {json.dumps(a.get(key))} -> "
+                           f"{json.dumps(b.get(key))}")
+    return out
+
+
+def _holds_check_lines(path: Path) -> bool:
+    return path.suffix == ".jsonl" or (path.name == "stdout"
+                                       and path.parent.name.startswith("check-"))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -105,6 +139,10 @@ def main(argv=None) -> int:
         diff = differences(*works)
         for path in diff:
             print(f"differs: {path}")
+            sides = [work / path for work in works]
+            if _holds_check_lines(path) and all(side.is_file() for side in sides):
+                for line in field_differences(*sides):
+                    print(f"  {line}")
         codes = sorted({(work / "out" / name / "exit_code").read_text().strip()
                         for work in works for name in RUNS})
     print(f"{len(RUNS)} runs, {len(diff)} differing files, exit codes {', '.join(codes)}")
