@@ -48,11 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--bigk", type=float, default=None, help="quasiconformality constant")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--grid-level", type=int, default=None,
-                        help="sample density level, 0 to 6 (default 1); scales the "
-                        "geometry suite's Stolz samples and the Poisson eps ladder (level "
-                        "0 against 1 and above), and no other sample: the map suites "
-                        "write the same lines at every level")
-    parser.add_argument("--eps", type=float, default=None, help="boundary offset")
+                        help="0 to 6 (default 1); picks the Poisson eps ladder and nothing "
+                        "else: 1e-2, 3e-3, 1e-3 at level 0, 1e-2, 1e-3, 1e-4 from level 1 up")
+    parser.add_argument("--eps", type=float, default=None, help="boundary offset, 1e-15 to 0.5")
     parser.add_argument("--tol", type=float, default=None,
                         help="relative tolerance of every radial-length quadrature; "
                         "each profile segment is integrated to tol/4 (default 1e-9)")

@@ -376,6 +376,8 @@ class Config:
     ``alpha`` is the order parameter used for genuinely harmonic maps (the
     sharp order of the normalized family is unknown, so harmonic reports are
     advisory); the analytic subfamily always uses the classical value 2.
+    ``grid_level`` picks the Poisson eps ladder and nothing else: 1e-2,
+    3e-3, 1e-3 at level 0, and 1e-2, 1e-3, 1e-4 from level 1 up.
     """
 
     alpha: float = 3.0
@@ -391,13 +393,13 @@ class Config:
             raise ParameterError("alpha must be finite and >= 2")
         if not 1.0 <= self.bigk < math.inf:
             raise ParameterError("K must be finite and >= 1")
-        if not 0.0 < self.eps <= 0.5:
-            raise ParameterError("boundary offset must lie in (0, 0.5]")
+        # ring nodes reach modulus 1 + 2.2e-16: 1e-15 keeps (1 - eps) nodes inside
+        if not 1e-15 <= self.eps <= 0.5:
+            raise ParameterError("boundary offset eps must lie in [1e-15, 0.5]")
         if not 0.0 < self.tol < math.inf:
             raise ParameterError("quadrature tolerance must be finite and > 0")
-        # each level doubles both axes of the geometry suite's Stolz
-        # samples, so its memory grows 4x per level: level 6 peaks near
-        # 2 GB, 7 would need 8
+        # no sample grows with the level, and levels 1 to 6 are one eps ladder,
+        # kept so that existing command lines and config files still run
         if not 0 <= self.grid_level <= 6:
             raise ParameterError("grid level must lie in [0, 6]")
         if not self.seed >= 0:

@@ -1,7 +1,6 @@
 """Named check suites over a corpus: bundles of inequality predicates with
 deterministic grids, used by the command-line runner and the tests.  Every
-map suite reads fixed samples; ``config.grid_level`` scales only the
-``geometry`` suite's Stolz samples.
+suite reads fixed samples, so no suite reads ``config.grid_level``.
 
 Suite results are lists of CheckReports in canonical order (predicate name,
 then witness), so repeated runs with the same manifest serialize to
@@ -94,9 +93,8 @@ def suite_geometry(corpus: dict, config: Config) -> list:
     """Stolz-domain angle bound, hyperbolic-metric properties, and
     boundary-distance convergence on the identity; the corpus is unused."""
     reports = []
-    n = max(60, round(160 * 2.0 ** (config.grid_level - 1)))
     for r in (0.5, 0.8, 0.95):
-        pts = geometry.stolz_sample(r, n, n)
+        pts = geometry.stolz_sample(r)
         # |p| > r/4 on the sample, so the bound stays below 3 pi / sqrt(15)
         bound = 4.0 * math.pi * (r - np.abs(pts)) / (r * math.sqrt(15.0))
         reports.append(bounds._report(f"stolz_angle_bound:r={r:g}", 0.0, None,

@@ -552,6 +552,19 @@ def test_bad_config_file(doc, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_an_eps_that_rounds_a_ring_node_onto_the_circle_exits_2(tmp_path, capsys):
+    # 1 - 2.3e-16 times a ring node of modulus 1 + 2.2e-16 rounds to 1, a
+    # point the user never gave, so the offset itself is the input error
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"eps": 2.3e-16}))
+    for argv in (["--eps", "2.3e-16"], ["--config", str(cfg)]):
+        code, out, err = run(capsys, *argv, "check", "analytic-classical")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "eps" in err, argv
+    code, _, err = run(capsys, "--eps", "1e-15", "check", "analytic-classical")
+    assert code == 0 and err == ""
+
+
 @pytest.mark.parametrize("doc,key", [({"r_cap": 0.99}, "r_cap"), ({"alpah": 3}, "alpah"),
                                      ({"qc_k": 2.0}, "qc_k")],
                          ids=["removed-field", "typo", "field-name-before-rename"])

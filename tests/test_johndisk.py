@@ -6,6 +6,7 @@ import pytest
 
 from hqmap import (
     CatalogPart,
+    ComboPart,
     DecayFit,
     HarmonicMap,
     ParameterError,
@@ -396,6 +397,27 @@ def test_john_three_criteria_agree(corpus):
         by_iii = est.criterion_iii.stable
         by_decay = 0.0 < est.decay.delta <= 1.0
         assert by_ii == by_iii == by_decay == expected, label
+
+
+def _scaled(m, c):
+    # c f = c h + conj(conj(c) g); the normalization flags no longer hold
+    return HarmonicMap(ComboPart(((c, m.h),)), ComboPart(((c.conjugate(), m.g),)),
+                       m.label, m.flags - {"SH", "SH0", "analytic"})
+
+
+@pytest.mark.parametrize("c", [2.0 + 0j, 1j], ids=["2", "i"])
+@pytest.mark.parametrize("label", sorted(EXPECTED_JOHN))
+def test_john_estimate_is_invariant_under_scaling(label, c, corpus):
+    # every criterion is a ratio of |f| differences or of derivative norms,
+    # so c f reads the same numbers as f; the decay fit's log sums round
+    # apart, by at most 1.6e-15 (C of koebe, c = 2, relative)
+    est, scaled = john_estimate(corpus[label]), john_estimate(_scaled(corpus[label], c))
+    assert scaled.criterion_ii == est.criterion_ii
+    assert scaled.criterion_iii == est.criterion_iii
+    assert scaled.verdict == est.verdict
+    assert abs(scaled.decay.delta - est.decay.delta) <= 2e-15
+    assert abs(scaled.decay.c - est.decay.c) <= 2e-15 * est.decay.c
+    assert abs(scaled.decay.residual - est.decay.residual) <= 2e-15
 
 
 def test_john_json_shape(corpus):

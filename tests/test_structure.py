@@ -1,5 +1,6 @@
-"""One derivative path, one sense-preservation rule, and a reason for each
-export that the package itself never uses.
+"""One derivative path, one sense-preservation rule, a reason for each
+export that the package itself never uses, and one reader of the grid
+level.
 
 Outside ``maps``, f_z, f_zb and the derivative norm are read only through
 ``maps.check_sense_preserving`` and ``maps.finite_dnorm``, which apply the
@@ -221,3 +222,30 @@ def test_every_export_is_used_or_has_a_reason():
         "call each export from the package, or give its reason in _LIBRARY_ONLY"
     # an allowance nobody needs any more is dropped, not kept as a loophole
     assert sorted(set(_LIBRARY_ONLY) - unused) == []
+
+
+def _level_reads(tree):
+    """(top-level definition, line) of each ``.grid_level`` attribute read."""
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr == "grid_level"
+                    and isinstance(node.ctx, ast.Load)):
+                yield name, node.lineno
+
+
+def test_the_scan_sees_level_reads():
+    tree = ast.parse("def f(config):\n    return config.grid_level\n"
+                     "class C:\n    def g(self):\n        if not self.grid_level:\n"
+                     "            return replace(self, grid_level=1)\n"
+                     "def h(c):\n    c.grid_level = 2\n")
+    assert list(_level_reads(tree)) == [("f", 2), ("C", 5)]
+
+
+def test_the_grid_level_has_one_reader():
+    # the level picks the Poisson eps ladder and nothing else; ``Config``
+    # reads it only to range-check it
+    src = Path(hqmap.__file__).parent
+    reads = {(path.stem, func) for path in sorted(src.glob("*.py"))
+             for func, _ in _level_reads(ast.parse(path.read_text(encoding="utf-8")))}
+    assert reads == {("cli", "_eps_levels"), ("maps", "Config")}
