@@ -357,9 +357,10 @@ def check_arc_image_diameter(m: HarmonicMap, qc_k: float, alpha: float,
     boost = math.exp((1.0 + alpha) * math.pi)
     c36 = 2.0 * math.pi * boost + (2.0 * c35 * boost + c35) / delta
     a_arr = np.atleast_1d(np.asarray(a_points, dtype=complex))
+    # boundary_distance checks eps before any ring or arc is evaluated
+    dist = geometry.boundary_distance(m, m.value(a_arr), eps)
     diam = [geometry.set_diameter(m.value((1.0 - eps) * geometry.boundary_arc(a)))
             for a in a_arr]
-    dist = geometry.boundary_distance(m, m.value(a_arr), eps)
     margins = rel_margin(diam, 32.0 * qc_k * c36 * dist.value)
     return _report("arc_image_diameter", alpha, qc_k, margins, a_arr, _SLACK,
                    notes=f"C36={c36!r} C35={c35!r} delta={delta!r}",

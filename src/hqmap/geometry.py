@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import R_CAP, DiskDomainError, HarmonicMap, ParameterError, _check_in_disk
+from .maps import EPS_MIN, R_CAP, DiskDomainError, HarmonicMap, ParameterError, _check_in_disk
 
 TWO_PI = 2.0 * math.pi
 
@@ -274,8 +274,8 @@ def boundary_distance(m: HarmonicMap, w, eps: float = 1e-4,
     """
     if n < 128 or n % 2:
         raise ParameterError("boundary distance needs an even ring of at least 128 samples")
-    if not 0.0 < eps < 1.0:
-        raise ParameterError("ring offset must lie in (0, 1)")
+    if not EPS_MIN <= eps < 1.0:
+        raise ParameterError(f"ring offset eps must lie in [{EPS_MIN:g}, 1)")
     ws = np.asarray(w, dtype=complex)
     img = m.value((1.0 - eps) * circle_nodes(n))
     targets = _blocks(ws.ravel(), 1)

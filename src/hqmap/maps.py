@@ -24,6 +24,10 @@ import numpy as np
 # outermost radius of the interior grids and radius ladders
 R_CAP = 0.999
 
+# smallest ring offset eps: ring nodes reach modulus 1 + 2.2e-16, and 1e-15
+# keeps every (1 - eps) node inside the open disk
+EPS_MIN = 1e-15
+
 # tolerance used when validating normalization flags at construction
 _FLAG_TOL = 1e-9
 
@@ -393,9 +397,8 @@ class Config:
             raise ParameterError("alpha must be finite and >= 2")
         if not 1.0 <= self.bigk < math.inf:
             raise ParameterError("K must be finite and >= 1")
-        # ring nodes reach modulus 1 + 2.2e-16: 1e-15 keeps (1 - eps) nodes inside
-        if not 1e-15 <= self.eps <= 0.5:
-            raise ParameterError("boundary offset eps must lie in [1e-15, 0.5]")
+        if not EPS_MIN <= self.eps <= 0.5:
+            raise ParameterError(f"boundary offset eps must lie in [{EPS_MIN:g}, 0.5]")
         if not 0.0 < self.tol < math.inf:
             raise ParameterError("quadrature tolerance must be finite and > 0")
         # no sample grows with the level, and levels 1 to 6 are one eps ladder,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .maps import HarmonicMap, ParameterError, check_sense_preserving, finite_dnorm
+from .maps import EPS_MIN, HarmonicMap, ParameterError, check_sense_preserving, finite_dnorm
 from .quadrature import adaptive_quads
 
 
@@ -53,8 +53,8 @@ def boundary_profile(m: HarmonicMap, eps: float = 1e-3, n: int = 2048) -> Bounda
     """
     if n < 256 or n & (n - 1):
         raise ParameterError("profile size must be a power of two, at least 256")
-    if not 0.0 < eps < 0.5:
-        raise ParameterError("ring offset must lie in (0, 0.5)")
+    if not EPS_MIN <= eps < 0.5:
+        raise ParameterError(f"ring offset eps must lie in [{EPS_MIN:g}, 0.5)")
     nodes = geometry.circle_nodes(n)
     values = np.empty(n)
     drift = 0.0

@@ -8,8 +8,8 @@ integral over rho of |f_z(rho e^{i theta}) + e^{-2 i theta} f_zb(rho e^{i theta}
 For the catalog maps this integrand grows like (1 - rho)^{-3} near the
 circle, so the quadrature pre-splits geometrically toward the endpoint of
 each segment that ends beyond 0.9.  A profile integrates all its segments
-in one ``adaptive_quads`` call and evaluates the 24-point max-scan grids of
-all segments in one ``value`` call.
+in one ``adaptive_quads`` call, evaluates f once, on the 24-point max-scan
+grids of all segments, and takes every other number by array reductions.
 """
 
 from __future__ import annotations
@@ -47,23 +47,6 @@ def _ray_speed(m: HarmonicMap, theta: float):
     return speed
 
 
-def _polished_max(m: HarmonicMap, e: complex, rho, vals) -> float:
-    """Maximum of |f(rho e)| over the grid rho, given as ``vals``, with every
-    interior local grid maximum polished by golden-section search."""
-    best = float(vals.max())
-
-    def f(x):
-        return float(np.abs(m.value(x * e)))
-
-    interior = np.nonzero(
-        (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-    )[0] + 1
-    for i in interior:
-        _, v = golden_max(f, rho[i - 1], rho[i + 1])
-        best = max(best, v)
-    return best
-
-
 @dataclass(eq=False)
 class RadialProfile:
     """Per-radius record of length, modulus, running max, gauge and ratio."""
@@ -92,16 +75,18 @@ class RadialProfile:
 
 def radial_profile(m: HarmonicMap, theta: float, r_grid,
                    config: Config = None) -> RadialProfile:
-    """Build the radial profile incrementally over an increasing r grid.
+    """Build the radial profile over an increasing r grid.
 
-    Lengths accumulate segment by segment, each segment integrated to
-    relative tolerance ``config.tol / 4``; the running maximum refines local
-    maxima inside each new segment, so both are consistent across the grid.
-    ``converged`` is false if any segment's quadrature did not converge.
-    All segments are integrated by one ``adaptive_quads`` call (one speed
-    call for their first GK15 pass, one per bisection) and their max-scan
-    grids evaluated by one ``value`` call; the golden-section polish and
-    the running maximum still go segment by segment.
+    The segments between consecutive radii (the first from 0) are each
+    integrated to relative tolerance ``config.tol / 4``, all by one
+    ``adaptive_quads`` call (one speed call for their first GK15 pass, one
+    per bisection), and ``ell`` is their running sum.  ``converged`` is
+    false if any segment's quadrature did not converge.  |f| is evaluated
+    by one ``value`` call on a 24-point grid per segment: each row's last
+    point is its radius, which gives ``abs_f``, and the running maximum
+    ``m_f`` accumulates the row maxima, each interior grid maximum polished
+    by golden-section search.  A NaN of |f| stays in ``m_f`` from its
+    segment on.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     # written as "not (good)" so that an empty, NaN or infinite grid fails too
@@ -117,22 +102,21 @@ def radial_profile(m: HarmonicMap, theta: float, r_grid,
     cuts = [cut_list(lo, hi, endpoint_cluster(lo, hi) if hi > 0.9 else None)
             for lo, hi in zip(los, r_grid)]
     quads = adaptive_quads(_ray_speed(m, theta), cuts, abs_tol=0.0, rel_tol=rel_tol)
+    ell = np.cumsum([q.value for q in quads])
+    err = np.cumsum([q.error for q in quads])
     grids = np.linspace(los, r_grid, 24, axis=1)
     scans = np.abs(m.value(grids * e))
-    ell = np.empty_like(r_grid)
-    err = np.empty_like(r_grid)
-    m_f = np.empty_like(r_grid)
-    total = 0.0
-    total_err = 0.0
-    running = abs(complex(m.value(0.0 + 0.0j)))
-    for k, q in enumerate(quads):
-        total += q.value
-        total_err += q.error
-        ell[k] = total
-        err[k] = total_err
-        running = max(running, _polished_max(m, e, grids[k], scans[k]))
-        m_f[k] = running
-    abs_f = np.abs(m.value(r_grid * e))
+    best = scans.max(axis=1)
+
+    def f(x):
+        return float(np.abs(m.value(x * e)))
+
+    mid = scans[:, 1:-1]
+    for k, j in zip(*np.nonzero((mid >= scans[:, :-2]) & (mid >= scans[:, 2:]))):
+        _, v = golden_max(f, grids[k, j], grids[k, j + 2])
+        best[k] = np.maximum(best[k], v)  # np.maximum keeps a NaN
+    m_f = np.maximum.accumulate(best)
+    abs_f = scans[:, -1]  # linspace ends each row exactly at its radius
     psi = growth_gauge(r_grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(psi * m_f > 0, ell / (m_f * psi), np.inf)

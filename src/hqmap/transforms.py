@@ -63,8 +63,8 @@ def shear_qc(h: AnalyticPart, big_k: float) -> HarmonicMap:
     constant equals K exactly at every point.  Univalence of the analytic
     part is trusted catalog metadata, not verified.
     """
-    if big_k < 1.0:
-        raise ParameterError("shear parameter K must be >= 1")
+    if not 1.0 <= big_k < np.inf:  # "not (inside)", so NaN fails too
+        raise ParameterError(f"shear parameter K must be finite and >= 1, got K = {big_k!r}")
     mu = (big_k - 1.0) / (big_k + 1.0)
     base = h.name if isinstance(h, CatalogPart) else "series"
     g = ComboPart(((mu + 0.0j, h),)) if mu != 0 else SeriesPart((0.0j,))

@@ -48,6 +48,30 @@ def nan_norm_map(corpus):
     return NanNormMap(corpus["convex-poly2"])
 
 
+class NanValueMap:
+    """Forwards to a map, but its value is NaN at one interior point (row 1,
+    middle column) of every 2-D ``value`` call."""
+
+    label = "nan-value"
+
+    def __init__(self, m):
+        self.m = m
+
+    def value(self, z):
+        w = np.array(self.m.value(z), dtype=complex)
+        if w.ndim == 2:
+            w[1, w.shape[1] // 2] = np.nan
+        return w
+
+    def wirtinger(self, z):
+        return self.m.wirtinger(z)
+
+
+@pytest.fixture
+def nan_value_map(corpus):
+    return NanValueMap(corpus["koebe"])
+
+
 class TinyNormMap:
     """Forwards to a map, but f_z is 1e-310 and f_zb is 0 at the point
     ``at``, so a weighted-norm ratio with that point below overflows."""

@@ -25,7 +25,9 @@ from hqmap.geometry import (
     wrap_angle,
 )
 from hqmap import geometry
-from hqmap.maps import HarmonicMap, ParameterError, SeriesPart
+from hqmap.bounds import check_arc_image_diameter
+from hqmap.maps import EPS_MIN, HarmonicMap, ParameterError, SeriesPart
+from hqmap.poisson import boundary_profile
 
 
 def polar(r, t):
@@ -299,6 +301,19 @@ def test_boundary_distance_identity(corpus):
     assert d0.value == pytest.approx(1.0, abs=1e-3)
     assert d0.converged
     assert boundary_distance(ident, 0.5, eps=1e-4, n=4096).value == pytest.approx(0.5, abs=1e-3)
+
+
+@pytest.mark.parametrize("run", [
+    lambda m, eps: boundary_distance(m, 0.1, eps=eps),
+    lambda m, eps: boundary_profile(m, eps=eps, n=256),
+    lambda m, eps: check_arc_image_diameter(m, 1.0, 2.0, [0.9 + 0j], (1.0, 1.0), eps=eps),
+], ids=["boundary_distance", "boundary_profile", "arc_image_diameter"])
+def test_a_ring_offset_below_the_floor_is_an_input_error(run, corpus):
+    # below about 3e-16 a (1 - eps) ring node rounds onto or past the circle
+    for eps in (1e-17, 2.3e-16, 9e-16, 0.0, -1e-4, math.nan):
+        with pytest.raises(ParameterError, match=r"ring offset eps must lie in \[1e-15, "):
+            run(corpus["identity"], eps)
+    run(corpus["identity"], EPS_MIN)
 
 
 def test_boundary_distance_scaled_disk():

@@ -285,12 +285,36 @@ def test_radial_profile_budget_matches_reference(monkeypatch):
     _assert_same_profile(got, _ref_profile(koebe, 0.0, GRID, Config(tol=4e-13)))
 
 
+def _bump():
+    # h' = 0 at |z| = 0.807, angle 0.861: a library map for rays that miss
+    # that zero, where |f| has an interior maximum along the ray
+    h = SeriesPart((0j, 1 + 0j, 0.01 + 0.45j, -0.21 + 0.27j))
+    return HarmonicMap(h, ZERO, "bump")
+
+
+@pytest.mark.parametrize("r_grid", [1.0 - np.geomspace(0.9, 1.0 - R_CAP, 24),
+                                    1.0 - np.geomspace(0.49, 1.0 - R_CAP, 40)],
+                         ids=["report", "growth"])
+def test_radial_profile_matches_reference_where_it_polishes(r_grid, monkeypatch):
+    polished = []
+
+    def counting(fun, a, b):
+        polished.append((a, b))
+        return golden_max(fun, a, b)
+
+    monkeypatch.setattr(radial, "golden_max", counting)
+    got = radial_profile(_bump(), math.pi / 4, r_grid)
+    assert polished
+    _assert_same_profile(got, _ref_profile(_bump(), math.pi / 4, r_grid))
+
+
 def test_profile_makes_one_speed_call_per_pass(monkeypatch):
     # all first-pass nodes of the 40 segments go through one speed call, and
-    # each bisection through one more; the max-scan grids are one value call
+    # each bisection through one more; |f| is one value call on the max-scan
+    # grids, and every other value call is a scalar one of the polish
     real_speed, real_quads = radial._ray_speed, radial.adaptive_quads
     real_value = HarmonicMap.value
-    speed_calls, value_sizes, runs = [], [], []
+    speed_calls, value_calls, runs, polishing = [], [], [], []
 
     def counting_speed(m, theta):
         speed = real_speed(m, theta)
@@ -307,19 +331,30 @@ def test_profile_makes_one_speed_call_per_pass(monkeypatch):
         return out
 
     def counting_value(self, z):
-        value_sizes.append(np.size(z))
+        value_calls.append((np.shape(z), bool(polishing)))
         return real_value(self, z)
+
+    def marking(fun, a, b):
+        polishing.append(True)
+        try:
+            return golden_max(fun, a, b)
+        finally:
+            polishing.pop()
 
     monkeypatch.setattr(radial, "_ray_speed", counting_speed)
     monkeypatch.setattr(radial, "adaptive_quads", spying)
+    monkeypatch.setattr(radial, "golden_max", marking)
     monkeypatch.setattr(HarmonicMap, "value", counting_value)
     r_grid = 1.0 - np.geomspace(0.49, 1.0 - R_CAP, 40)
-    radial_profile(default_corpus()["koebe"], 0.3, r_grid, Config(tol=1e-13))
-    (cuts, quads), = runs
-    first = sum(len(c) - 1 for c in cuts)
-    bisections = sum(q.intervals - (len(c) - 1) for c, q in zip(cuts, quads))
-    assert len(cuts) == 40 and bisections > 0
-    assert speed_calls == [15 * first] + [30] * bisections
-    # the scalar calls are m.value(0) and the golden-section polish
-    assert sorted(set(value_sizes)) == [1, 40, 40 * 24]
-    assert value_sizes.count(40) == value_sizes.count(40 * 24) == 1
+    # koebe is starlike, so |f| grows along the ray and nothing is polished
+    for m, polishes in [(default_corpus()["koebe"], False), (_bump(), True)]:
+        del speed_calls[:], value_calls[:], runs[:]
+        radial_profile(m, math.pi / 4, r_grid, Config(tol=1e-13))
+        (cuts, quads), = runs
+        first = sum(len(c) - 1 for c in cuts)
+        bisections = sum(q.intervals - (len(c) - 1) for c, q in zip(cuts, quads))
+        assert len(cuts) == 40 and bisections > 0
+        assert speed_calls == [15 * first] + [30] * bisections
+        assert [shape for shape, polish in value_calls if not polish] == [(40, 24)]
+        assert all(shape == () for shape, polish in value_calls if polish)
+        assert (len(value_calls) > 1) == polishes, m.label

@@ -12,8 +12,8 @@ from hqmap import (
     radial_profile,
     shear_qc,
 )
-from hqmap import quadrature, radial
-from hqmap.maps import R_CAP, Config, HarmonicMap, ParameterError, SeriesPart
+from hqmap import cli, quadrature, radial
+from hqmap.maps import R_CAP, Config, HarmonicMap, HqmapError, ParameterError, SeriesPart
 from hqmap.suites import _CLASSICAL_BOUNDS, suite_radial_growth
 
 from conftest import seeded_harmonic
@@ -131,6 +131,17 @@ def test_profile_running_max_interior_peak():
     prof = radial_profile(m, 0.0, np.array([0.9]))
     assert prof.m_f[0] == pytest.approx(0.3125, abs=1e-10)
     assert prof.abs_f[0] < 0.3125  # the endpoint is not the max
+
+
+def test_a_nan_on_the_ray_is_not_hidden_by_the_running_maximum(nan_value_map):
+    # the NaN sits inside the second segment's max-scan grid
+    radii = np.array([0.2, 0.5, 0.9])
+    prof = radial_profile(nan_value_map, 0.0, radii)
+    assert np.all(np.isfinite(prof.abs_f)) and np.isfinite(prof.m_f[0])
+    assert np.all(np.isnan(prof.m_f[1:]))
+    with pytest.raises(HqmapError) as err:
+        cli._radial_files(nan_value_map, 0.0, radii, Config())
+    assert str(err.value) == "nan-value: radial m_f is not finite on the ray theta = 0.0"
 
 
 def test_profile_csv(corpus):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -73,8 +75,15 @@ def test_shear_identity_k3(corpus):
 
 
 def test_shear_k_below_one():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="shear parameter K"):
         shear_qc(CatalogPart("identity"), 0.5)
+
+
+@pytest.mark.parametrize("big_k", [math.nan, math.inf, -math.inf])
+def test_shear_k_must_be_finite(big_k):
+    with pytest.raises(ParameterError, match=f"shear parameter K must be finite and >= 1, "
+                                              f"got K = {big_k!r}"):
+        shear_qc(CatalogPart("koebe"), big_k)
 
 
 @pytest.mark.parametrize("big_k", [1.0, 2.0, 5.0, 10.0])

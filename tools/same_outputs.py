@@ -16,7 +16,9 @@ fresh interpreter with that root's ``src`` (and, for the corpora, its
 - ``poisson koebe`` at level 1 and ``john shear-k3`` on the built-ins, with
   ``--out``.  In ``report`` only the first map meets the process's cold
   sample caches (``geometry.circle_nodes``, criterion (iii)'s level
-  boxes), so these single-map runs check the cold path for other maps.
+  boxes), so these single-map runs check the cold path for other maps;
+- ``radial koebe`` at theta = 0.3 on the radii 0.2, 0.5, 0.9 and 0.99,
+  with ``--out``: ``report`` writes radial profiles at theta = 0 only.
 
 Each run's exit code, standard output and standard error are kept beside
 its output files, and compared byte for byte like them; a run that
@@ -56,6 +58,7 @@ RUNS = {
                              "--seed", "1", "check", suite] for suite in SUITES},
     "poisson-koebe-l1": ["--grid-level", "1", "poisson", "koebe"],
     "john-shear-k3": ["john", "shear-k3"],
+    "radial-koebe": ["radial", "koebe", "0.3", "0.2,0.5,0.9,0.99"],
 }
 
 _WRITE_CORPUS = ("import sys, pathlib, corpus_gen\n"
