@@ -7,9 +7,9 @@ takes over.  Integrands must be vectorized (array in, array out).
 
 ``adaptive_quads`` integrates many integrals of one integrand together:
 their first GK15 pass is one call of the integrand over the nodes of every
-initial interval, and each later bisection one call over both halves.
-Batching moves no bit: every interval sees the same nodes and the same
-floating-point operations.
+initial interval, and each later round one call over both halves of the
+worst interval of every integral still open.  Batching moves no bit: every
+interval sees the same nodes and the same floating-point operations.
 """
 
 from __future__ import annotations
@@ -56,33 +56,23 @@ class QuadResult(NamedTuple):
 
 
 def _gk15(f: Callable, a, b):
-    """GK15 value and error estimate on each interval [a, b], as two arrays,
-    from one call of f over the 15 nodes of every interval.  The weighted
-    sums are taken row by row with ``np.dot``: one matrix-vector product
-    over all rows rounds differently.
-    """
+    """GK15 values and error estimates of the intervals [a, b], as the rows
+    of one (2, n) array, from one call of f over the 15 nodes of each.
+    ``np.vecdot`` has ``np.dot``'s bits and ``np.float_power`` Python's
+    ``**`` bits; ``rows @ _WK`` and ``np.power`` round differently."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
     nodes = (0.5 * (a + b))[:, None] + half[:, None] * _XK
     rows = np.asarray(f(nodes.ravel()), dtype=float).reshape(-1, _XK.size)
-    values, errors = [], []
-    for h, vals in zip(half.tolist(), rows):
-        k = h * float(np.dot(_WK, vals))
-        g = h * float(np.dot(_WG, vals[1::2]))
-        diff = abs(k - g)
-        values.append(k)
-        # (200 diff)^1.5 < diff only when diff < 200^-3 = 1.25e-7, so the
-        # power is taken only below 1e-6, where it cannot overflow
-        errors.append(min(diff, (200.0 * diff) ** 1.5) if diff < 1e-6 else diff)
-    return np.array(values), np.array(errors)
-
-
-def _sum_in_order(x) -> float:
-    """0.0 + x[0] + x[1] + ... added left to right, as Python 3.11's
-    ``sum()`` adds floats (``np.sum`` adds pairwise, and Python 3.12's
-    ``sum()`` compensates)."""
-    return 0.0 + float(np.cumsum(x)[-1])
+    values = half * np.vecdot(rows, _WK)
+    errors = np.abs(values - half * np.vecdot(rows[:, 1::2], _WG))
+    # (200 diff)^1.5 < diff only when diff < 200^-3 = 1.25e-7, so the power
+    # is taken only below 1e-6, where it cannot overflow
+    small = errors < 1e-6
+    diff = errors[small]
+    errors[small] = np.minimum(diff, np.float_power(200.0 * diff, 1.5))
+    return np.array((values, errors))
 
 
 def cut_list(a: float, b: float, presplit=None) -> list:
@@ -96,71 +86,79 @@ def cut_list(a: float, b: float, presplit=None) -> list:
 
 def adaptive_quads(f: Callable, cuts, abs_tol: float = 1e-12,
                    rel_tol: float = 1e-9) -> list:
-    """Integrate f over [c[0], c[-1]] for each non-decreasing cut list c,
-    starting from the intervals between consecutive cuts; one
+    """Integrate f over [c[0], c[-1]] for each finite, non-decreasing cut
+    list c, starting from the intervals between consecutive cuts; one
     ``QuadResult`` per cut list.  A one-point cut list is an empty integral.
 
     The first GK15 pass over every initial interval of every integral is
-    one call of f.  Then each integral, in turn, bisects its worst interval
-    (the first one of largest error estimate, both halves in one call of f)
-    until the summed error estimate drops below
-    max(abs_tol, rel_tol * |integral|).  On budget exhaustion
-    (``MAX_INTERVALS`` subintervals) the best value is returned with
-    ``converged=False`` rather than raising.
-
+    one call of f; each round then makes one more, over the halves of the
+    worst interval (the first one of largest error estimate) of every
+    integral whose summed error estimate is above max(abs_tol, rel_tol *
+    |integral|).  An integral that reaches ``MAX_INTERVALS`` subintervals
+    returns its best value with ``converged=False``; a NaN error estimate,
+    where a GK15 sum overflowed, ends it at once, NaN and unconverged.
     Sums run over the intervals in the order they were made (a bisection
-    retires the worst interval and appends its two halves), left to right,
-    so they are Python 3.11's float ``sum()`` over a list kept in that
-    order, bit for bit.
-    A NaN error estimate, where a GK15 sum overflowed, ends an integral
-    at once, NaN and unconverged: bisection would spend the whole budget.
+    retires the worst interval and appends its two halves), left to right:
+    Python 3.11's float ``sum()`` over that list, bit for bit.
     """
     cuts = [[float(x) for x in c] for c in cuts]
+    # written as "not (good)" so that a NaN cut or tolerance fails too
     for c in cuts:
-        if not c or any(hi < lo for lo, hi in zip(c, c[1:])):
-            raise ValueError("each cut list must be non-empty and non-decreasing")
-    los = [lo for c in cuts for lo in c[:-1]]
-    his = [hi for c in cuts for hi in c[1:]]
-    val, err = _gk15(f, los, his) if los else (None, None)
-    results = []
-    start = 0
-    for c in cuts:
-        stop = start + len(c) - 1
-        if stop == start:
-            results.append(QuadResult(0.0, 0.0, True, 0))
-        else:
-            results.append(_bisect(f, list(zip(c[:-1], c[1:])), val[start:stop],
-                                   err[start:stop], abs_tol, rel_tol))
-        start = stop
-    return results
-
-
-def _bisect(f, ends, val, err, abs_tol, rel_tol) -> QuadResult:
-    """The bisection loop of one integral from its first-pass intervals
-    ``ends`` with values ``val`` and error estimates ``err``.  A retired
-    interval keeps its slot with value and error 0.0, which adds nothing
-    to a sum and is never the worst while some live error is positive."""
-    live = used = len(ends)
+        if not (c and all(map(math.isfinite, c)) and c == sorted(c)):
+            raise ValueError("each cut list must be non-empty, finite and non-decreasing")
+    if not (abs_tol >= 0 and rel_tol >= 0):
+        raise ValueError(f"quadrature tolerances must be non-negative: {abs_tol!r}, {rel_tol!r}")
+    results = [QuadResult(0.0, 0.0, True, 0)] * len(cuts)
+    index = np.array([i for i, c in enumerate(cuts) if len(c) > 1], dtype=int)
+    if not index.size:
+        return results
+    live = np.array([len(cuts[i]) - 1 for i in index])
+    # Row r is integral index[r]; its slots hold, in the order they were
+    # made, a zero slot, the first-pass intervals, zero slots up to the widest
+    # first pass and two halves per round: ends (lo, hi), ve (value, error)
+    # and acc the running sums of ve, so from 0.0 as Python's sum() starts.
+    # A retired interval, like a zero slot, has value and error 0.0: it adds
+    # nothing to a sum and is never the worst while some error is positive.
+    used = int(live.max()) + 1
+    ends, ve, acc = (np.zeros((2, index.size, 2 * used)) for _ in range(3))
+    first = np.arange(1, used) <= live[:, None]
+    # one-point cut lists add no interval, so these are the rows' in order
+    lo = [x for c in cuts for x in c[:-1]]
+    hi = [x for c in cuts for x in c[1:]]
+    ends[:, :, 1:used][:, first] = lo, hi
+    ve[:, :, 1:used][:, first] = _gk15(f, lo, hi)
+    acc[:, :, :used] = np.cumsum(ve[:, :, :used], axis=2)
     while True:
-        total = _sum_in_order(val[:used])
-        err_total = _sum_in_order(err[:used])
-        if err_total <= max(abs_tol, rel_tol * abs(total)):
-            return QuadResult(total, err_total, True, live)
-        if live >= MAX_INTERVALS or math.isnan(err_total):
-            return QuadResult(total, err_total, False, live)
-        if used == len(val):
-            # room for every bisection the budget allows; copies the
-            # first-pass slice, so the batch arrays are never written
-            room = np.empty(2 * (MAX_INTERVALS - live))
-            val = np.concatenate((val, room))
-            err = np.concatenate((err, room))
-        worst = int(np.argmax(err[:used]))
-        lo, hi = ends[worst]
-        mid = 0.5 * (lo + hi)
-        val[worst] = err[worst] = 0.0
-        val[used:used + 2], err[used:used + 2] = _gk15(f, [lo, mid], [mid, hi])
-        ends += [(lo, mid), (mid, hi)]
+        total, err_total = acc[:, :, used - 1]
+        bound = np.fmax(abs_tol, rel_tol * np.abs(total))
+        # a NaN error total is neither above nor below the bound: it ends at once
+        bisect = (err_total > bound) & (live < MAX_INTERVALS)
+        if not bisect.all():
+            converged = err_total <= bound
+            for r in np.flatnonzero(~bisect):
+                results[index[r]] = QuadResult(float(total[r]), float(err_total[r]),
+                                               bool(converged[r]), int(live[r]))
+            if not bisect.any():
+                return results
+            index, live = index[bisect], live[bisect]
+            ends, ve, acc = (x[:, bisect] for x in (ends, ve, acc))
+        if used + 2 > ve.shape[2]:
+            ends, ve, acc = (np.concatenate((x, np.zeros_like(x)), axis=2)
+                             for x in (ends, ve, acc))
+        rows = np.arange(index.size)
+        worst = np.argmax(ve[1, :, :used], axis=1)
+        lo_hi = ends[:, rows, worst]
+        ve[:, rows, worst] = 0.0
+        # the halves (lo, mid) and (mid, hi) go into slots used and used + 1
+        halves = slice(used, used + 2)
+        ends[:, :, halves] = lo_hi[:, :, None]
+        ends[1, :, used] = ends[0, :, used + 1] = 0.5 * (lo_hi[0] + lo_hi[1])
+        ve[:, :, halves] = _gk15(f, *ends[:, :, halves].reshape(2, -1)).reshape(2, -1, 2)
+        # the sums before the leftmost retired slot stand: add on from there
+        start = int(worst.min())
         used += 2
+        tail = np.concatenate((acc[:, :, start - 1:start], ve[:, :, start:used]), axis=2)
+        acc[:, :, start - 1:used] = np.cumsum(tail, axis=2)
         live += 1
 
 

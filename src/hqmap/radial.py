@@ -80,7 +80,7 @@ def radial_profile(m: HarmonicMap, theta: float, r_grid,
     The segments between consecutive radii (the first from 0) are each
     integrated to relative tolerance ``config.tol / 4``, all by one
     ``adaptive_quads`` call (one speed call for their first GK15 pass, one
-    per bisection), and ``ell`` is their running sum.  ``converged`` is
+    per round of bisections), and ``ell`` is their running sum.  ``converged`` is
     false if any segment's quadrature did not converge.  |f| is evaluated
     by one ``value`` call on a 24-point grid per segment: each row's last
     point is its radius, which gives ``abs_f``, and the running maximum

@@ -1,5 +1,8 @@
 """Batched GK15 quadrature and the batched radial profile, each against a
-copy of the one-integral, one-segment code it replaced, bit for bit."""
+copy of the one-integral, one-segment code it replaced, bit for bit: the
+loop-free GK15 rows against one ``np.dot`` per row, the round-by-round
+bisection of a batch against each integral bisected alone, and the profile
+against one quadrature per segment."""
 
 import io
 import math
@@ -26,7 +29,8 @@ GRID = [0.05, 0.5, 0.93, 0.95, 0.99, 0.999]
 
 
 # ---------------------------------------------------------------------------
-# reference: one GK15 call of f per interval, lists re-summed per bisection
+# reference: one GK15 call of f per interval, lists re-summed per bisection,
+# a NaN error total ends the integral
 
 
 def _ref_gk15(f, a, b):
@@ -66,7 +70,7 @@ def _ref_quad(f, a, b, abs_tol=1e-12, rel_tol=1e-9, presplit=None):
         err_total = _sum_left(s[0] for s in segs)
         if err_total <= max(abs_tol, rel_tol * abs(total)):
             return QuadResult(total, err_total, True, len(segs))
-        if len(segs) >= quadrature.MAX_INTERVALS:
+        if len(segs) >= quadrature.MAX_INTERVALS or math.isnan(err_total):
             return QuadResult(total, err_total, False, len(segs))
         worst = max(range(len(segs)), key=lambda i: segs[i][0])
         _, lo, hi, _ = segs.pop(worst)
@@ -106,16 +110,57 @@ def test_adaptive_quad_matches_reference(case):
     assert _bits(got) == _bits(_ref_quad(f, a, b, abs_tol, rel_tol, presplit))
 
 
-def test_adaptive_quads_matches_reference_per_integral():
-    # one batch of all cases: each result is its own integral's, bit for bit
-    cases = [CASES[name] for name in sorted(CASES)]
-    # every case shares one integrand here, so the batch can run them together
-    f = CASES["kink-bisects"][0]
-    cuts = [cut_list(a, b, presplit) for _, a, b, _, _, presplit in cases]
-    got = adaptive_quads(f, cuts, abs_tol=0.0, rel_tol=1e-12)
-    want = [_ref_quad(f, a, b, 0.0, 1e-12, presplit) for _, a, b, _, _, presplit in cases]
+def _piecewise(x):
+    # one integrand for integrals that stop for different reasons
+    return np.select([x < 2, x < 4, x < 6, x < 8],
+                     [np.exp(x), np.abs(x - 2.3137), np.sqrt(np.abs(x - 4.0)), _jump(x)],
+                     1e308)
+
+
+# cut lists of _piecewise and how each stops at rel_tol 1e-12 and a budget of 60
+MIXED = [
+    (cut_list(0.0, 0.5), "first pass"),
+    (cut_list(2.0, 3.0), "bisects"),
+    (cut_list(4.0, 5.0, endpoint_cluster(4.0, 5.0)), "bisects"),
+    (cut_list(6.0, 7.0), "budget"),
+    (cut_list(8.0, 9.0, [8.5]), "nan"),
+    ([10.0], "empty"),
+]
+
+
+def test_adaptive_quads_matches_reference_per_integral(monkeypatch):
+    # one batch of integrals that stop on their first pass, after many
+    # bisections, at the budget, on a NaN error or at once (empty), with the
+    # cut lists of every case: each result is its own integral's, bit for
+    # bit, and every open integral bisects in the same round, so f is called
+    # once for the first pass and once per round
+    monkeypatch.setattr(quadrature, "MAX_INTERVALS", 60)
+    cuts = [c for c, _ in MIXED] + [cut_list(a, b, presplit)
+                                    for _, a, b, _, _, presplit in CASES.values()]
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return _piecewise(x)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = adaptive_quads(f, cuts, abs_tol=0.0, rel_tol=1e-12)
+        want = [_ref_quad(_piecewise, c[0], c[-1], 0.0, 1e-12, c[1:-1]) for c in cuts]
     assert [_bits(q) for q in got] == [_bits(q) for q in want]
-    assert got[sorted(CASES).index("a-equals-b")] == QuadResult(0.0, 0.0, True, 0)
+    bisections = [q.intervals - (len(c) - 1) for c, q in zip(cuts, got)]
+    stops = {
+        "first pass": lambda q, b: q.converged and b == 0,
+        "bisects": lambda q, b: q.converged and b > 10,
+        "budget": lambda q, b: not q.converged and q.intervals == 60 and math.isfinite(q.error),
+        "nan": lambda q, b: not q.converged and math.isnan(q.error) and b == 0,
+        "empty": lambda q, b: q == QuadResult(0.0, 0.0, True, 0),
+    }
+    for (c, stop), q, b in zip(MIXED, got, bisections):
+        assert stops[stop](q, b), (c, stop, q)
+    first = sum(len(c) - 1 for c in cuts)
+    rounds = [sum(b > k for b in bisections) for k in range(max(bisections))]
+    assert calls == [15 * first] + [30 * n for n in rounds]
+    assert len(calls) == 1 + max(bisections)
 
 
 @pytest.mark.parametrize("budget", [3, 9])
@@ -135,9 +180,15 @@ def test_jump_integrand_at_the_real_budget_matches_reference():
 def test_bounds_and_cut_lists_are_checked():
     with pytest.raises(ValueError, match="non-decreasing"):
         adaptive_quads(np.exp, [cut_list(1.0, 0.0)])
-    for cuts in ([], [0.0, 0.5, 0.4]):
-        with pytest.raises(ValueError, match="non-decreasing"):
+    # a NaN cut passed the order check, and returned a NaN, unconverged result
+    for cuts in ([], [0.0, 0.5, 0.4], [0.0, math.nan, 1.0], [math.nan], [0.0, math.inf],
+                 [-math.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite and non-decreasing"):
             adaptive_quads(np.exp, [[0.0, 1.0], cuts])
+    # a NaN or negative tolerance bisected to the budget, 0.27 s an integral
+    for tols in ((math.nan, 1e-9), (1e-12, math.nan), (-1e-12, 1e-9), (1e-12, -1e-9)):
+        with pytest.raises(ValueError, match="tolerances must be non-negative"):
+            adaptive_quads(np.exp, [[0.0, 1.0]], *tols)
 
 
 def test_gk15_batch_rows_are_the_single_interval_pairs():
@@ -151,6 +202,21 @@ def test_gk15_batch_rows_are_the_single_interval_pairs():
     for k in range(a.size):
         val, err = quadrature._gk15(f, [float(a[k])], [float(b[k])])
         assert (vals[k], errs[k]) == (val[0], err[0]) == _ref_gk15(f, a[k], b[k])
+    # np.vecdot must give np.dot's bits and np.float_power Python's **
+    # bits, row by row, over values from 1e-150 to 1e150; half of the rows
+    # are near-constant, so that their error estimate takes the clamp
+    rng = np.random.default_rng(28)
+    n = 4000
+    scale = 10.0 ** rng.uniform(-150.0, 150.0, (n, 1))
+    wobble = np.where(np.arange(n)[:, None] % 2, 1e-9, 1.0)
+    rows = scale * (1.0 + wobble * rng.standard_normal((n, quadrature._XK.size)))
+    a = rng.uniform(-1.0, 1.0, n)
+    b = a + 10.0 ** rng.uniform(-12.0, 1.0, n)
+    vals, errs = quadrature._gk15(lambda x: rows.ravel(), a, b)
+    want = [_ref_gk15(lambda x, row=row: row, lo, hi) for row, lo, hi in zip(rows, a, b)]
+    assert vals.tolist() == [k for k, _ in want]
+    assert errs.tolist() == [e for _, e in want]
+    assert n // 4 < np.count_nonzero(errs < 1e-6) < 3 * n // 4
 
 
 def test_gk15_error_estimate_cannot_overflow():
@@ -310,7 +376,8 @@ def test_radial_profile_matches_reference_where_it_polishes(r_grid, monkeypatch)
 
 def test_profile_makes_one_speed_call_per_pass(monkeypatch):
     # all first-pass nodes of the 40 segments go through one speed call, and
-    # each bisection through one more; |f| is one value call on the max-scan
+    # each round of bisections, both halves of every segment still open,
+    # through one more; |f| is one value call on the max-scan
     # grids, and every other value call is a scalar one of the polish
     real_speed, real_quads = radial._ray_speed, radial.adaptive_quads
     real_value = HarmonicMap.value
@@ -352,9 +419,10 @@ def test_profile_makes_one_speed_call_per_pass(monkeypatch):
         radial_profile(m, math.pi / 4, r_grid, Config(tol=1e-13))
         (cuts, quads), = runs
         first = sum(len(c) - 1 for c in cuts)
-        bisections = sum(q.intervals - (len(c) - 1) for c, q in zip(cuts, quads))
-        assert len(cuts) == 40 and bisections > 0
-        assert speed_calls == [15 * first] + [30] * bisections
+        bisections = [q.intervals - (len(c) - 1) for c, q in zip(cuts, quads)]
+        rounds = [sum(b > k for b in bisections) for k in range(max(bisections))]
+        assert len(cuts) == 40 and rounds
+        assert speed_calls == [15 * first] + [30 * n for n in rounds]
         assert [shape for shape, polish in value_calls if not polish] == [(40, 24)]
         assert all(shape == () for shape, polish in value_calls if polish)
         assert (len(value_calls) > 1) == polishes, m.label
