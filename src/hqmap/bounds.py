@@ -16,6 +16,11 @@ For the analytic subfamily (g identically zero) with order 2 and K = 1 all
 predicates reduce to classical sharp distortion and growth theorems and
 must pass; for genuinely harmonic maps the order parameter is configured
 and the reports are advisory.
+
+This module owns every predicate's default sample: the pairs, the two disk
+grids and the triples are module arrays built once at import, read-only,
+and the Harnack point and the arc anchors are argument defaults.  A caller
+that passes no sample reads these, so the suites pass none.
 """
 
 from __future__ import annotations
@@ -77,6 +82,24 @@ def rel_margin(lhs, rhs):
 _SLACK = 1e-9
 _HARNACK_A = (1.0, 2.0, math.pi)
 
+# the default samples: the (z0, z1) pairs of the two-point growth line, with
+# the sharpness pairs through the origin along the real axis; the 48 x 64
+# derivative grid (both derivative lines are worst at z = 0 or on the cap at
+# angle 0, points that a denser grid only repeats); the 24 x 32 grid of the
+# boundary-distance line, also harmonic-advisory's K sample; and the
+# (xi, rho, r) columns of the triples, 0 <= rho <= r on 10 radii, 55 pairs
+# along each of 8 directions
+_PAIRS = np.array([(a, b) for a in (0.0, 0.3, 0.5j, -0.4, 0.2 - 0.3j, 0.7, 0.6j, -0.1 - 0.6j)
+                   for b in (0.5, -0.5, 0.8j, -0.7j, 0.3 + 0.4j, -0.2 + 0.2j, 0.9, -0.9)]
+                  + [(0.0, 0.5), (0.0, -0.5), (0.0, 0.9), (0.0, -0.9), (0.3, 0.3)],
+                  dtype=complex)
+_DERIV_GRID = geometry.disk_grid()
+_DIST_GRID = geometry.disk_grid(24, 32)
+_TRIPLES = (np.repeat(geometry.circle_nodes(8), 55),
+            *np.tile(np.linspace(0.0, 0.95, 10)[np.array(np.triu_indices(10))], 8))
+for _sample in (_PAIRS, _DERIV_GRID, _DIST_GRID, *_TRIPLES):
+    _sample.flags.writeable = False
+
 
 def _report(predicate, alpha, qc_k, margins, witnesses, slack, notes="",
             unconverged=None, samples=None) -> CheckReport:
@@ -117,22 +140,13 @@ def _exp2alpha(t, alpha):
 # two-point growth
 
 
-def default_pairs() -> np.ndarray:
-    """Deterministic (z0, z1) pairs, including the sharpness pairs through
-    the origin along the real axis."""
-    z0s = np.array([0.0, 0.3, 0.5j, -0.4, 0.2 - 0.3j, 0.7, 0.6j, -0.1 - 0.6j])
-    z1s = np.array([0.5, -0.5, 0.8j, -0.7j, 0.3 + 0.4j, -0.2 + 0.2j, 0.9, -0.9])
-    pairs = [(a, b) for a in z0s for b in z1s]
-    pairs += [(0.0, 0.5), (0.0, -0.5), (0.0, 0.9), (0.0, -0.9), (0.3, 0.3)]
-    return np.asarray(pairs, dtype=complex)
-
-
 def check_two_point_growth(m: HarmonicMap, alpha: float, qc_k: float,
                            pairs=None) -> CheckReport:
     """Two-sided bound on |f(z1)-f(z0)| / ((1-|z0|^2)|f_z(z0)|) between
     (1 - e^{-2 a lambda})/(a(1+K)) and K(e^{2 a lambda} - 1)/(a(1+K)),
-    where lambda is the hyperbolic distance of the pair."""
-    pairs = np.asarray(pairs if pairs is not None else default_pairs(), dtype=complex)
+    where lambda is the hyperbolic distance of the pair, on ``pairs`` or
+    else ``_PAIRS``."""
+    pairs = _PAIRS if pairs is None else np.asarray(pairs, dtype=complex)
     z0 = pairs[:, 0]
     z1 = pairs[:, 1]
     fz0 = np.abs(check_sense_preserving(m, z0).fz)
@@ -183,26 +197,16 @@ def derivative_bound_constant(alpha: float, qc_k: float) -> float:
     return c
 
 
-@functools.lru_cache(maxsize=None)
-def _default_grid() -> np.ndarray:
-    """``geometry.disk_grid()``, 48 radii by 64 angles, built once per
-    process, read-only.  Both derivative lines are worst at z = 0 or on the
-    cap at angle 0, points that a denser grid only repeats."""
-    pts = geometry.disk_grid()
-    pts.flags.writeable = False
-    return pts
-
-
 def check_derivative_bounds(m: HarmonicMap, alpha: float, qc_k: float,
                             points=None) -> tuple:
     """The lines ``deriv_distortion``, the two-sided distortion of the
     analytic part
     (1-|z|)^{a-1}/(1+|z|)^{a+1} <= |h'(z)| <= (1+|z|)^{a-1}/(1-|z|)^{a+1},
     and ``deriv_value_bound``, |z| dnorm(z) <= C |f(z)| / (1 - |z|) with the
-    closed-form constant, on ``points`` or else ``_default_grid()``.  |h'| =
+    closed-form constant, on ``points`` or else ``_DERIV_GRID``.  |h'| =
     |f_z| and the norm come from one checked read of the sample, and f from
     one ``value`` call."""
-    pts = _default_grid() if points is None else np.asarray(points, dtype=complex).ravel()
+    pts = _DERIV_GRID if points is None else np.asarray(points, dtype=complex).ravel()
     c = derivative_bound_constant(alpha, qc_k)
     t = np.abs(pts)
     w = check_sense_preserving(m, pts)
@@ -222,38 +226,12 @@ def check_derivative_bounds(m: HarmonicMap, alpha: float, qc_k: float,
 # radial quasi-monotonicity of the weighted derivative norm
 
 
-def default_triples() -> list:
-    radii = np.linspace(0.0, 0.95, 10)
-    angles = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-    triples = []
-    for a in angles:
-        xi = complex(np.exp(1j * a))
-        for i in range(len(radii)):
-            for j in range(i, len(radii)):
-                triples.append((xi, float(radii[i]), float(radii[j])))
-    return triples
-
-
-def _triple_arrays(triples) -> tuple:
-    """The xi, rho and r columns of (xi, rho, r) triples, read-only."""
-    cols = (np.array([t[0] for t in triples], dtype=complex),
-            np.array([t[1] for t in triples], dtype=float),
-            np.array([t[2] for t in triples], dtype=float))
-    for col in cols:
-        col.flags.writeable = False
-    return cols
-
-
-@functools.lru_cache(maxsize=None)
-def _default_triple_arrays() -> tuple:
-    """``default_triples()`` as columns, built once per process."""
-    return _triple_arrays(default_triples())
-
-
 def check_weighted_deriv_growth(m: HarmonicMap, alpha: float, triples=None) -> CheckReport:
     """(1-rho^2) dnorm(rho xi) <= e^{2 a lambda(rho, r)} (1-r^2) dnorm(r xi)
-    for 0 <= rho <= r < 1 and |xi| = 1."""
-    xi, rho, r = _default_triple_arrays() if triples is None else _triple_arrays(triples)
+    for 0 <= rho <= r < 1 and |xi| = 1, on the (xi, rho, r) ``triples`` or
+    else the columns ``_TRIPLES``."""
+    xi, rho, r = _TRIPLES if triples is None else (
+        np.array(col, dtype=dt) for col, dt in zip(zip(*triples), (complex, float, float)))
     lhs = (1.0 - rho ** 2) * finite_dnorm(m, rho * xi)
     t = (r - rho) / (1.0 - rho * r)
     rhs = _exp2alpha(t, alpha) * (1.0 - r ** 2) * finite_dnorm(m, r * xi)
@@ -274,9 +252,9 @@ def check_boundary_dist_lower(m: HarmonicMap, qc_k: float, points=None,
     did would break it (a 5 % rule fails near-boundary distances that clear
     the bound several times over).  Only the points with |z| <= 1 - 2 eps
     are sampled, the separation ``poisson_functional`` asks of its kernel
-    point: a point on or outside the ring has no distance the ring resolves."""
-    pts = np.asarray(points if points is not None else geometry.disk_grid(24, 32),
-                     dtype=complex).ravel()
+    point: a point on or outside the ring has no distance the ring resolves.
+    The sample is ``points`` or else ``_DIST_GRID``."""
+    pts = _DIST_GRID if points is None else np.asarray(points, dtype=complex).ravel()
     pts = pts[np.abs(pts) <= 1.0 - 2.0 * eps]
     if pts.size == 0:
         raise ParameterError(f"boundary_dist_lower: no sample point has |z| <= 1 - 2 eps "
@@ -316,7 +294,8 @@ def _harnack_box(z0: complex) -> np.ndarray:
     return pts[np.abs(pts) < 1.0]
 
 
-def check_harnack_box(m: HarmonicMap, qc_k: float, alpha: float, z0: complex) -> tuple:
+def check_harnack_box(m: HarmonicMap, qc_k: float, alpha: float,
+                      z0: complex = 0.9 + 0.0j) -> tuple:
     """The lines ``harnack_comparison``,
     dnorm(z0)/M <= dnorm(z) <= M dnorm(z0), and ``local_displacement``,
     |f(z) - f(z0)| <= K/(a(1+K)) ((M/2)^{2a/(1+a)} - 1) (1-|z0|^2)|f_z(z0)|,
@@ -344,9 +323,10 @@ def check_harnack_box(m: HarmonicMap, qc_k: float, alpha: float, z0: complex) ->
 # diameter of boundary-arc images
 
 
-def check_arc_image_diameter(m: HarmonicMap, qc_k: float, alpha: float,
-                             a_points, decay, eps: float = 1e-4) -> CheckReport:
-    """diam f((1-eps) I(a)) <= 32 K C d(f(a), image boundary), with
+def check_arc_image_diameter(m: HarmonicMap, qc_k: float, alpha: float, decay,
+                             a_points=(0.9 + 0.0j, 0.7j), eps: float = 1e-4) -> CheckReport:
+    """diam f((1-eps) I(a)) <= 32 K C d(f(a), image boundary) at each anchor
+    a in ``a_points``, with
     C = 2 pi e^{(1+a) pi} + (2 C35 e^{(1+a) pi} + C35)/delta from the fitted
     decay pair (C35, delta).  Requires a bounded image and delta in (0, 1]."""
     c35, delta = decay

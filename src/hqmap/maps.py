@@ -213,6 +213,17 @@ class ComboPart(AnalyticPart):
         return acc
 
 
+def _zero_part(p: AnalyticPart) -> bool:
+    """Whether ``p`` is zero by construction: a series whose coefficients
+    are all 0, or a combination each of whose terms has weight 0 or a zero
+    part.  No catalog entry is zero."""
+    if isinstance(p, SeriesPart):
+        return not any(p.coeffs)
+    if isinstance(p, ComboPart):
+        return all(w == 0 or _zero_part(q) for w, q in p.terms)
+    return False
+
+
 # conj(+0.0 + 0.0j): what a zero anti-analytic part contributes to f and f_zb
 _CONJ_ZERO = np.complex128(complex(0.0, -0.0))
 
@@ -270,8 +281,10 @@ class HarmonicMap:
 
     Recognized flags: ``SH`` (normalized sense-preserving univalent),
     ``SH0`` (additionally g'(0) = 0), ``analytic`` (g identically zero),
-    ``starlike``, ``convex``, ``bounded``.  The SH/SH0 normalizations are
-    verified at construction; geometric flags are trusted corpus metadata.
+    ``starlike``, ``convex``, ``bounded``.  The SH/SH0 normalizations and
+    ``analytic`` are verified at construction; ``analytic`` needs a g that
+    is zero by construction (see ``_zero_part``), since it picks the check
+    suite.  Geometric flags are trusted corpus metadata.
     """
 
     h: AnalyticPart
@@ -294,6 +307,8 @@ class HarmonicMap:
         if "SH0" in self.flags:
             if not abs(complex(self.g.d1(0.0 + 0.0j))) <= _FLAG_TOL:
                 raise ParameterError(f"{self.label}: SH0 flag requires g'(0) = 0")
+        if "analytic" in self.flags and not _zero_part(self.g):
+            raise ParameterError(f"{self.label}: analytic flag requires g = 0")
 
     # -- evaluation ---------------------------------------------------------
 

@@ -1,6 +1,8 @@
 """Named check suites over a corpus: bundles of inequality predicates with
 deterministic grids, used by the command-line runner and the tests.  Every
-suite reads fixed samples, so no suite reads ``config.grid_level``.
+suite reads fixed samples, so no suite reads ``config.grid_level``.  The
+inequality suites pass no sample: each predicate reads its default, which
+``bounds`` builds once at import.
 
 Suite results are lists of CheckReports in canonical order (predicate name,
 then witness), so repeated runs with the same manifest serialize to
@@ -19,12 +21,6 @@ from .maps import CatalogPart, Config, HarmonicMap, ParameterError, qc_constant
 from .transforms import shear_qc
 
 
-# the sample of each map's boundary_dist_lower line and of its K in
-# harmonic-advisory, built once, read-only
-_DIST_GRID = geometry.disk_grid(24, 32)
-_DIST_GRID.flags.writeable = False
-
-
 def _sorted_reports(reports) -> list:
     return sorted(
         reports,
@@ -34,7 +30,7 @@ def _sorted_reports(reports) -> list:
 
 def _inequality_family(m: HarmonicMap, alpha: float, qc_k: float, config: Config,
                        tag: str) -> list:
-    """The inequality predicates of one map, each on its fixed sample."""
+    """The inequality predicates of one map, each on its default sample."""
     eps = config.eps
     fit = johndisk.decay_fit(m) if "bounded" in m.flags else None
     try:
@@ -42,12 +38,12 @@ def _inequality_family(m: HarmonicMap, alpha: float, qc_k: float, config: Config
             bounds.check_two_point_growth(m, alpha, qc_k),
             *bounds.check_derivative_bounds(m, alpha, qc_k),
             bounds.check_weighted_deriv_growth(m, alpha),
-            bounds.check_boundary_dist_lower(m, qc_k, points=_DIST_GRID, eps=eps),
-            *bounds.check_harnack_box(m, qc_k, alpha, 0.9 + 0.0j),
+            bounds.check_boundary_dist_lower(m, qc_k, eps=eps),
+            *bounds.check_harnack_box(m, qc_k, alpha),
         ]
         if fit is not None and fit.hypothesis_holds():
-            out.append(bounds.check_arc_image_diameter(
-                m, qc_k, alpha, [0.9 + 0.0j, 0.7j], (fit.c, fit.delta), eps=eps))
+            out.append(bounds.check_arc_image_diameter(m, qc_k, alpha, (fit.c, fit.delta),
+                                                       eps=eps))
     except ParameterError as exc:
         # a non-finite margin names its predicate, not the map; a norm
         # error from ``finite_dnorm`` already names the map
@@ -76,15 +72,15 @@ def suite_harmonic_advisory(corpus: dict, config: Config) -> list:
     order of the family is unknown.
 
     Each map's quasiconformality constant is its supremum of dnorm/dmin on
-    a fixed grid, never a value looked up by label.  The grid value is only
-    a lower bound for the true one, so an explicitly configured K overrides
-    it upward.
+    the boundary-distance line's grid, never a value looked up by label.
+    The grid value is only a lower bound for the true one, so an explicitly
+    configured K overrides it upward.
     """
     reports = []
     for label in sorted(corpus):
         m = corpus[label]
         if not m.is_analytic():
-            qc_k = max(qc_constant(m, _DIST_GRID), config.bigk)
+            qc_k = max(qc_constant(m, bounds._DIST_GRID), config.bigk)
             reports.extend(_inequality_family(m, config.alpha, qc_k, config, label))
     return _sorted_reports(reports)
 

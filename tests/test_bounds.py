@@ -240,23 +240,44 @@ def test_weighted_deriv_growth_analytic(label, corpus):
     assert rep.passed, (label, rep.worst_margin)
 
 
-def test_weighted_deriv_growth_default_arrays_are_built_once(corpus):
-    # the default columns are one read-only set per process, and the line
-    # they give is the line of the triples passed explicitly
-    from hqmap import bounds
+def _reference_pairs() -> np.ndarray:
+    # the (z0, z1) pairs as a list of numpy-scalar tuples, the way the
+    # default was once rebuilt on every call
+    z0s = np.array([0.0, 0.3, 0.5j, -0.4, 0.2 - 0.3j, 0.7, 0.6j, -0.1 - 0.6j])
+    z1s = np.array([0.5, -0.5, 0.8j, -0.7j, 0.3 + 0.4j, -0.2 + 0.2j, 0.9, -0.9])
+    pairs = [(a, b) for a in z0s for b in z1s]
+    pairs += [(0.0, 0.5), (0.0, -0.5), (0.0, 0.9), (0.0, -0.9), (0.3, 0.3)]
+    return np.asarray(pairs, dtype=complex)
 
-    cols = bounds._default_triple_arrays()
-    assert bounds._default_triple_arrays() is cols
-    triples = bounds.default_triples()
-    refs = ([t[0] for t in triples], [t[1] for t in triples], [t[2] for t in triples])
-    for col, ref, dtype in zip(cols, refs, (complex, float, float)):
-        assert not col.flags.writeable
-        assert col.tobytes() == np.array(ref, dtype=dtype).tobytes()
+
+def _reference_triples() -> list:
+    # the (xi, rho, r) triples as a list of Python tuples, one loop per
+    # direction and radius
+    radii = np.linspace(0.0, 0.95, 10)
+    angles = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    return [(complex(np.exp(1j * a)), float(radii[i]), float(radii[j]))
+            for a in angles for i in range(len(radii)) for j in range(i, len(radii))]
+
+
+def test_weighted_deriv_growth_default_arrays_are_built_once(corpus):
+    # the default pairs and triple columns are read-only module arrays,
+    # equal bit for bit to the list constructions above, and the lines they
+    # give are the lines of those lists passed explicitly
+    triples = _reference_triples()
+    refs = [(bounds._PAIRS, _reference_pairs())]
+    refs += [(col, np.array(ref, dtype=dtype))
+             for col, ref, dtype in zip(bounds._TRIPLES, zip(*triples), (complex, float, float))]
+    for got, ref in refs:
+        assert not got.flags.writeable
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+        assert got.tobytes() == ref.tobytes()
     for label in ("koebe", "shear-k3", "convex-poly3"):
+        m = corpus[label]
         for alpha in (2.0, 3.0):
-            m = corpus[label]
             assert (check_weighted_deriv_growth(m, alpha).to_json()
                     == check_weighted_deriv_growth(m, alpha, triples=triples).to_json())
+            assert (check_two_point_growth(m, alpha, 3.0).to_json()
+                    == check_two_point_growth(m, alpha, 3.0, _reference_pairs()).to_json())
 
 
 def test_weighted_deriv_growth_identity_closed_form(corpus):
@@ -492,26 +513,42 @@ def test_an_inequality_suite_builds_at_most_two_disk_grids(name, monkeypatch):
     assert len(built) <= 1
 
 
-def test_the_default_derivative_grid_is_one_read_only_array(monkeypatch):
-    # both inequality suites, at every level, and a direct call read the
-    # one cached grid; no call builds another
-    grid = bounds._default_grid()
-    assert not grid.flags.writeable
-    np.testing.assert_array_equal(grid, disk_grid())
-    read, built = [], []
-    real_check, real_grid = bounds.check_sense_preserving, geometry.disk_grid
+def test_the_default_derivative_grid_is_one_read_only_array(monkeypatch, corpus):
+    # the derivative grid and the distance grid are read-only module arrays,
+    # equal bit for bit to disk_grid(); both inequality suites, at every
+    # level, and direct calls read them and the pairs, and nothing builds
+    # another grid after import
+    grids = ((bounds._DERIV_GRID, disk_grid()), (bounds._DIST_GRID, disk_grid(24, 32)))
+    for grid, ref in grids:
+        assert not grid.flags.writeable
+        assert (grid.dtype, grid.shape) == (ref.dtype, ref.shape)
+        assert grid.tobytes() == ref.tobytes()
+    read, norms, ks, built = [], [], [], []
+    real_check, real_norm = bounds.check_sense_preserving, bounds.finite_dnorm
+    real_qc, real_grid = suites.qc_constant, geometry.disk_grid
     monkeypatch.setattr(bounds, "check_sense_preserving",
                         lambda m, pts: read.append(pts) or real_check(m, pts))
+    monkeypatch.setattr(bounds, "finite_dnorm",
+                        lambda m, pts: norms.append(pts) or real_norm(m, pts))
+    monkeypatch.setattr(suites, "qc_constant",
+                        lambda m, pts: ks.append(pts) or real_qc(m, pts))
     monkeypatch.setattr(geometry, "disk_grid",
                         lambda *a, **k: built.append(a) or real_grid(*a, **k))
-    corpus = default_corpus()
     for level in (0, 3):
         for name in ("analytic-classical", "harmonic-advisory"):
             suites.run_suite(name, corpus, Config(grid_level=level))
     check_derivative_bounds(corpus["koebe"], 2.0, 1.0)
-    on_grid = [pts for pts in read if np.size(pts) == grid.size]
-    assert len(on_grid) == 2 * len(corpus) + 1
-    assert all(pts is grid for pts in on_grid)
+    check_two_point_growth(corpus["koebe"], 2.0, 1.0)
+    check_boundary_dist_lower(corpus["koebe"], 1.0)
+    calls = 2 * len(corpus) + 1
+    assert [pts is bounds._DERIV_GRID for pts in read].count(True) == calls
+    # the z0 column of the pairs is a view of the one pair array
+    assert [np.shares_memory(pts, bounds._PAIRS) for pts in read].count(True) == calls
+    # the default eps keeps every distance-grid point, |z| <= 0.999
+    on_dist = [pts for pts in norms if pts.size == bounds._DIST_GRID.size]
+    assert len(on_dist) == calls
+    assert all(pts.tobytes() == bounds._DIST_GRID.tobytes() for pts in on_dist)
+    assert len(ks) == 2 and all(pts is bounds._DIST_GRID for pts in ks)
     assert built == []
 
 
@@ -535,7 +572,7 @@ def test_every_suite_writes_the_same_lines_at_every_level():
 def test_arc_diameter_identity_chord(corpus):
     ident = corpus["identity"]
     fit = decay_fit(ident)
-    rep = check_arc_image_diameter(ident, 1.0, 2.0, [0.9 + 0j], (fit.c, fit.delta))
+    rep = check_arc_image_diameter(ident, 1.0, 2.0, (fit.c, fit.delta), [0.9 + 0j])
     assert rep.passed
     # the arc image is a circular arc of half-angle pi/10 at radius ~1:
     # its diameter is the chord 2 sin(pi/10)
@@ -545,15 +582,19 @@ def test_arc_diameter_identity_chord(corpus):
 def test_arc_diameter_full_circle(corpus):
     ident = corpus["identity"]
     fit = decay_fit(ident)
-    rep = check_arc_image_diameter(ident, 1.0, 2.0, [1e-9 + 0j], (fit.c, fit.delta))
+    rep = check_arc_image_diameter(ident, 1.0, 2.0, (fit.c, fit.delta), [1e-9 + 0j])
     assert rep.passed  # diam 2 versus a huge right-hand side
 
 
 def test_arc_diameter_convex_poly(corpus):
     m = corpus["convex-poly2"]
     fit = decay_fit(m)
-    rep = check_arc_image_diameter(m, 1.0, 2.0, [0.9 + 0j, 0.5j], (fit.c, fit.delta))
+    rep = check_arc_image_diameter(m, 1.0, 2.0, (fit.c, fit.delta), [0.9 + 0j, 0.5j])
     assert rep.passed
+    # the default anchors are 0.9 and 0.7i
+    assert (check_arc_image_diameter(m, 1.0, 2.0, (fit.c, fit.delta)).to_json()
+            == check_arc_image_diameter(m, 1.0, 2.0, (fit.c, fit.delta),
+                                        [0.9 + 0j, 0.7j]).to_json())
 
 
 def test_arc_diameter_fails_on_unconverged_distance(corpus):
@@ -561,19 +602,19 @@ def test_arc_diameter_fails_on_unconverged_distance(corpus):
     # the 4096-point one, so the n and 2n distances disagree
     ident = corpus["identity"]
     a_points = [0.9 + 0j, (1.0 - 1e-4) * np.exp(2j * math.pi / 8192)]
-    rep = check_arc_image_diameter(ident, 1.0, 2.0, a_points, (1.0, 1.0))
+    rep = check_arc_image_diameter(ident, 1.0, 2.0, (1.0, 1.0), a_points)
     assert not rep.passed
     assert rep.notes.endswith("boundary distance did not converge")
 
 
 def test_arc_diameter_requires_bounded(corpus):
     with pytest.raises(ParameterError):
-        check_arc_image_diameter(corpus["koebe"], 1.0, 2.0, [0.9 + 0j], (1.0, 0.5))
+        check_arc_image_diameter(corpus["koebe"], 1.0, 2.0, (1.0, 0.5), [0.9 + 0j])
 
 
 def test_arc_diameter_requires_decay(corpus):
     with pytest.raises(ParameterError):
-        check_arc_image_diameter(corpus["identity"], 1.0, 2.0, [0.9 + 0j], (1.0, -2.0))
+        check_arc_image_diameter(corpus["identity"], 1.0, 2.0, (1.0, -2.0), [0.9 + 0j])
 
 
 # ---------------------------------------------------------------------------

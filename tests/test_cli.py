@@ -195,6 +195,23 @@ def test_nan_jacobian_corpus_exits_2(flags, command, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["check", "analytic-classical"], ["report"],
+                                     ["john", "fake"]], ids=["check", "report", "john"])
+def test_a_falsely_flagged_analytic_map_exits_2(command, tmp_path, capsys):
+    # g = 0.3 z^2 is not zero: analytic-classical failed its theorems on this
+    # map with exit 1, harmonic-advisory skipped it and john ran on it
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([{
+        "label": "fake", "h": {"kind": "series", "coeffs": [[0, 0], [1, 0]]},
+        "g": {"kind": "series", "coeffs": [[0, 0], [0, 0], [0.3, 0]]},
+        "flags": ["SH", "SH0", "analytic", "bounded"]}]))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "--corpus", str(path), "--out", str(out_dir), *command)
+    assert (code, out) == (2, "")
+    assert err == "hqmap: error: fake: analytic flag requires g = 0\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("flags, point", [(["SH"], "0"), ([], "0.1")], ids=["SH", "bare"])
 def test_overflowing_series_coefficient_exits_2(flags, point, tmp_path, capsys):
     # the derivative coefficient 2e308 overflows; with warnings as errors,

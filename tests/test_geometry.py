@@ -306,7 +306,7 @@ def test_boundary_distance_identity(corpus):
 @pytest.mark.parametrize("run", [
     lambda m, eps: boundary_distance(m, 0.1, eps=eps),
     lambda m, eps: boundary_profile(m, eps=eps, n=256),
-    lambda m, eps: check_arc_image_diameter(m, 1.0, 2.0, [0.9 + 0j], (1.0, 1.0), eps=eps),
+    lambda m, eps: check_arc_image_diameter(m, 1.0, 2.0, (1.0, 1.0), [0.9 + 0j], eps=eps),
 ], ids=["boundary_distance", "boundary_profile", "arc_image_diameter"])
 def test_a_ring_offset_below_the_floor_is_an_input_error(run, corpus):
     # below about 3e-16 a (1 - eps) ring node rounds onto or past the circle

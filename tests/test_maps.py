@@ -15,18 +15,21 @@ from hqmap import (
     SenseReversalError,
     SeriesPart,
     WirtingerPair,
+    affine,
     default_corpus,
     disk_grid,
     qc_constant,
+    rotate,
+    shear_qc,
 )
 from hqmap import johndisk
 from hqmap.bounds import (
+    _TRIPLES,
     _harnack_box,
     check_boundary_dist_lower,
     check_derivative_bounds,
     check_harnack_box,
     check_weighted_deriv_growth,
-    default_triples,
 )
 from hqmap.johndisk import criterion_ii, criterion_iii, decay_fit
 from hqmap.maps import R_CAP, AnalyticPart, ComboPart, check_sense_preserving, finite_dnorm
@@ -348,6 +351,31 @@ def test_flag_validation():
                     frozenset({"SH0"}))
 
 
+@pytest.mark.parametrize("g", [
+    SeriesPart((0j, 0j, 0.3)),
+    SeriesPart((complex(math.nan, 0.0),)),
+    CatalogPart("identity"),
+    ComboPart(((0.5, SeriesPart((0j, 1e-300))),)),
+    ComboPart(((0.0, CatalogPart("koebe")), (1.0, SeriesPart((1e-300,))))),
+], ids=["series", "nan-series", "catalog", "weighted-series", "one-nonzero-term"])
+def test_analytic_flag_requires_a_zero_g(g):
+    # the flag picks the check suite, so a nonzero g under it would run the
+    # classical theorems on a harmonic map
+    with pytest.raises(ParameterError, match=r"^bad: analytic flag requires g = 0$"):
+        HarmonicMap(CatalogPart("identity"), g, "bad", frozenset({"analytic"}))
+
+
+def test_a_g_that_is_zero_by_construction_keeps_the_analytic_flag(corpus):
+    for g in (SeriesPart((0j, complex(-0.0, -0.0))), ComboPart(()),
+              ComboPart(((0.0, CatalogPart("koebe")), (2.0, ZERO)))):
+        assert HarmonicMap(CatalogPart("identity"), g, "ok", {"analytic"}).is_analytic()
+    for m in (corpus["koebe"], corpus["convex-poly3"]):
+        for built in (affine(m, 0.0), rotate(m, np.exp(0.9j)),
+                      rotate(affine(m, 0.0), np.exp(0.9j))):
+            assert built.is_analytic(), built.label
+    assert shear_qc(CatalogPart("koebe"), 1.0).is_analytic()
+
+
 class _NanSlopePart(AnalyticPart):
     """Vanishes at 0 with a NaN derivative there, which no ``SeriesPart``
     can carry: it rejects non-finite derivative coefficients."""
@@ -403,8 +431,7 @@ _CRIT_III_Z = (johndisk._z_radii(0)[:, None]
                * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, johndisk._N_ROT, endpoint=False)))
 _SCAN_R = np.linspace(0.0, (1.0 - 2.0 * _RING_EPS) * (1.0 - 1e-9), 5)[2]
 # the lower points rho xi of check_weighted_deriv_growth's default triples
-_TRIPLE_RHO_XI = (np.array([t[1] for t in default_triples()])
-                  * np.array([t[0] for t in default_triples()], dtype=complex))
+_TRIPLE_RHO_XI = _TRIPLES[1] * _TRIPLES[0]
 
 
 @pytest.mark.parametrize("at, read", [

@@ -13,6 +13,11 @@ fresh interpreter with that root's ``src`` (and, for the corpora, its
 - ``report`` on the ``report-series-l0`` corpus at level 0, ``--seed 1``;
 - each of the four ``check`` suites on the ``checks-series-l3`` corpus at
   level 3, ``--seed 1``, with ``--out``;
+- ``check harmonic-advisory`` on the same corpus with ``--eps 1e-3
+  --alpha 4 --bigk 2 --seed 1``: the runs above take the default alpha, K
+  and eps, so only this one meets ``boundary_dist_lower``'s
+  ``|z| <= 1 - 2 eps`` filter (641 of the 737 grid points) and a ``--bigk``
+  above a map's grid K;
 - ``poisson koebe`` at level 1 and ``john shear-k3`` on the built-ins, with
   ``--out``.  In ``report`` only the first map meets the process's cold
   sample caches (``geometry.circle_nodes``, criterion (iii)'s level
@@ -56,6 +61,9 @@ RUNS = {
                          "--seed", "1", "report"],
     **{f"check-{suite}-l3": ["--corpus", "checks-series-l3.json", "--grid-level", "3",
                              "--seed", "1", "check", suite] for suite in SUITES},
+    "check-harmonic-advisory-eps": ["--corpus", "checks-series-l3.json", "--eps", "1e-3",
+                                    "--alpha", "4", "--bigk", "2", "--seed", "1",
+                                    "check", "harmonic-advisory"],
     "poisson-koebe-l1": ["--grid-level", "1", "poisson", "koebe"],
     "john-shear-k3": ["john", "shear-k3"],
     "radial-koebe": ["radial", "koebe", "0.3", "0.2,0.5,0.9,0.99"],
