@@ -106,9 +106,12 @@ def _report(predicate, alpha, qc_k, margins, witnesses, slack, notes="",
     """One check line: the worst margin and its witness.  ``unconverged``
     names an input estimate that did not converge, which fails the line and
     is noted; ``samples`` overrides the margin count.  A NaN or infinite
-    margin is an input error naming its witness, never a line."""
+    margin is an input error naming its witness, and an empty sample one
+    naming the predicate, never a line."""
     margins = np.asarray(margins, dtype=float)
     witnesses = np.asarray(witnesses, dtype=complex).ravel()
+    if margins.size == 0:
+        raise ParameterError(f"{predicate}: the sample is empty")
     bad = ~np.isfinite(margins)
     if np.any(bad):
         raise ParameterError(f"{predicate}: margin is not finite at "
@@ -130,6 +133,12 @@ def _report(predicate, alpha, qc_k, margins, witnesses, slack, notes="",
     )
 
 
+def _columns(rows, *dtypes) -> list:
+    """The columns of an explicit sample of rows, one array per dtype.  An
+    empty sample gives empty columns, which ``_report`` rejects."""
+    return [np.array([row[k] for row in rows], dtype=dt) for k, dt in enumerate(dtypes)]
+
+
 def _exp2alpha(t, alpha):
     """exp(2 alpha arctanh t) = ((1+t)/(1-t))^alpha, computed stably."""
     t = np.asarray(t, dtype=float)
@@ -146,10 +155,8 @@ def check_two_point_growth(m: HarmonicMap, alpha: float, qc_k: float,
     (1 - e^{-2 a lambda})/(a(1+K)) and K(e^{2 a lambda} - 1)/(a(1+K)),
     where lambda is the hyperbolic distance of the pair, on ``pairs`` or
     else ``_PAIRS``."""
-    pairs = _PAIRS if pairs is None else np.asarray(pairs, dtype=complex)
-    z0 = pairs[:, 0]
-    z1 = pairs[:, 1]
-    fz0 = np.abs(check_sense_preserving(m, z0).fz)
+    z0, z1 = _PAIRS.T if pairs is None else _columns(pairs, complex, complex)
+    fz0 = check_sense_preserving(m, z0).abs_fz
     q = np.abs(m.value(z1) - m.value(z0)) / ((1.0 - np.abs(z0) ** 2) * fz0)
     t = np.abs((z1 - z0) / (1.0 - np.conjugate(z0) * z1))
     big_e = _exp2alpha(t, alpha)
@@ -210,7 +217,7 @@ def check_derivative_bounds(m: HarmonicMap, alpha: float, qc_k: float,
     c = derivative_bound_constant(alpha, qc_k)
     t = np.abs(pts)
     w = check_sense_preserving(m, pts)
-    hp = np.abs(w.fz)
+    hp = w.abs_fz
     lower = (1.0 - t) ** (alpha - 1.0) / (1.0 + t) ** (alpha + 1.0)
     upper = (1.0 + t) ** (alpha - 1.0) / (1.0 - t) ** (alpha + 1.0)
     margins = np.minimum(rel_margin(hp, upper), rel_margin(lower, hp))
@@ -230,8 +237,7 @@ def check_weighted_deriv_growth(m: HarmonicMap, alpha: float, triples=None) -> C
     """(1-rho^2) dnorm(rho xi) <= e^{2 a lambda(rho, r)} (1-r^2) dnorm(r xi)
     for 0 <= rho <= r < 1 and |xi| = 1, on the (xi, rho, r) ``triples`` or
     else the columns ``_TRIPLES``."""
-    xi, rho, r = _TRIPLES if triples is None else (
-        np.array(col, dtype=dt) for col, dt in zip(zip(*triples), (complex, float, float)))
+    xi, rho, r = _TRIPLES if triples is None else _columns(triples, complex, float, float)
     lhs = (1.0 - rho ** 2) * finite_dnorm(m, rho * xi)
     t = (r - rho) / (1.0 - rho * r)
     rhs = _exp2alpha(t, alpha) * (1.0 - r ** 2) * finite_dnorm(m, r * xi)

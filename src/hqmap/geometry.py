@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +105,30 @@ def boundary_arc(a: complex, n: int = 512) -> np.ndarray:
     return np.exp(1j * angles)
 
 
-@functools.lru_cache(maxsize=None)
+def _built_once(build):
+    """Cache of a map-independent sample keyed by one argument, built once
+    per key for the life of the process.  A miss builds under the cache's
+    own lock, so a thread that misses while another builds the same key
+    waits and reads that build, and no build holds a lock another cache's
+    build needs; a hit takes no lock.  ``cache_clear`` empties the cache."""
+    built = {}
+    lock = threading.Lock()
+
+    @functools.wraps(build)
+    def sample(key):
+        try:
+            return built[key]
+        except KeyError:
+            with lock:
+                if key not in built:
+                    built[key] = build(key)
+                return built[key]
+
+    sample.cache_clear = built.clear
+    return sample
+
+
+@_built_once
 def circle_nodes(n: int) -> np.ndarray:
     """The n unit-circle nodes e^{i 2 pi k / n}.  They depend on n alone, so
     each ring is built once per process and shared read-only by every

@@ -11,7 +11,6 @@ divergence.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -90,7 +89,7 @@ _BOX_SIDE = 20
 _N_ROT = 32
 
 
-@functools.lru_cache(maxsize=None)
+@geometry._built_once
 def _level_boxes(level: int) -> tuple:
     """A level's map-independent sample, built once per process and
     read-only: the box reach, the z-radii, and the edge points of the boxes

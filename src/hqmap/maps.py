@@ -234,36 +234,40 @@ _CONJ_ZERO = np.complex128(complex(0.0, -0.0))
 
 @dataclass(frozen=True)
 class WirtingerPair:
-    """The pair (f_z, f_zb) at a point; fields may be scalars or arrays."""
+    """The pair (f_z, f_zb) at a point; fields may be scalars or arrays.
+    The moduli |f_z| and |f_zb| and the matrix norm of the formal
+    derivative, dnorm = |f_z| + |f_zb|, are taken once, when the pair is
+    made, and every property below reads them."""
 
     fz: object
     fzb: object
+    abs_fz: object = field(init=False, repr=False, compare=False)
+    abs_fzb: object = field(init=False, repr=False, compare=False)
+    dnorm: object = field(init=False, repr=False, compare=False)
 
-    @property
-    def dnorm(self):
-        """Matrix norm of the formal derivative, |f_z| + |f_zb|."""
-        return np.abs(self.fz) + np.abs(self.fzb)
+    def __post_init__(self):
+        # the pair is frozen: its derived fields are set past __setattr__
+        object.__setattr__(self, "abs_fz", np.abs(self.fz))
+        object.__setattr__(self, "abs_fzb", np.abs(self.fzb))
+        object.__setattr__(self, "dnorm", self.abs_fz + self.abs_fzb)
 
     @property
     def dmin(self):
         """Minimum stretch, | |f_z| - |f_zb| |."""
-        return np.abs(np.abs(self.fz) - np.abs(self.fzb))
+        return np.abs(self.abs_fz - self.abs_fzb)
 
     @property
     def jacobian(self):
         """|f_z|^2 - |f_zb|^2, as (|f_z| - |f_zb|)(|f_z| + |f_zb|): an overflow
         gives an infinity of the right sign, and two huge norms of one order
         give no inf - inf = NaN."""
-        fz = np.abs(self.fz)
-        fzb = np.abs(self.fzb)
         with np.errstate(over="ignore"):
-            return (fz - fzb) * (fz + fzb)
+            return (self.abs_fz - self.abs_fzb) * self.dnorm
 
     @property
     def dilatation(self):
         """|f_zb| / |f_z|, with an infinite sentinel where f_z = 0."""
-        fz = np.abs(self.fz)
-        fzb = np.abs(self.fzb)
+        fz, fzb = self.abs_fz, self.abs_fzb
         if np.ndim(fz) == 0:
             return math.inf if fz == 0 else float(fzb) / float(fz)
         out = np.full(np.shape(fz), np.inf)
@@ -350,10 +354,8 @@ def check_sense_preserving(m: HarmonicMap, points) -> WirtingerPair:
     # an overflow here is caught below as a non-finite norm
     with np.errstate(all="ignore"):
         w = m.wirtinger(points)
-        fz = np.abs(w.fz)
-        fzb = np.abs(w.fzb)
-        norm = np.ravel(fz + fzb)
-    bad = ~np.isfinite(norm) | ~np.ravel(fzb < fz)
+    norm = np.ravel(w.dnorm)
+    bad = ~np.isfinite(norm) | ~np.ravel(w.abs_fzb < w.abs_fz)
     if np.any(bad):
         idx = int(np.argmax(bad))
         where = complex(np.ravel(points)[idx])
@@ -364,10 +366,10 @@ def check_sense_preserving(m: HarmonicMap, points) -> WirtingerPair:
 
 
 def finite_dnorm(m: HarmonicMap, z) -> np.ndarray:
-    """Derivative norms of ``m`` at z, as floats of z's shape, read from
-    ``check_sense_preserving``'s one pass.  So no supremum, fit or trace
-    downstream can skip a bad norm, carry it as a number, or divide by zero
-    or take its log.
+    """Derivative norms of ``m`` at z, as floats of z's shape: the norms that
+    ``check_sense_preserving``'s one pass took and checked.  So no supremum,
+    fit or trace downstream can skip a bad norm, carry it as a number, or
+    divide by zero or take its log.
     """
     return np.asarray(check_sense_preserving(m, z).dnorm, dtype=float)
 

@@ -12,6 +12,7 @@ byte-identical JSON lines.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -97,9 +98,12 @@ def suite_geometry(corpus: dict, config: Config) -> list:
                                       bound - np.abs(np.angle(pts)), pts, slack=0.0,
                                       notes=f"points={pts.size}"))
 
-    rng = np.random.default_rng(config.seed)
-    zs = (np.sqrt(rng.uniform(0, 1, (10_000, 3))) * 0.95
-          * np.exp(1j * rng.uniform(0, 2 * math.pi, (10_000, 3))))
+    # 10,000 triples of points uniform on the disk of radius 0.95: a
+    # square-rooted uniform radius and a uniform angle, each uniform the top
+    # 53 bits of a little-endian word from the seeded Mersenne Twister
+    words = np.frombuffer(random.Random(config.seed).randbytes(8 * 60_000), dtype="<u8")
+    u = ((words >> 11) * 2.0 ** -53).reshape(2, 10_000, 3)
+    zs = np.sqrt(u[0]) * 0.95 * np.exp(2j * math.pi * u[1])
     lam12 = geometry.hyp_dist(zs[:, 0], zs[:, 1])
     lam23 = geometry.hyp_dist(zs[:, 1], zs[:, 2])
     lam13 = geometry.hyp_dist(zs[:, 0], zs[:, 2])

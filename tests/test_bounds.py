@@ -656,3 +656,20 @@ def test_monotone_stability_under_refinement(corpus):
         fine, dvb_f = check_derivative_bounds(m, 2.0, 1.0, disk_grid(32, 32))
         assert coarse.passed and fine.passed
         assert dvb_c.passed and dvb_f.passed
+
+
+# ---------------------------------------------------------------------------
+# an explicit sample with no point is an input error, never a line
+
+
+@pytest.mark.parametrize("label, call, predicate", [
+    ("koebe", lambda m: check_two_point_growth(m, 2.0, 1.0, pairs=[]), "two_point_growth"),
+    ("koebe", lambda m: check_derivative_bounds(m, 2.0, 1.0, points=[]), "deriv_distortion"),
+    ("koebe", lambda m: check_weighted_deriv_growth(m, 2.0, triples=[]),
+     "weighted_deriv_growth"),
+    ("identity", lambda m: check_arc_image_diameter(m, 1.0, 2.0, (1.0, 0.5), a_points=[]),
+     "arc_image_diameter"),
+], ids=["pairs", "points", "triples", "a_points"])
+def test_an_empty_explicit_sample_is_an_input_error(corpus, label, call, predicate):
+    with pytest.raises(ParameterError, match=f"^{predicate}: the sample is empty$"):
+        call(corpus[label])

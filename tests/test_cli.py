@@ -673,6 +673,36 @@ def _cli_process(tmp_path, *argv):
                           env=env, capture_output=True, timeout=300)
 
 
+# runs ``main`` on its arguments, then names on stderr each of the modules
+# ``numpy.random`` and ``hashlib`` (with OpenSSL, about 5 MB resident) that
+# the run imported
+_IMPORT_PROBE = ("import sys\nfrom hqmap.cli import main\ncode = main(sys.argv[1:])\n"
+                 "print(*sorted({'numpy.random', 'hashlib'} & sys.modules.keys()), "
+                 "file=sys.stderr)\nsys.exit(code)\n")
+
+_SAMPLED_GEOMETRY_LINES = {"hyp_triangle", "hyp_mobius_invariance"}
+
+
+def test_no_command_imports_numpy_random(tmp_path, capsys):
+    # the geometry suite draws its sample from the standard-library
+    # generator: a seed's lines repeat, and seeds 0 and 1 give other
+    # triangle and Moebius lines and the same fixed-sample ones
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv in (["--grid-level", "1", "--out", "out", "report"],
+                 ["--seed", "0", "check", "geometry"]):
+        done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stderr) == (0, "\n"), argv
+    lines = {}
+    for seed in ("0", "1"):
+        code, out, _ = run(capsys, "--seed", seed, "check", "geometry")
+        assert code == 0
+        lines[seed] = {json.loads(line)["predicate"]: line for line in out.splitlines()}
+    assert "".join(f"{line}\n" for line in lines["0"].values()) == done.stdout
+    moved = {name for name in lines["0"] if lines["0"][name] != lines["1"][name]}
+    assert moved == _SAMPLED_GEOMETRY_LINES
+
+
 def test_report_writes_nothing_to_stderr(tmp_path):
     # series maps are evaluated at 1 - eps = 0.9999 by design; each such
     # call used to print a warning line from the report's pool threads
@@ -777,24 +807,32 @@ def _clear_sample_caches():
 
 
 def test_report_builds_the_map_independent_samples_once(tmp_path, monkeypatch):
+    # with two workers, whose first maps miss the cleared caches together,
     # criterion (iii)'s boxes are built once per level (6 maps x 3 levels
-    # made 18 builds), and each ring size once; one worker, so that no two
-    # threads miss on the same size together
+    # made 18 builds) and each ring size once: every caller of a size gets
+    # the same array
     from hqmap import geometry
 
     _clear_sample_caches()
     ring = geometry.circle_nodes
-    sizes = set()
+    rings = {}
     box_builds = []
     real_boxes = geometry.boundary_boxes
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(geometry, "circle_nodes", lambda n: sizes.add(n) or ring(n))
+
+    def kept_ring(n):
+        nodes = ring(n)
+        rings.setdefault(n, []).append(nodes)
+        return nodes
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(geometry, "circle_nodes", kept_ring)
     monkeypatch.setattr(geometry, "boundary_boxes",
                         lambda *a: box_builds.append(a) or real_boxes(*a))
     assert main(["--grid-level", "1", "--out", str(tmp_path), "report"]) == 0
-    assert len(box_builds) <= 3
-    assert 1 << 18 in sizes
-    assert ring.cache_info().misses == len(sizes)
+    assert sorted(reach for *_, reach in box_builds) == [johndisk._reach(k) for k in range(3)]
+    assert 1 << 18 in rings
+    for n, got in rings.items():
+        assert all(nodes is got[0] for nodes in got), n
 
 
 def test_report_cold_and_warm_sample_caches_write_the_same_bytes(tmp_path):

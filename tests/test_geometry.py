@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -71,8 +72,8 @@ def test_even_half_of_a_ring_is_the_half_size_ring(n):
 
 
 def test_circle_nodes_threads_filling_a_cleared_cache_get_the_same_bits():
-    # threads that miss together each build the ring; every one must see
-    # the fresh bits in a read-only array
+    # threads that miss together wait for one build and all read it: one
+    # read-only array with the fresh bits
     n = 1 << 18
     geometry.circle_nodes.cache_clear()
     got = [None] * 4
@@ -93,10 +94,56 @@ def test_circle_nodes_threads_filling_a_cleared_cache_get_the_same_bits():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    fresh = _fresh_ring(n).tobytes()
-    for nodes in got:
-        assert not nodes.flags.writeable
-        assert nodes.tobytes() == fresh
+    assert all(nodes is got[0] for nodes in got)
+    assert not got[0].flags.writeable
+    assert got[0].tobytes() == _fresh_ring(n).tobytes()
+
+
+def test_a_sample_cache_builds_a_key_once_while_threads_race_for_it():
+    # a slow build: the other threads miss while it runs, wait for it and
+    # read its result; another key of the same cache is a build of its own
+    builds = []
+
+    @geometry._built_once
+    def sample(key):
+        builds.append(key)
+        time.sleep(0.05)
+        return [key]
+
+    got = [None] * 4
+    start = threading.Barrier(len(got), timeout=30)
+
+    def fill(i):
+        start.wait()
+        got[i] = sample(7)
+
+    threads = [threading.Thread(target=fill, args=(i,)) for i in range(len(got))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == [7]
+    assert all(v is got[0] for v in got) and got[0] == [7]
+    assert sample(8) == [8] and builds == [7, 8]
+    sample.cache_clear()
+    assert sample(7) is not got[0] and builds == [7, 8, 7]
+
+
+def test_a_build_may_read_another_sample_cache():
+    # each cache has its own lock, so a box build that reads a ring (a miss
+    # of the ring cache) does not wait on itself
+    @geometry._built_once
+    def outer(n):
+        return geometry.circle_nodes(n)[:2].copy()
+
+    geometry.circle_nodes.cache_clear()
+    got = []
+    t = threading.Thread(target=lambda: got.append(outer(24)), daemon=True)
+    t.start()
+    t.join(timeout=30)
+    assert not t.is_alive()
+    assert got[0].tobytes() == _fresh_ring(24)[:2].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ fresh interpreter with that root's ``src`` (and, for the corpora, its
   and eps, so only this one meets ``boundary_dist_lower``'s
   ``|z| <= 1 - 2 eps`` filter (641 of the 737 grid points) and a ``--bigk``
   above a map's grid K;
+- ``check geometry`` on the built-ins at ``--seed 7``, with ``--out``:
+  the runs above draw the geometry suite's sampled lines at seeds 0 and 1
+  only;
 - ``poisson koebe`` at level 1 and ``john shear-k3`` on the built-ins, with
   ``--out``.  In ``report`` only the first map meets the process's cold
   sample caches (``geometry.circle_nodes``, criterion (iii)'s level
@@ -64,6 +67,7 @@ RUNS = {
     "check-harmonic-advisory-eps": ["--corpus", "checks-series-l3.json", "--eps", "1e-3",
                                     "--alpha", "4", "--bigk", "2", "--seed", "1",
                                     "check", "harmonic-advisory"],
+    "check-geometry-seed7": ["--seed", "7", "check", "geometry"],
     "poisson-koebe-l1": ["--grid-level", "1", "poisson", "koebe"],
     "john-shear-k3": ["john", "shear-k3"],
     "radial-koebe": ["radial", "koebe", "0.3", "0.2,0.5,0.9,0.99"],
