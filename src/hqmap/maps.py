@@ -251,6 +251,22 @@ class WirtingerPair:
         object.__setattr__(self, "abs_fzb", np.abs(self.fzb))
         object.__setattr__(self, "dnorm", self.abs_fz + self.abs_fzb)
 
+    @classmethod
+    def _of_zero_g(cls, fz, shape):
+        """The pair (fz, conj(+0.0 + 0.0j)) of a map whose g is zero by
+        construction, with the bits of ``cls(fz, np.full(shape, _CONJ_ZERO))``
+        but no modulus of zeros and no sum: ``fzb`` and ``abs_fzb`` are
+        read-only broadcast zeros of the point's shape, and ``dnorm`` is
+        ``abs_fz`` itself, since |f_z| + 0.0 is |f_z| bit for bit, NaN
+        included.  No caller may write into them."""
+        pair = object.__new__(cls)
+        abs_fz = np.abs(fz)
+        for name, value in (("fz", fz), ("fzb", np.broadcast_to(_CONJ_ZERO, shape)[()]),
+                            ("abs_fz", abs_fz), ("abs_fzb", np.broadcast_to(0.0, shape)[()]),
+                            ("dnorm", abs_fz)):
+            object.__setattr__(pair, name, value)
+        return pair
+
     @property
     def dmin(self):
         """Minimum stretch, | |f_z| - |f_zb| |."""
@@ -335,7 +351,7 @@ class HarmonicMap:
         """Exact Wirtinger pair (h'(z), conj(g'(z)))."""
         _check_in_disk(z)
         if self._g_is_zero:
-            return WirtingerPair(self.h.d1(z), np.full(np.shape(z), _CONJ_ZERO)[()])
+            return WirtingerPair._of_zero_g(self.h.d1(z), np.shape(z))
         return WirtingerPair(self.h.d1(z), np.conjugate(self.g.d1(z)))
 
     def is_analytic(self) -> bool:

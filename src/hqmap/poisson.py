@@ -8,7 +8,8 @@ unit-circle nodes e^{i t_k}, so the functional of the identity map is the
 plain Poisson integral and equals one at every interior point.  Circle
 averages use the trapezoidal rule, which is spectrally accurate for these
 periodic integrands.  A map's sup trace and its per-point CSV come from one
-scan per ring level, and a scan builds one kernel per radius.
+scan per ring level; a scan streams its ring and holds no array of ring
+size (see ``poisson_scan``).
 """
 
 from __future__ import annotations
@@ -40,32 +41,73 @@ class BoundaryProfile:
 # nodes per ring block: 2^15 complex nodes are 512 KB
 _RING_BLOCK = 1 << 15
 
+# the largest ring: 2^22 complex nodes are 64 MiB, asked for by eps down to
+# 8 pi / 2^22, about 6e-6
+_RING_CAP = 1 << 22
+
+# a profile has converged when its drift is at most this
+_DRIFT_TOL = 0.1
+
+# scan grid: radii reaching |zeta| = 1 - 2 eps, and angles per nonzero radius
+_N_RAD = 5
+_N_ANG = 8
+
+
+def _check_eps(eps) -> None:
+    # written as "not inside", so a NaN eps fails it too
+    if not EPS_MIN <= eps < 0.5:
+        raise ParameterError(f"ring offset eps must lie in [{EPS_MIN:g}, 0.5)")
+
+
+def _ring_pass(m: HarmonicMap, eps: float, nodes: np.ndarray):
+    """One pass over the ring of radius 1 - eps at the unit-circle nodes,
+    in column blocks of 2^15 nodes (512 KB of complex points) of the nodes
+    reshaped to (_N_ANG, n / _N_ANG).  For each it yields ``(cols, block,
+    values, drift)``: the column slice, the node block, dnorm((1 - eps)
+    block) and the running maximum, over the blocks so far, of the relative
+    change of dnorm at 1 - eps/2.  Every value is pointwise, so the blocks
+    do not move a bit, and the last drift is the whole ring's.  A ring that
+    fails the sense check at several points names the first of the first
+    block to fail.
+    """
+    grid = nodes.reshape(_N_ANG, -1)
+    step = _RING_BLOCK // _N_ANG
+    drift = 0.0
+    for lo in range(0, grid.shape[1], step):
+        cols = slice(lo, lo + step)
+        block = grid[:, cols]
+        values, rel = _ring_block(m, eps, block)
+        drift = float(np.maximum(drift, rel))  # np.maximum keeps a NaN
+        yield cols, block, values, drift
+
+
+def _ring_block(m: HarmonicMap, eps: float, block: np.ndarray):
+    """dnorm((1 - eps) block) and its largest relative change at 1 - eps/2;
+    the half-offset ring's temporaries are freed on return, before the
+    pass's consumer folds the block."""
+    values = finite_dnorm(m, (1.0 - eps) * block)
+    half = finite_dnorm(m, (1.0 - eps / 2.0) * block)
+    return values, np.max(np.abs(half - values) / np.maximum(values, 1e-300))
+
 
 def boundary_profile(m: HarmonicMap, eps: float = 1e-3, n: int = 2048) -> BoundaryProfile:
     """Sample the derivative norm on the ring of radius 1 - eps.
 
-    n must be a power of two, at least 256; the profile is compared with a
+    n must be a power of two from 256 to 2^22; the profile is compared with a
     half-offset ring (eps/2) to flag convergence of the ring surrogate.
-    Both rings are evaluated in blocks of 2^15 nodes (512 KB of complex
-    points), so a 2^18-node profile never holds a full ring's temporaries;
-    every value is computed pointwise, so the blocks do not move a bit.
-    The nodes are the shared, read-only ``geometry.circle_nodes(n)``.
+    The values are those of ``_ring_pass``, which ``poisson_scan`` folds as
+    it goes, collected into one n-entry array; the nodes are the shared,
+    read-only ``geometry.circle_nodes(n)``.
     """
-    if n < 256 or n & (n - 1):
-        raise ParameterError("profile size must be a power of two, at least 256")
-    if not EPS_MIN <= eps < 0.5:
-        raise ParameterError(f"ring offset eps must lie in [{EPS_MIN:g}, 0.5)")
+    if not 256 <= n <= _RING_CAP or n & (n - 1):
+        raise ParameterError("profile size must be a power of two from 256 to 2^22")
+    _check_eps(eps)
     nodes = geometry.circle_nodes(n)
-    values = np.empty(n)
+    values = np.empty((_N_ANG, n // _N_ANG))
     drift = 0.0
-    for lo in range(0, n, _RING_BLOCK):
-        block = nodes[lo:lo + _RING_BLOCK]
-        vals = values[lo:lo + _RING_BLOCK]
-        vals[:] = finite_dnorm(m, (1.0 - eps) * block)
-        half = finite_dnorm(m, (1.0 - eps / 2.0) * block)
-        rel = np.abs(half - vals) / np.maximum(vals, 1e-300)
-        drift = float(np.maximum(drift, np.max(rel)))  # np.maximum keeps a NaN
-    return BoundaryProfile(eps, n, nodes, values, drift, drift <= 0.1)
+    for cols, _, vals, drift in _ring_pass(m, eps, nodes):
+        values[:, cols] = vals
+    return BoundaryProfile(eps, n, nodes, values.reshape(n), drift, drift <= _DRIFT_TOL)
 
 
 def poisson_functional(m: HarmonicMap, zeta: complex, profile: BoundaryProfile) -> float:
@@ -78,12 +120,16 @@ def poisson_functional(m: HarmonicMap, zeta: complex, profile: BoundaryProfile) 
     zeta = complex(zeta)
     if abs(zeta) > 1.0 - 2.0 * profile.eps:
         raise ParameterError("kernel point too close to the sampling ring")
-    return float(np.mean(profile.values * _kernel(profile.nodes, zeta)) / finite_dnorm(m, zeta))
+    nodes = profile.nodes
+    kernel = _kernel(nodes.real, (nodes.imag - zeta.imag) ** 2, zeta)
+    return float(np.mean(profile.values * kernel) / finite_dnorm(m, zeta))
 
 
-def _kernel(nodes: np.ndarray, zeta: complex) -> np.ndarray:
-    """Poisson kernel (1-|zeta|^2)/|xi - zeta|^2 at the nodes xi."""
-    return (1.0 - abs(zeta) ** 2) / np.abs(nodes - zeta) ** 2
+def _kernel(x: np.ndarray, dy2: np.ndarray, zeta: complex) -> np.ndarray:
+    """Poisson kernel (1-|zeta|^2)/|xi - zeta|^2 at the nodes xi = x + i y,
+    given x and dy2 = (y - Im zeta)^2: |xi - zeta|^2 is the sum of the two
+    squared differences, with no complex modulus taken only to be squared."""
+    return (1.0 - abs(zeta) ** 2) / ((x - zeta.real) ** 2 + dy2)
 
 
 @dataclass(frozen=True)
@@ -103,14 +149,19 @@ class PoissonTrace:
 
 
 def _profile_size(eps: float) -> int:
-    """Ring resolution fine enough for peaked integrands: at least ~8 pi/eps."""
+    """Ring resolution fine enough for peaked integrands: at least ~8 pi/eps.
+
+    eps is checked first, and a ring above _RING_CAP nodes is an input error
+    raised before any ring is built."""
+    _check_eps(eps)
     need = max(2048, int(8.0 * math.pi / eps))
-    return 1 << math.ceil(math.log2(need))
-
-
-# scan grid: radii reaching |zeta| = 1 - 2 eps, and angles per nonzero radius
-_N_RAD = 5
-_N_ANG = 8
+    bits = math.ceil(math.log2(need))
+    if 1 << bits > _RING_CAP:
+        cap = _RING_CAP.bit_length() - 1
+        raise ParameterError(f"ring offset eps = {eps:g} needs a 2^{bits}-node ring, above "
+                             f"the 2^{cap}-node cap: eps must be at least "
+                             f"{8.0 * math.pi / _RING_CAP:.3g}")
+    return 1 << bits
 
 
 def poisson_scan(m: HarmonicMap, eps: float) -> PoissonScan:
@@ -125,10 +176,17 @@ def poisson_scan(m: HarmonicMap, eps: float) -> PoissonScan:
     reshaped to (n_ang, s), the n_ang x n_ang product M = V K^T gives every
     numerator at once, S_k = sum_b M[b, (b - k) mod n_ang], and the
     functional is S_k / n / dnorm(zeta_k), with dnorm(zeta_k) evaluated at
-    zeta_k itself.  K_0 and M are built in column blocks of at most 2^15
-    kernel points, so scratch memory does not grow with n.  A scan
-    evaluates 5 n kernel points, not one n-point kernel for each of its 33
-    grid points.
+    zeta_k itself.
+
+    The scan is one streamed pass over its ring (``_ring_pass``, shared
+    with ``boundary_profile``): each (n_ang, 2^15 / n_ang) column block of
+    values is folded into all five radii's products V K^T while it is in
+    cache, so no array of n entries is held.  The kernel at zeta = r is
+    (1 - r^2) / ((x - r)^2 + y^2) at the nodes x + i y, with y^2 taken once
+    per block for all radii.  A scan evaluates 5 n kernel points, not one
+    n-point kernel for each of its 33 grid points, and its 33 grid norms in
+    one ``finite_dnorm`` call, in record order, so the first bad point is
+    the one named.
 
     Values agree with ``poisson_functional`` at the same zeta to about
     1e-12 relative, not bit for bit: zeta_k = r e^{i a_k} is rounded, while
@@ -137,25 +195,23 @@ def poisson_scan(m: HarmonicMap, eps: float) -> PoissonScan:
     which is ~1e-12 at eps = 1e-4.  Neither value is the more accurate.
     """
     n = _profile_size(eps)
-    profile = boundary_profile(m, eps=eps, n=n)
-    s = n // _N_ANG
-    nodes = profile.nodes.reshape(_N_ANG, s)
-    values = profile.values.reshape(_N_ANG, s)
-    step = _RING_BLOCK // _N_ANG
+    radii = np.linspace(0.0, (1.0 - 2.0 * eps) * (1.0 - 1e-9), _N_RAD)
+    prods = np.zeros((_N_RAD, _N_ANG, _N_ANG))
+    drift = 0.0
+    for _, block, values, drift in _ring_pass(m, eps, geometry.circle_nodes(n)):
+        x, y2 = block.real, block.imag ** 2
+        for prod, r in zip(prods, radii):
+            prod += values @ _kernel(x, y2, complex(r)).T
     b = np.arange(_N_ANG)
     shift = (b[None, :] - b[:, None]) % _N_ANG      # row k: (b - k) mod n_ang
-    radii = np.linspace(0.0, (1.0 - 2.0 * eps) * (1.0 - 1e-9), _N_RAD)
+    sums = prods[:, b, shift].sum(axis=2)
     angles = np.linspace(0.0, 2.0 * math.pi, _N_ANG, endpoint=False)
-    out = []
-    for r in radii:
-        prod = np.zeros((_N_ANG, _N_ANG))
-        for lo in range(0, s, step):
-            prod += values[:, lo:lo + step] @ _kernel(nodes[:, lo:lo + step], complex(r)).T
-        sums = prod[b, shift].sum(axis=1)
-        for k, a in enumerate(angles if r > 0.0 else angles[:1]):
-            zeta = complex(r * np.exp(1j * a))
-            out.append((zeta, float(sums[k] / n / finite_dnorm(m, zeta)), profile.eps, n))
-    return PoissonScan(tuple(out), profile.drift, profile.converged)
+    grid = [(i, k, complex(r * np.exp(1j * a))) for i, r in enumerate(radii)
+            for k, a in enumerate(angles if r > 0.0 else angles[:1])]
+    norms = finite_dnorm(m, np.array([zeta for _, _, zeta in grid]))
+    out = tuple((zeta, float(sums[i, k] / n / norm), eps, n)
+                for (i, k, zeta), norm in zip(grid, norms))
+    return PoissonScan(out, drift, drift <= _DRIFT_TOL)
 
 
 def poisson_sup(m: HarmonicMap, eps_levels=(1e-2, 1e-3, 1e-4)) -> PoissonTrace:

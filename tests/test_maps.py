@@ -32,7 +32,8 @@ from hqmap.bounds import (
     check_weighted_deriv_growth,
 )
 from hqmap.johndisk import criterion_ii, criterion_iii, decay_fit
-from hqmap.maps import R_CAP, AnalyticPart, ComboPart, check_sense_preserving, finite_dnorm
+from hqmap.maps import (_CONJ_ZERO, R_CAP, AnalyticPart, ComboPart, check_sense_preserving,
+                        finite_dnorm)
 from hqmap.poisson import boundary_profile, poisson_scan
 
 from conftest import decay_fit_sample
@@ -170,6 +171,34 @@ def test_zero_g_evaluation_matches_formula(label):
         w = m.wirtinger(z)
         _assert_same_bits(w.fz, m.h.d1(z))
         _assert_same_bits(w.fzb, np.conjugate(m.g.d1(z)))
+
+
+def _pair_fields(w):
+    return (w.fz, w.fzb, w.abs_fz, w.abs_fzb, w.dnorm, w.dmin, w.jacobian, w.dilatation)
+
+
+@pytest.mark.parametrize("label", sorted(_zero_g_maps()) + ["vanishing-slope", "nan-slope"])
+def test_zero_g_pair_is_the_general_pair_bit_for_bit(label):
+    # the zero-g pair takes no modulus of zeros and no sum; h' = 1 + 2 z of
+    # "vanishing-slope" is zero at -0.5, where the dilatation is infinite
+    m = {**_zero_g_maps(),
+         "vanishing-slope": HarmonicMap(SeriesPart((0j, 1.0, 1.0)), ZERO, "vanishing-slope"),
+         "nan-slope": HarmonicMap(_NanSlopePart(), ZERO, "nan-slope")}[label]
+    points = [_grid_points((97,)), _grid_points((9, 11)), np.array([0.2, -0.5, 0.3j]),
+              *_scalar_inputs(), -0.5, np.complex128(-0.5)]
+    with np.errstate(all="ignore"):
+        for z in points:
+            w = m.wirtinger(z)
+            ref = WirtingerPair(m.h.d1(z), np.full(np.shape(z), _CONJ_ZERO))
+            for got, want in zip(_pair_fields(w), _pair_fields(ref)):
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).dtype == np.asarray(want).dtype
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert w.dnorm is w.abs_fz
+            if np.ndim(z):
+                assert not w.fzb.flags.writeable and not w.abs_fzb.flags.writeable
+            else:
+                assert isinstance(w.fzb, np.complex128)
 
 
 def test_signed_zero_series_is_not_skipped():

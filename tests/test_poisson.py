@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hqmap import (
 )
 from hqmap import poisson
 from hqmap.maps import (CatalogPart, ComboPart, HarmonicMap, SenseReversalError,
-                        SeriesPart, WirtingerPair)
+                        SeriesPart, WirtingerPair, finite_dnorm)
 from hqmap.poisson import poisson_scan, poisson_trace_json
 from hqmap.quadrature import adaptive_quads, cut_list
 
@@ -38,6 +39,8 @@ def test_profile_validation(corpus):
         boundary_profile(corpus["identity"], n=1000)  # not a power of two
     with pytest.raises(ParameterError):
         boundary_profile(corpus["identity"], n=128)  # too small
+    with pytest.raises(ParameterError, match=r"from 256 to 2\^22"):
+        boundary_profile(corpus["identity"], n=1 << 35)  # 512 GiB of nodes, never built
     with pytest.raises(ParameterError):
         boundary_profile(corpus["identity"], eps=0.7)
 
@@ -70,9 +73,37 @@ def test_profile_blocks_match_whole_rings_bitwise(eps, n, corpus):
         assert prof.drift == drift and prof.converged == (drift <= 0.1), m.label
 
 
+def _contiguous_block_profile(m, eps, n):
+    """Both rings read through ``finite_dnorm`` on contiguous blocks of 2^15
+    nodes, in ring order: (values, drift)."""
+    nodes = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+    values = np.empty(n)
+    drift = 0.0
+    for lo in range(0, n, 1 << 15):
+        block = nodes[lo:lo + (1 << 15)]
+        vals = values[lo:lo + (1 << 15)]
+        vals[:] = finite_dnorm(m, (1.0 - eps) * block)
+        half = finite_dnorm(m, (1.0 - eps / 2.0) * block)
+        drift = float(np.maximum(drift, np.max(np.abs(half - vals) / np.maximum(vals, 1e-300))))
+    return values, drift
+
+
+@pytest.mark.parametrize("eps, n", [(1e-2, 1 << 11), (1e-3, 1 << 15), (1e-4, 1 << 18)])
+def test_profile_from_the_ring_pass_keeps_the_contiguous_block_bits(eps, n, corpus):
+    # the ring pass walks (8, 2^12) column blocks of the ring reshaped to 8
+    # rows; the values and drift are those of contiguous 2^15-node blocks
+    maps = (corpus["koebe"], _seeded_series12(5, harmonic=False), seeded_harmonic(5, 16))
+    for m in maps:
+        prof = boundary_profile(m, eps=eps, n=n)
+        values, drift = _contiguous_block_profile(m, eps, n)
+        assert prof.values.tobytes() == values.tobytes(), m.label
+        assert prof.drift == drift, m.label
+
+
 class _RingMap:
-    """Unit derivative norm, except zero on the arc -pi/4 < arg z < 0, which
-    a 2^18-node profile reaches only in its last 2^15-node block."""
+    """Unit derivative norm, except zero on the arc -pi/32 < arg z < 0, the
+    last 2^12 columns of the last of the ring's 8 rows, which a 2^18-node
+    profile reaches only in its last (8, 2^12) column block."""
 
     label = "ring-zero"
 
@@ -82,7 +113,7 @@ class _RingMap:
     def wirtinger(self, z):
         self.calls += 1
         arg = np.angle(z)
-        fz = np.where((arg > -math.pi / 4) & (arg < 0.0), 0.0, 1.0) + 0.0j
+        fz = np.where((arg > -math.pi / 32) & (arg < 0.0), 0.0, 1.0) + 0.0j
         return WirtingerPair(fz, np.zeros_like(fz))
 
 
@@ -117,7 +148,7 @@ def test_profile_zero_norm_in_last_block_raises():
     n = 1 << 18
     ring = (1.0 - 1e-4) * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
     arg = np.angle(ring)
-    where = complex(ring[np.argmax((arg > -math.pi / 4) & (arg < 0.0))])
+    where = complex(ring[np.argmax((arg > -math.pi / 32) & (arg < 0.0))])
     with pytest.raises(SenseReversalError) as info:
         boundary_profile(m, eps=1e-4, n=n)
     assert info.value.witness == where
@@ -171,7 +202,9 @@ def test_functional_matches_fresh_nodes_bitwise(corpus):
         angles = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
         for zeta in (0.0, 0.5, 0.3 + 0.4j, -0.85, 0.9j):
             xi = np.exp(1j * angles)
-            kernel = (1.0 - abs(zeta) ** 2) / np.abs(xi - zeta) ** 2
+            zeta = complex(zeta)
+            dist2 = (xi.real - zeta.real) ** 2 + (xi.imag - zeta.imag) ** 2
+            kernel = (1.0 - abs(zeta) ** 2) / dist2
             fresh = float(np.mean(prof.values * kernel) / float(m.wirtinger(zeta).dnorm))
             assert poisson_functional(m, zeta, prof) == fresh, (label, zeta)
 
@@ -239,22 +272,88 @@ def test_scan_blocks_do_not_matter(block, eps_levels, corpus, monkeypatch):
 
 
 def test_scan_builds_one_kernel_per_radius(corpus, monkeypatch):
-    counted = []
-    kernel = poisson._kernel
+    # one ring pass per scan, each block folded into the five radii's
+    # products as it arrives; the scan reads no boundary profile
+    counted, blocks = [], []
+    kernel, ring_pass = poisson._kernel, poisson._ring_pass
 
-    def counting(nodes, zeta):
-        counted.append(np.size(nodes))
-        return kernel(nodes, zeta)
+    def counting(x, dy2, zeta):
+        counted.append(np.size(x))
+        return kernel(x, dy2, zeta)
+
+    def passing(m, eps, nodes):
+        blocks.append([])
+        for item in ring_pass(m, eps, nodes):
+            blocks[-1].append(item[1].shape)
+            yield item
+
+    def no_profile(*args, **kwargs):
+        raise AssertionError("the scan built a boundary profile")
 
     monkeypatch.setattr(poisson, "_kernel", counting)
-    for eps, n in ((1e-2, 4096), (1e-3, 1 << 15)):
+    monkeypatch.setattr(poisson, "_ring_pass", passing)
+    monkeypatch.setattr(poisson, "boundary_profile", no_profile)
+    for eps, n in ((1e-2, 4096), (1e-3, 1 << 15), (1e-4, 1 << 18)):
         counted.clear()
+        blocks.clear()
         poisson_scan(corpus["convex-poly3"], eps)
+        width = min(n, 1 << 15) // 8
+        assert blocks == [[(8, width)] * (n // 8 // width)]
+        assert counted == [8 * width] * (5 * len(blocks[0]))
         assert sum(counted) == 5 * n
     counted.clear()
+    monkeypatch.undo()
+    monkeypatch.setattr(poisson, "_kernel", counting)
     prof = boundary_profile(corpus["koebe"], eps=1e-3, n=2048)
     poisson_functional(corpus["koebe"], 0.5, prof)
     assert counted == [2048]  # the single-point functional shares the formula
+
+
+def test_a_warm_scan_holds_no_ring_sized_array(corpus):
+    # a 2^18-node profile array alone is 2 MiB; the scan streams its ring
+    m = corpus["koebe"]
+    poisson_scan(m, 1e-4)  # builds the shared 2^18-node ring, kept for later scans
+    tracemalloc.start()
+    try:
+        poisson_scan(m, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("eps, message", [
+    (0.0, r"ring offset eps must lie in \[1e-15, 0.5\)"),
+    (-1e-4, r"ring offset eps must lie in \[1e-15, 0.5\)"),
+    (math.nan, r"ring offset eps must lie in \[1e-15, 0.5\)"),
+    (0.5, r"ring offset eps must lie in \[1e-15, 0.5\)"),
+    (1e-9, r"ring offset eps = 1e-09 needs a 2\^35-node ring, above the 2\^22-node cap"),
+    (5.9e-6, r"ring offset eps = 5.9e-06 needs a 2\^23-node ring, above the 2\^22-node cap"),
+], ids=["zero", "negative", "nan", "half", "1e-9", "below-cap"])
+def test_a_bad_scan_eps_is_an_input_error_before_any_ring(eps, message, corpus, monkeypatch):
+    # eps = 0 divided by zero, NaN failed to convert to an int, and 1e-9
+    # asked for a 2^35-node ring (512 GiB) before any check
+    def no_ring(n):
+        raise AssertionError(f"a {n}-node ring was asked for")
+
+    monkeypatch.setattr(poisson.geometry, "circle_nodes", no_ring)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=message):
+            poisson_scan(corpus["identity"], eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_the_ring_cap_is_reached_at_eps_6e_6():
+    # sizes only: no ring near the cap is built
+    assert poisson._profile_size(1e-4) == 1 << 18
+    assert poisson._profile_size(6e-6) == 1 << 22
+    assert poisson._profile_size(8.0 * math.pi / (1 << 22)) == 1 << 22
+    with pytest.raises(ParameterError, match="eps must be at least 5.99e-06"):
+        poisson._profile_size(5.99e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +420,17 @@ def test_trace_carries_profile_convergence(corpus):
 
 
 def test_unconverged_profile_makes_the_trace_unstable(corpus, monkeypatch):
-    import dataclasses
+    ring_pass = poisson._ring_pass
 
-    profile = poisson.boundary_profile
-
-    def unconverged(m, eps, n):
-        return dataclasses.replace(profile(m, eps=eps, n=n), converged=False)
+    def drifting(m, eps, nodes):
+        # the same values, but the ring drifts by 0.2 > 0.1 at every block
+        for cols, block, values, drift in ring_pass(m, eps, nodes):
+            yield cols, block, values, max(drift, 0.2)
 
     assert poisson_sup(corpus["identity"]).stable
-    monkeypatch.setattr(poisson, "boundary_profile", unconverged)
+    monkeypatch.setattr(poisson, "_ring_pass", drifting)
     tr = poisson_sup(corpus["identity"])
+    assert [sc.converged for sc in tr.scans] == [False] * 3
     assert all(t == pytest.approx(1.0, abs=1e-6) for t in tr.trace)
     assert not tr.stable
 

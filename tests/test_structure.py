@@ -179,6 +179,8 @@ def test_one_sense_preservation_rule():
 _LIBRARY_ONLY = {
     "preschwarzian_sup": "test_c07 checks its boundary limits 2 (identity) and 4 (Koebe)",
     "poisson_functional": "the single-point reference that poisson_scan is tested against",
+    "boundary_profile": "the stored ring that poisson_functional reads; poisson_scan folds "
+                        "the same ring pass without storing it",
     "save_corpus": "writes a corpus file that --corpus reads back",
     "rotate": "keeps catalog and series maps serializable; the rotated scorecard maps",
     "affine": "builds in-memory maps; the sharp direction of the shear lines",

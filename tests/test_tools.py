@@ -38,3 +38,29 @@ def test_check_line_files_are_the_jsonl_files_and_check_stdout():
     assert not holds(Path("out/poisson-koebe-l1/stdout"))
     assert not holds(Path("out/check-geometry-l3/stderr"))
     assert not holds(Path("out/report-builtin-l0/john_koebe.json"))
+
+
+def test_poisson_files_are_the_poisson_csv_json_and_poisson_stdout():
+    holds = same_outputs._holds_poisson_numbers
+    assert holds(Path("out/report-builtin-l1/poisson_koebe.csv"))
+    assert holds(Path("out/report-builtin-l1/poisson_koebe.json"))
+    assert holds(Path("out/poisson-koebe-l1/stdout"))
+    assert not holds(Path("out/poisson-koebe-l1/stderr"))
+    assert not holds(Path("out/report-builtin-l1/john_koebe.json"))
+    assert not holds(Path("out/check-geometry-l3/stdout"))
+
+
+def test_largest_relative_change_names_the_number_and_where_it_is(tmp_path):
+    (tmp_path / "old.csv").write_text("zeta_re,functional,n\n0.0,2.0,4096\n0.5,4.0,4096\n")
+    (tmp_path / "new.csv").write_text("zeta_re,functional,n\n0.0,2.0000000000000004,4096\n"
+                                      "0.5,4.000000000000004,4096\n")
+    assert same_outputs.largest_relative_change(tmp_path / "old.csv", tmp_path / "new.csv") == (
+        "largest relative change 1.1e-15 at row 2 functional: 4.0 -> 4.000000000000004")
+    old = {"label": "koebe", "stable": False, "sup": 3.0, "trace": [1.0, 3.0]}
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    (tmp_path / "new.json").write_text(json.dumps(dict(old, sup=3.0, trace=[1.5, 3.0])))
+    assert same_outputs.largest_relative_change(tmp_path / "old.json", tmp_path / "new.json") == (
+        "largest relative change 0.5 at trace[0]: 1.0 -> 1.5")
+    (tmp_path / "new.json").write_text(json.dumps(dict(old, trace=[1.0, 3.0, 9.0])))
+    assert same_outputs.largest_relative_change(tmp_path / "old.json", tmp_path / "new.json") == (
+        "no number moved; 1 numbers on one side only")

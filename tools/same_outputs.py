@@ -36,13 +36,20 @@ prints each file that differs or exists on one side only, and exits 0 when
 the trees are equal and 1 otherwise.  Under each differing check-line file
 (a suite's ``.jsonl`` or a ``check`` run's ``stdout``) it also prints every
 field that differs, as ``predicate key: parent -> change``; the n-th line
-of a predicate that has several is named ``predicate#n``.
+of a predicate that has several is named ``predicate#n``.  Under each
+differing Poisson file (a ``poisson_*.csv`` or ``poisson_*.json``, or a
+``poisson`` run's ``stdout``) it prints the largest relative change of any
+number both sides hold at the same place, and where it is, as
+``largest relative change R at WHERE: parent -> change``: a CSV number is
+named ``row r column``, a JSON number by its path, such as ``trace[2]``.
 """
 
 from __future__ import annotations
 
+import csv
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -140,6 +147,67 @@ def _holds_check_lines(path: Path) -> bool:
                                        and path.parent.name.startswith("check-"))
 
 
+def _holds_poisson_numbers(path: Path) -> bool:
+    if path.name == "stdout":
+        return path.parent.name.startswith("poisson")
+    return path.name.startswith("poisson_") and path.suffix in (".csv", ".json")
+
+
+def _numbers(path: Path) -> dict:
+    """The numbers of a Poisson CSV or JSON document, keyed by where they
+    are; a field that is not a number, or a document that does not parse,
+    gives none."""
+    text = path.read_text()
+    out = {}
+    if path.suffix == ".csv":
+        rows = list(csv.reader(text.splitlines()))
+        for r, row in enumerate(rows[1:], 1):
+            for name, cell in zip(rows[0], row):
+                try:
+                    out[f"row {r} {name}"] = float(cell)
+                except ValueError:
+                    pass
+        return out
+
+    def walk(node, where):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{where}.{key}" if where else key)
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(value, f"{where}[{i}]")
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            out[where] = float(node)
+
+    try:
+        walk(json.loads(text), "")
+    except ValueError:
+        pass
+    return out
+
+
+def largest_relative_change(left: Path, right: Path) -> str:
+    """``largest relative change R at WHERE: left -> right`` over the numbers
+    both Poisson files hold at the same place; a change from zero or to or
+    from NaN counts as infinite."""
+    old, new = _numbers(left), _numbers(right)
+    best = None
+    for where in sorted(old.keys() & new.keys()):
+        a, b = old[where], new[where]
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        rel = abs(b - a) / abs(a) if a else math.inf
+        rel = math.inf if math.isnan(rel) else rel
+        if best is None or rel > best[0]:
+            best = (rel, where, a, b)
+    one_side = len(old.keys() ^ new.keys())
+    tail = f"; {one_side} numbers on one side only" if one_side else ""
+    if best is None:
+        return f"no number moved{tail}"
+    rel, where, a, b = best
+    return f"largest relative change {rel:.2g} at {where}: {a!r} -> {b!r}{tail}"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -158,6 +226,8 @@ def main(argv=None) -> int:
             if _holds_check_lines(path) and all(side.is_file() for side in sides):
                 for line in field_differences(*sides):
                     print(f"  {line}")
+            if _holds_poisson_numbers(path) and all(side.is_file() for side in sides):
+                print(f"  {largest_relative_change(*sides)}")
         codes = sorted({(work / "out" / name / "exit_code").read_text().strip()
                         for work in works for name in RUNS})
     print(f"{len(RUNS)} runs, {len(diff)} differing files, exit codes {', '.join(codes)}")
