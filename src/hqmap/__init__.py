@@ -65,8 +65,6 @@ from .johndisk import (
     john_estimate,
 )
 from .poisson import (
-    BoundaryProfile,
-    boundary_profile,
     poisson_csv,
     poisson_functional,
     poisson_scan,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import EPS_MIN, R_CAP, DiskDomainError, HarmonicMap, ParameterError, _check_in_disk
+from .maps import R_CAP, DiskDomainError, HarmonicMap, ParameterError, _check_in_disk, check_eps
 
 TWO_PI = 2.0 * math.pi
 
@@ -105,13 +105,15 @@ def boundary_arc(a: complex, n: int = 512) -> np.ndarray:
     return np.exp(1j * angles)
 
 
-def _built_once(build):
-    """Cache of a map-independent sample keyed by one argument, built once
-    per key for the life of the process.  A miss builds under the cache's
-    own lock, so a thread that misses while another builds the same key
-    waits and reads that build, and no build holds a lock another cache's
-    build needs; a hit takes no lock.  ``cache_clear`` empties the cache."""
-    built = {}
+def _built_once(build, store=dict):
+    """Cache of a result keyed by one argument, built once per key.  A miss
+    builds under the cache's own lock, so a thread that misses while another
+    builds the same key waits and reads that build, and no build holds a
+    lock another cache's build needs; a hit takes no lock.  ``store`` makes
+    the cache: a dict keeps a map-independent sample for the life of the
+    process, a ``weakref.WeakKeyDictionary`` a map's own result only while
+    the map lives.  ``cache_clear`` empties the cache."""
+    built = store()
     lock = threading.Lock()
 
     @functools.wraps(build)
@@ -298,8 +300,7 @@ def boundary_distance(m: HarmonicMap, w, eps: float = 1e-4,
     """
     if n < 128 or n % 2:
         raise ParameterError("boundary distance needs an even ring of at least 128 samples")
-    if not EPS_MIN <= eps < 1.0:
-        raise ParameterError(f"ring offset eps must lie in [{EPS_MIN:g}, 1)")
+    check_eps(eps)
     ws = np.asarray(w, dtype=complex)
     img = m.value((1.0 - eps) * circle_nodes(n))
     targets = _blocks(ws.ravel(), 1)

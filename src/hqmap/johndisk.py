@@ -11,8 +11,10 @@ divergence.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,14 @@ _GROW_FACTOR = 1.5
 
 def _reach(level: int) -> float:
     return 1.0 - _REACH0 / _REACH_FACTOR ** (level + 1)
+
+
+def _trace_stable(trace) -> bool:
+    """The refinement rule of every traced estimate (criterion (iii), the
+    Poisson sup): the last refinement moves the trace by less than
+    _STABLE_TOL of its previous value.  A one-level trace has not moved."""
+    drift = abs(trace[-1] - trace[-2]) / trace[-2] if len(trace) > 1 else 0.0
+    return drift < _STABLE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +190,12 @@ def criterion_iii(m: HarmonicMap, levels: int = 3) -> CriterionTrace:
             sup = max(sup, _ratio_sup(m, nums, dens, zs))
         trace.append(sup)
         reaches.append(reach)
-    drift = abs(trace[-1] - trace[-2]) / trace[-2] if len(trace) > 1 else 0.0
     increasing = all(b >= _GROW_FACTOR * a for a, b in zip(trace[:-1], trace[1:]))
     return CriterionTrace(
         sup=trace[-1],
         trace=tuple(trace),
         reaches=tuple(reaches),
-        stable=drift < _STABLE_TOL,
+        stable=_trace_stable(trace),
         increasing=increasing,
     )
 
@@ -248,6 +257,15 @@ def decay_fit(m: HarmonicMap, window=(0.6, 0.99)) -> DecayFit:
     return DecayFit(c=c_emp, delta=float(delta), residual=residual, slopes=tuple(slopes))
 
 
+@functools.partial(geometry._built_once, store=weakref.WeakKeyDictionary)
+def _default_fit(m: HarmonicMap) -> DecayFit:
+    """``decay_fit(m)`` on the default window, fitted once per map and kept
+    while the map lives (equal maps share it): the inequality suites and
+    ``john_estimate`` read the same fit, and when ``report``'s two pool
+    threads ask for it at once, one fits and the other waits for that fit."""
+    return decay_fit(m)
+
+
 # ---------------------------------------------------------------------------
 # assembled estimate
 
@@ -291,7 +309,7 @@ def john_estimate(m: HarmonicMap) -> JohnEstimate:
     """
     sups = tuple((x, criterion_ii(m, x)) for x in (0.3, 0.5, 0.7, 0.9))
     trace = criterion_iii(m)
-    fit = decay_fit(m)
+    fit = _default_fit(m)
     pos_ii = any(s < 1.0 for _, s in sups)
     if pos_ii and trace.stable:
         verdict = "john-positive"

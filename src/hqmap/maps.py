@@ -28,6 +28,14 @@ R_CAP = 0.999
 # keeps every (1 - eps) node inside the open disk
 EPS_MIN = 1e-15
 
+
+def check_eps(eps) -> None:
+    """The one range of every ring offset, the ``--eps`` flag's included:
+    [EPS_MIN, 0.5].  Written as "not inside", so a NaN eps fails it too."""
+    if not EPS_MIN <= eps <= 0.5:
+        raise ParameterError(f"ring offset eps must lie in [{EPS_MIN:g}, 0.5]")
+
+
 # tolerance used when validating normalization flags at construction
 _FLAG_TOL = 1e-9
 
@@ -430,8 +438,7 @@ class Config:
             raise ParameterError("alpha must be finite and >= 2")
         if not 1.0 <= self.bigk < math.inf:
             raise ParameterError("K must be finite and >= 1")
-        if not EPS_MIN <= self.eps <= 0.5:
-            raise ParameterError(f"boundary offset eps must lie in [{EPS_MIN:g}, 0.5]")
+        check_eps(self.eps)
         if not 0.0 < self.tol < math.inf:
             raise ParameterError("quadrature tolerance must be finite and > 0")
         # no sample grows with the level, and levels 1 to 6 are one eps ladder,

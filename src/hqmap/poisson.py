@@ -21,21 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .maps import EPS_MIN, HarmonicMap, ParameterError, check_sense_preserving, finite_dnorm
+from .johndisk import _trace_stable
+from .maps import HarmonicMap, ParameterError, check_eps, check_sense_preserving, finite_dnorm
 from .quadrature import adaptive_quads
-
-
-@dataclass(eq=False)
-class BoundaryProfile:
-    """Derivative norms dnorm((1-eps) e^{i t_k}) at the n uniform angles
-    t_k = 2 pi k / n."""
-
-    eps: float
-    n: int
-    nodes: np.ndarray     # geometry.circle_nodes(n), read-only, shared by both rings and the kernel
-    values: np.ndarray
-    drift: float          # relative change when resampled at eps/2
-    converged: bool
 
 
 # nodes per ring block: 2^15 complex nodes are 512 KB
@@ -45,7 +33,7 @@ _RING_BLOCK = 1 << 15
 # 8 pi / 2^22, about 6e-6
 _RING_CAP = 1 << 22
 
-# a profile has converged when its drift is at most this
+# a ring has converged when its drift is at most this
 _DRIFT_TOL = 0.1
 
 # scan grid: radii reaching |zeta| = 1 - 2 eps, and angles per nonzero radius
@@ -53,32 +41,24 @@ _N_RAD = 5
 _N_ANG = 8
 
 
-def _check_eps(eps) -> None:
-    # written as "not inside", so a NaN eps fails it too
-    if not EPS_MIN <= eps < 0.5:
-        raise ParameterError(f"ring offset eps must lie in [{EPS_MIN:g}, 0.5)")
-
-
 def _ring_pass(m: HarmonicMap, eps: float, nodes: np.ndarray):
     """One pass over the ring of radius 1 - eps at the unit-circle nodes,
     in column blocks of 2^15 nodes (512 KB of complex points) of the nodes
-    reshaped to (_N_ANG, n / _N_ANG).  For each it yields ``(cols, block,
-    values, drift)``: the column slice, the node block, dnorm((1 - eps)
-    block) and the running maximum, over the blocks so far, of the relative
-    change of dnorm at 1 - eps/2.  Every value is pointwise, so the blocks
-    do not move a bit, and the last drift is the whole ring's.  A ring that
-    fails the sense check at several points names the first of the first
-    block to fail.
+    reshaped to (_N_ANG, n / _N_ANG).  For each it yields ``(block, values,
+    drift)``: the node block, dnorm((1 - eps) block) and the running
+    maximum, over the blocks so far, of the relative change of dnorm at
+    1 - eps/2.  Every value is pointwise, so the blocks do not move a bit,
+    and the last drift is the whole ring's.  A ring that fails the sense
+    check at several points names the first of the first block to fail.
     """
     grid = nodes.reshape(_N_ANG, -1)
     step = _RING_BLOCK // _N_ANG
     drift = 0.0
     for lo in range(0, grid.shape[1], step):
-        cols = slice(lo, lo + step)
-        block = grid[:, cols]
+        block = grid[:, lo:lo + step]
         values, rel = _ring_block(m, eps, block)
         drift = float(np.maximum(drift, rel))  # np.maximum keeps a NaN
-        yield cols, block, values, drift
+        yield block, values, drift
 
 
 def _ring_block(m: HarmonicMap, eps: float, block: np.ndarray):
@@ -88,41 +68,6 @@ def _ring_block(m: HarmonicMap, eps: float, block: np.ndarray):
     values = finite_dnorm(m, (1.0 - eps) * block)
     half = finite_dnorm(m, (1.0 - eps / 2.0) * block)
     return values, np.max(np.abs(half - values) / np.maximum(values, 1e-300))
-
-
-def boundary_profile(m: HarmonicMap, eps: float = 1e-3, n: int = 2048) -> BoundaryProfile:
-    """Sample the derivative norm on the ring of radius 1 - eps.
-
-    n must be a power of two from 256 to 2^22; the profile is compared with a
-    half-offset ring (eps/2) to flag convergence of the ring surrogate.
-    The values are those of ``_ring_pass``, which ``poisson_scan`` folds as
-    it goes, collected into one n-entry array; the nodes are the shared,
-    read-only ``geometry.circle_nodes(n)``.
-    """
-    if not 256 <= n <= _RING_CAP or n & (n - 1):
-        raise ParameterError("profile size must be a power of two from 256 to 2^22")
-    _check_eps(eps)
-    nodes = geometry.circle_nodes(n)
-    values = np.empty((_N_ANG, n // _N_ANG))
-    drift = 0.0
-    for cols, _, vals, drift in _ring_pass(m, eps, nodes):
-        values[:, cols] = vals
-    return BoundaryProfile(eps, n, nodes, values.reshape(n), drift, drift <= _DRIFT_TOL)
-
-
-def poisson_functional(m: HarmonicMap, zeta: complex, profile: BoundaryProfile) -> float:
-    """(1/2 pi) integral of [dnorm(xi)/dnorm(zeta)] (1-|zeta|^2)/|xi - zeta|^2
-    over the circle, with dnorm ring-sampled per the profile.
-
-    Requires |zeta| <= 1 - 2 eps so the kernel stays separated from the
-    sampling ring.
-    """
-    zeta = complex(zeta)
-    if abs(zeta) > 1.0 - 2.0 * profile.eps:
-        raise ParameterError("kernel point too close to the sampling ring")
-    nodes = profile.nodes
-    kernel = _kernel(nodes.real, (nodes.imag - zeta.imag) ** 2, zeta)
-    return float(np.mean(profile.values * kernel) / finite_dnorm(m, zeta))
 
 
 def _kernel(x: np.ndarray, dy2: np.ndarray, zeta: complex) -> np.ndarray:
@@ -135,8 +80,8 @@ def _kernel(x: np.ndarray, dy2: np.ndarray, zeta: complex) -> np.ndarray:
 @dataclass(frozen=True)
 class PoissonScan:
     records: tuple        # (zeta, value, eps, n) per grid point
-    drift: float          # the ring profile's BoundaryProfile.drift
-    converged: bool       # and its convergence flag
+    drift: float          # the ring's drift, the last of its _ring_pass
+    converged: bool       # drift <= _DRIFT_TOL
 
 
 @dataclass(frozen=True)
@@ -153,7 +98,7 @@ def _profile_size(eps: float) -> int:
 
     eps is checked first, and a ring above _RING_CAP nodes is an input error
     raised before any ring is built."""
-    _check_eps(eps)
+    check_eps(eps)
     need = max(2048, int(8.0 * math.pi / eps))
     bits = math.ceil(math.log2(need))
     if 1 << bits > _RING_CAP:
@@ -162,6 +107,25 @@ def _profile_size(eps: float) -> int:
                              f"the 2^{cap}-node cap: eps must be at least "
                              f"{8.0 * math.pi / _RING_CAP:.3g}")
     return 1 << bits
+
+
+def poisson_functional(m: HarmonicMap, zeta: complex, eps: float) -> float:
+    """(1/2 pi) integral of [dnorm(xi)/dnorm(zeta)] (1-|zeta|^2)/|xi - zeta|^2
+    over the circle, with dnorm sampled on the ring of radius 1 - eps that
+    ``poisson_scan`` reads: one ``_ring_pass`` over ``_profile_size(eps)``
+    nodes, each block folded into the kernel sum as it arrives.
+
+    Requires |zeta| <= 1 - 2 eps so the kernel stays separated from the
+    sampling ring.
+    """
+    zeta = complex(zeta)
+    n = _profile_size(eps)
+    if abs(zeta) > 1.0 - 2.0 * eps:
+        raise ParameterError("kernel point too close to the sampling ring")
+    total = 0.0
+    for block, values, _ in _ring_pass(m, eps, geometry.circle_nodes(n)):
+        total += np.sum(values * _kernel(block.real, (block.imag - zeta.imag) ** 2, zeta))
+    return float(total / n / finite_dnorm(m, zeta))
 
 
 def poisson_scan(m: HarmonicMap, eps: float) -> PoissonScan:
@@ -179,7 +143,7 @@ def poisson_scan(m: HarmonicMap, eps: float) -> PoissonScan:
     zeta_k itself.
 
     The scan is one streamed pass over its ring (``_ring_pass``, shared
-    with ``boundary_profile``): each (n_ang, 2^15 / n_ang) column block of
+    with ``poisson_functional``): each (n_ang, 2^15 / n_ang) column block of
     values is folded into all five radii's products V K^T while it is in
     cache, so no array of n entries is held.  The kernel at zeta = r is
     (1 - r^2) / ((x - r)^2 + y^2) at the nodes x + i y, with y^2 taken once
@@ -198,7 +162,7 @@ def poisson_scan(m: HarmonicMap, eps: float) -> PoissonScan:
     radii = np.linspace(0.0, (1.0 - 2.0 * eps) * (1.0 - 1e-9), _N_RAD)
     prods = np.zeros((_N_RAD, _N_ANG, _N_ANG))
     drift = 0.0
-    for _, block, values, drift in _ring_pass(m, eps, geometry.circle_nodes(n)):
+    for block, values, drift in _ring_pass(m, eps, geometry.circle_nodes(n)):
         x, y2 = block.real, block.imag ** 2
         for prod, r in zip(prods, radii):
             prod += values @ _kernel(x, y2, complex(r)).T
@@ -224,8 +188,7 @@ def poisson_sup(m: HarmonicMap, eps_levels=(1e-2, 1e-3, 1e-4)) -> PoissonTrace:
     """
     scans = tuple(poisson_scan(m, eps) for eps in eps_levels)
     trace = [max(v for _, v, _, _ in sc.records) for sc in scans]
-    drift = abs(trace[-1] - trace[-2]) / trace[-2] if len(trace) > 1 else 0.0
-    stable = drift < 0.05 and all(sc.converged for sc in scans)
+    stable = _trace_stable(trace) and all(sc.converged for sc in scans)
     return PoissonTrace(trace[-1], tuple(trace), tuple(eps_levels), stable, scans)
 
 

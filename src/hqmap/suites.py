@@ -33,7 +33,7 @@ def _inequality_family(m: HarmonicMap, alpha: float, qc_k: float, config: Config
                        tag: str) -> list:
     """The inequality predicates of one map, each on its default sample."""
     eps = config.eps
-    fit = johndisk.decay_fit(m) if "bounded" in m.flags else None
+    fit = johndisk._default_fit(m) if "bounded" in m.flags else None
     try:
         out = [
             bounds.check_two_point_growth(m, alpha, qc_k),

@@ -835,6 +835,24 @@ def test_report_builds_the_map_independent_samples_once(tmp_path, monkeypatch):
         assert all(nodes is got[0] for nodes in got), n
 
 
+def test_report_fits_each_map_once(tmp_path, monkeypatch):
+    # the inequality suites and the John files read one decay fit per map:
+    # 6 fits on the built-ins, where each bounded map used to be fitted by
+    # its suite and again by john_estimate, 10 in all
+    fitted = []
+    fit = johndisk.decay_fit
+
+    def counting(m, *args):
+        fitted.append(m.label)
+        return fit(m, *args)
+
+    johndisk._default_fit.cache_clear()
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(johndisk, "decay_fit", counting)
+    assert main(["--grid-level", "0", "--out", str(tmp_path), "report"]) == 0
+    assert sorted(fitted) == sorted(default_corpus())
+
+
 def test_report_cold_and_warm_sample_caches_write_the_same_bytes(tmp_path):
     # a report that fills the caches and one that reads them write the same
     # bytes, so no caller writes into a cached sample

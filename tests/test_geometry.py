@@ -27,8 +27,8 @@ from hqmap.geometry import (
 )
 from hqmap import geometry
 from hqmap.bounds import check_arc_image_diameter
-from hqmap.maps import EPS_MIN, HarmonicMap, ParameterError, SeriesPart
-from hqmap.poisson import boundary_profile
+from hqmap.maps import EPS_MIN, Config, HarmonicMap, ParameterError, SeriesPart
+from hqmap.poisson import poisson_functional, poisson_scan
 
 
 def polar(r, t):
@@ -350,17 +350,36 @@ def test_boundary_distance_identity(corpus):
     assert boundary_distance(ident, 0.5, eps=1e-4, n=4096).value == pytest.approx(0.5, abs=1e-3)
 
 
-@pytest.mark.parametrize("run", [
-    lambda m, eps: boundary_distance(m, 0.1, eps=eps),
-    lambda m, eps: boundary_profile(m, eps=eps, n=256),
-    lambda m, eps: check_arc_image_diameter(m, 1.0, 2.0, (1.0, 1.0), [0.9 + 0j], eps=eps),
-], ids=["boundary_distance", "boundary_profile", "arc_image_diameter"])
-def test_a_ring_offset_below_the_floor_is_an_input_error(run, corpus):
+@pytest.mark.parametrize("run, at_floor", [
+    (lambda m, eps: boundary_distance(m, 0.1, eps=eps), None),
+    # the floor passes, and the 2^55-node ring it asks for is above the cap
+    (lambda m, eps: poisson_functional(m, 0.0, eps), r"needs a 2\^55-node ring"),
+    (lambda m, eps: check_arc_image_diameter(m, 1.0, 2.0, (1.0, 1.0), [0.9 + 0j], eps=eps),
+     None),
+], ids=["boundary_distance", "poisson_functional", "arc_image_diameter"])
+def test_a_ring_offset_below_the_floor_is_an_input_error(run, at_floor, corpus):
     # below about 3e-16 a (1 - eps) ring node rounds onto or past the circle
     for eps in (1e-17, 2.3e-16, 9e-16, 0.0, -1e-4, math.nan):
-        with pytest.raises(ParameterError, match=r"ring offset eps must lie in \[1e-15, "):
+        with pytest.raises(ParameterError, match=r"ring offset eps must lie in \[1e-15, 0.5\]"):
             run(corpus["identity"], eps)
-    run(corpus["identity"], EPS_MIN)
+    if at_floor is None:
+        run(corpus["identity"], EPS_MIN)
+    else:
+        with pytest.raises(ParameterError, match=at_floor):
+            run(corpus["identity"], EPS_MIN)
+
+
+@pytest.mark.parametrize("run", [
+    lambda m, eps: Config(eps=eps),
+    lambda m, eps: boundary_distance(m, 0.1, eps=eps),
+    lambda m, eps: poisson_functional(m, 0.0, eps),
+    lambda m, eps: poisson_scan(m, eps),
+], ids=["Config", "boundary_distance", "poisson_functional", "poisson_scan"])
+def test_one_half_is_the_top_of_every_ring_offset(run, corpus):
+    # one range for every ring offset: [EPS_MIN, 0.5], the --eps range
+    run(corpus["identity"], 0.5)
+    with pytest.raises(ParameterError, match=r"ring offset eps must lie in \[1e-15, 0.5\]"):
+        run(corpus["identity"], np.nextafter(0.5, 1.0))
 
 
 def test_boundary_distance_scaled_disk():

@@ -1,5 +1,10 @@
+import gc
 import json
 import math
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from hqmap import (
     john_estimate,
     rotate,
 )
+from hqmap import johndisk
 from hqmap.johndisk import HolderFit
 from hqmap.maps import WirtingerPair, finite_dnorm
 
@@ -123,6 +129,16 @@ def test_criterion_iii_identity_origin_slice(corpus):
     slice_sup = float(np.max(np.abs(ident.value(box))))
     assert slice_sup == pytest.approx(reach, abs=1e-12)
     assert slice_sup == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("trace, stable", [
+    ([1.0, 1.049], True), ([1.0, 1.05], False), ([1.0, 0.951], True), ([1.0, 0.95], False),
+    ([3.0, 1.0, 1.049], True), ([2.0], True),
+])
+def test_the_trace_rule_reads_the_last_refinement_step(trace, stable):
+    # the one rule of criterion (iii) and the Poisson sup trace: the last
+    # step moves the trace by less than 5 % of its previous value
+    assert johndisk._trace_stable(trace) is stable
 
 
 def test_criterion_iii_shear_stability(corpus):
@@ -377,6 +393,49 @@ def test_decay_convex_in_range(corpus):
 def test_decay_window_validation(corpus):
     with pytest.raises(ParameterError):
         decay_fit(corpus["identity"], window=(0.2, 0.9))
+
+
+def test_a_map_is_fitted_once_while_threads_race_for_its_fit(monkeypatch):
+    # report's suite and map threads both ask for a bounded map's fit: one
+    # thread fits it, the others wait and read that fit, which john_estimate
+    # reads too; the cache does not keep the map alive
+    fitted = []
+    fit = johndisk.decay_fit
+
+    def slow(m, *args):
+        fitted.append(m.label)
+        time.sleep(0.05)
+        return fit(m, *args)
+
+    monkeypatch.setattr(johndisk, "decay_fit", slow)
+    m = HarmonicMap(SeriesPart((0j, 1 + 0j, 0.2 + 0.1j)), SeriesPart((0j,)), "race")
+    got = [None] * 4
+    start = threading.Barrier(len(got), timeout=30)
+
+    def ask(i):
+        start.wait()
+        got[i] = johndisk._default_fit(m)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(got))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert fitted == ["race"]
+    assert all(f is got[0] for f in got)
+    assert got[0] == fit(m)
+    assert john_estimate(m).decay is got[0]
+    assert fitted == ["race"]
+    kept = weakref.ref(m)
+    del m
+    gc.collect()
+    assert kept() is None
 
 
 # ---------------------------------------------------------------------------

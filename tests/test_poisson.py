@@ -7,7 +7,6 @@ import pytest
 
 from hqmap import (
     ParameterError,
-    boundary_profile,
     decay_fit,
     john_estimate,
     poisson_functional,
@@ -16,6 +15,7 @@ from hqmap import (
     preschwarzian_sup,
 )
 from hqmap import poisson
+from hqmap.geometry import circle_nodes
 from hqmap.maps import (CatalogPart, ComboPart, HarmonicMap, SenseReversalError,
                         SeriesPart, WirtingerPair, finite_dnorm)
 from hqmap.poisson import poisson_scan, poisson_trace_json
@@ -31,25 +31,28 @@ def scaled(m, c):
 
 
 # ---------------------------------------------------------------------------
-# boundary profiles
+# the ring pass that the functional and the scans read
+
+
+def _ring(m, eps, n):
+    """``_ring_pass`` over the n-node ring, its blocks put back in ring
+    order: (nodes, values, drift)."""
+    blocks = list(poisson._ring_pass(m, eps, circle_nodes(n)))
+    nodes, values = (np.concatenate([b[i] for b in blocks], axis=1).reshape(n) for i in (0, 1))
+    return nodes, values, blocks[-1][2]
 
 
 def test_profile_validation(corpus):
-    with pytest.raises(ParameterError):
-        boundary_profile(corpus["identity"], n=1000)  # not a power of two
-    with pytest.raises(ParameterError):
-        boundary_profile(corpus["identity"], n=128)  # too small
-    with pytest.raises(ParameterError, match=r"from 256 to 2\^22"):
-        boundary_profile(corpus["identity"], n=1 << 35)  # 512 GiB of nodes, never built
-    with pytest.raises(ParameterError):
-        boundary_profile(corpus["identity"], eps=0.7)
+    # the ring is sized by eps alone, which must not exceed one half
+    with pytest.raises(ParameterError, match=r"ring offset eps must lie in \[1e-15, 0.5\]"):
+        poisson_functional(corpus["identity"], 0.0, 0.7)
 
 
 def test_profile_values_positive_and_converged(corpus):
-    prof = boundary_profile(corpus["shear-k3"], eps=1e-3, n=512)
-    assert np.all(prof.values > 0)
-    assert prof.values == pytest.approx(np.full(512, 1.5), abs=1e-12)
-    assert prof.converged
+    _, values, drift = _ring(corpus["shear-k3"], 1e-3, 512)
+    assert np.all(values > 0)
+    assert values == pytest.approx(np.full(512, 1.5), abs=1e-12)
+    assert drift <= poisson._DRIFT_TOL
 
 
 def _unblocked_profile(m, eps, n):
@@ -67,10 +70,10 @@ def test_profile_blocks_match_whole_rings_bitwise(eps, n, corpus):
                          SeriesPart((0j, 0j) + tuple(0.03 / k * np.exp(-2j * k))),
                          "series12")
     for m in (corpus["koebe"], corpus["convex-poly3"], series):
-        prof = boundary_profile(m, eps=eps, n=n)
+        _, got, got_drift = _ring(m, eps, n)
         values, drift = _unblocked_profile(m, eps, n)
-        assert prof.values.tobytes() == values.tobytes(), m.label
-        assert prof.drift == drift and prof.converged == (drift <= 0.1), m.label
+        assert got.tobytes() == values.tobytes(), m.label
+        assert got_drift == drift, m.label
 
 
 def _contiguous_block_profile(m, eps, n):
@@ -94,16 +97,16 @@ def test_profile_from_the_ring_pass_keeps_the_contiguous_block_bits(eps, n, corp
     # rows; the values and drift are those of contiguous 2^15-node blocks
     maps = (corpus["koebe"], _seeded_series12(5, harmonic=False), seeded_harmonic(5, 16))
     for m in maps:
-        prof = boundary_profile(m, eps=eps, n=n)
+        _, got, got_drift = _ring(m, eps, n)
         values, drift = _contiguous_block_profile(m, eps, n)
-        assert prof.values.tobytes() == values.tobytes(), m.label
-        assert prof.drift == drift, m.label
+        assert got.tobytes() == values.tobytes(), m.label
+        assert got_drift == drift, m.label
 
 
 class _RingMap:
     """Unit derivative norm, except zero on the arc -pi/32 < arg z < 0, the
-    last 2^12 columns of the last of the ring's 8 rows, which a 2^18-node
-    profile reaches only in its last (8, 2^12) column block."""
+    last 2^12 columns of the last of the ring's 8 rows, which a pass over a
+    2^18-node ring reaches only in its last (8, 2^12) column block."""
 
     label = "ring-zero"
 
@@ -118,12 +121,13 @@ class _RingMap:
 
 
 def test_profile_nan_norm_raises(nan_norm_map):
-    # a NaN norm is neither <= 0 nor a drift the profile may carry
+    # a NaN norm is neither <= 0 nor a drift the ring may carry; the middle
+    # point of the one (8, 4096) block of the 2^15-node ring is at angle pi
     angles = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
     where = complex((1.0 - 1e-3) * np.exp(1j * angles[256]))
     with pytest.raises(ParameterError, match=re.escape(f"nan-norm: derivative norm is "
                                                        f"not finite at z = {where}")):
-        boundary_profile(nan_norm_map, eps=1e-3, n=512)
+        poisson_functional(nan_norm_map, 0.0, 1e-3)
 
 
 @pytest.mark.parametrize("fz, error, message", [
@@ -140,7 +144,7 @@ def test_functional_denominator_checked(fz, error, message, norm_at_point):
     with pytest.raises(error, match=re.escape(message.format(zeta))):
         poisson_scan(m, eps)
     with pytest.raises(error, match=re.escape(message.format(zeta))):
-        poisson_functional(m, zeta, boundary_profile(m, eps=eps, n=2048))
+        poisson_functional(m, zeta, eps)
 
 
 def test_profile_zero_norm_in_last_block_raises():
@@ -150,7 +154,7 @@ def test_profile_zero_norm_in_last_block_raises():
     arg = np.angle(ring)
     where = complex(ring[np.argmax((arg > -math.pi / 32) & (arg < 0.0))])
     with pytest.raises(SenseReversalError) as info:
-        boundary_profile(m, eps=1e-4, n=n)
+        poisson_functional(m, 0.0, 1e-4)  # a 2^18-node ring
     assert info.value.witness == where
     assert "ring-zero: sense-reversing, |f_zb| >= |f_z|" in str(info.value)
     assert m.calls == 2 * 7 + 1  # seven full blocks of both rings, then the last
@@ -162,57 +166,73 @@ def test_profile_zero_norm_in_last_block_raises():
 
 def test_functional_identity_normalization(corpus):
     # the kernel integrates to one at every interior point
-    prof = boundary_profile(corpus["identity"], eps=1e-3, n=2048)
     for zeta in (0.0, 0.5, 0.3 + 0.4j, -0.85, 0.9j):
-        got = poisson_functional(corpus["identity"], zeta, prof)
+        got = poisson_functional(corpus["identity"], zeta, 1e-3)
         assert got == pytest.approx(1.0, abs=1e-6), zeta
 
 
 def test_functional_shear_constant_norm(corpus):
     # constant derivative norm cancels: the functional is again the kernel
-    prof = boundary_profile(corpus["shear-k3"], eps=1e-3, n=2048)
     for zeta in (0.0, 0.4, -0.2 + 0.6j):
-        assert poisson_functional(corpus["shear-k3"], zeta, prof) == pytest.approx(1.0, abs=1e-6)
+        assert poisson_functional(corpus["shear-k3"], zeta, 1e-3) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_functional_scale_invariance(corpus):
     for label in ("identity", "convex-poly2"):
         m = corpus[label]
         big = scaled(m, 2.5)
-        prof_m = boundary_profile(m, eps=1e-3, n=1024)
-        prof_b = boundary_profile(big, eps=1e-3, n=1024)
         for zeta in (0.3, -0.5j, 0.2 + 0.4j):
-            a = poisson_functional(m, zeta, prof_m)
-            b = poisson_functional(big, zeta, prof_b)
+            a = poisson_functional(m, zeta, 1e-3)
+            b = poisson_functional(big, zeta, 1e-3)
             assert abs(a - b) < 1e-12
 
 
 def test_profile_nodes_are_the_unit_circle_nodes(corpus):
-    prof = boundary_profile(corpus["koebe"], eps=1e-3, n=1024)
+    nodes, _, _ = _ring(corpus["koebe"], 1e-3, 1024)
     angles = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
-    assert np.array_equal(prof.nodes, np.exp(1j * angles))
+    assert np.array_equal(nodes, np.exp(1j * angles))
 
 
 def test_functional_matches_fresh_nodes_bitwise(corpus):
-    # the kernel on the profile's stored nodes equals the kernel on freshly
-    # exponentiated angles, bit for bit
-    for label in ("koebe", "shear-k3", "convex-poly3"):
-        m = corpus[label]
-        prof = boundary_profile(m, eps=1e-3, n=2048)
-        angles = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
-        for zeta in (0.0, 0.5, 0.3 + 0.4j, -0.85, 0.9j):
-            xi = np.exp(1j * angles)
-            zeta = complex(zeta)
-            dist2 = (xi.real - zeta.real) ** 2 + (xi.imag - zeta.imag) ** 2
-            kernel = (1.0 - abs(zeta) ** 2) / dist2
-            fresh = float(np.mean(prof.values * kernel) / float(m.wirtinger(zeta).dnorm))
-            assert poisson_functional(m, zeta, prof) == fresh, (label, zeta)
+    # the kernel on the shared ring nodes equals the kernel on freshly
+    # exponentiated angles, bit for bit, summed per (8, 4096) column block
+    # in ring order as the functional folds its ring pass
+    for eps in (1e-3, 1e-4):
+        n = poisson._profile_size(eps)
+        xi = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)).reshape(8, -1)
+        for label in ("koebe", "shear-k3", "convex-poly3"):
+            m = corpus[label]
+            values = _ring(m, eps, n)[1].reshape(8, -1)
+            for zeta in (0.0, 0.5, 0.3 + 0.4j, -0.85, 0.9j):
+                zeta = complex(zeta)
+                total = 0.0
+                for lo in range(0, n // 8, 4096):
+                    x, y = xi[:, lo:lo + 4096].real, xi[:, lo:lo + 4096].imag
+                    kernel = (1.0 - abs(zeta) ** 2) / ((x - zeta.real) ** 2 + (y - zeta.imag) ** 2)
+                    total += np.sum(values[:, lo:lo + 4096] * kernel)
+                fresh = float(total / n / float(m.wirtinger(zeta).dnorm))
+                assert poisson_functional(m, zeta, eps) == fresh, (label, eps, zeta)
 
 
 def test_functional_separation_guard(corpus):
-    prof = boundary_profile(corpus["identity"], eps=1e-2, n=512)
-    with pytest.raises(ParameterError):
-        poisson_functional(corpus["identity"], 0.99, prof)
+    with pytest.raises(ParameterError, match="kernel point too close to the sampling ring"):
+        poisson_functional(corpus["identity"], 0.99, 1e-2)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+def test_the_functional_makes_one_ring_pass_of_the_profile_size(eps, corpus, monkeypatch):
+    passes = []
+    ring_pass = poisson._ring_pass
+
+    def passing(m, e, nodes):
+        passes.append((e, nodes))
+        yield from ring_pass(m, e, nodes)
+
+    monkeypatch.setattr(poisson, "_ring_pass", passing)
+    poisson_functional(corpus["koebe"], 0.5, eps)
+    assert len(passes) == 1
+    assert passes[0][0] == eps
+    assert passes[0][1] is circle_nodes(poisson._profile_size(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +266,13 @@ def test_scan_matches_functional(eps, corpus):
     n = 4096 if eps == 1e-2 else 1 << 18
     for m in _scan_maps(corpus):
         scan = poisson_scan(m, eps)
-        prof = boundary_profile(m, eps=eps, n=n)
+        drift = _ring(m, eps, n)[2]
         assert len(scan.records) == 1 + 4 * 8, m.label
         for zeta, val, e, size in scan.records:
             assert (e, size) == (eps, n)
-            ref = poisson_functional(m, zeta, prof)
+            ref = poisson_functional(m, zeta, eps)
             assert abs(val - ref) <= 1e-11 * abs(ref), (m.label, zeta)
-        assert (scan.drift, scan.converged) == (prof.drift, prof.converged)
+        assert (scan.drift, scan.converged) == (drift, drift <= poisson._DRIFT_TOL)
 
 
 def _rel_close(a, b, tol):
@@ -273,7 +293,7 @@ def test_scan_blocks_do_not_matter(block, eps_levels, corpus, monkeypatch):
 
 def test_scan_builds_one_kernel_per_radius(corpus, monkeypatch):
     # one ring pass per scan, each block folded into the five radii's
-    # products as it arrives; the scan reads no boundary profile
+    # products as it arrives
     counted, blocks = [], []
     kernel, ring_pass = poisson._kernel, poisson._ring_pass
 
@@ -284,15 +304,11 @@ def test_scan_builds_one_kernel_per_radius(corpus, monkeypatch):
     def passing(m, eps, nodes):
         blocks.append([])
         for item in ring_pass(m, eps, nodes):
-            blocks[-1].append(item[1].shape)
+            blocks[-1].append(item[0].shape)
             yield item
-
-    def no_profile(*args, **kwargs):
-        raise AssertionError("the scan built a boundary profile")
 
     monkeypatch.setattr(poisson, "_kernel", counting)
     monkeypatch.setattr(poisson, "_ring_pass", passing)
-    monkeypatch.setattr(poisson, "boundary_profile", no_profile)
     for eps, n in ((1e-2, 4096), (1e-3, 1 << 15), (1e-4, 1 << 18)):
         counted.clear()
         blocks.clear()
@@ -304,13 +320,12 @@ def test_scan_builds_one_kernel_per_radius(corpus, monkeypatch):
     counted.clear()
     monkeypatch.undo()
     monkeypatch.setattr(poisson, "_kernel", counting)
-    prof = boundary_profile(corpus["koebe"], eps=1e-3, n=2048)
-    poisson_functional(corpus["koebe"], 0.5, prof)
-    assert counted == [2048]  # the single-point functional shares the formula
+    poisson_functional(corpus["koebe"], 0.5, 1e-3)
+    assert counted == [1 << 15]  # the single-point functional shares the formula
 
 
 def test_a_warm_scan_holds_no_ring_sized_array(corpus):
-    # a 2^18-node profile array alone is 2 MiB; the scan streams its ring
+    # a 2^18-node array of ring values alone is 2 MiB; the scan streams its ring
     m = corpus["koebe"]
     poisson_scan(m, 1e-4)  # builds the shared 2^18-node ring, kept for later scans
     tracemalloc.start()
@@ -323,10 +338,11 @@ def test_a_warm_scan_holds_no_ring_sized_array(corpus):
 
 
 @pytest.mark.parametrize("eps, message", [
-    (0.0, r"ring offset eps must lie in \[1e-15, 0.5\)"),
-    (-1e-4, r"ring offset eps must lie in \[1e-15, 0.5\)"),
-    (math.nan, r"ring offset eps must lie in \[1e-15, 0.5\)"),
-    (0.5, r"ring offset eps must lie in \[1e-15, 0.5\)"),
+    (0.0, r"ring offset eps must lie in \[1e-15, 0.5\]"),
+    (-1e-4, r"ring offset eps must lie in \[1e-15, 0.5\]"),
+    (math.nan, r"ring offset eps must lie in \[1e-15, 0.5\]"),
+    # the next float above one half; 0.5 itself is accepted
+    (np.nextafter(0.5, 1.0), r"ring offset eps must lie in \[1e-15, 0.5\]"),
     (1e-9, r"ring offset eps = 1e-09 needs a 2\^35-node ring, above the 2\^22-node cap"),
     (5.9e-6, r"ring offset eps = 5.9e-06 needs a 2\^23-node ring, above the 2\^22-node cap"),
 ], ids=["zero", "negative", "nan", "half", "1e-9", "below-cap"])
@@ -414,8 +430,8 @@ def test_trace_carries_profile_convergence(corpus):
     doc = json.loads(poisson_trace_json(corpus["koebe"], tr))
     for eps, sc, drift, conv in zip(tr.eps_levels, tr.scans, doc["profile_drift"],
                                     doc["profile_converged"]):
-        prof = boundary_profile(corpus["koebe"], eps=eps, n=poisson._profile_size(eps))
-        assert (sc.drift, sc.converged) == (drift, conv) == (prof.drift, prof.converged)
+        ring_drift = _ring(corpus["koebe"], eps, poisson._profile_size(eps))[2]
+        assert (sc.drift, sc.converged) == (drift, conv) == (ring_drift, ring_drift <= 0.1)
     assert doc["profile_converged"] == [False] * 3  # drift 7: the ring surrogate fails
 
 
@@ -424,8 +440,8 @@ def test_unconverged_profile_makes_the_trace_unstable(corpus, monkeypatch):
 
     def drifting(m, eps, nodes):
         # the same values, but the ring drifts by 0.2 > 0.1 at every block
-        for cols, block, values, drift in ring_pass(m, eps, nodes):
-            yield cols, block, values, max(drift, 0.2)
+        for block, values, drift in ring_pass(m, eps, nodes):
+            yield block, values, max(drift, 0.2)
 
     assert poisson_sup(corpus["identity"]).stable
     monkeypatch.setattr(poisson, "_ring_pass", drifting)

@@ -1,6 +1,6 @@
 """One derivative path, one sense-preservation rule, a reason for each
-export that the package itself never uses, and one reader of the grid
-level.
+export that the package itself never uses, one reader of the grid level
+and one of the ring-offset floor.
 
 Outside ``maps``, f_z, f_zb and the derivative norm are read only through
 ``maps.check_sense_preserving`` and ``maps.finite_dnorm``, which apply the
@@ -179,8 +179,6 @@ def test_one_sense_preservation_rule():
 _LIBRARY_ONLY = {
     "preschwarzian_sup": "test_c07 checks its boundary limits 2 (identity) and 4 (Koebe)",
     "poisson_functional": "the single-point reference that poisson_scan is tested against",
-    "boundary_profile": "the stored ring that poisson_functional reads; poisson_scan folds "
-                        "the same ring pass without storing it",
     "save_corpus": "writes a corpus file that --corpus reads back",
     "rotate": "keeps catalog and series maps serializable; the rotated scorecard maps",
     "affine": "builds in-memory maps; the sharp direction of the shear lines",
@@ -226,28 +224,40 @@ def test_every_export_is_used_or_has_a_reason():
     assert sorted(set(_LIBRARY_ONLY) - unused) == []
 
 
-def _level_reads(tree):
-    """(top-level definition, line) of each ``.grid_level`` attribute read."""
+def _loads(tree, name):
+    """(top-level definition, line) of each read of ``name``, as a bare name
+    or as an attribute (``config.grid_level``, ``maps.EPS_MIN``)."""
     for top in tree.body:
-        name = getattr(top, "name", "<module>")
+        top_name = getattr(top, "name", "<module>")
         for node in ast.walk(top):
-            if (isinstance(node, ast.Attribute) and node.attr == "grid_level"
-                    and isinstance(node.ctx, ast.Load)):
-                yield name, node.lineno
+            if (getattr(node, "attr", getattr(node, "id", None)) == name
+                    and isinstance(getattr(node, "ctx", None), ast.Load)):
+                yield top_name, node.lineno
 
 
 def test_the_scan_sees_level_reads():
     tree = ast.parse("def f(config):\n    return config.grid_level\n"
                      "class C:\n    def g(self):\n        if not self.grid_level:\n"
                      "            return replace(self, grid_level=1)\n"
-                     "def h(c):\n    c.grid_level = 2\n")
-    assert list(_level_reads(tree)) == [("f", 2), ("C", 5)]
+                     "def h(c):\n    c.grid_level = 2\n"
+                     "grid_level = 3\n"
+                     "def k():\n    return grid_level\n")
+    assert list(_loads(tree, "grid_level")) == [("f", 2), ("C", 5), ("k", 11)]
+
+
+def _package_loads(name):
+    src = Path(hqmap.__file__).parent
+    return {(path.stem, func) for path in sorted(src.glob("*.py"))
+            for func, _ in _loads(ast.parse(path.read_text(encoding="utf-8")), name)}
 
 
 def test_the_grid_level_has_one_reader():
     # the level picks the Poisson eps ladder and nothing else; ``Config``
     # reads it only to range-check it
-    src = Path(hqmap.__file__).parent
-    reads = {(path.stem, func) for path in sorted(src.glob("*.py"))
-             for func, _ in _level_reads(ast.parse(path.read_text(encoding="utf-8")))}
-    assert reads == {("cli", "_eps_levels"), ("maps", "Config")}
+    assert _package_loads("grid_level") == {("cli", "_eps_levels"), ("maps", "Config")}
+
+
+def test_the_ring_offset_floor_has_one_reader():
+    # every ring offset (``Config.eps``, ``boundary_distance``, the Poisson
+    # functional and scans) is range-checked by ``maps.check_eps`` alone
+    assert _package_loads("EPS_MIN") == {("maps", "check_eps")}
