@@ -16,7 +16,6 @@ import argparse
 import ctypes
 import io
 import json
-import os
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -134,9 +133,7 @@ def _require_finite(what: str, doc: dict, where: str = "") -> None:
     """Raise an input error naming the first field of ``doc``, in key order,
     that holds a NaN or infinite number.  Each output builder computes under
     ``np.errstate(all="ignore")`` and then checks its numbers here, so an
-    overflow ends in this one line rather than a numpy warning.  The
-    errstate is the builder's own, as ``report`` runs each builder in a pool
-    thread, which the main thread's errstate does not reach."""
+    overflow ends in this one line rather than a numpy warning."""
     for key, value in sorted(doc.items()):
         arr = np.asarray(value)
         if arr.dtype.kind in "fc" and not np.all(np.isfinite(arr)):
@@ -207,41 +204,35 @@ def _suite_files(name, corpus, config):
     return [(f"checks_{name}.jsonl", lines)], advisory or all(r.passed for r in reports)
 
 
-def _john_files(m):
+def _john_files(maps):
+    """Each map's John file, from one criterion (iii) pass over all maps."""
     with np.errstate(all="ignore"):
-        est = johndisk.john_estimate(m)
-    _require_finite(f"{m.label}: john", {
-        "criterion_ii": [sup for _, sup in est.criterion_ii],
-        "criterion_iii": est.criterion_iii.trace,
-        "decay": [est.decay.c, est.decay.delta, est.decay.residual]})
-    return [(f"john_{m.label}.json", est.to_json() + "\n")]
+        estimates = johndisk.john_estimate(maps)
+    files = []
+    for m, est in zip(maps, estimates):
+        _require_finite(f"{m.label}: john", {
+            "criterion_ii": [sup for _, sup in est.criterion_ii],
+            "criterion_iii": est.criterion_iii.trace,
+            "decay": [est.decay.c, est.decay.delta, est.decay.residual]})
+        files.append((f"john_{m.label}.json", est.to_json() + "\n"))
+    return files
 
 
-def _poisson_files(m, config):
-    """The sup-trace JSON and the per-point CSV, from one scan per ring level."""
+def _poisson_files(maps, config):
+    """Each map's sup-trace JSON and per-point CSV, one scan pass per level."""
     with np.errstate(all="ignore"):
-        trace = poisson.poisson_sup(m, eps_levels=_eps_levels(config))
-    _require_finite(f"{m.label}: poisson", {
-        "functional": [value for scan in trace.scans for _, value, _, _ in scan.records],
-        "profile_drift": [scan.drift for scan in trace.scans],
-        "sup": trace.sup, "trace": trace.trace})
-    buf = io.StringIO()
-    poisson.poisson_csv(trace, buf)
-    return [(f"poisson_{m.label}.json", poisson.poisson_trace_json(m, trace) + "\n"),
-            (f"poisson_{m.label}.csv", buf.getvalue())]
-
-
-def _map_files(m, radii, config):
-    """The four files ``report`` writes for one map."""
-    return _radial_files(m, 0.0, radii, config) + _john_files(m) + _poisson_files(m, config)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has sched_getaffinity
-        return os.cpu_count() or 1
+        traces = poisson.poisson_sup(maps, eps_levels=_eps_levels(config))
+    files = []
+    for m, trace in zip(maps, traces):
+        _require_finite(f"{m.label}: poisson", {
+            "functional": [value for scan in trace.scans for _, value, _, _ in scan.records],
+            "profile_drift": [scan.drift for scan in trace.scans],
+            "sup": trace.sup, "trace": trace.trace})
+        buf = io.StringIO()
+        poisson.poisson_csv(trace, buf)
+        files += [(f"poisson_{m.label}.json", poisson.poisson_trace_json(m, trace) + "\n"),
+                  (f"poisson_{m.label}.csv", buf.getvalue())]
+    return files
 
 
 def _cmd_radial(args, corpus, config) -> int:
@@ -264,12 +255,12 @@ def _cmd_check(args, corpus, config) -> int:
 
 
 def _cmd_john(args, corpus, config) -> int:
-    _emit(args, _john_files(_get_map(corpus, args.label)))
+    _emit(args, _john_files((_get_map(corpus, args.label),)))
     return 0
 
 
 def _cmd_poisson(args, corpus, config) -> int:
-    _emit(args, _poisson_files(_get_map(corpus, args.label), config))
+    _emit(args, _poisson_files((_get_map(corpus, args.label),), config))
     return 0
 
 
@@ -281,35 +272,21 @@ def _cmd_report(args, corpus, config) -> int:
     _write(args.out, [("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
                       ("corpus.json", dump_corpus(corpus))])
 
-    # The check suites and the maps depend on none of each other's results,
-    # so all of them run as tasks of one thread pool.  Numpy releases the GIL
-    # only inside its loops, so threads overlap where the calls are large
-    # (criterion (iii) blocks, Poisson rings, boundary distances) and
-    # serialize on the Python between them.  Files are written in a fixed
-    # order, suites first and then maps by sorted label, as each task's
-    # results arrive, whatever order the tasks were submitted in.  The
-    # import is here because concurrent.futures imports logging, which would
-    # add about 7 ms to the start-up of every other command.
-    from concurrent.futures import ThreadPoolExecutor
-
+    # One thread runs the stages in a fixed order: suites, radial, John,
+    # Poisson.  The John and Poisson stages are passes over all the maps,
+    # which build each map-independent sample block once; the first failure
+    # in pass order ends the run.
+    ok = True
+    for name in _REPORT_SUITES:
+        files, suite_ok = _suite_files(name, corpus, config)
+        _write(args.out, files)
+        ok = ok and suite_ok
+    maps = tuple(corpus[label] for label in sorted(corpus))
     radii = 1.0 - np.geomspace(0.9, 1.0 - R_CAP, 24)
-    pool = ThreadPoolExecutor(max_workers=_usable_cpus())
-    try:
-        # maps go first: submitted after the suites, they raise peak RSS by ~9 MB
-        map_futures = [pool.submit(_map_files, corpus[label], radii, config)
-                       for label in sorted(corpus)]
-        suite_futures = [pool.submit(_suite_files, name, corpus, config)
-                         for name in _REPORT_SUITES]
-        ok = True
-        for future in suite_futures:
-            files, suite_ok = future.result()
-            _write(args.out, files)
-            ok = ok and suite_ok
-        for future in map_futures:
-            _write(args.out, future.result())
-    finally:
-        # after a failure, tasks not yet started are dropped
-        pool.shutdown(cancel_futures=True)
+    for m in maps:
+        _write(args.out, _radial_files(m, 0.0, radii, config))
+    _write(args.out, _john_files(maps))
+    _write(args.out, _poisson_files(maps, config))
     return 0 if ok else 1
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,25 +105,20 @@ def boundary_arc(a: complex, n: int = 512) -> np.ndarray:
 
 
 def _built_once(build, store=dict):
-    """Cache of a result keyed by one argument, built once per key.  A miss
-    builds under the cache's own lock, so a thread that misses while another
-    builds the same key waits and reads that build, and no build holds a
-    lock another cache's build needs; a hit takes no lock.  ``store`` makes
-    the cache: a dict keeps a map-independent sample for the life of the
-    process, a ``weakref.WeakKeyDictionary`` a map's own result only while
-    the map lives.  ``cache_clear`` empties the cache."""
+    """Cache of a result keyed by one argument, built on the first call
+    with that key.  ``store`` makes the cache: a dict keeps a
+    map-independent sample for the life of the process, a
+    ``weakref.WeakKeyDictionary`` a map's own result only while the map
+    lives.  ``cache_clear`` empties the cache."""
     built = store()
-    lock = threading.Lock()
 
     @functools.wraps(build)
     def sample(key):
         try:
             return built[key]
         except KeyError:
-            with lock:
-                if key not in built:
-                    built[key] = build(key)
-                return built[key]
+            built[key] = out = build(key)
+            return out
 
     sample.cache_clear = built.clear
     return sample
@@ -134,10 +128,24 @@ def _built_once(build, store=dict):
 def circle_nodes(n: int) -> np.ndarray:
     """The n unit-circle nodes e^{i 2 pi k / n}.  They depend on n alone, so
     each ring is built once per process and shared read-only by every
-    caller; the largest, 2^18 nodes, is 4 MiB."""
+    caller.  The Poisson rings, up to 2^18 nodes, are not built here but
+    streamed by ``circle_node_blocks``."""
     nodes = np.exp(1j * np.linspace(0.0, TWO_PI, n, endpoint=False))
     nodes.flags.writeable = False
     return nodes
+
+
+def circle_node_blocks(n: int, rows: int, width: int):
+    """The n unit-circle nodes reshaped to (rows, n / rows), built one
+    (rows, width) column block at a time and kept by no one.  Node k is
+    e^{i k (2 pi / n)}: ``linspace`` makes its angles as the float indices
+    times that step, so each block holds the bits of ``circle_nodes(n)`` at
+    the same indices."""
+    step = TWO_PI / n
+    cols = n // rows
+    first = np.arange(0, n, cols)[:, None]
+    for lo in range(0, cols, width):
+        yield np.exp(1j * ((first + np.arange(lo, min(lo + width, cols))) * step))
 
 
 def disk_grid(n_radial: int = 48, n_angular: int = 64, r_cap: float = R_CAP) -> np.ndarray:

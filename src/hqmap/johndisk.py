@@ -133,20 +133,30 @@ def _ratio_sup(m: HarmonicMap, nums, dens, zs) -> float:
     return float(np.max(ratios))
 
 
-def criterion_iii(m: HarmonicMap, levels: int = 3) -> CriterionTrace:
-    """Grid supremum of |f(z) - f(w)| / ((1-|z|^2) dnorm(z)) over w in B(z),
-    traced across refinement levels (denser radial grid and box sample,
-    deeper box reach).
+def _box_blocks(level: int):
+    """A level's rotated boxes in blocks of at most ``_BOX_BLOCK`` points:
+    per run of consecutive z-radii r, the points zs[i, k] = r[i] rots[k] and
+    the boxes rotated to them, box i rotated to zs[i, k] being row (i, k)."""
+    _, radii, boxes = _level_boxes(level)
+    rots = geometry.circle_nodes(_N_ROT)
+    per_block = max(1, _BOX_BLOCK // (_N_ROT * boxes.shape[1]))
+    for lo in range(0, len(radii), per_block):
+        r = radii[lo:lo + per_block]
+        yield (r, r[:, None] * rots[None, :],
+               rots[None, :, None] * boxes[1 + lo:1 + lo + per_block, None, :])
+
+
+def criterion_iii(maps, levels: int = 3) -> tuple:
+    """One ``CriterionTrace`` per map of ``maps``: the grid supremum of
+    |f(z) - f(w)| / ((1-|z|^2) dnorm(z)) over w in B(z), traced across
+    refinement levels (denser radial grid and box sample, deeper box
+    reach).
 
     The z-angle lattice is held fixed across levels: the box for |z| = r is
     built once per radius and rotated with z, so angular discretization
     error is identical at every level and cancels out of the trace drift.
     The origin (where the box degenerates to the whole disk) is always
-    included.  The boxes of a level, the origin's and one per z-radius, come
-    from one ``geometry.boundary_boxes`` call, whose rows are the
-    one-radius boxes bit for bit.  They depend on the level alone, so
-    ``_level_boxes`` builds them once per level for the life of the process
-    and every map reads the same read-only sample.
+    included.  ``_level_boxes`` builds a level's boxes once per process.
 
     Only the four edges of each box grid are evaluated.  f = h + conj(g) is
     harmonic, so w -> |f(w) - f(z)| is subharmonic and its maximum over the
@@ -156,48 +166,42 @@ def criterion_iii(m: HarmonicMap, levels: int = 3) -> CriterionTrace:
     2 (nb|1) + 2 (nb - 2) points instead of nb (nb|1): 176 instead of 2,025
     at level 2, for each of the 32 rotated boxes of a radius.
 
-    The rotated boxes of consecutive z-radii are evaluated together, in
-    blocks of at most ``_BOX_BLOCK`` = 2^15 points (13, 8 and 5 radii at
-    levels 0, 1 and 2).  One radius alone is a call of 2,500-5,600 points,
-    too small for ``report``'s threads to run in parallel: the Python work
-    around each call holds the GIL for longer than numpy's loops release it.
-    A fixed block keeps memory flat at every level.  Each point and its
-    arithmetic are those of a per-radius evaluation, so the trace does not
-    move by a bit.
+    Each level is one pass over all the maps: the origin's box for every
+    map, then blocks of at most ``_BOX_BLOCK`` = 2^15 rotated-box points
+    (13, 8 and 5 z-radii at levels 0, 1 and 2), each formed once by
+    ``_box_blocks`` and evaluated for every map in turn.  Each point and its
+    arithmetic are those of a one-map pass, so no trace moves by a bit.
 
     A z point where |f_zb| < |f_z| fails raises ``SenseReversalError``
     with that z as witness (see ``finite_dnorm``); a non-finite ratio raises
-    ``ParameterError``.
+    ``ParameterError``.  The first failure in pass order (level, block,
+    then map) is raised.
     """
-    trace = []
+    traces = [[] for _ in maps]
     reaches = []
-    rots = geometry.circle_nodes(_N_ROT)
     for level in range(levels):
-        reach, radii, boxes = _level_boxes(level)
-        f0 = complex(m.value(0.0 + 0.0j))
-        sup = _ratio_sup(m, np.max(np.abs(m.value(boxes[0]) - f0)),
-                         finite_dnorm(m, 0.0 + 0.0j), 0.0 + 0.0j)
-        per_block = max(1, _BOX_BLOCK // (_N_ROT * boxes.shape[1]))
-        for lo in range(0, len(radii), per_block):
-            r = radii[lo:lo + per_block]
-            block = boxes[1 + lo:1 + lo + per_block]
-            zs = r[:, None] * rots[None, :]
-            dens = (1.0 - r * r)[:, None] * finite_dnorm(m, zs)
-            fzs = m.value(zs)
-            # block[i] rotated to zs[i, k] is row (i, k)
-            nums = np.max(np.abs(m.value(rots[None, :, None] * block[:, None, :])
-                                 - fzs[:, :, None]), axis=2)
-            sup = max(sup, _ratio_sup(m, nums, dens, zs))
-        trace.append(sup)
+        reach, _, boxes = _level_boxes(level)
+        sups = []
+        for m in maps:
+            f0 = complex(m.value(0.0 + 0.0j))
+            sups.append(_ratio_sup(m, np.max(np.abs(m.value(boxes[0]) - f0)),
+                                   finite_dnorm(m, 0.0 + 0.0j), 0.0 + 0.0j))
+        for r, zs, rotated in _box_blocks(level):
+            for i, m in enumerate(maps):
+                dens = (1.0 - r * r)[:, None] * finite_dnorm(m, zs)
+                fzs = m.value(zs)
+                nums = np.max(np.abs(m.value(rotated) - fzs[:, :, None]), axis=2)
+                sups[i] = max(sups[i], _ratio_sup(m, nums, dens, zs))
+        for trace, sup in zip(traces, sups):
+            trace.append(sup)
         reaches.append(reach)
-    increasing = all(b >= _GROW_FACTOR * a for a, b in zip(trace[:-1], trace[1:]))
-    return CriterionTrace(
+    return tuple(CriterionTrace(
         sup=trace[-1],
         trace=tuple(trace),
         reaches=tuple(reaches),
         stable=_trace_stable(trace),
-        increasing=increasing,
-    )
+        increasing=all(b >= _GROW_FACTOR * a for a, b in zip(trace[:-1], trace[1:])),
+    ) for trace in traces)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +265,7 @@ def decay_fit(m: HarmonicMap, window=(0.6, 0.99)) -> DecayFit:
 def _default_fit(m: HarmonicMap) -> DecayFit:
     """``decay_fit(m)`` on the default window, fitted once per map and kept
     while the map lives (equal maps share it): the inequality suites and
-    ``john_estimate`` read the same fit, and when ``report``'s two pool
-    threads ask for it at once, one fits and the other waits for that fit."""
+    ``john_estimate`` read the same fit."""
     return decay_fit(m)
 
 
@@ -298,26 +301,28 @@ class JohnEstimate:
         )
 
 
-def john_estimate(m: HarmonicMap) -> JohnEstimate:
-    """Run all three criteria, criterion (ii) at x = 0.3, 0.5, 0.7 and 0.9,
-    and combine them into a three-valued verdict.
+def john_estimate(maps) -> tuple:
+    """One ``JohnEstimate`` per map of ``maps``: all three criteria,
+    criterion (ii) at x = 0.3, 0.5, 0.7 and 0.9, combined into a
+    three-valued verdict.  Criterion (ii) runs map by map, then criterion
+    (iii) as one pass over all the maps, then the decay fits.
 
     john-positive: some tested x has criterion (ii) supremum below one AND
     the criterion (iii) trace is refinement-stable.  john-negative: the
     criterion (iii) trace keeps growing by a factor of at least 1.5 per
     level.  Anything else is inconclusive.
     """
-    sups = tuple((x, criterion_ii(m, x)) for x in (0.3, 0.5, 0.7, 0.9))
-    trace = criterion_iii(m)
-    fit = _default_fit(m)
-    pos_ii = any(s < 1.0 for _, s in sups)
-    if pos_ii and trace.stable:
-        verdict = "john-positive"
-    elif trace.increasing:
-        verdict = "john-negative"
-    else:
-        verdict = "inconclusive"
-    return JohnEstimate(sups, trace, fit, verdict)
+    sups = [tuple((x, criterion_ii(m, x)) for x in (0.3, 0.5, 0.7, 0.9)) for m in maps]
+    out = []
+    for m, ii, trace in zip(maps, sups, criterion_iii(maps)):
+        if any(s < 1.0 for _, s in ii) and trace.stable:
+            verdict = "john-positive"
+        elif trace.increasing:
+            verdict = "john-negative"
+        else:
+            verdict = "inconclusive"
+        out.append(JohnEstimate(ii, trace, _default_fit(m), verdict))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

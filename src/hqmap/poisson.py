@@ -8,8 +8,8 @@ unit-circle nodes e^{i t_k}, so the functional of the identity map is the
 plain Poisson integral and equals one at every interior point.  Circle
 averages use the trapezoidal rule, which is spectrally accurate for these
 periodic integrands.  A map's sup trace and its per-point CSV come from one
-scan per ring level; a scan streams its ring and holds no array of ring
-size (see ``poisson_scan``).
+scan per ring level; a scan streams its ring for all maps at once and
+holds no array of ring size (see ``poisson_scan``).
 """
 
 from __future__ import annotations
@@ -41,30 +41,17 @@ _N_RAD = 5
 _N_ANG = 8
 
 
-def _ring_pass(m: HarmonicMap, eps: float, nodes: np.ndarray):
-    """One pass over the ring of radius 1 - eps at the unit-circle nodes,
-    in column blocks of 2^15 nodes (512 KB of complex points) of the nodes
-    reshaped to (_N_ANG, n / _N_ANG).  For each it yields ``(block, values,
-    drift)``: the node block, dnorm((1 - eps) block) and the running
-    maximum, over the blocks so far, of the relative change of dnorm at
-    1 - eps/2.  Every value is pointwise, so the blocks do not move a bit,
-    and the last drift is the whole ring's.  A ring that fails the sense
-    check at several points names the first of the first block to fail.
-    """
-    grid = nodes.reshape(_N_ANG, -1)
-    step = _RING_BLOCK // _N_ANG
-    drift = 0.0
-    for lo in range(0, grid.shape[1], step):
-        block = grid[:, lo:lo + step]
-        values, rel = _ring_block(m, eps, block)
-        drift = float(np.maximum(drift, rel))  # np.maximum keeps a NaN
-        yield block, values, drift
+def _ring_blocks(n: int):
+    """The n ring nodes as (_N_ANG, n / _N_ANG), in column blocks of
+    _RING_BLOCK nodes, each built as a pass reaches it and then dropped."""
+    return geometry.circle_node_blocks(n, _N_ANG, _RING_BLOCK // _N_ANG)
 
 
 def _ring_block(m: HarmonicMap, eps: float, block: np.ndarray):
-    """dnorm((1 - eps) block) and its largest relative change at 1 - eps/2;
-    the half-offset ring's temporaries are freed on return, before the
-    pass's consumer folds the block."""
+    """dnorm((1 - eps) block) and its largest relative change at 1 - eps/2,
+    whose running maximum over a pass is the ring's drift; the half-offset
+    ring's temporaries are freed on return.  Every value is pointwise, so
+    the blocks do not move a bit."""
     values = finite_dnorm(m, (1.0 - eps) * block)
     half = finite_dnorm(m, (1.0 - eps / 2.0) * block)
     return values, np.max(np.abs(half - values) / np.maximum(values, 1e-300))
@@ -80,7 +67,7 @@ def _kernel(x: np.ndarray, dy2: np.ndarray, zeta: complex) -> np.ndarray:
 @dataclass(frozen=True)
 class PoissonScan:
     records: tuple        # (zeta, value, eps, n) per grid point
-    drift: float          # the ring's drift, the last of its _ring_pass
+    drift: float          # the ring's drift, the largest of its blocks' changes
     converged: bool       # drift <= _DRIFT_TOL
 
 
@@ -109,29 +96,40 @@ def _profile_size(eps: float) -> int:
     return 1 << bits
 
 
-def poisson_functional(m: HarmonicMap, zeta: complex, eps: float) -> float:
+def poisson_functional(m: HarmonicMap, zetas, eps: float):
     """(1/2 pi) integral of [dnorm(xi)/dnorm(zeta)] (1-|zeta|^2)/|xi - zeta|^2
-    over the circle, with dnorm sampled on the ring of radius 1 - eps that
-    ``poisson_scan`` reads: one ``_ring_pass`` over ``_profile_size(eps)``
-    nodes, each block folded into the kernel sum as it arrives.
+    over the circle at every zeta of ``zetas`` (a point or an array of any
+    shape, whose shape the result takes), with dnorm sampled on the ring of
+    radius 1 - eps that ``poisson_scan`` reads.
+
+    One streamed pass over ``_profile_size(eps)`` nodes folds each block
+    into every zeta's kernel sum, and each zeta gets the bits of a call
+    with that zeta alone.  Each denominator is dnorm at the complex scalar
+    zeta (an array evaluation can move its last bit), checked after the pass.
 
     Requires |zeta| <= 1 - 2 eps so the kernel stays separated from the
     sampling ring.
     """
-    zeta = complex(zeta)
+    points = np.asarray(zetas, dtype=complex)
+    flat = [complex(zeta) for zeta in points.ravel()]
     n = _profile_size(eps)
-    if abs(zeta) > 1.0 - 2.0 * eps:
+    if any(abs(zeta) > 1.0 - 2.0 * eps for zeta in flat):
         raise ParameterError("kernel point too close to the sampling ring")
-    total = 0.0
-    for block, values, _ in _ring_pass(m, eps, geometry.circle_nodes(n)):
-        total += np.sum(values * _kernel(block.real, (block.imag - zeta.imag) ** 2, zeta))
-    return float(total / n / finite_dnorm(m, zeta))
+    totals = np.zeros(len(flat))
+    for block in _ring_blocks(n):
+        values, _ = _ring_block(m, eps, block)
+        for j, zeta in enumerate(flat):
+            totals[j] += np.sum(values * _kernel(block.real, (block.imag - zeta.imag) ** 2, zeta))
+    norms = np.array([finite_dnorm(m, zeta) for zeta in flat])
+    return (totals / n / norms).reshape(points.shape)[()]
 
 
-def poisson_scan(m: HarmonicMap, eps: float) -> PoissonScan:
-    """Functional values over the interior grid of _N_RAD radii reaching
-    |zeta| = 1 - 2 eps and n_ang = _N_ANG angles (the origin once); the
-    records are (zeta, value, eps, n) for reporting.
+def poisson_scan(maps, eps: float) -> tuple:
+    """One ``PoissonScan`` per map of ``maps``: functional values over the
+    interior grid of _N_RAD radii reaching |zeta| = 1 - 2 eps and n_ang =
+    _N_ANG angles (the origin once); the records are (zeta, value, eps, n)
+    for reporting.  At eps = 0.5 every radius is 0, and the scan is an
+    input error raised before any ring block is built.
 
     The kernel is built once per radius r, at zeta = r.  n_ang = 8 divides
     the profile size n (a power of two, at least 2048), so rotating zeta by
@@ -142,15 +140,13 @@ def poisson_scan(m: HarmonicMap, eps: float) -> PoissonScan:
     functional is S_k / n / dnorm(zeta_k), with dnorm(zeta_k) evaluated at
     zeta_k itself.
 
-    The scan is one streamed pass over its ring (``_ring_pass``, shared
-    with ``poisson_functional``): each (n_ang, 2^15 / n_ang) column block of
-    values is folded into all five radii's products V K^T while it is in
-    cache, so no array of n entries is held.  The kernel at zeta = r is
-    (1 - r^2) / ((x - r)^2 + y^2) at the nodes x + i y, with y^2 taken once
-    per block for all radii.  A scan evaluates 5 n kernel points, not one
-    n-point kernel for each of its 33 grid points, and its 33 grid norms in
-    one ``finite_dnorm`` call, in record order, so the first bad point is
-    the one named.
+    All maps share one streamed pass (``_ring_blocks``): each
+    (n_ang, 2^15 / n_ang) block of nodes is built once, and every map in
+    turn folds its ring values on it into its five radii's products V K^T,
+    with kernels of its own, so no array of n entries is held.  A map's
+    records are those of a pass over it alone, bit for bit: 5 n kernel
+    points, and its 33 grid norms in one ``finite_dnorm`` call after the
+    pass, in record order, so the first bad point is the one named.
 
     Values agree with ``poisson_functional`` at the same zeta to about
     1e-12 relative, not bit for bit: zeta_k = r e^{i a_k} is rounded, while
@@ -160,36 +156,49 @@ def poisson_scan(m: HarmonicMap, eps: float) -> PoissonScan:
     """
     n = _profile_size(eps)
     radii = np.linspace(0.0, (1.0 - 2.0 * eps) * (1.0 - 1e-9), _N_RAD)
-    prods = np.zeros((_N_RAD, _N_ANG, _N_ANG))
-    drift = 0.0
-    for block, values, drift in _ring_pass(m, eps, geometry.circle_nodes(n)):
+    if not np.all(np.diff(radii) > 0.0):
+        raise ParameterError(f"ring offset eps = {eps:g} collapses the scan grid onto "
+                             f"zeta = 0: a scan needs eps below 0.5")
+    prods = np.zeros((len(maps), _N_RAD, _N_ANG, _N_ANG))
+    drifts = np.zeros(len(maps))
+    for block in _ring_blocks(n):
         x, y2 = block.real, block.imag ** 2
-        for prod, r in zip(prods, radii):
-            prod += values @ _kernel(x, y2, complex(r)).T
+        for i, m in enumerate(maps):
+            values, rel = _ring_block(m, eps, block)
+            drifts[i] = np.maximum(drifts[i], rel)  # np.maximum keeps a NaN
+            for prod, r in zip(prods[i], radii):
+                prod += values @ _kernel(x, y2, complex(r)).T
     b = np.arange(_N_ANG)
     shift = (b[None, :] - b[:, None]) % _N_ANG      # row k: (b - k) mod n_ang
-    sums = prods[:, b, shift].sum(axis=2)
     angles = np.linspace(0.0, 2.0 * math.pi, _N_ANG, endpoint=False)
     grid = [(i, k, complex(r * np.exp(1j * a))) for i, r in enumerate(radii)
             for k, a in enumerate(angles if r > 0.0 else angles[:1])]
-    norms = finite_dnorm(m, np.array([zeta for _, _, zeta in grid]))
-    out = tuple((zeta, float(sums[i, k] / n / norm), eps, n)
-                for (i, k, zeta), norm in zip(grid, norms))
-    return PoissonScan(out, drift, drift <= _DRIFT_TOL)
+    zetas = np.array([zeta for _, _, zeta in grid])
+    scans = []
+    for m, prod, drift in zip(maps, prods, drifts):
+        sums = prod[:, b, shift].sum(axis=2)
+        norms = finite_dnorm(m, zetas)
+        records = tuple((zeta, float(sums[i, k] / n / norm), eps, n)
+                        for (i, k, zeta), norm in zip(grid, norms))
+        scans.append(PoissonScan(records, float(drift), bool(drift <= _DRIFT_TOL)))
+    return tuple(scans)
 
 
-def poisson_sup(m: HarmonicMap, eps_levels=(1e-2, 1e-3, 1e-4)) -> PoissonTrace:
-    """Supremum of the functional over an interior grid, traced across a
-    ladder of ring offsets; the grid extends to |zeta| = 1 - 2 eps as the
-    ring approaches the circle.  Trace stability is the boundedness proxy,
-    and it also needs every level's ring profile to have converged.
-    Each level is scanned once, and the trace keeps the scans: the records
-    that ``poisson_csv`` writes out and each profile's drift and flag.
+def poisson_sup(maps, eps_levels=(1e-2, 1e-3, 1e-4)) -> tuple:
+    """One ``PoissonTrace`` per map of ``maps``: the supremum of the
+    functional over the scan grid, traced across a ladder of ring offsets,
+    one ``poisson_scan`` pass over all the maps per level.  Trace stability
+    is the boundedness proxy, and it also needs every level's ring profile
+    to have converged.  Each trace keeps its map's scans, which
+    ``poisson_csv`` writes out.
     """
-    scans = tuple(poisson_scan(m, eps) for eps in eps_levels)
-    trace = [max(v for _, v, _, _ in sc.records) for sc in scans]
-    stable = _trace_stable(trace) and all(sc.converged for sc in scans)
-    return PoissonTrace(trace[-1], tuple(trace), tuple(eps_levels), stable, scans)
+    levels = [poisson_scan(maps, eps) for eps in eps_levels]
+    traces = []
+    for scans in zip(*levels):
+        trace = [max(v for _, v, _, _ in sc.records) for sc in scans]
+        stable = _trace_stable(trace) and all(sc.converged for sc in scans)
+        traces.append(PoissonTrace(trace[-1], tuple(trace), tuple(eps_levels), stable, scans))
+    return tuple(traces)
 
 
 def poisson_csv(pt: PoissonTrace, fileobj) -> None:

@@ -146,7 +146,7 @@ def test_c09_john_equivalence(corpus):
         "convex-poly3": True, "koebe": False, "halfplane": False,
     }
     for label, is_john in expected.items():
-        est = john_estimate(corpus[label])
+        est = john_estimate([corpus[label]])[0]
         by_ii = any(s < 1.0 for _, s in est.criterion_ii)
         by_iii = est.criterion_iii.stable
         by_decay = 0.0 < est.decay.delta <= 1.0

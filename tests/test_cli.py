@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -789,12 +788,14 @@ def test_commands_write_report_files(report_dir, tmp_path, capsys):
         assert sup == max(level)
 
 
-def test_report_single_worker_same_bytes(report_dir, tmp_path, monkeypatch):
-    # the per-map stage writes the same bytes whatever the worker count
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    assert main(["--grid-level", "0", "--out", str(tmp_path), "report"]) == 0
-    names = sorted(p.name for p in report_dir.iterdir())
-    assert sorted(p.name for p in tmp_path.iterdir()) == names
+def test_report_writes_the_one_map_commands_files(report_dir, tmp_path):
+    # report's passes over all six maps give each map the bytes that the
+    # one-map commands write
+    for label in sorted(default_corpus()):
+        for command in ("poisson", "john"):
+            assert main(["--grid-level", "0", "--out", str(tmp_path), command, label]) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert len(names) == 3 * 6
     for name in names:
         assert (tmp_path / name).read_bytes() == (report_dir / name).read_bytes(), name
 
@@ -807,32 +808,38 @@ def _clear_sample_caches():
 
 
 def test_report_builds_the_map_independent_samples_once(tmp_path, monkeypatch):
-    # with two workers, whose first maps miss the cleared caches together,
-    # criterion (iii)'s boxes are built once per level (6 maps x 3 levels
-    # made 18 builds) and each ring size once: every caller of a size gets
-    # the same array
+    # at level 1 one Poisson pass per eps builds each node block once for
+    # all six maps (1, 1 and 8 blocks of 2^15 nodes at most), one criterion
+    # (iii) pass per level forms each block of rotated boxes once (3, 6 and
+    # 12 blocks), and each level's boxes are built once; no ring of Poisson
+    # size is built whole
     from hqmap import geometry
 
     _clear_sample_caches()
-    ring = geometry.circle_nodes
-    rings = {}
-    box_builds = []
-    real_boxes = geometry.boundary_boxes
+    rings, node_blocks, rotated, box_builds = [], [], [], []
+    real_ring, real_blocks = geometry.circle_nodes, geometry.circle_node_blocks
+    real_rotated, real_boxes = johndisk._box_blocks, geometry.boundary_boxes
 
-    def kept_ring(n):
-        nodes = ring(n)
-        rings.setdefault(n, []).append(nodes)
-        return nodes
+    def counted_blocks(n, rows, width):
+        for block in real_blocks(n, rows, width):
+            node_blocks.append(n)
+            yield block
 
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(geometry, "circle_nodes", kept_ring)
+    def counted_rotated(level):
+        for item in real_rotated(level):
+            rotated.append(level)
+            yield item
+
+    monkeypatch.setattr(geometry, "circle_nodes", lambda n: rings.append(n) or real_ring(n))
+    monkeypatch.setattr(geometry, "circle_node_blocks", counted_blocks)
+    monkeypatch.setattr(johndisk, "_box_blocks", counted_rotated)
     monkeypatch.setattr(geometry, "boundary_boxes",
                         lambda *a: box_builds.append(a) or real_boxes(*a))
     assert main(["--grid-level", "1", "--out", str(tmp_path), "report"]) == 0
+    assert node_blocks == [4096, 1 << 15] + [1 << 18] * 8
+    assert rotated == [0] * 3 + [1] * 6 + [2] * 12
     assert sorted(reach for *_, reach in box_builds) == [johndisk._reach(k) for k in range(3)]
-    assert 1 << 18 in rings
-    for n, got in rings.items():
-        assert all(nodes is got[0] for nodes in got), n
+    assert max(rings) < 1 << 15
 
 
 def test_report_fits_each_map_once(tmp_path, monkeypatch):
@@ -847,7 +854,6 @@ def test_report_fits_each_map_once(tmp_path, monkeypatch):
         return fit(m, *args)
 
     johndisk._default_fit.cache_clear()
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(johndisk, "decay_fit", counting)
     assert main(["--grid-level", "0", "--out", str(tmp_path), "report"]) == 0
     assert sorted(fitted) == sorted(default_corpus())
@@ -888,35 +894,42 @@ def test_report_rerun_into_the_same_out_writes_the_same_bytes(report_dir, tmp_pa
     assert not link.samefile(out / "corpus.json")
 
 
-def test_report_map_error_exits_2(tmp_path, capsys, monkeypatch):
-    # an input error raised inside one map's task ends the run with one line
-    john_estimate = johndisk.john_estimate
-
-    def failing(m, **kwargs):
-        if m.label == "koebe":
-            raise HqmapError("koebe: injected failure")
-        return john_estimate(m, **kwargs)
-
-    monkeypatch.setattr(johndisk, "john_estimate", failing)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+def _three_map_corpus(tmp_path):
     corpus = default_corpus()
     path = tmp_path / "corpus.json"
     save_corpus({k: corpus[k] for k in ("identity", "koebe", "shear-k3")}, path)
-    codes = []
-    argv = ["--grid-level", "0", "--corpus", str(path), "--out", str(tmp_path / "out"),
-            "report"]
-    worker = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
-    worker.start()
-    worker.join(timeout=120)
-    assert not worker.is_alive()
-    assert codes == [2]
-    err = capsys.readouterr().err
-    assert err == "hqmap: error: koebe: injected failure\n"
+    return path
+
+
+def _failing_for(monkeypatch, module, name, labels):
+    """Make ``module.name(m, ...)`` raise an input error naming m for the
+    maps of ``labels``."""
+    real = getattr(module, name)
+
+    def failing(m, *args):
+        if m.label in labels:
+            raise HqmapError(f"{m.label}: injected failure in {name}")
+        return real(m, *args)
+
+    monkeypatch.setattr(module, name, failing)
+
+
+def test_report_map_error_exits_2(tmp_path, capsys, monkeypatch):
+    # an input error raised for one map inside the John stage ends the run
+    # with one line, and no later stage writes a file
+    _failing_for(monkeypatch, johndisk, "_ratio_sup", {"koebe"})
+    out = tmp_path / "out"
+    argv = ["--grid-level", "0", "--corpus", str(_three_map_corpus(tmp_path)),
+            "--out", str(out), "report"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "hqmap: error: koebe: injected failure in _ratio_sup\n"
+    assert (out / "radial_koebe.csv").is_file()
+    assert not list(out.glob("john_*")) and not list(out.glob("poisson_*"))
 
 
 def test_report_suite_error_exits_2(tmp_path, capsys, monkeypatch):
-    # an input error raised inside one suite's task, which shares the pool
-    # with the maps' tasks, ends the run with one line
+    # an input error raised inside one suite ends the run with one line,
+    # before any map's stage
     run_suite = suites.run_suite
 
     def failing(name, corpus, config):
@@ -925,20 +938,27 @@ def test_report_suite_error_exits_2(tmp_path, capsys, monkeypatch):
         return run_suite(name, corpus, config)
 
     monkeypatch.setattr(suites, "run_suite", failing)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    corpus = default_corpus()
-    path = tmp_path / "corpus.json"
-    save_corpus({k: corpus[k] for k in ("identity", "koebe", "shear-k3")}, path)
-    codes = []
-    argv = ["--grid-level", "0", "--corpus", str(path), "--out", str(tmp_path / "out"),
-            "report"]
-    worker = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
-    worker.start()
-    worker.join(timeout=120)
-    assert not worker.is_alive()
-    assert codes == [2]
+    out = tmp_path / "out"
+    argv = ["--grid-level", "0", "--corpus", str(_three_map_corpus(tmp_path)),
+            "--out", str(out), "report"]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == "hqmap: error: geometry: injected failure\n"
+    assert not list(out.glob("radial_*"))
+
+
+def test_report_names_the_first_failure_in_stage_order(tmp_path, capsys, monkeypatch):
+    # identity fails in the Poisson stage and shear-k3 in the John stage,
+    # which runs first: the error names shear-k3, although identity sorts
+    # first and fails at the first block of its stage
+    from hqmap import poisson
+
+    _failing_for(monkeypatch, poisson, "_ring_block", {"identity"})
+    _failing_for(monkeypatch, johndisk, "_ratio_sup", {"shear-k3"})
+    argv = ["--grid-level", "0", "--corpus", str(_three_map_corpus(tmp_path)),
+            "--out", str(tmp_path / "out"), "report"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "hqmap: error: shear-k3: injected failure in _ratio_sup\n"
 
 
 def test_john_zero_denominator_exits_2(tmp_path, capsys):

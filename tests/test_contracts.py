@@ -72,7 +72,7 @@ def test_corpus_file_roundtrip(tmp_path, corpus):
 
 def test_poisson_csv_schema(corpus):
     buf = io.StringIO()
-    poisson_csv(poisson_sup(corpus["identity"], eps_levels=(1e-2, 3e-3)), buf)
+    poisson_csv(poisson_sup([corpus["identity"]], eps_levels=(1e-2, 3e-3))[0], buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "zeta_re,zeta_im,functional,eps,n"
     # per level: one origin record plus 4 radii x 8 angles

@@ -1,7 +1,4 @@
 import math
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -71,79 +68,42 @@ def test_even_half_of_a_ring_is_the_half_size_ring(n):
     assert geometry.circle_nodes(n)[::2].tobytes() == geometry.circle_nodes(n // 2).tobytes()
 
 
-def test_circle_nodes_threads_filling_a_cleared_cache_get_the_same_bits():
-    # threads that miss together wait for one build and all read it: one
-    # read-only array with the fresh bits
-    n = 1 << 18
-    geometry.circle_nodes.cache_clear()
-    got = [None] * 4
-    start = threading.Barrier(len(got), timeout=30)
-
-    def fill(i):
-        start.wait()
-        got[i] = geometry.circle_nodes(n)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=fill, args=(i,)) for i in range(len(got))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert all(nodes is got[0] for nodes in got)
-    assert not got[0].flags.writeable
-    assert got[0].tobytes() == _fresh_ring(n).tobytes()
+@pytest.mark.parametrize("bits", range(11, 19))
+def test_streamed_node_blocks_are_the_circle_nodes(bits):
+    # the Poisson rings are built block by block and kept by no one; put
+    # back in ring order, the blocks are circle_nodes(n) bit for bit
+    n = 1 << bits
+    ring = geometry.circle_nodes(n).reshape(8, -1)
+    for width in (4096, 1000):
+        blocks = list(geometry.circle_node_blocks(n, 8, width))
+        assert all(b.shape == (8, min(width, n // 8 - lo))
+                   for b, lo in zip(blocks, range(0, n // 8, width)))
+        assert np.concatenate(blocks, axis=1).tobytes() == ring.tobytes(), width
 
 
-def test_a_sample_cache_builds_a_key_once_while_threads_race_for_it():
-    # a slow build: the other threads miss while it runs, wait for it and
-    # read its result; another key of the same cache is a build of its own
+def test_a_sample_cache_builds_each_key_once():
     builds = []
 
     @geometry._built_once
     def sample(key):
         builds.append(key)
-        time.sleep(0.05)
         return [key]
 
-    got = [None] * 4
-    start = threading.Barrier(len(got), timeout=30)
-
-    def fill(i):
-        start.wait()
-        got[i] = sample(7)
-
-    threads = [threading.Thread(target=fill, args=(i,)) for i in range(len(got))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-    assert not any(t.is_alive() for t in threads)
-    assert builds == [7]
-    assert all(v is got[0] for v in got) and got[0] == [7]
+    first = sample(7)
+    assert sample(7) is first and builds == [7]
     assert sample(8) == [8] and builds == [7, 8]
     sample.cache_clear()
-    assert sample(7) is not got[0] and builds == [7, 8, 7]
+    assert sample(7) is not first and builds == [7, 8, 7]
 
 
 def test_a_build_may_read_another_sample_cache():
-    # each cache has its own lock, so a box build that reads a ring (a miss
-    # of the ring cache) does not wait on itself
+    # a box build that reads a ring (a miss of the ring cache) gets the ring
     @geometry._built_once
     def outer(n):
         return geometry.circle_nodes(n)[:2].copy()
 
     geometry.circle_nodes.cache_clear()
-    got = []
-    t = threading.Thread(target=lambda: got.append(outer(24)), daemon=True)
-    t.start()
-    t.join(timeout=30)
-    assert not t.is_alive()
-    assert got[0].tobytes() == _fresh_ring(24)[:2].tobytes()
+    assert outer(24).tobytes() == _fresh_ring(24)[:2].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +329,20 @@ def test_a_ring_offset_below_the_floor_is_an_input_error(run, at_floor, corpus):
             run(corpus["identity"], EPS_MIN)
 
 
-@pytest.mark.parametrize("run", [
-    lambda m, eps: Config(eps=eps),
-    lambda m, eps: boundary_distance(m, 0.1, eps=eps),
-    lambda m, eps: poisson_functional(m, 0.0, eps),
-    lambda m, eps: poisson_scan(m, eps),
+@pytest.mark.parametrize("run, at_half", [
+    (lambda m, eps: Config(eps=eps), None),
+    (lambda m, eps: boundary_distance(m, 0.1, eps=eps), None),
+    (lambda m, eps: poisson_functional(m, 0.0, eps), None),
+    # eps = 0.5 is in range, but it puts all five scan radii at zeta = 0
+    (lambda m, eps: poisson_scan([m], eps), r"eps = 0.5 collapses the scan grid"),
 ], ids=["Config", "boundary_distance", "poisson_functional", "poisson_scan"])
-def test_one_half_is_the_top_of_every_ring_offset(run, corpus):
+def test_one_half_is_the_top_of_every_ring_offset(run, at_half, corpus):
     # one range for every ring offset: [EPS_MIN, 0.5], the --eps range
-    run(corpus["identity"], 0.5)
+    if at_half is None:
+        run(corpus["identity"], 0.5)
+    else:
+        with pytest.raises(ParameterError, match=at_half):
+            run(corpus["identity"], 0.5)
     with pytest.raises(ParameterError, match=r"ring offset eps must lie in \[1e-15, 0.5\]"):
         run(corpus["identity"], np.nextafter(0.5, 1.0))
 

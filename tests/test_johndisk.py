@@ -1,9 +1,6 @@
 import gc
 import json
 import math
-import sys
-import threading
-import time
 import weakref
 
 import numpy as np
@@ -30,6 +27,8 @@ from hqmap import (
 from hqmap import johndisk
 from hqmap.johndisk import HolderFit
 from hqmap.maps import WirtingerPair, finite_dnorm
+
+from conftest import seeded_harmonic
 
 EXPECTED_JOHN = {
     "identity": True,
@@ -109,7 +108,7 @@ def test_criterion_ii_overflowing_ratio_is_an_error(tiny_norm_map):
 
 
 def test_criterion_iii_identity_value_and_stability(corpus):
-    tr = criterion_iii(corpus["identity"])
+    tr = criterion_iii([corpus["identity"]])[0]
     # the supremum tends to sqrt(1 + pi^2)/2 at the angular corner
     assert tr.sup == pytest.approx(math.sqrt(1 + math.pi**2) / 2, abs=0.01)
     assert tr.stable and not tr.increasing
@@ -142,20 +141,20 @@ def test_the_trace_rule_reads_the_last_refinement_step(trace, stable):
 
 
 def test_criterion_iii_shear_stability(corpus):
-    tr = criterion_iii(corpus["shear-k3"])
+    tr = criterion_iii([corpus["shear-k3"]])[0]
     drifts = [abs(b - a) / a for a, b in zip(tr.trace[:-1], tr.trace[1:])]
     assert tr.stable
     assert max(drifts) < 1e-3
 
 
 def test_criterion_iii_koebe_diverges(corpus):
-    tr = criterion_iii(corpus["koebe"])
+    tr = criterion_iii([corpus["koebe"]])[0]
     assert tr.increasing and not tr.stable
     assert all(b >= 1.5 * a for a, b in zip(tr.trace[:-1], tr.trace[1:]))
 
 
 def test_criterion_iii_halfplane_diverges(corpus):
-    tr = criterion_iii(corpus["halfplane"])
+    tr = criterion_iii([corpus["halfplane"]])[0]
     assert tr.increasing and not tr.stable
 
 
@@ -215,7 +214,7 @@ def test_criterion_iii_batched_boxes_match_per_rotation(corpus):
             *(corpus[label] for label in sorted(corpus)),
             _seeded_harmonic12(3), _seeded_harmonic12(11))
     for m in maps:
-        assert criterion_iii(m).trace == _criterion_iii_per_rotation(m), m.label
+        assert criterion_iii([m])[0].trace == _criterion_iii_per_rotation(m), m.label
 
 
 def _level_boxes_reference(level):
@@ -275,7 +274,7 @@ def test_criterion_iii_value_calls_per_radius(corpus):
 
     levels = 3
     m = _CountingMap(corpus["convex-poly2"])
-    criterion_iii(m, levels=levels)
+    criterion_iii([m], levels=levels)
     radii = sum(len(_z_radii(level)) for level in range(levels))
     assert m.value_calls <= 2 * levels + 2 * radii
 
@@ -395,43 +394,23 @@ def test_decay_window_validation(corpus):
         decay_fit(corpus["identity"], window=(0.2, 0.9))
 
 
-def test_a_map_is_fitted_once_while_threads_race_for_its_fit(monkeypatch):
-    # report's suite and map threads both ask for a bounded map's fit: one
-    # thread fits it, the others wait and read that fit, which john_estimate
-    # reads too; the cache does not keep the map alive
+def test_a_map_is_fitted_once_and_kept_while_it_lives(monkeypatch):
+    # the suites and john_estimate read one fit per map; the cache does not
+    # keep the map alive
     fitted = []
     fit = johndisk.decay_fit
 
-    def slow(m, *args):
+    def counting(m, *args):
         fitted.append(m.label)
-        time.sleep(0.05)
         return fit(m, *args)
 
-    monkeypatch.setattr(johndisk, "decay_fit", slow)
-    m = HarmonicMap(SeriesPart((0j, 1 + 0j, 0.2 + 0.1j)), SeriesPart((0j,)), "race")
-    got = [None] * 4
-    start = threading.Barrier(len(got), timeout=30)
-
-    def ask(i):
-        start.wait()
-        got[i] = johndisk._default_fit(m)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(got))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert fitted == ["race"]
-    assert all(f is got[0] for f in got)
-    assert got[0] == fit(m)
-    assert john_estimate(m).decay is got[0]
-    assert fitted == ["race"]
+    monkeypatch.setattr(johndisk, "decay_fit", counting)
+    m = HarmonicMap(SeriesPart((0j, 1 + 0j, 0.2 + 0.1j)), SeriesPart((0j,)), "kept")
+    first = johndisk._default_fit(m)
+    assert johndisk._default_fit(m) is first
+    assert first == fit(m)
+    assert john_estimate([m])[0].decay is first
+    assert fitted == ["kept"]
     kept = weakref.ref(m)
     del m
     gc.collect()
@@ -444,14 +423,14 @@ def test_a_map_is_fitted_once_while_threads_race_for_its_fit(monkeypatch):
 
 @pytest.mark.parametrize("label", sorted(EXPECTED_JOHN))
 def test_john_verdicts(label, corpus):
-    est = john_estimate(corpus[label])
+    est = john_estimate([corpus[label]])[0]
     expected = "john-positive" if EXPECTED_JOHN[label] else "john-negative"
     assert est.verdict == expected
 
 
 def test_john_three_criteria_agree(corpus):
     for label, expected in EXPECTED_JOHN.items():
-        est = john_estimate(corpus[label])
+        est = john_estimate([corpus[label]])[0]
         by_ii = any(s < 1.0 for _, s in est.criterion_ii)
         by_iii = est.criterion_iii.stable
         by_decay = 0.0 < est.decay.delta <= 1.0
@@ -470,7 +449,7 @@ def test_john_estimate_is_invariant_under_scaling(label, c, corpus):
     # every criterion is a ratio of |f| differences or of derivative norms,
     # so c f reads the same numbers as f; the decay fit's log sums round
     # apart, by at most 1.6e-15 (C of koebe, c = 2, relative)
-    est, scaled = john_estimate(corpus[label]), john_estimate(_scaled(corpus[label], c))
+    est, scaled = john_estimate([corpus[label]])[0], john_estimate([_scaled(corpus[label], c)])[0]
     assert scaled.criterion_ii == est.criterion_ii
     assert scaled.criterion_iii == est.criterion_iii
     assert scaled.verdict == est.verdict
@@ -480,7 +459,7 @@ def test_john_estimate_is_invariant_under_scaling(label, c, corpus):
 
 
 def test_john_json_shape(corpus):
-    doc = json.loads(john_estimate(corpus["identity"]).to_json())
+    doc = json.loads(john_estimate([corpus["identity"]])[0].to_json())
     assert set(doc) == {"criterion_ii", "criterion_iii", "decay", "verdict"}
     assert {d["x"] for d in doc["criterion_ii"]} == {0.3, 0.5, 0.7, 0.9}
     assert len(doc["criterion_iii"]["trace"]) == 3
@@ -639,7 +618,7 @@ def test_criterion_iii_box_calls_get_exactly_the_edge_points(corpus):
 
     levels = 3
     m = _SizeRecordingMap(corpus["convex-poly3"])
-    criterion_iii(m, levels=levels)
+    criterion_iii([m], levels=levels)
     expected = []
     blocks = 0
     for level, per_block in zip(range(levels), (13, 8, 5)):
@@ -664,9 +643,18 @@ def test_criterion_iii_block_split_does_not_move_the_trace(block, corpus, monkey
     from hqmap import johndisk
 
     maps = (corpus["koebe"], corpus["convex-poly3"], _seeded_harmonic12(7))
-    default = [np.array(criterion_iii(m).trace).tobytes() for m in maps]
+    default = [np.array(criterion_iii([m])[0].trace).tobytes() for m in maps]
     monkeypatch.setattr(johndisk, "_BOX_BLOCK", block)
-    assert [np.array(criterion_iii(m).trace).tobytes() for m in maps] == default
+    assert [np.array(criterion_iii([m])[0].trace).tobytes() for m in maps] == default
+
+
+def test_criterion_iii_pass_over_many_maps_gives_each_map_its_own_bits(corpus):
+    maps = (*(corpus[label] for label in sorted(corpus)),
+            _seeded_harmonic12(7), seeded_harmonic(5, 16))
+    together = criterion_iii(maps)
+    assert len(together) == len(maps)
+    for m, trace in zip(maps, together):
+        assert trace == criterion_iii([m])[0], m.label
 
 
 def _crit_zero():
@@ -677,7 +665,7 @@ def _crit_zero():
 
 def test_criterion_iii_zero_denominator_names_the_witness():
     with pytest.raises(SenseReversalError) as info:
-        criterion_iii(_crit_zero())
+        criterion_iii([_crit_zero()])
     assert info.value.witness == 0.15 + 0j
     assert "crit-zero: sense-reversing, |f_zb| >= |f_z|" in str(info.value)
 
@@ -696,4 +684,4 @@ class _NanBoxMap(_CountingMap):
 def test_criterion_iii_nan_value_is_an_error(corpus):
     # a NaN box value must not be skipped by the supremum
     with pytest.raises(ParameterError, match="not finite"):
-        criterion_iii(_NanBoxMap(corpus["convex-poly2"]))
+        criterion_iii([_NanBoxMap(corpus["convex-poly2"])])

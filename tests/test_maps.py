@@ -465,13 +465,13 @@ _TRIPLE_RHO_XI = _TRIPLES[1] * _TRIPLES[0]
 
 @pytest.mark.parametrize("at, read", [
     (complex((1.0 - np.geomspace(1.0, 1.0 - R_CAP, 48))[20]), lambda m: criterion_ii(m, 0.3)),
-    (complex(_CRIT_III_Z[2, 3]), criterion_iii),
+    (complex(_CRIT_III_Z[2, 3]), lambda m: criterion_iii([m])),
     (decay_fit_sample(), decay_fit),
     # node 600 of the 4096-node ring that eps = 1e-2 sizes
     (complex(((1.0 - _RING_EPS) * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 4096,
                                                           endpoint=False)))[600]),
      lambda m: poisson_functional(m, 0.0, _RING_EPS)),
-    (complex(_SCAN_R * np.exp(1j * math.pi / 4)), lambda m: poisson_scan(m, _RING_EPS)),
+    (complex(_SCAN_R * np.exp(1j * math.pi / 4)), lambda m: poisson_scan([m], _RING_EPS)[0]),
     (0.9 + 0j, lambda m: check_harnack_box(m, 1.0, 3.0, 0.9 + 0j)),
     (complex(_harnack_box(0.9 + 0j)[7]), lambda m: check_harnack_box(m, 1.0, 3.0, 0.9 + 0j)),
     (complex(_TRIPLE_RHO_XI[70]), lambda m: check_weighted_deriv_growth(m, 2.0)),

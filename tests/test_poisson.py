@@ -15,7 +15,6 @@ from hqmap import (
     preschwarzian_sup,
 )
 from hqmap import poisson
-from hqmap.geometry import circle_nodes
 from hqmap.maps import (CatalogPart, ComboPart, HarmonicMap, SenseReversalError,
                         SeriesPart, WirtingerPair, finite_dnorm)
 from hqmap.poisson import poisson_scan, poisson_trace_json
@@ -35,11 +34,17 @@ def scaled(m, c):
 
 
 def _ring(m, eps, n):
-    """``_ring_pass`` over the n-node ring, its blocks put back in ring
-    order: (nodes, values, drift)."""
-    blocks = list(poisson._ring_pass(m, eps, circle_nodes(n)))
-    nodes, values = (np.concatenate([b[i] for b in blocks], axis=1).reshape(n) for i in (0, 1))
-    return nodes, values, blocks[-1][2]
+    """The n-node ring's blocks as a pass builds them, each read through
+    ``_ring_block`` and put back in ring order: (nodes, values, drift), the
+    drift being the largest of the blocks' changes."""
+    blocks = list(poisson._ring_blocks(n))
+    read = [poisson._ring_block(m, eps, block) for block in blocks]
+    nodes = np.concatenate(blocks, axis=1).reshape(n)
+    values = np.concatenate([values for values, _ in read], axis=1).reshape(n)
+    drift = 0.0
+    for _, rel in read:
+        drift = float(np.maximum(drift, rel))
+    return nodes, values, drift
 
 
 def test_profile_validation(corpus):
@@ -142,7 +147,7 @@ def test_functional_denominator_checked(fz, error, message, norm_at_point):
     zeta = complex(r * np.exp(1j * math.pi / 4))
     m = norm_at_point(zeta, fz)
     with pytest.raises(error, match=re.escape(message.format(zeta))):
-        poisson_scan(m, eps)
+        poisson_scan([m], eps)
     with pytest.raises(error, match=re.escape(message.format(zeta))):
         poisson_functional(m, zeta, eps)
 
@@ -221,18 +226,30 @@ def test_functional_separation_guard(corpus):
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
 def test_the_functional_makes_one_ring_pass_of_the_profile_size(eps, corpus, monkeypatch):
+    # one pass over the ring that eps sizes, however many points are asked for
     passes = []
-    ring_pass = poisson._ring_pass
+    ring_blocks = poisson._ring_blocks
 
-    def passing(m, e, nodes):
-        passes.append((e, nodes))
-        yield from ring_pass(m, e, nodes)
+    def passing(n):
+        passes.append(n)
+        return ring_blocks(n)
 
-    monkeypatch.setattr(poisson, "_ring_pass", passing)
-    poisson_functional(corpus["koebe"], 0.5, eps)
-    assert len(passes) == 1
-    assert passes[0][0] == eps
-    assert passes[0][1] is circle_nodes(poisson._profile_size(eps))
+    monkeypatch.setattr(poisson, "_ring_blocks", passing)
+    zetas = np.array([[0.5, -0.3j], [0.2 + 0.1j, 0.0]])
+    got = poisson_functional(corpus["koebe"], zetas, eps)
+    assert passes == [poisson._profile_size(eps)]
+    assert got.shape == zetas.shape
+
+
+def test_the_batched_functional_keeps_each_points_bits(corpus):
+    # a batch folds every kernel into one pass; each zeta gets the bits of a
+    # call with that zeta alone
+    zetas = [0.0, 0.5, 0.3 + 0.4j, -0.85, 0.9j, 0.05 - 0.6j]
+    for eps in (1e-2, 1e-3):
+        for m in (corpus["koebe"], corpus["convex-poly3"], seeded_harmonic(5, 16)):
+            batch = poisson_functional(m, zetas, eps)
+            alone = [poisson_functional(m, zeta, eps) for zeta in zetas]
+            assert batch.tobytes() == np.array(alone).tobytes(), (m.label, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +281,89 @@ def _scan_maps(corpus):
 @pytest.mark.parametrize("eps", [1e-2, 1e-4])
 def test_scan_matches_functional(eps, corpus):
     n = 4096 if eps == 1e-2 else 1 << 18
-    for m in _scan_maps(corpus):
-        scan = poisson_scan(m, eps)
+    # one scan pass over all the maps, and one functional pass per map for
+    # all 33 grid points
+    maps = _scan_maps(corpus)
+    for m, scan in zip(maps, poisson_scan(maps, eps)):
         drift = _ring(m, eps, n)[2]
         assert len(scan.records) == 1 + 4 * 8, m.label
-        for zeta, val, e, size in scan.records:
-            assert (e, size) == (eps, n)
-            ref = poisson_functional(m, zeta, eps)
+        assert all((e, size) == (eps, n) for _, _, e, size in scan.records)
+        refs = poisson_functional(m, [zeta for zeta, _, _, _ in scan.records], eps)
+        for (zeta, val, _, _), ref in zip(scan.records, refs):
             assert abs(val - ref) <= 1e-11 * abs(ref), (m.label, zeta)
         assert (scan.drift, scan.converged) == (drift, drift <= poisson._DRIFT_TOL)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+def test_a_pass_over_many_maps_gives_each_map_its_own_bits(eps, corpus):
+    maps = _scan_maps(corpus)
+    together = poisson_scan(maps, eps)
+    assert len(together) == len(maps)
+    for m, scan in zip(maps, together):
+        assert scan == poisson_scan([m], eps)[0], m.label
+
+
+def test_a_six_map_pass_holds_no_ring_sized_array(corpus):
+    # each map builds its own kernels on the shared block, so the pass holds
+    # the temporaries of one map and one block, not six maps' or a ring's
+    maps = [corpus[label] for label in sorted(corpus)]
+    poisson_scan(maps, 1e-4)
+    tracemalloc.start()
+    try:
+        poisson_scan(maps, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+class _ArcZeroMap:
+    """Unit derivative norm, except zero on the arc lo < arg z < hi beyond
+    the radius ``beyond``."""
+
+    def __init__(self, label, lo, hi, beyond=0.0):
+        self.label, self.lo, self.hi, self.beyond = label, lo, hi, beyond
+
+    def wirtinger(self, z):
+        arg = np.angle(z)
+        zero = (arg > self.lo) & (arg < self.hi) & (np.abs(z) > self.beyond)
+        fz = np.where(zero, 0.0, 1.0) + 0.0j
+        return WirtingerPair(fz, np.zeros_like(fz))
+
+
+def _in_block(k):
+    """An arc inside the k-th (8, 4096) column block of the 2^18-node ring:
+    column block k of the ring's 8 rows spans the angles
+    (k + [0, 1)) pi / 32 of each octant."""
+    return (k + 0.25) * math.pi / 32, (k + 0.75) * math.pi / 32
+
+
+@pytest.mark.parametrize("maps, eps_levels, named", [
+    # one block: the first map in order
+    ([("a", *_in_block(2)), ("b", *_in_block(2))], (1e-4,), "a"),
+    # an earlier block beats an earlier map
+    ([("a", *_in_block(5)), ("b", *_in_block(2))], (1e-4,), "b"),
+    # an earlier eps beats an earlier block: "a" fails on the 1e-4 ring
+    # only, "b" on the one block of the 2^15-node ring of 1e-3 already
+    ([("a", *_in_block(0), 0.9997), ("b", *_in_block(7))], (1e-3, 1e-4), "b"),
+], ids=["label", "block", "eps"])
+def test_a_pass_names_the_first_failure_in_pass_order(maps, eps_levels, named):
+    # the passes go eps by eps, block by block, and map by map within a
+    # block; the first failure met is the one raised
+    maps = [_ArcZeroMap(*spec) for spec in maps]
+    with pytest.raises(SenseReversalError, match=f"^{named}: sense-reversing"):
+        poisson_sup(maps, eps_levels)
+
+
+def test_a_scan_at_eps_one_half_is_an_input_error_before_any_ring_block(corpus, monkeypatch):
+    # every radius of the grid is 0 at eps = 0.5: the scan used to return
+    # five identical records at zeta = 0
+    def no_ring(n, *args):
+        raise AssertionError(f"a {n}-node ring was asked for")
+
+    monkeypatch.setattr(poisson.geometry, "circle_node_blocks", no_ring)
+    with pytest.raises(ParameterError, match=r"ring offset eps = 0.5 collapses the scan grid"):
+        poisson_scan([corpus["koebe"]], 0.5)
 
 
 def _rel_close(a, b, tol):
@@ -282,55 +373,60 @@ def _rel_close(a, b, tol):
 @pytest.mark.parametrize("block, eps_levels", [(8, (1e-2,)), (1 << 22, (1e-2, 1e-4))])
 def test_scan_blocks_do_not_matter(block, eps_levels, corpus, monkeypatch):
     maps = (corpus["koebe"], corpus["convex-poly3"], _seeded_series12(6, harmonic=True))
-    default = [[v for _, v, _, _ in poisson_scan(m, eps).records]
+    default = [[v for _, v, _, _ in poisson_scan([m], eps)[0].records]
                for m in maps for eps in eps_levels]
     monkeypatch.setattr(poisson, "_RING_BLOCK", block)
-    patched = [[v for _, v, _, _ in poisson_scan(m, eps).records]
+    patched = [[v for _, v, _, _ in poisson_scan([m], eps)[0].records]
                for m in maps for eps in eps_levels]
     for a, b in zip(patched, default):
         assert _rel_close(a, b, 1e-13)
 
 
 def test_scan_builds_one_kernel_per_radius(corpus, monkeypatch):
-    # one ring pass per scan, each block folded into the five radii's
-    # products as it arrives
+    # one ring pass per scan, each block built once and folded into every
+    # map's five radii's products as it arrives; each map builds its own
+    # kernels
     counted, blocks = [], []
-    kernel, ring_pass = poisson._kernel, poisson._ring_pass
+    kernel, ring_blocks = poisson._kernel, poisson._ring_blocks
 
     def counting(x, dy2, zeta):
         counted.append(np.size(x))
         return kernel(x, dy2, zeta)
 
-    def passing(m, eps, nodes):
+    def passing(n):
         blocks.append([])
-        for item in ring_pass(m, eps, nodes):
-            blocks[-1].append(item[0].shape)
-            yield item
+        for block in ring_blocks(n):
+            blocks[-1].append(block.shape)
+            yield block
 
     monkeypatch.setattr(poisson, "_kernel", counting)
-    monkeypatch.setattr(poisson, "_ring_pass", passing)
+    monkeypatch.setattr(poisson, "_ring_blocks", passing)
+    maps = [corpus["convex-poly3"], corpus["koebe"]]
     for eps, n in ((1e-2, 4096), (1e-3, 1 << 15), (1e-4, 1 << 18)):
         counted.clear()
         blocks.clear()
-        poisson_scan(corpus["convex-poly3"], eps)
+        poisson_scan(maps, eps)
         width = min(n, 1 << 15) // 8
         assert blocks == [[(8, width)] * (n // 8 // width)]
-        assert counted == [8 * width] * (5 * len(blocks[0]))
-        assert sum(counted) == 5 * n
+        assert counted == [8 * width] * (2 * 5 * len(blocks[0]))
+        assert sum(counted) == 2 * 5 * n
     counted.clear()
     monkeypatch.undo()
     monkeypatch.setattr(poisson, "_kernel", counting)
     poisson_functional(corpus["koebe"], 0.5, 1e-3)
     assert counted == [1 << 15]  # the single-point functional shares the formula
+    counted.clear()
+    poisson_functional(corpus["koebe"], [0.5, 0.2j, -0.1], 1e-3)
+    assert counted == [1 << 15] * 3  # one kernel per point and block
 
 
 def test_a_warm_scan_holds_no_ring_sized_array(corpus):
     # a 2^18-node array of ring values alone is 2 MiB; the scan streams its ring
     m = corpus["koebe"]
-    poisson_scan(m, 1e-4)  # builds the shared 2^18-node ring, kept for later scans
+    poisson_scan([m], 1e-4)  # builds the shared small samples and warms the imports
     tracemalloc.start()
     try:
-        poisson_scan(m, 1e-4)
+        poisson_scan([m], 1e-4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -349,14 +445,14 @@ def test_a_warm_scan_holds_no_ring_sized_array(corpus):
 def test_a_bad_scan_eps_is_an_input_error_before_any_ring(eps, message, corpus, monkeypatch):
     # eps = 0 divided by zero, NaN failed to convert to an int, and 1e-9
     # asked for a 2^35-node ring (512 GiB) before any check
-    def no_ring(n):
+    def no_ring(n, *args):
         raise AssertionError(f"a {n}-node ring was asked for")
 
-    monkeypatch.setattr(poisson.geometry, "circle_nodes", no_ring)
+    monkeypatch.setattr(poisson.geometry, "circle_node_blocks", no_ring)
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError, match=message):
-            poisson_scan(corpus["identity"], eps)
+            poisson_scan([corpus["identity"]], eps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -377,20 +473,20 @@ def test_the_ring_cap_is_reached_at_eps_6e_6():
 
 
 def test_sup_identity_stable(corpus):
-    tr = poisson_sup(corpus["identity"])
+    tr = poisson_sup([corpus["identity"]])[0]
     assert tr.stable
     assert all(t == pytest.approx(1.0, abs=1e-6) for t in tr.trace)
 
 
 def test_sup_koebe_diverges(corpus):
-    tr = poisson_sup(corpus["koebe"])
+    tr = poisson_sup([corpus["koebe"]])[0]
     assert not tr.stable
     assert all(b > 1.5 * a for a, b in zip(tr.trace[:-1], tr.trace[1:]))
 
 
 def test_sup_convex_stable(corpus):
     for label in ("convex-poly2", "convex-poly3"):
-        tr = poisson_sup(corpus[label])
+        tr = poisson_sup([corpus[label]])[0]
         assert tr.stable, (label, tr.trace)
 
 
@@ -400,24 +496,24 @@ def test_boundedness_property_on_corpus(corpus):
     for label, m in corpus.items():
         fit = decay_fit(m)
         if 0.0 < fit.delta < 1.0 and "bounded" in m.flags:
-            assert poisson_sup(m).stable, label
-    assert not poisson_sup(corpus["koebe"]).stable
+            assert poisson_sup([m])[0].stable, label
+    assert not poisson_sup([corpus["koebe"]])[0].stable
 
 
 def test_corollary_gate_on_corpus(corpus):
     # John-positive + small pre-Schwarzian + bounded image gives a stable sup
     for label in ("identity", "convex-poly2", "convex-poly3"):
         m = corpus[label]
-        assert john_estimate(m).verdict == "john-positive"
+        assert john_estimate([m])[0].verdict == "john-positive"
         assert preschwarzian_sup(m).value < 4.0 - 1e-3
         assert "bounded" in m.flags
-        assert poisson_sup(m).stable
+        assert poisson_sup([m])[0].stable
 
 
 def test_trace_json(corpus):
     import json
 
-    tr = poisson_sup(corpus["identity"])
+    tr = poisson_sup([corpus["identity"]])[0]
     doc = json.loads(poisson_trace_json(corpus["identity"], tr))
     assert set(doc) == {"label", "sup", "trace", "eps", "stable",
                         "profile_drift", "profile_converged"}
@@ -426,7 +522,7 @@ def test_trace_json(corpus):
 def test_trace_carries_profile_convergence(corpus):
     import json
 
-    tr = poisson_sup(corpus["koebe"])
+    tr = poisson_sup([corpus["koebe"]])[0]
     doc = json.loads(poisson_trace_json(corpus["koebe"], tr))
     for eps, sc, drift, conv in zip(tr.eps_levels, tr.scans, doc["profile_drift"],
                                     doc["profile_converged"]):
@@ -436,16 +532,16 @@ def test_trace_carries_profile_convergence(corpus):
 
 
 def test_unconverged_profile_makes_the_trace_unstable(corpus, monkeypatch):
-    ring_pass = poisson._ring_pass
+    ring_block = poisson._ring_block
 
-    def drifting(m, eps, nodes):
+    def drifting(m, eps, block):
         # the same values, but the ring drifts by 0.2 > 0.1 at every block
-        for block, values, drift in ring_pass(m, eps, nodes):
-            yield block, values, max(drift, 0.2)
+        values, rel = ring_block(m, eps, block)
+        return values, max(rel, 0.2)
 
-    assert poisson_sup(corpus["identity"]).stable
-    monkeypatch.setattr(poisson, "_ring_pass", drifting)
-    tr = poisson_sup(corpus["identity"])
+    assert poisson_sup([corpus["identity"]])[0].stable
+    monkeypatch.setattr(poisson, "_ring_block", drifting)
+    tr = poisson_sup([corpus["identity"]])[0]
     assert [sc.converged for sc in tr.scans] == [False] * 3
     assert all(t == pytest.approx(1.0, abs=1e-6) for t in tr.trace)
     assert not tr.stable

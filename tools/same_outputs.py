@@ -22,9 +22,10 @@ fresh interpreter with that root's ``src`` (and, for the corpora, its
   the runs above draw the geometry suite's sampled lines at seeds 0 and 1
   only;
 - ``poisson koebe`` at level 1 and ``john shear-k3`` on the built-ins, with
-  ``--out``.  In ``report`` only the first map meets the process's cold
-  sample caches (``geometry.circle_nodes``, criterion (iii)'s level
-  boxes), so these single-map runs check the cold path for other maps;
+  ``--out``.  ``report`` runs its John and Poisson stages as passes over
+  all the maps, so these runs check the one-map passes, and the cold
+  sample caches (``geometry.circle_nodes``, criterion (iii)'s level boxes)
+  for a map that is not first;
 - ``radial koebe`` at theta = 0.3 on the radii 0.2, 0.5, 0.9 and 0.99,
   with ``--out``: ``report`` writes radial profiles at theta = 0 only.
 
